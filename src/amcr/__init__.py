@@ -1,14 +1,13 @@
 """Desk-scale training laboratory for meta-reweighted aesthetic scoring.
 
-The package stacks a small reverse-mode tensor engine (`tensor`), compiled
-or pure-numpy convolution kernels (`kernels`, selected via AMCR_BACKEND),
-network blocks with channel attention and adaptive input handling
-(`blocks`, `image`), the bilevel loss-reweighting loop (`meta`), staged
-classification-then-regression training (`pipeline`, `training`), metrics,
-synthetic data tooling (`data`, `pnm`), checkpointing, and a CLI.
+The package stacks a small reverse-mode tensor engine (`tensor`), numpy
+convolution, pooling and resize kernels (`kernels`), network blocks with
+channel attention and adaptive input handling (`blocks`, `image`), the
+bilevel loss-reweighting loop (`meta`), staged classification-then-regression
+training (`pipeline`, `training`), metrics, synthetic data tooling (`data`,
+`pnm`), checkpointing, and a CLI.
 """
 
-from .backend import BACKEND, NUMBA_AVAILABLE
 from .blocks import AestheticNet, EcaBlock, Mrn, eca_kernel_size, mrn_forward
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash, default_config, load_config
@@ -28,12 +27,12 @@ from .training import TrainResult, TrainSettings, train_model
 __version__ = "0.1.0"
 
 __all__ = [
-    "AestheticNet", "Adam", "AmcrError", "BACKEND", "ConfigError",
-    "DataError", "DependencyError", "EcaBlock", "FormatError", "MetaConfig",
-    "MetaState", "Mrn", "NUMBA_AVAILABLE", "ParameterError",
-    "PipelineArtifacts", "PlateauScheduler", "RunConfig", "Sample",
-    "ShapeError", "StateError", "SynthSpec", "TapeError", "Tensor",
-    "TrainResult", "TrainSettings", "VersionError", "binarize_label",
+    "AestheticNet", "Adam", "AmcrError", "ConfigError", "DataError",
+    "DependencyError", "EcaBlock", "FormatError", "MetaConfig", "MetaState",
+    "Mrn", "ParameterError", "PipelineArtifacts", "PlateauScheduler",
+    "RunConfig", "Sample", "ShapeError", "StateError", "SynthSpec",
+    "TapeError", "Tensor", "TrainResult", "TrainSettings", "VersionError",
+    "binarize_label",
     "build_meta_set", "config_hash", "default_config", "eca_kernel_size",
     "evaluate_scores", "fuse_score", "generate_dataset", "grad_enabled",
     "load_checkpoint", "load_config", "load_manifest", "lr_plateau_step",

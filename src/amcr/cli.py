@@ -30,8 +30,8 @@ from .errors import (AmcrError, ConfigError, DataError, DependencyError,
 from .image import aab_prepare, preprocess_crop, preprocess_resize
 from .meta import build_meta_set
 from .metrics import evaluate_scores, segment_report
-from .pipeline import (binarize_label, prepare_images, pseudo_split,
-                       run_ablation, run_pipeline, train_binary)
+from .pipeline import (PipelineArtifacts, binarize_label, prepare_images,
+                       pseudo_split, run_ablation, run_pipeline, train_binary)
 
 _EXIT_CODES = (
     (ConfigError, 2),
@@ -277,27 +277,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_artifacts(cfg, args):
+def _load_artifacts(cfg, args) -> PipelineArtifacts:
     variant = cfg.pipeline_variant
-    r_all = _load_model(args, "r_all", cfg, 10)
+    art = PipelineArtifacts(variant=variant,
+                            r_all=_load_model(args, "r_all", cfg, 10))
     if variant != "pcr":
-        return {"variant": variant, "r_all": r_all}
-    c2 = _load_model(args, "c2", cfg, 2)
-    branches = {}
+        return art
+    art.c2 = _load_model(args, "c2", cfg, 2)
     for name in ("r0", "r1"):
         if os.path.exists(_model_path(args, name)):
-            branches[name] = _load_model(args, name, cfg, 10)
-        else:
-            branches[name] = None
-    return {"variant": variant, "r_all": r_all, "c2": c2, **branches}
-
-
-def _predict_sample(models, image) -> float:
-    from .pipeline import fuse_score
-    if models["variant"] == "pcr":
-        return fuse_score(models["c2"], models["r0"], models["r1"],
-                          models["r_all"], image)
-    return float(min(10.0, max(0.0, TR.predict_score(models["r_all"], image))))
+            setattr(art, name, _load_model(args, name, cfg, 10))
+    return art
 
 
 def cmd_evaluate(args) -> int:
@@ -306,8 +296,7 @@ def cmd_evaluate(args) -> int:
     test = D.split_of(samples, "test")
     if not test:
         raise DataError("manifest has no test split")
-    models = _load_artifacts(cfg, args)
-    preds = np.array([_predict_sample(models, images[s.id]) for s in test])
+    preds = _load_artifacts(cfg, args).predict_samples(test, images)
     truth = [s.score for s in test]
     report = evaluate_scores(preds, truth)
     _write_csv(os.path.join(args.out, "metrics.csv"),
@@ -328,8 +317,7 @@ def cmd_predict(args) -> int:
     cfg = _load_run_config(args)
     image = pnm.load_pnm(args.image)
     prepared = _prepare_one(cfg, image)
-    models = _load_artifacts(cfg, args)
-    print(f"{_predict_sample(models, prepared):.4f}")
+    print(f"{_load_artifacts(cfg, args).predict(prepared):.4f}")
     return 0
 
 

@@ -54,7 +54,6 @@ _SCHEMA = {
         "stem_channels": ("int", 24),
         "stage_channels": ("ints", (48, 96, 128)),
         "head_width": ("int", 448),
-        "num_classes": ("int", 10),
         "eca": ("bool", True),
         "eca_mode": ("str", "ceil_odd"),
         "prep": ("str", "crop"),
@@ -85,7 +84,6 @@ _SCHEMA = {
     },
     "pipeline": {
         "variant": ("str", "pcr"),
-        "mid_keep_fraction": ("float", 1.0),
     },
 }
 
@@ -106,7 +104,6 @@ _HASH_KEYS = (
     ("model", "stem_channels"),
     ("model", "stage_channels"),
     ("model", "head_width"),
-    ("model", "num_classes"),
     ("model", "eca"),
     ("model", "eca_mode"),
     ("model", "prep"),
@@ -227,10 +224,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("corrupt_fraction must lie in [0, 1]")
     if cfg.train_batch_scale <= 0:
         raise ConfigError("batch_scale must be positive")
-    if not 0.0 <= cfg.pipeline_mid_keep_fraction <= 1.0:
-        raise ConfigError("mid_keep_fraction must lie in [0, 1]")
-    if cfg.model_num_classes < 2:
-        raise ConfigError("num_classes must be at least 2")
 
 
 def effective_batch(base: int, scale: float) -> int:

@@ -228,22 +228,6 @@ def make_amdc(samples, rng) -> list:
     return out
 
 
-def make_amdr(samples, mid_keep_fraction: float, rng) -> list:
-    """Regression view: thin the mid segment [4,6] to the given fraction,
-    keeping every sample outside it."""
-    if not 0.0 <= mid_keep_fraction <= 1.0:
-        raise ConfigError(f"mid keep fraction {mid_keep_fraction} outside [0,1]")
-    mid_idx = [i for i, s in enumerate(samples)
-               if s.score is not None and 4.0 <= s.score <= 6.0]
-    keep = int(round(mid_keep_fraction * len(mid_idx)))
-    chosen = set()
-    if keep and mid_idx:
-        chosen = set(np.asarray(mid_idx)[
-            rng.choice(len(mid_idx), size=keep, replace=False)].tolist())
-    mid_set = set(mid_idx)
-    return [s for i, s in enumerate(samples) if i not in mid_set or i in chosen]
-
-
 def split_811(samples, rng) -> list:
     """Tag samples train/valid/test 8:1:1 after a seeded shuffle.
 

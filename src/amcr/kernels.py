@@ -1,88 +1,16 @@
 """Hot numeric kernels: 2D convolution, adaptive average pooling, bilinear resize.
 
-Each kernel has a numba loop version (suffix _nb) and a vectorized numpy
-version (suffix _np). The public names dispatch on the backend selected
-at import (AMCR_BACKEND env var). Both paths produce the same values up
-to floating-point summation order; tests pin them together at 1e-12.
+Vectorized numpy: convolution goes through im2col and one matrix product,
+pooling and resizing are slicing and gather arithmetic. `tensor` and
+`image` look the kernels up on this module by attribute at call time.
 
 All arrays are float64 and C-contiguous. Channel-first layout (C, H, W).
 """
 
 import numpy as np
 
-from .backend import BACKEND, njit
-
 # ---------------------------------------------------------------------------
 # conv2d: x (Cin, H, W) * k (Cout, Cin, kh, kw) -> (Cout, Ho, Wo)
-
-
-@njit
-def conv2d_forward_nb(x, k, stride, pad):
-    cin, h, w = x.shape
-    cout, _, kh, kw = k.shape
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
-    out = np.zeros((cout, ho, wo))
-    for co in range(cout):
-        for i in range(ho):
-            for j in range(wo):
-                acc = 0.0
-                for ci in range(cin):
-                    for u in range(kh):
-                        r = i * stride - pad + u
-                        if r < 0 or r >= h:
-                            continue
-                        for v in range(kw):
-                            c = j * stride - pad + v
-                            if c < 0 or c >= w:
-                                continue
-                            acc += x[ci, r, c] * k[co, ci, u, v]
-                out[co, i, j] = acc
-    return out
-
-
-@njit
-def conv2d_backward_input_nb(dy, k, stride, pad, h, w):
-    cout, ho, wo = dy.shape
-    _, cin, kh, kw = k.shape
-    dx = np.zeros((cin, h, w))
-    for co in range(cout):
-        for i in range(ho):
-            for j in range(wo):
-                g = dy[co, i, j]
-                for ci in range(cin):
-                    for u in range(kh):
-                        r = i * stride - pad + u
-                        if r < 0 or r >= h:
-                            continue
-                        for v in range(kw):
-                            c = j * stride - pad + v
-                            if c < 0 or c >= w:
-                                continue
-                            dx[ci, r, c] += g * k[co, ci, u, v]
-    return dx
-
-
-@njit
-def conv2d_backward_kernel_nb(dy, x, stride, pad, kh, kw):
-    cout, ho, wo = dy.shape
-    cin, h, w = x.shape
-    dk = np.zeros((cout, cin, kh, kw))
-    for co in range(cout):
-        for i in range(ho):
-            for j in range(wo):
-                g = dy[co, i, j]
-                for ci in range(cin):
-                    for u in range(kh):
-                        r = i * stride - pad + u
-                        if r < 0 or r >= h:
-                            continue
-                        for v in range(kw):
-                            c = j * stride - pad + v
-                            if c < 0 or c >= w:
-                                continue
-                            dk[co, ci, u, v] += g * x[ci, r, c]
-    return dk
 
 
 def _im2col(x, kh, kw, stride, pad, ho, wo):
@@ -100,7 +28,7 @@ def _im2col(x, kh, kw, stride, pad, ho, wo):
     return cols
 
 
-def conv2d_forward_np(x, k, stride, pad):
+def conv2d_forward(x, k, stride, pad):
     cin, h, w = x.shape
     cout, _, kh, kw = k.shape
     ho = (h + 2 * pad - kh) // stride + 1
@@ -110,7 +38,7 @@ def conv2d_forward_np(x, k, stride, pad):
     return np.ascontiguousarray(out.reshape(cout, ho, wo))
 
 
-def conv2d_backward_input_np(dy, k, stride, pad, h, w):
+def conv2d_backward_input(dy, k, stride, pad, h, w):
     cout, ho, wo = dy.shape
     _, cin, kh, kw = k.shape
     # scatter k^T @ dy back through the im2col mapping
@@ -128,7 +56,7 @@ def conv2d_backward_input_np(dy, k, stride, pad, h, w):
     return np.ascontiguousarray(dxp[:, pad:pad + h, pad:pad + w])
 
 
-def conv2d_backward_kernel_np(dy, x, stride, pad, kh, kw):
+def conv2d_backward_kernel(dy, x, stride, pad, kh, kw):
     cout, ho, wo = dy.shape
     cin = x.shape[0]
     cols = _im2col(x, kh, kw, stride, pad, ho, wo)
@@ -141,46 +69,7 @@ def conv2d_backward_kernel_np(dy, x, stride, pad, kh, kw):
 # window for output cell (i, j): rows [floor(i*H/Th), ceil((i+1)*H/Th))
 
 
-@njit
-def adaptive_avg_pool_forward_nb(x, th, tw):
-    c, h, w = x.shape
-    out = np.empty((c, th, tw))
-    for i in range(th):
-        r0 = (i * h) // th
-        r1 = -((-(i + 1) * h) // th)
-        for j in range(tw):
-            c0 = (j * w) // tw
-            c1 = -((-(j + 1) * w) // tw)
-            area = (r1 - r0) * (c1 - c0)
-            for ch in range(c):
-                acc = 0.0
-                for r in range(r0, r1):
-                    for cc in range(c0, c1):
-                        acc += x[ch, r, cc]
-                out[ch, i, j] = acc / area
-    return out
-
-
-@njit
-def adaptive_avg_pool_backward_nb(dy, h, w):
-    c, th, tw = dy.shape
-    dx = np.zeros((c, h, w))
-    for i in range(th):
-        r0 = (i * h) // th
-        r1 = -((-(i + 1) * h) // th)
-        for j in range(tw):
-            c0 = (j * w) // tw
-            c1 = -((-(j + 1) * w) // tw)
-            area = (r1 - r0) * (c1 - c0)
-            for ch in range(c):
-                g = dy[ch, i, j] / area
-                for r in range(r0, r1):
-                    for cc in range(c0, c1):
-                        dx[ch, r, cc] += g
-    return dx
-
-
-def adaptive_avg_pool_forward_np(x, th, tw):
+def adaptive_avg_pool_forward(x, th, tw):
     c, h, w = x.shape
     out = np.empty((c, th, tw))
     for i in range(th):
@@ -191,7 +80,7 @@ def adaptive_avg_pool_forward_np(x, th, tw):
     return out
 
 
-def adaptive_avg_pool_backward_np(dy, h, w):
+def adaptive_avg_pool_backward(dy, h, w):
     c, th, tw = dy.shape
     dx = np.zeros((c, h, w))
     for i in range(th):
@@ -207,38 +96,7 @@ def adaptive_avg_pool_backward_np(dy, h, w):
 # Preprocessing only; never differentiated.
 
 
-@njit
-def bilinear_resize_nb(x, ho, wo):
-    c, h, w = x.shape
-    out = np.empty((c, ho, wo))
-    sh = h / ho
-    sw = w / wo
-    for i in range(ho):
-        sy = (i + 0.5) * sh - 0.5
-        if sy < 0.0:
-            sy = 0.0
-        if sy > h - 1.0:
-            sy = h - 1.0
-        y0 = int(sy)
-        y1 = y0 + 1 if y0 + 1 < h else y0
-        fy = sy - y0
-        for j in range(wo):
-            sx = (j + 0.5) * sw - 0.5
-            if sx < 0.0:
-                sx = 0.0
-            if sx > w - 1.0:
-                sx = w - 1.0
-            x0 = int(sx)
-            x1 = x0 + 1 if x0 + 1 < w else x0
-            fx = sx - x0
-            for ch in range(c):
-                top = x[ch, y0, x0] * (1.0 - fx) + x[ch, y0, x1] * fx
-                bot = x[ch, y1, x0] * (1.0 - fx) + x[ch, y1, x1] * fx
-                out[ch, i, j] = top * (1.0 - fy) + bot * fy
-    return out
-
-
-def bilinear_resize_np(x, ho, wo):
+def bilinear_resize(x, ho, wo):
     c, h, w = x.shape
     sy = np.clip((np.arange(ho) + 0.5) * (h / ho) - 0.5, 0.0, h - 1.0)
     sx = np.clip((np.arange(wo) + 0.5) * (w / wo) - 0.5, 0.0, w - 1.0)
@@ -251,22 +109,3 @@ def bilinear_resize_np(x, ho, wo):
     top = x[:, y0][:, :, x0] * (1.0 - fx) + x[:, y0][:, :, x1] * fx
     bot = x[:, y1][:, :, x0] * (1.0 - fx) + x[:, y1][:, :, x1] * fx
     return top * (1.0 - fy) + bot * fy
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-if BACKEND == "numba":
-    conv2d_forward = conv2d_forward_nb
-    conv2d_backward_input = conv2d_backward_input_nb
-    conv2d_backward_kernel = conv2d_backward_kernel_nb
-    adaptive_avg_pool_forward = adaptive_avg_pool_forward_nb
-    adaptive_avg_pool_backward = adaptive_avg_pool_backward_nb
-    bilinear_resize = bilinear_resize_nb
-else:
-    conv2d_forward = conv2d_forward_np
-    conv2d_backward_input = conv2d_backward_input_np
-    conv2d_backward_kernel = conv2d_backward_kernel_np
-    adaptive_avg_pool_forward = adaptive_avg_pool_forward_np
-    adaptive_avg_pool_backward = adaptive_avg_pool_backward_np
-    bilinear_resize = bilinear_resize_np

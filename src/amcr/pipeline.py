@@ -21,7 +21,6 @@ import dataclasses
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -306,15 +305,6 @@ def run_pipeline(variant: str, train, valid, images, model_factory,
 # ablation harness
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("AMCR_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def run_ablation(requests, train, valid, test, images_by_prep, model_factory,
                  class_settings, reg_settings, *, meta_samples=None,
                  base_seed: int = 0):
@@ -322,8 +312,8 @@ def run_ablation(requests, train, valid, test, images_by_prep, model_factory,
 
     `images_by_prep` maps prep name -> id -> array (see prepare_images);
     `model_factory(rng, num_classes, eca, prep)` builds the cell's model.
-    Cells run on up to AMCR_THREADS worker threads, each with its own
-    RNG stream seeded from `base_seed` and the cell index.
+    Cells run in order, each with its own RNG stream seeded from
+    `base_seed` and the cell index.
     """
     requests = list(requests)
     for req in requests:
@@ -335,8 +325,7 @@ def run_ablation(requests, train, valid, test, images_by_prep, model_factory,
         if req["prep"] not in images_by_prep:
             raise ConfigError(f"no prepared images for prep {req['prep']!r}")
 
-    def run_cell(index_req):
-        index, req = index_req
+    def run_cell(index, req):
         rng = np.random.default_rng((base_seed, index))
         images = images_by_prep[req["prep"]]
         factory = lambda r, k: model_factory(r, k, req["eca"], req["prep"])
@@ -347,8 +336,4 @@ def run_ablation(requests, train, valid, test, images_by_prep, model_factory,
         report = evaluate_scores(preds, [s.score for s in test])
         return {**req, "report": report, "artifacts": art}
 
-    workers = min(_thread_cap(), max(1, len(requests)))
-    if workers == 1:
-        return [run_cell(x) for x in enumerate(requests)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_cell, enumerate(requests)))
+    return [run_cell(index, req) for index, req in enumerate(requests)]

@@ -11,29 +11,30 @@ boundaries (every Tensor construction checks). Scalars are 0-d arrays.
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
 from . import kernels
 from .errors import DataError, ParameterError, ShapeError, TapeError
 
-_grad_enabled = True
+# per thread (and per asyncio task): one thread's no_grad() block cannot
+# detach the graphs another thread is building
+_grad_enabled = ContextVar("amcr_grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (inference/eval paths)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 def grad_enabled() -> bool:
-    return _grad_enabled
+    return _grad_enabled.get()
 
 
 class Tensor:
@@ -146,7 +147,7 @@ def as_tensor(x) -> Tensor:
 
 
 def _make(data, parents, backward, op):
-    track = _grad_enabled and any(p.requires_grad for p in parents)
+    track = _grad_enabled.get() and any(p.requires_grad for p in parents)
     if track:
         return Tensor(data, requires_grad=True, _prev=tuple(parents),
                       _backward=backward, _op=op)

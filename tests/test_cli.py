@@ -145,9 +145,8 @@ def test_report_segments_writes_ten_rows(workdir, capsys):
     assert rows[1][0] == "0.0-1.0" and rows[10][0] == "9.0-10.0"
 
 
-def test_ablate_single_cell(workdir, monkeypatch, capsys):
+def test_ablate_single_cell(workdir, capsys):
     cfg, out = workdir
-    monkeypatch.setenv("AMCR_THREADS", "1")
     assert main(["ablate", "--config", str(cfg), "--out", str(out),
                  "--variant", "r", "--mrn", "off"]) == 0
     printed = capsys.readouterr().out

@@ -42,7 +42,6 @@ eca = off
     assert cfg.model_eca is False
     # untouched keys keep their defaults
     assert cfg.train_class_batch == 32
-    assert cfg.model_num_classes == 10
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -75,8 +74,6 @@ def test_semantic_validation(tmp_path):
         load_config(write(tmp_path, "[data]\ncorrupt_fraction = 1.5\n"))
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, "[train]\nbatch_scale = -1\n"))
-    with pytest.raises(ConfigError):
-        load_config(write(tmp_path, "[model]\nnum_classes = 1\n"))
 
 
 def test_missing_file_rejected(tmp_path):

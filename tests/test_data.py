@@ -8,7 +8,7 @@ import pytest
 
 from amcr.data import (MANIFEST_HEADER, Sample, SynthSpec, generate_dataset,
                        load_image, load_images, load_manifest, make_amdc,
-                       make_amdr, save_manifest, split_811, split_of, true_score)
+                       save_manifest, split_811, split_of, true_score)
 from amcr.errors import ConfigError, DataError, FormatError
 
 SMALL = SynthSpec(image_height=8, image_width=8)
@@ -268,35 +268,6 @@ def test_amdc_empty_class_raises():
         make_amdc(scored([1.0, 2.0, 3.0]), np.random.default_rng(4))
     with pytest.raises(DataError):
         make_amdc(scored([7.0, 8.0]), np.random.default_rng(5))
-
-
-def test_amdr_fraction_one_is_identity():
-    samples = scored([1.0, 4.5, 5.0, 9.0])
-    assert make_amdr(samples, 1.0, np.random.default_rng(0)) == samples
-
-
-def test_amdr_fraction_zero_drops_all_mid():
-    samples = scored([1.0, 4.0, 4.5, 5.5, 6.0, 9.0])
-    out = make_amdr(samples, 0.0, np.random.default_rng(1))
-    assert [s.score for s in out] == [1.0, 9.0]
-
-
-def test_amdr_keeps_extremes_exactly():
-    rng = np.random.default_rng(2)
-    scores = list(np.round(rng.uniform(0, 10, 60), 3))
-    samples = scored(scores)
-    out = make_amdr(samples, 0.5, rng)
-    extremes_in = {s.id for s in samples if not 4.0 <= s.score <= 6.0}
-    extremes_out = {s.id for s in out if not 4.0 <= s.score <= 6.0}
-    assert extremes_in == extremes_out
-    mid_in = [s for s in samples if 4.0 <= s.score <= 6.0]
-    mid_out = [s for s in out if 4.0 <= s.score <= 6.0]
-    assert len(mid_out) == round(0.5 * len(mid_in))
-
-
-def test_amdr_fraction_validation():
-    with pytest.raises(ConfigError):
-        make_amdr(scored([5.0] * 3), 1.2, np.random.default_rng(3))
 
 
 # ---------------------------------------------------------------------------

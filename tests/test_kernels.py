@@ -1,10 +1,11 @@
-"""Kernel correctness: both backends agree, adjoints match forwards, and
-hand-checkable cases come out exact."""
+"""Kernel correctness: kernels match brute-force references, adjoints match
+forwards, and hand-checkable cases come out exact."""
+
+import math
 
 import numpy as np
 import pytest
 
-from amcr.backend import BACKEND, NUMBA_AVAILABLE
 from amcr import kernels as K
 
 
@@ -52,11 +53,8 @@ def test_conv_forward_matches_reference(cin, h, w, cout, kh, kw, stride, pad):
     x = rng.standard_normal((cin, h, w))
     k = rng.standard_normal((cout, cin, kh, kw))
     want = conv_reference(x, k, stride, pad)
-    np.testing.assert_allclose(K.conv2d_forward_np(x, k, stride, pad), want,
+    np.testing.assert_allclose(K.conv2d_forward(x, k, stride, pad), want,
                                rtol=0, atol=1e-12)
-    if NUMBA_AVAILABLE:
-        np.testing.assert_allclose(K.conv2d_forward_nb(x, k, stride, pad), want,
-                                   rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("cin,h,w,cout,kh,kw,stride,pad", CONV_CASES)
@@ -66,27 +64,20 @@ def test_conv_backward_adjoint_identity(cin, h, w, cout, kh, kw, stride, pad):
     rng = rng_for(hash(("adj", cin, h, w, cout, kh, kw, stride, pad)) % 2**32)
     x = rng.standard_normal((cin, h, w))
     k = rng.standard_normal((cout, cin, kh, kw))
-    y = K.conv2d_forward_np(x, k, stride, pad)
+    y = K.conv2d_forward(x, k, stride, pad)
     dy = rng.standard_normal(y.shape)
     lhs = np.sum(y * dy)
-    dx = K.conv2d_backward_input_np(dy, k, stride, pad, h, w)
-    dk = K.conv2d_backward_kernel_np(dy, x, stride, pad, kh, kw)
+    dx = K.conv2d_backward_input(dy, k, stride, pad, h, w)
+    dk = K.conv2d_backward_kernel(dy, x, stride, pad, kh, kw)
     assert abs(lhs - np.sum(x * dx)) < 1e-9 * max(1.0, abs(lhs))
     assert abs(lhs - np.sum(k * dk)) < 1e-9 * max(1.0, abs(lhs))
-    if NUMBA_AVAILABLE:
-        np.testing.assert_allclose(
-            K.conv2d_backward_input_nb(dy, k, stride, pad, h, w), dx,
-            rtol=0, atol=1e-12)
-        np.testing.assert_allclose(
-            K.conv2d_backward_kernel_nb(dy, x, stride, pad, kh, kw), dk,
-            rtol=0, atol=1e-12)
 
 
 def test_conv_zero_padding_contributes_zero():
     # an all-ones kernel over an all-ones image counts only real pixels
     x = np.ones((1, 3, 3))
     k = np.ones((1, 1, 3, 3))
-    out = K.conv2d_forward_np(x, k, 1, 1)
+    out = K.conv2d_forward(x, k, 1, 1)
     assert out[0, 1, 1] == 9.0   # center window fully inside
     assert out[0, 0, 0] == 4.0   # corner window covers a 2x2 of real pixels
     assert out[0, 0, 1] == 6.0
@@ -118,24 +109,21 @@ def test_pool_forward_matches_reference(c, h, w, th, tw):
     rng = rng_for(hash((c, h, w, th, tw)) % 2**32)
     x = rng.standard_normal((c, h, w))
     want = pool_reference(x, th, tw)
-    np.testing.assert_allclose(K.adaptive_avg_pool_forward_np(x, th, tw), want,
+    np.testing.assert_allclose(K.adaptive_avg_pool_forward(x, th, tw), want,
                                rtol=0, atol=1e-12)
-    if NUMBA_AVAILABLE:
-        np.testing.assert_allclose(K.adaptive_avg_pool_forward_nb(x, th, tw), want,
-                                   rtol=0, atol=1e-12)
 
 
 def test_pool_hand_case():
     # 4x4 ramp 0..15 pooled to 2x2: each quadrant averages its four cells
     x = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
     want = np.array([[[2.5, 4.5], [10.5, 12.5]]])
-    np.testing.assert_allclose(K.adaptive_avg_pool_forward_np(x, 2, 2), want)
+    np.testing.assert_allclose(K.adaptive_avg_pool_forward(x, 2, 2), want)
 
 
 def test_pool_identity_when_same_size():
     rng = rng_for(11)
     x = rng.standard_normal((2, 5, 5))
-    np.testing.assert_allclose(K.adaptive_avg_pool_forward_np(x, 5, 5), x)
+    np.testing.assert_allclose(K.adaptive_avg_pool_forward(x, 5, 5), x)
 
 
 @pytest.mark.parametrize("c,h,w,th,tw", POOL_CASES)
@@ -143,12 +131,9 @@ def test_pool_backward_adjoint_identity(c, h, w, th, tw):
     rng = rng_for(hash(("padj", c, h, w, th, tw)) % 2**32)
     x = rng.standard_normal((c, h, w))
     dy = rng.standard_normal((c, th, tw))
-    lhs = np.sum(K.adaptive_avg_pool_forward_np(x, th, tw) * dy)
-    dx = K.adaptive_avg_pool_backward_np(dy, h, w)
+    lhs = np.sum(K.adaptive_avg_pool_forward(x, th, tw) * dy)
+    dx = K.adaptive_avg_pool_backward(dy, h, w)
     assert abs(lhs - np.sum(x * dx)) < 1e-9 * max(1.0, abs(lhs))
-    if NUMBA_AVAILABLE:
-        np.testing.assert_allclose(K.adaptive_avg_pool_backward_nb(dy, h, w), dx,
-                                   rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +143,12 @@ def test_pool_backward_adjoint_identity(c, h, w, th, tw):
 def test_resize_identity_same_size():
     rng = rng_for(21)
     x = rng.standard_normal((3, 6, 7))
-    np.testing.assert_allclose(K.bilinear_resize_np(x, 6, 7), x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(K.bilinear_resize(x, 6, 7), x, rtol=0, atol=1e-12)
 
 
 def test_resize_constant_image_stays_constant():
     x = np.full((2, 5, 9), 3.25)
-    out = K.bilinear_resize_np(x, 13, 4)
+    out = K.bilinear_resize(x, 13, 4)
     np.testing.assert_allclose(out, 3.25, rtol=0, atol=1e-12)
 
 
@@ -171,13 +156,13 @@ def test_resize_hand_case_upsample():
     # [0,1] widened to 4 samples with half-pixel centers: the outer source
     # positions clamp to the edges, the inner two interpolate at 1/4 and 3/4
     x = np.array([[[0.0, 1.0]]])
-    out = K.bilinear_resize_np(x, 1, 4)
+    out = K.bilinear_resize(x, 1, 4)
     np.testing.assert_allclose(out, [[[0.0, 0.25, 0.75, 1.0]]], rtol=0, atol=1e-12)
 
 
 def test_resize_hand_case_2_to_3():
     x = np.array([[[0.0, 1.0]]])
-    out = K.bilinear_resize_np(x, 1, 3)
+    out = K.bilinear_resize(x, 1, 3)
     np.testing.assert_allclose(out, [[[0.0, 0.5, 1.0]]], rtol=0, atol=1e-12)
 
 
@@ -185,7 +170,7 @@ def test_resize_downsample_range_bounded():
     # interpolation is a convex combination, so outputs stay in the input range
     rng = rng_for(31)
     x = rng.uniform(2.0, 7.0, size=(3, 17, 23))
-    out = K.bilinear_resize_np(x, 5, 6)
+    out = K.bilinear_resize(x, 5, 6)
     assert out.min() >= 2.0 - 1e-12 and out.max() <= 7.0 + 1e-12
 
 
@@ -193,64 +178,32 @@ RESIZE_CASES = [(1, 4, 4, 8, 8), (3, 7, 5, 3, 11), (2, 16, 9, 16, 9),
                 (1, 2, 2, 5, 3), (2, 13, 4, 4, 13)]
 
 
+def resize_reference(x, ho, wo):
+    # half-pixel centres: output cell i samples source row (i + 0.5) * h / ho
+    # - 0.5, clamped to [0, h - 1]; rows and columns past the edge repeat it
+    c, h, w = x.shape
+    out = np.empty((c, ho, wo))
+    for i in range(ho):
+        sy = min(max((i + 0.5) * h / ho - 0.5, 0.0), h - 1.0)
+        y0 = math.floor(sy)
+        y1 = min(y0 + 1, h - 1)
+        fy = sy - y0
+        for j in range(wo):
+            sx = min(max((j + 0.5) * w / wo - 0.5, 0.0), w - 1.0)
+            x0 = math.floor(sx)
+            x1 = min(x0 + 1, w - 1)
+            fx = sx - x0
+            for ch in range(c):
+                top = (1.0 - fx) * x[ch, y0, x0] + fx * x[ch, y0, x1]
+                bot = (1.0 - fx) * x[ch, y1, x0] + fx * x[ch, y1, x1]
+                out[ch, i, j] = (1.0 - fy) * top + fy * bot
+    return out
+
+
 @pytest.mark.parametrize("c,h,w,ho,wo", RESIZE_CASES)
-def test_resize_backends_agree(c, h, w, ho, wo):
-    if not NUMBA_AVAILABLE:
-        pytest.skip("numba backend not importable")
+def test_resize_matches_reference(c, h, w, ho, wo):
     rng = rng_for(hash(("rs", c, h, w, ho, wo)) % 2**32)
     x = rng.standard_normal((c, h, w))
-    np.testing.assert_allclose(K.bilinear_resize_nb(x, ho, wo),
-                               K.bilinear_resize_np(x, ho, wo),
+    np.testing.assert_allclose(K.bilinear_resize(x, ho, wo),
+                               resize_reference(x, ho, wo),
                                rtol=0, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def test_dispatch_matches_selected_backend():
-    if BACKEND == "numba":
-        assert K.conv2d_forward is K.conv2d_forward_nb
-        assert K.adaptive_avg_pool_forward is K.adaptive_avg_pool_forward_nb
-        assert K.bilinear_resize is K.bilinear_resize_nb
-    else:
-        assert K.conv2d_forward is K.conv2d_forward_np
-        assert K.adaptive_avg_pool_forward is K.adaptive_avg_pool_forward_np
-        assert K.bilinear_resize is K.bilinear_resize_np
-
-
-def test_numpy_backend_env_flag_forces_fallback():
-    # BACKEND is fixed at import, so the flag is checked in a fresh
-    # interpreter. It inherits this process's environment, with the
-    # directory holding the amcr under test first on PYTHONPATH, so the
-    # child imports the same package whether the suite runs from src/ or
-    # from an install.
-    import os
-    import subprocess
-    import sys
-    import amcr
-    code = ("import amcr.kernels as K\n"
-            "assert K.conv2d_forward is K.conv2d_forward_np\n"
-            "import amcr.backend as B\n"
-            "assert B.BACKEND == 'numpy'\n"
-            "print('ok')\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(amcr.__file__)))
-    env = dict(os.environ, AMCR_BACKEND="numpy")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
-
-
-def test_numpy_backend_env_flag_overrides_numba(monkeypatch):
-    # Without numba the selector answers "numpy" whatever the flag says,
-    # so pretend numba is importable: then only the flag can pick numpy.
-    from amcr import backend as B
-    monkeypatch.setattr(B, "NUMBA_AVAILABLE", True)
-    monkeypatch.setenv("AMCR_BACKEND", "numpy")
-    assert B._select_backend() == "numpy"
-    monkeypatch.delenv("AMCR_BACKEND")
-    assert B._select_backend() == "numba"

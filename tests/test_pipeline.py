@@ -341,7 +341,7 @@ def test_run_ablation_validates_requests():
                      fast_settings(), fast_settings())
 
 
-def test_run_ablation_runs_cells_in_order(monkeypatch):
+def test_run_ablation_runs_cells_in_order():
     rng = np.random.default_rng(14)
     train, valid, test, by_prep = ablation_fixture(rng)
     factory = lambda r, k, eca, prep: tiny_factory(r, k, eca=eca)
@@ -349,7 +349,6 @@ def test_run_ablation_runs_cells_in_order(monkeypatch):
         {"variant": "r", "prep": "crop", "eca": True, "mrn": False},
         {"variant": "r", "prep": "crop", "eca": False, "mrn": False},
     ]
-    monkeypatch.setenv("AMCR_THREADS", "2")
     results = run_ablation(requests, train, valid, test, by_prep, factory,
                            fast_settings(), fast_settings())
     assert [r["eca"] for r in results] == [True, False]
@@ -363,14 +362,3 @@ def test_run_ablation_runs_cells_in_order(monkeypatch):
                          fast_settings(), fast_settings())
     assert again[0]["report"].mse == results[0]["report"].mse
 
-
-def test_thread_cap_parses_environment(monkeypatch):
-    from amcr.pipeline import _thread_cap
-    monkeypatch.setenv("AMCR_THREADS", "3")
-    assert _thread_cap() == 3
-    monkeypatch.setenv("AMCR_THREADS", "not-a-number")
-    assert _thread_cap() == 1
-    monkeypatch.setenv("AMCR_THREADS", "-2")
-    assert _thread_cap() == 1
-    monkeypatch.delenv("AMCR_THREADS")
-    assert _thread_cap() == 1

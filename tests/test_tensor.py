@@ -1,5 +1,7 @@
 """Gradient and contract checks for the tensor engine."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,29 @@ def test_no_grad_blocks_tape():
         y = T.mul(x, x)
     assert y._prev == ()
     assert not y.requires_grad
+
+
+def test_no_grad_in_another_thread_keeps_this_threads_tape():
+    entered, release = threading.Event(), threading.Event()
+
+    def hold_no_grad():
+        with no_grad():
+            entered.set()
+            release.wait(timeout=30)
+
+    helper = threading.Thread(target=hold_no_grad)
+    helper.start()
+    try:
+        assert entered.wait(timeout=30)
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = T.mul(x, x)
+        assert T.grad_enabled()
+        assert y.requires_grad
+        assert y._prev == (x, x)
+    finally:
+        release.set()
+        helper.join(timeout=30)
+    assert not helper.is_alive()
 
 
 def test_non_finite_input_rejected():
