@@ -17,7 +17,7 @@ from .errors import (AmcrError, ConfigError, DataError, DependencyError,
                      TapeError, VersionError)
 from .meta import MetaConfig, MetaState, build_meta_set, weighted_loss
 from .metrics import evaluate_scores, mae, mse, segment_report, srocc
-from .optim import Adam, PlateauScheduler, lr_plateau_step
+from .optim import Adam, PlateauScheduler
 from .pipeline import (PipelineArtifacts, binarize_label, fuse_score,
                        pseudo_split, run_ablation, run_pipeline,
                        ten_class_label, train_binary, train_branch)
@@ -35,7 +35,7 @@ __all__ = [
     "binarize_label",
     "build_meta_set", "config_hash", "default_config", "eca_kernel_size",
     "evaluate_scores", "fuse_score", "generate_dataset", "grad_enabled",
-    "load_checkpoint", "load_config", "load_manifest", "lr_plateau_step",
+    "load_checkpoint", "load_config", "load_manifest",
     "mae", "mrn_forward", "mse", "no_grad", "per_sample_gradients",
     "pseudo_split", "run_ablation", "run_pipeline", "save_checkpoint",
     "save_manifest", "segment_report", "srocc", "ten_class_label",

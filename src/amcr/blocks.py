@@ -1,6 +1,6 @@
 """Network building blocks: channel attention, adaptive pooling after the
-stem, a small convolutional backbone with multi-task heads, the sample
-reweighting network, and the per-sample losses.
+stem, a small convolutional backbone with multi-task heads, and the sample
+reweighting network.
 
 Every block keeps its parameters in a flat name -> Tensor dict and takes
 an optional override dict on forward, so a training step can evaluate
@@ -84,25 +84,6 @@ def aab_pool(features: Tensor, pool_target: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# losses
-
-
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Per-sample negative log-likelihood for (n, K) logits; each entry >= 0."""
-    return T.cross_entropy_rows(logits, labels)
-
-
-def mse_per_sample(pred: Tensor, truth) -> Tensor:
-    """Per-sample squared error; its mean is the usual regression loss."""
-    pred = T.as_tensor(pred)
-    truth = T.as_tensor(truth)
-    if pred.data.ndim != 1 or pred.shape != truth.shape:
-        raise ShapeError(f"mse_per_sample: {pred.shape} vs {truth.shape}")
-    d = T.sub(pred, truth)
-    return T.mul(d, d)
-
-
-# ---------------------------------------------------------------------------
 # sample reweighting network
 
 
@@ -179,12 +160,13 @@ class AestheticNet:
     (pad-to-square preparation feeds this) -> stride-2 stages with
     optional channel attention -> reduce conv -> 1x1 pool -> heads.
     `num_classes` is 10 for score-decile classification and 2 for the
-    binary quality model used to route samples.
+    binary quality model used to route samples. Without an rng every
+    weight starts at zero, ready to be overwritten from a checkpoint.
     """
 
     STEM_STRIDE = 2
 
-    def __init__(self, rng, in_channels: int = 3, stem_channels: int = 24,
+    def __init__(self, rng=None, in_channels: int = 3, stem_channels: int = 24,
                  stage_channels=(48, 96, 128), head_width: int = 448,
                  num_classes: int = 10, eca: bool = True,
                  eca_mode: str = "ceil_odd", pool_target: int = None,
@@ -206,15 +188,20 @@ class AestheticNet:
         self.eca_blocks = {}
         self.params = {}
 
+        def draw(scale, size):
+            if rng is None:
+                return np.zeros(size)
+            return rng.normal(scale=scale, size=size)
+
         def conv(name, cout, cin, k=3):
             scale = math.sqrt(2.0 / (cin * k * k))
             self.params[name] = Tensor(
-                rng.normal(scale=scale, size=(cout, cin, k, k)), requires_grad=True)
+                draw(scale, (cout, cin, k, k)), requires_grad=True)
 
         def linear(name, fan_in, fan_out):
             scale = math.sqrt(1.0 / fan_in)
             self.params[name + ".w"] = Tensor(
-                rng.normal(scale=scale, size=(fan_in, fan_out)), requires_grad=True)
+                draw(scale, (fan_in, fan_out)), requires_grad=True)
             self.params[name + ".b"] = Tensor(
                 np.zeros(fan_out), requires_grad=True)
 
@@ -265,21 +252,24 @@ class AestheticNet:
         x = T.adaptive_avg_pool2d(x, (1, 1))
         return T.flatten(x)
 
-    def heads_from_features(self, feat: Tensor, params=None):
-        """(class logits (num_classes,), regression score scalar)."""
+    def forward(self, x, params=None):
+        """(class logits, regression score, pooled features) for one
+        (C,H,W) image or one cached (head_width,) feature vector; a vector
+        skips the backbone and goes straight to the heads."""
         p = self.params if params is None else {**self.params, **params}
+        x = T.as_tensor(x)
+        if x.data.ndim != 1:
+            feat = self.features(x, params)
+        elif x.shape[0] == self.head_width:
+            feat = x
+        else:
+            raise ShapeError(f"expected ({self.head_width},) features, got {x.shape}")
         row = T.reshape(feat, (1, self.head_width))
         logits = T.flatten(T.add_rowvec(
             T.matmul(row, p["head.class.w"]), p["head.class.b"]))
         reg = T.reshape(T.add_rowvec(
             T.matmul(row, p["head.reg.w"]), p["head.reg.b"]), ())
-        return logits, reg
-
-    def forward(self, img, params=None):
-        """(class logits, regression score, pooled features) for one image."""
-        feat = self.features(img, params)
-        logits, reg = self.heads_from_features(feat, params)
         return logits, reg, feat
 
-    def __call__(self, img, params=None):
-        return self.forward(img, params)
+    def __call__(self, x, params=None):
+        return self.forward(x, params)

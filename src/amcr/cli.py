@@ -22,7 +22,7 @@ import numpy as np
 from . import data as D
 from . import pnm
 from . import training as TR
-from .blocks import AestheticNet, Mrn
+from .blocks import AestheticNet
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash, default_config, effective_batch, load_config
 from .errors import (AmcrError, ConfigError, DataError, DependencyError,
@@ -30,8 +30,8 @@ from .errors import (AmcrError, ConfigError, DataError, DependencyError,
 from .image import aab_prepare, preprocess_crop, preprocess_resize
 from .meta import build_meta_set
 from .metrics import evaluate_scores, segment_report
-from .pipeline import (PipelineArtifacts, binarize_label, prepare_images,
-                       pseudo_split, run_ablation, run_pipeline, train_binary)
+from .pipeline import (PipelineArtifacts, prepare_images, pseudo_split,
+                       run_ablation, run_pipeline, train_binary)
 
 _EXIT_CODES = (
     (ConfigError, 2),
@@ -93,7 +93,6 @@ def _settings(cfg: RunConfig, batch: int) -> TR.TrainSettings:
         mrn_lr=cfg.meta_mrn_lr,
         mrn_hidden=cfg.meta_mrn_hidden,
         meta_batch=effective_batch(cfg.meta_meta_batch, cfg.train_batch_scale),
-        meta_quota=cfg.meta_meta_quota,
         normalize_weights=cfg.meta_normalize_weights,
         plateau_patience=cfg.train_plateau_patience,
         plateau_factor=cfg.train_plateau_factor,
@@ -165,16 +164,16 @@ def _load_model(args, name: str, cfg, num_classes: int) -> AestheticNet:
         raise DependencyError(f"missing checkpoint {path}; train first")
     arrays, _iteration, _hash = load_checkpoint(path,
                                                 expect_hash=config_hash(cfg))
-    model = _build_model(cfg, np.random.default_rng(0), num_classes)
+    model = _build_model(cfg, None, num_classes)
     params = model.parameters()
-    for key, value in arrays.items():
-        if not key.startswith("p."):
-            continue
-        target = params.get(key[2:])
-        if target is None or target.data.shape != value.shape:
-            raise ConfigError(
-                f"checkpoint {path} does not fit the configured architecture")
-        target.data = value.astype(np.float64)
+    loaded = {k[2:]: v for k, v in arrays.items() if k.startswith("p.")}
+    if loaded.keys() != params.keys() or any(
+            params[name].data.shape != value.shape
+            for name, value in loaded.items()):
+        raise ConfigError(
+            f"checkpoint {path} does not fit the configured architecture")
+    for name, value in loaded.items():
+        params[name].data = value.astype(np.float64)
     return model
 
 

@@ -239,13 +239,3 @@ def config_hash(cfg: RunConfig) -> bytes:
         pieces.append(f"{section}.{key}={_render(tag, cfg.get(section, key))}")
     blob = "\n".join(pieces).encode("utf-8")
     return hashlib.sha256(blob).digest()
-
-
-def save_config(cfg: RunConfig, path: str) -> None:
-    parser = configparser.ConfigParser(interpolation=None)
-    for section, keys in _SCHEMA.items():
-        parser.add_section(section)
-        for key, (tag, _default) in keys.items():
-            parser.set(section, key, _render(tag, cfg.get(section, key)))
-    with open(path, "w", encoding="utf-8") as fh:
-        parser.write(fh)

@@ -18,8 +18,7 @@ from clean samples is the reweighting network's job.
 import csv
 import math
 import os
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -187,11 +186,6 @@ def load_manifest(path) -> list:
 def load_image(path) -> Tensor:
     """Read one PPM/PGM image as a float (C,H,W) tensor in [0,1]."""
     return pnm.load_pnm(path)
-
-
-def load_images(samples, base_dir) -> dict:
-    """Sample id -> (C,H,W) float array for every manifest entry."""
-    return {s.id: load_image(os.path.join(base_dir, s.path)).data for s in samples}
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ analytic meta-gradient is exact only for the SGD form of the lookahead.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,7 @@ EPS_NORMALIZE = 1e-8
 
 @dataclass
 class MetaConfig:
-    """Step sizes and batch shape for one bilevel training context."""
+    """Step sizes and optimizer settings for one bilevel training context."""
 
     alpha: float = 1e-4        # main-network step size
     # Under Adam every Theta component moves up to beta per iteration, so the
@@ -51,8 +51,6 @@ class MetaConfig:
     # above 1e-4 lets that common drift saturate the sigmoid over long runs
     # before the per-sample ordering is learned.
     beta: float = 1e-4         # reweighting-network step size
-    train_batch: int = 32
-    meta_batch: int = 32
     normalize_weights: bool = True
     betas: tuple = (0.98, 0.999)
     weight_decay: float = 1e-4
@@ -61,8 +59,6 @@ class MetaConfig:
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
             raise ParameterError("step sizes must be positive")
-        if self.train_batch < 1 or self.meta_batch < 1:
-            raise ParameterError("batch sizes must be >= 1")
 
 
 def weight_coefficients(values: np.ndarray, normalize: bool):
@@ -131,6 +127,7 @@ class MetaState:
         self.adam_mrn = Adam(cfg.beta, cfg.betas, cfg.eps, cfg.weight_decay)
         self.t = 0
         self._cache = None
+        self.last_losses = np.zeros(0)  # per-sample losses of the last lookahead
 
     # stage 1 -------------------------------------------------------------
 
@@ -163,7 +160,7 @@ class MetaState:
             "v": v,
             "w_hat": w_hat,
         }
-        self._last_losses = loss_values
+        self.last_losses = loss_values
         return w_hat
 
     # stage 2 -------------------------------------------------------------
@@ -267,7 +264,7 @@ def segment_of(score: float) -> int:
     return min(int(s), 9)
 
 
-def build_meta_set(samples, quota: int, rng, score_of=None):
+def build_meta_set(samples, quota: int, rng):
     """Pick a balanced clean subset: `quota` per score segment.
 
     Segments run [0,1), [1,2), ..., [9,10]. Each segment in ascending
@@ -280,8 +277,6 @@ def build_meta_set(samples, quota: int, rng, score_of=None):
     if quota < 1:
         raise ParameterError(f"quota must be >= 1, got {quota}")
     samples = list(samples)
-    if score_of is None:
-        score_of = lambda s: s.score
     if len(samples) < 10 * quota:
         warnings.warn(
             f"dataset of {len(samples)} cannot fill 10 segments of {quota}; using all")
@@ -289,7 +284,7 @@ def build_meta_set(samples, quota: int, rng, score_of=None):
 
     pools = {seg: [] for seg in range(10)}
     for idx, sample in enumerate(samples):
-        pools[segment_of(score_of(sample))].append(idx)
+        pools[segment_of(sample.score)].append(idx)
     for seg in range(10):
         pools[seg] = [pools[seg][j] for j in rng.permutation(len(pools[seg]))]
     cursor = {seg: 0 for seg in range(10)}  # claimed prefix of each pool

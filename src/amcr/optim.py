@@ -109,14 +109,3 @@ class PlateauScheduler:
             self.streak = 0
             return True
         return False
-
-
-def lr_plateau_step(history, lr: float, mode: str = "higher",
-                    factor: float = 0.5, patience: int = 2) -> float:
-    """Replay a validation history through the plateau rule, returning the
-    step size that would be in force after the last entry."""
-    opt = Adam(lr)
-    sched = PlateauScheduler(opt, mode=mode, factor=factor, patience=patience)
-    for value in history:
-        sched.observe(value)
-    return opt.lr

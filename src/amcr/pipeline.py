@@ -24,14 +24,11 @@ import warnings
 
 import numpy as np
 
-from . import tensor as T
 from . import training as TR
 from .data import make_amdc, load_image
 from .errors import ConfigError, DataError
 from .image import aab_prepare, preprocess_crop, preprocess_resize
-from .meta import build_meta_set
 from .metrics import evaluate_scores, segment_report
-from .tensor import Tensor, no_grad
 from .training import TrainSettings, train_model
 
 __all__ = [
@@ -177,7 +174,7 @@ def train_branch(model, train, valid, images, class_settings: TrainSettings,
     # the backbone is frozen now, so each image collapses to one feature row
     feats = TR.cache_features(model, list(train) + list(valid) +
                               list(meta_samples or []), images)
-    reg_loss = TR.reg_feature_loss_fn(model, feats)
+    reg_loss = TR.reg_loss_fn(model, feats)
     reg_valid = lambda: TR.eval_reg_feature_mse(model, valid, feats)
     phase2 = train_model(model, reg_loss, train, reg_valid, reg_settings, rng,
                          trainable=model.trainable_names("reg"),

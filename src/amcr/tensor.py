@@ -234,8 +234,8 @@ def flatten(a: Tensor) -> Tensor:
 def stack(tensors) -> Tensor:
     """Stack same-shaped tensors along a new leading axis.
 
-    per_sample_gradients relies on the parents of a stack being the
-    per-sample scalars, so keep losses flowing through this op.
+    per_sample_gradients accepts only a stack of per-sample scalars, so
+    loss vectors must be built with this op.
     """
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
@@ -275,21 +275,6 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"add_rowvec: {m.shape} vs {v.shape}")
     return _make(m.data + v.data[None, :], (m, v),
                  lambda g: ((m, g), (v, g.sum(axis=0))), "add_rowvec")
-
-
-def softmax(z: Tensor) -> Tensor:
-    """Stable softmax over a vector of logits."""
-    z = as_tensor(z)
-    if z.data.ndim != 1:
-        raise ShapeError("softmax expects a vector")
-    shifted = z.data - z.data.max()
-    e = np.exp(shifted)
-    s = e / e.sum()
-
-    def backward(g):
-        return ((z, s * (g - float(np.dot(g, s)))),)
-
-    return _make(s, (z,), backward, "softmax")
 
 
 # ---------------------------------------------------------------------------
@@ -415,31 +400,6 @@ def cross_entropy_logits(z: Tensor, label: int) -> Tensor:
     return _make(np.float64(lse - z.data[label]), (z,), backward, "cross_entropy")
 
 
-def cross_entropy_rows(logits: Tensor, labels) -> Tensor:
-    """Per-row cross-entropy of an (n, K) logits matrix, returned as (n,)."""
-    logits = as_tensor(logits)
-    if logits.data.ndim != 2:
-        raise ShapeError("cross_entropy_rows expects an (n, K) matrix")
-    n, k = logits.shape
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if labels.shape[0] != n:
-        raise ShapeError(f"{n} logit rows vs {labels.shape[0]} labels")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise DataError(f"label outside 0..{k - 1}")
-    m = logits.data.max(axis=1, keepdims=True)
-    e = np.exp(logits.data - m)
-    z = e.sum(axis=1, keepdims=True)
-    p = e / z
-    losses = (m[:, 0] + np.log(z[:, 0])) - logits.data[np.arange(n), labels]
-
-    def backward(g):
-        dz = p.copy()
-        dz[np.arange(n), labels] -= 1.0
-        return ((logits, dz * g[:, None]),)
-
-    return _make(losses, (logits,), backward, "cross_entropy_rows")
-
-
 # ---------------------------------------------------------------------------
 # per-sample gradients
 
@@ -447,17 +407,20 @@ def cross_entropy_rows(logits: Tensor, labels) -> Tensor:
 def per_sample_gradients(loss_vector: Tensor, params):
     """Gradient of each entry of `loss_vector` w.r.t. every tensor in `params`.
 
-    Returns a list (one dict per sample) mapping parameter name to its
-    gradient array; parameters a sample does not reach get zeros. The
-    mean of the returned gradients equals the gradient of the mean loss
-    up to float summation order.
+    `loss_vector` must be a `stack` of per-sample scalars. Returns a list
+    (one dict per sample) mapping parameter name to its gradient array;
+    parameters a sample does not reach get zeros. The mean of the
+    returned gradients equals the gradient of the mean loss up to float
+    summation order.
     """
     if not isinstance(loss_vector, Tensor) or not loss_vector.requires_grad:
         raise TapeError("per_sample_gradients: loss vector is detached from the graph")
     if loss_vector.data.ndim != 1:
         raise ShapeError("per_sample_gradients expects a loss vector")
+    if loss_vector._op != "stack" or len(loss_vector._prev) != loss_vector.shape[0]:
+        raise TapeError("per_sample_gradients: loss vector must be a stack "
+                        "of per-sample scalars")
     named = dict(params) if isinstance(params, dict) else {str(i): p for i, p in enumerate(params)}
-    n = loss_vector.shape[0]
 
     def snapshot():
         out = {}
@@ -467,16 +430,9 @@ def per_sample_gradients(loss_vector: Tensor, params):
         return out
 
     grads = []
-    if loss_vector._op == "stack" and len(loss_vector._prev) == n:
-        # fast path: backprop each per-sample scalar through its own subgraph
-        for scalar in loss_vector._prev:
-            if scalar.requires_grad:
-                scalar.backward()
-            grads.append(snapshot())
-    else:
-        for i in range(n):
-            seed = np.zeros(n)
-            seed[i] = 1.0
-            loss_vector.backward(seed)
-            grads.append(snapshot())
+    for scalar in loss_vector._prev:
+        # each per-sample scalar backpropagates through its own subgraph
+        if scalar.requires_grad:
+            scalar.backward()
+        grads.append(snapshot())
     return grads

@@ -2,7 +2,6 @@
 loss, or the three-stage reweighted iteration, both with plateau learning
 rate halving and best-validation parameter tracking."""
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,6 @@ class TrainSettings:
     mrn_lr: float = 1e-4
     mrn_hidden: int = 100
     meta_batch: int = 32
-    meta_quota: int = 20
     normalize_weights: bool = True
     plateau_patience: int = 2
     plateau_factor: float = 0.5
@@ -99,8 +97,6 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
         if mrn is None:
             mrn = Mrn(hidden=settings.mrn_hidden, rng=rng)
         cfg = MetaConfig(alpha=settings.lr, beta=settings.mrn_lr,
-                         train_batch=settings.batch_size,
-                         meta_batch=settings.meta_batch,
                          normalize_weights=settings.normalize_weights,
                          betas=settings.betas,
                          weight_decay=settings.weight_decay)
@@ -127,7 +123,7 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
                 weights = state.meta_iteration(batch, meta_cycler.next())
                 for s, w in zip(batch, weights):
                     result.sample_weights[s.id] = float(w)
-                epoch_loss += float(np.sum(state_last_losses(state)))
+                epoch_loss += float(np.sum(state.last_losses))
             else:
                 losses = loss_fn(batch, None)
                 mean = T.tmean(losses)
@@ -162,11 +158,6 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
     return result
 
 
-def state_last_losses(state: MetaState) -> np.ndarray:
-    """Most recent per-sample training losses seen by a meta state."""
-    return getattr(state, "_last_losses", np.zeros(0))
-
-
 # ---------------------------------------------------------------------------
 # loss builders and evaluation helpers
 
@@ -182,32 +173,14 @@ def class_loss_fn(model, images: dict, label_of):
     return fn
 
 
-def reg_loss_fn(model, images: dict, score_of=None):
-    """Per-sample squared error through the model's regression head."""
-    score_of = score_of or (lambda s: s.score)
-
+def reg_loss_fn(model, inputs: dict):
+    """Per-sample squared error through the model's regression head;
+    `inputs` maps sample id to an image or to its cached feature vector."""
     def fn(batch, override):
         scalars = []
         for s in batch:
-            _, pred, _ = model.forward(Tensor(images[s.id]), override)
-            d = T.sub(pred, Tensor(np.float64(score_of(s))))
-            scalars.append(T.mul(d, d))
-        return T.stack(scalars)
-    return fn
-
-
-def reg_feature_loss_fn(model, features: dict, score_of=None):
-    """Squared error of the regression head over cached frozen features."""
-    score_of = score_of or (lambda s: s.score)
-
-    def fn(batch, override):
-        p = model.params if override is None else {**model.params, **override}
-        scalars = []
-        for s in batch:
-            row = Tensor(features[s.id].reshape(1, -1))
-            pred = T.reshape(T.add_rowvec(
-                T.matmul(row, p["head.reg.w"]), p["head.reg.b"]), ())
-            d = T.sub(pred, Tensor(np.float64(score_of(s))))
+            _, pred, _ = model.forward(Tensor(inputs[s.id]), override)
+            d = T.sub(pred, Tensor(np.float64(s.score)))
             scalars.append(T.mul(d, d))
         return T.stack(scalars)
     return fn
@@ -234,14 +207,6 @@ def predict_score(model, image) -> float:
     return float(pred.data)
 
 
-def predict_score_from_features(model, feature: np.ndarray) -> float:
-    with T.no_grad():
-        row = Tensor(feature.reshape(1, -1))
-        pred = T.add_rowvec(T.matmul(row, model.params["head.reg.w"]),
-                            model.params["head.reg.b"])
-    return float(pred.data[0, 0])
-
-
 def eval_class_accuracy(model, samples, images: dict, label_of) -> float:
     if not samples:
         raise DataError("empty validation set")
@@ -249,19 +214,15 @@ def eval_class_accuracy(model, samples, images: dict, label_of) -> float:
     return hits / len(samples)
 
 
-def eval_reg_mse(model, samples, images: dict, score_of=None) -> float:
+def eval_reg_mse(model, samples, inputs: dict) -> float:
+    """Mean squared score error over images or cached feature vectors."""
     if not samples:
         raise DataError("empty validation set")
-    score_of = score_of or (lambda s: s.score)
-    total = sum((predict_score(model, images[s.id]) - score_of(s)) ** 2
+    total = sum((predict_score(model, inputs[s.id]) - s.score) ** 2
                 for s in samples)
     return total / len(samples)
 
 
-def eval_reg_feature_mse(model, samples, features: dict, score_of=None) -> float:
-    if not samples:
-        raise DataError("empty validation set")
-    score_of = score_of or (lambda s: s.score)
-    total = sum((predict_score_from_features(model, features[s.id]) - score_of(s)) ** 2
-                for s in samples)
-    return total / len(samples)
+# phase 2 of pipeline.train_branch validates through this name, which
+# perfbench/tracing.py looks up to time feature-cache validation
+eval_reg_feature_mse = eval_reg_mse

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from amcr import tensor as T
-from amcr.blocks import (AestheticNet, EcaBlock, Mrn, aab_pool, cross_entropy,
-                         eca_forward, eca_kernel_size, mrn_forward, mse_per_sample)
+from amcr.blocks import (AestheticNet, EcaBlock, Mrn, aab_pool, eca_forward,
+                         eca_kernel_size, mrn_forward)
 from amcr.errors import DataError, ParameterError, ShapeError
 from amcr.tensor import Tensor
 
@@ -129,29 +129,6 @@ def test_aab_pool_reduces_to_square():
 
 
 # ---------------------------------------------------------------------------
-# losses
-
-
-def test_cross_entropy_uniform_logits():
-    logits = Tensor(np.zeros((3, 10)))
-    losses = cross_entropy(logits, [0, 5, 9])
-    np.testing.assert_allclose(losses.data, np.log(10.0), rtol=0, atol=1e-12)
-
-
-def test_mse_per_sample_values_and_grad():
-    pred = Tensor(np.array([1.0, 2.0, 5.0]), requires_grad=True)
-    losses = mse_per_sample(pred, np.array([0.0, 2.0, 3.0]))
-    np.testing.assert_allclose(losses.data, [1.0, 0.0, 4.0])
-    T.tsum(losses).backward()
-    np.testing.assert_allclose(pred.grad, [2.0, 0.0, 4.0])
-
-
-def test_mse_per_sample_shape_check():
-    with pytest.raises(ShapeError):
-        mse_per_sample(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))))
-
-
-# ---------------------------------------------------------------------------
 # reweighting network
 
 
@@ -241,6 +218,30 @@ def test_net_forward_shapes():
     assert logits.shape == (10,)
     assert reg.shape == ()
     assert feat.shape == (8,)
+
+
+def test_net_feature_vector_skips_backbone():
+    net = small_net(np.random.default_rng(19))
+    img = np.random.default_rng(20).standard_normal((3, 16, 16))
+    logits, reg, feat = net(img)
+    from_feat = net(feat.data)
+    np.testing.assert_array_equal(from_feat[0].data, logits.data)
+    np.testing.assert_array_equal(from_feat[1].data, reg.data)
+    np.testing.assert_array_equal(from_feat[2].data, feat.data)
+    with pytest.raises(ShapeError):
+        net(np.zeros(7))
+
+
+def test_cross_entropy_uniform_logits():
+    # without an rng every weight is zero, so the class head is uniform
+    net = small_net(None)
+    logits, reg, _ = net(np.random.default_rng(21).standard_normal((3, 16, 16)))
+    assert all(np.all(p.data == 0.0) for n, p in net.params.items()
+               if n != "head.reg.b")
+    assert float(reg.data) == 5.0
+    for label in (0, 5, 9):
+        loss = T.cross_entropy_logits(logits, label)
+        assert float(loss.data) == pytest.approx(np.log(10.0), abs=1e-12)
 
 
 def test_net_regression_starts_at_midscore():

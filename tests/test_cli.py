@@ -3,10 +3,12 @@ documented exit-code contract."""
 
 import csv
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+from amcr.checkpoint import load_checkpoint, save_checkpoint
 from amcr.cli import main
 
 CONFIG = """\
@@ -120,17 +122,25 @@ def test_predict_scores_one_image(workdir, capsys):
 
 def test_pseudo_split_writes_assignment(workdir, capsys):
     cfg, out = workdir
-    assert main(["pseudo-split", "--config", str(cfg), "--out",
-                 str(out)]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["pseudo-split", "--config", str(cfg), "--out",
+                     str(out)]) == 0
     printed = capsys.readouterr().out
     assert "train0=" in printed
     rows = read_rows(out / "split.csv")
     assert rows[0] == ["id", "pseudo_label"]
     manifest = read_rows(out / "data" / "manifest.csv")
-    in_split = {r[5] for r in manifest[1:]}
     expected = sum(1 for r in manifest[1:] if r[5] in ("train", "valid"))
     assert len(rows) - 1 == expected
     assert all(label in ("0", "1") for _, label in rows[1:])
+    # the empty-branch warning fires exactly for the labels no train row got
+    train_ids = {r[0] for r in manifest[1:] if r[5] == "train"}
+    train_labels = {label for sid, label in rows[1:] if sid in train_ids}
+    messages = {str(w.message) for w in caught}
+    for k in ("0", "1"):
+        warned = f"pseudo split left train{k} empty" in messages
+        assert warned == (k not in train_labels), k
 
 
 def test_report_segments_writes_ten_rows(workdir, capsys):
@@ -241,6 +251,23 @@ def test_exit_code_format_truncated_checkpoint(workdir, tmp_path, capsys):
         ckpt.write_bytes(blob[: len(blob) // 2])
         assert main(["evaluate", "--config", str(cfg), "--out",
                      str(out)]) == 4
+    finally:
+        ckpt.write_bytes(blob)
+
+
+def test_exit_code_config_incomplete_checkpoint(workdir, capsys):
+    cfg, out = workdir
+    ckpt = out / "models" / "r_all.ckpt"
+    blob = ckpt.read_bytes()
+    arrays, iteration, stored_hash = load_checkpoint(str(ckpt))
+    dropped = sorted(k for k in arrays if k.startswith("p."))[0]
+    del arrays[dropped]
+    try:
+        save_checkpoint(str(ckpt), arrays, iteration, stored_hash)
+        assert main(["evaluate", "--config", str(cfg), "--out",
+                     str(out)]) == 2
+        assert "does not fit the configured architecture" in \
+            capsys.readouterr().err
     finally:
         ckpt.write_bytes(blob)
 

@@ -4,7 +4,7 @@ architecture hash."""
 import pytest
 
 from amcr.config import (RunConfig, config_hash, default_config,
-                         effective_batch, load_config, save_config)
+                         effective_batch, load_config)
 from amcr.errors import ConfigError
 
 
@@ -101,19 +101,6 @@ def test_replace_parses_strings_and_validates():
         cfg.replace("pipeline", "variant", "xyz")
     with pytest.raises(ConfigError):
         cfg.replace("train", "warmup", 3)
-
-
-def test_save_load_roundtrip(tmp_path):
-    cfg = (default_config()
-           .replace("train", "epochs", 11)
-           .replace("model", "stage_channels", (4, 8, 12))
-           .replace("model", "eca", False)
-           .replace("train", "lr", 0.00325)
-           .replace("pipeline", "variant", "cr"))
-    path = str(tmp_path / "out.ini")
-    save_config(cfg, path)
-    back = load_config(path)
-    assert back.values == cfg.values
 
 
 def test_effective_batch_scaling():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from amcr.data import (MANIFEST_HEADER, Sample, SynthSpec, generate_dataset,
-                       load_image, load_images, load_manifest, make_amdc,
+                       load_image, load_manifest, make_amdc,
                        save_manifest, split_811, split_of, true_score)
 from amcr.errors import ConfigError, DataError, FormatError
 
@@ -89,8 +89,8 @@ def test_images_reflect_score_ordering(tmp_path):
     # brightness contributes positively, so bright images should score
     # higher on average: check the correlation over a generated set
     samples, out = gen(tmp_path, n=60, seed=3)
-    images = load_images(samples, out)
-    means = np.array([images[s.id].mean() for s in samples])
+    means = np.array([load_image(os.path.join(out, s.path)).data.mean()
+                      for s in samples])
     scores = np.array([s.score for s in samples])
     r = np.corrcoef(means, scores)[0, 1]
     assert r > 0.5
@@ -209,17 +209,6 @@ def test_manifest_rejects_malformed(tmp_path):
     p3.write_text(",".join(MANIFEST_HEADER) + "\nx,y,1.0,1\n")
     with pytest.raises(FormatError):
         load_manifest(p3)
-
-
-def test_load_images_keyed_by_id(tmp_path):
-    samples, out = gen(tmp_path, n=10)
-    images = load_images(samples, out)
-    assert set(images) == {s.id for s in samples}
-    arr = images[samples[0].id]
-    assert arr.shape == (3, 8, 8)
-    assert arr.min() >= 0.0 and arr.max() <= 1.0
-    direct = load_image(os.path.join(out, samples[0].path))
-    np.testing.assert_array_equal(direct.data, arr)
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,6 @@ def test_meta_config_validation():
         MetaConfig(alpha=0.0)
     with pytest.raises(ParameterError):
         MetaConfig(beta=-1.0)
-    with pytest.raises(ParameterError):
-        MetaConfig(train_batch=0)
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +95,8 @@ def test_meta_config_validation():
 def test_lookahead_matches_closed_form():
     model = ToyModel(2.0)
     mrn = Mrn(hidden=4)  # all zero: every weight 0.5
-    cfg = MetaConfig(alpha=0.1, beta=0.01, train_batch=3, meta_batch=2,
-                     normalize_weights=False, weight_decay=0.0)
+    cfg = MetaConfig(alpha=0.1, beta=0.01, normalize_weights=False,
+                     weight_decay=0.0)
     state = MetaState(model.params, mrn, toy_loss_fn(model), cfg)
     batch = [0.0, 1.0, 5.0]
     w_hat = state.lookahead_update(batch)
@@ -113,14 +111,22 @@ def test_lookahead_matches_closed_form():
 def test_lookahead_normalized_coefficients():
     model = ToyModel(1.0)
     mrn = Mrn(hidden=4)
-    cfg = MetaConfig(alpha=0.2, train_batch=2, meta_batch=2,
-                     normalize_weights=True, weight_decay=0.0)
+    cfg = MetaConfig(alpha=0.2, normalize_weights=True, weight_decay=0.0)
     state = MetaState(model.params, mrn, toy_loss_fn(model), cfg)
     w_hat = state.lookahead_update([0.0, 3.0])
     # v = (0.5, 0.5): normalized c_i = 0.5/(1+eps); g = [2, -4]
     s = 1.0 + EPS_NORMALIZE
     want = 1.0 - 0.2 * (0.5 / s * 2.0 + 0.5 / s * -4.0)
     assert float(w_hat["w"].data[0]) == pytest.approx(want, abs=1e-12)
+
+
+def test_lookahead_records_last_losses():
+    model = ToyModel(2.0)
+    state = MetaState(model.params, Mrn(hidden=4), toy_loss_fn(model),
+                      MetaConfig())
+    assert state.last_losses.shape == (0,)
+    state.lookahead_update([0.0, 1.0, 5.0])
+    np.testing.assert_array_equal(state.last_losses, [4.0, 1.0, 9.0])
 
 
 def test_lookahead_rejects_empty_batch():
@@ -133,7 +139,7 @@ def test_lookahead_rejects_empty_batch():
 def test_state_machine_order_enforced():
     model = ToyModel(0.5)
     state = MetaState(model.params, Mrn(hidden=2), toy_loss_fn(model),
-                      MetaConfig(train_batch=2, meta_batch=2))
+                      MetaConfig())
     with pytest.raises(StateError):
         state.meta_step([1.0])
     with pytest.raises(StateError):
@@ -167,8 +173,8 @@ def test_meta_gradient_matches_fd(normalize):
     # alpha keeps gradient entries well above finite-difference roundoff
     mrn.params["mrn.w2"].data = rng.normal(scale=1.0, size=(8, 1))
     mrn.params["mrn.b2"].data = rng.normal(scale=1.0, size=(1,))
-    cfg = MetaConfig(alpha=0.5, beta=0.01, train_batch=4, meta_batch=3,
-                     normalize_weights=normalize, weight_decay=0.0)
+    cfg = MetaConfig(alpha=0.5, beta=0.01, normalize_weights=normalize,
+                     weight_decay=0.0)
     loss_fn = toy_loss_fn(model)
     state = MetaState(model.params, mrn, loss_fn, cfg)
     batch = [0.0, 1.0, 2.5, 4.0]
@@ -206,7 +212,7 @@ def test_meta_step_skipped_when_frozen():
     model = ToyModel(0.8)
     mrn = Mrn(hidden=4, rng=rng)
     state = MetaState(model.params, mrn, toy_loss_fn(model),
-                      MetaConfig(train_batch=2, meta_batch=2), freeze_mrn=True)
+                      MetaConfig(), freeze_mrn=True)
     before = {n: p.data.copy() for n, p in mrn.params.items()}
     state.lookahead_update([0.0, 2.0])
     state.meta_step([1.0, 1.0])
@@ -220,7 +226,7 @@ def test_meta_iteration_returns_weights_and_counts():
     model = ToyModel(0.0)
     mrn = Mrn(hidden=4, rng=np.random.default_rng(9))
     state = MetaState(model.params, mrn, toy_loss_fn(model),
-                      MetaConfig(train_batch=3, meta_batch=2))
+                      MetaConfig())
     w = state.meta_iteration([0.0, 1.0, 2.0], [0.5, 1.5])
     assert w.shape == (3,)
     assert np.all((w > 0) & (w < 1))
@@ -232,8 +238,7 @@ def test_meta_iteration_returns_weights_and_counts():
 
 
 def test_reduction_to_half_weighted_adam():
-    cfg = MetaConfig(alpha=0.03, train_batch=4, meta_batch=2,
-                     normalize_weights=False, weight_decay=1e-4)
+    cfg = MetaConfig(alpha=0.03, normalize_weights=False, weight_decay=1e-4)
     model = ToyModel(3.0)
     state = MetaState(model.params, Mrn(hidden=4), toy_loss_fn(model), cfg,
                       freeze_mrn=True)
@@ -343,20 +348,6 @@ def test_meta_set_deterministic_under_seed():
     a = build_meta_set(pool, 2, np.random.default_rng(11))
     b = build_meta_set(pool, 2, np.random.default_rng(11))
     assert [s.id for s in a] == [s.id for s in b]
-
-
-def test_meta_set_score_of_override():
-    # stored scores are all 0.0 but the accessor routes half to segment 7,
-    # proving selection reads scores only through score_of
-    pool = [FakeSample(f"p{i}", 0.0) for i in range(24)]
-    for i, s in enumerate(pool):
-        s.alt = 1.5 if i % 2 == 0 else 7.5
-    chosen = build_meta_set(pool, 2, np.random.default_rng(5),
-                            score_of=lambda s: s.alt)
-    assert len(chosen) == 20
-    alts = [s.alt for s in chosen]
-    assert alts.count(1.5) + alts.count(7.5) == 20
-    assert alts.count(1.5) >= 2 and alts.count(7.5) >= 2
 
 
 def test_meta_set_quota_validation():

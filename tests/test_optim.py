@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from amcr.errors import ParameterError
-from amcr.optim import Adam, PlateauScheduler, lr_plateau_step
+from amcr.optim import Adam, PlateauScheduler
 from amcr.tensor import Tensor
 
 
@@ -152,16 +152,3 @@ def test_plateau_parameter_validation():
         PlateauScheduler(opt, factor=1.0)
     with pytest.raises(ParameterError):
         PlateauScheduler(opt, patience=0)
-
-
-def test_lr_plateau_step_replays_history():
-    # accuracy history: halve after the second non-improving round
-    assert lr_plateau_step([0.7, 0.69, 0.68], 0.01) == pytest.approx(0.005)
-    # loss history, lower is better: halve after the 0.97
-    assert lr_plateau_step([1.0, 0.9, 0.95, 0.97], 0.01, mode="lower") == \
-        pytest.approx(0.005)
-    # steady improvement never halves
-    assert lr_plateau_step([0.1, 0.2, 0.3, 0.4], 0.01) == 0.01
-    # two separate plateaus halve twice
-    assert lr_plateau_step([0.5, 0.4, 0.4, 0.45, 0.45], 0.01) == pytest.approx(0.0025)
-    assert lr_plateau_step([], 0.01) == 0.01

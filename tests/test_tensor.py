@@ -75,23 +75,6 @@ def test_matmul_and_rowvec_gradients():
                     {"a": a, "w": w, "b": b})
 
 
-def test_softmax_sums_to_one_and_grad():
-    rng = np.random.default_rng(4)
-    x = leaf(rng, 7)
-    y = T.softmax(x)
-    assert y.data.sum() == pytest.approx(1.0, abs=1e-12)
-    weight = Tensor(rng.normal(size=7))
-    check_grads(lambda: T.tsum(T.mul(T.softmax(x), weight)), {"x": x})
-
-
-def test_softmax_shift_invariance():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=9)
-    a = T.softmax(Tensor(x))
-    b = T.softmax(Tensor(x + 1000.0))
-    assert np.allclose(a.data, b.data, atol=1e-12)
-
-
 def test_cross_entropy_matches_log_softmax():
     rng = np.random.default_rng(6)
     for _ in range(20):
@@ -111,13 +94,20 @@ def test_cross_entropy_gradient():
         check_grads(lambda: T.cross_entropy_logits(x, label), {"x": x})
 
 
-def test_cross_entropy_rows_gradient_and_label_check():
-    rng = np.random.default_rng(8)
-    x = leaf(rng, 4, 6)
-    labels = [0, 5, 2, 3]
-    check_grads(lambda: T.tsum(T.cross_entropy_rows(x, labels)), {"x": x})
-    with pytest.raises(DataError):
-        T.cross_entropy_rows(x, [0, 1, 2, 6])
+def test_cross_entropy_shift_invariance():
+    # the fused log-sum-exp stays exact for logits far from zero
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=9)
+    a = T.cross_entropy_logits(Tensor(x), 4)
+    b = T.cross_entropy_logits(Tensor(x + 1000.0), 4)
+    assert np.allclose(a.data, b.data, atol=1e-12)
+
+
+def test_cross_entropy_label_check():
+    x = Tensor(np.zeros(6))
+    for label in (-1, 6):
+        with pytest.raises(DataError):
+            T.cross_entropy_logits(x, label)
 
 
 def test_reshape_flatten_stack_gradients():
@@ -277,6 +267,13 @@ def test_per_sample_gradients_match_seeded_backward():
 def test_per_sample_gradients_reject_detached():
     with pytest.raises(TapeError):
         T.per_sample_gradients(Tensor(np.ones(3)), {})
+
+
+def test_per_sample_gradients_require_stacked_scalars():
+    rng = np.random.default_rng(18)
+    w = leaf(rng, 3)
+    with pytest.raises(TapeError):
+        T.per_sample_gradients(T.mul(w, w), {"w": w})
 
 
 def test_toposort_handles_deep_chain():

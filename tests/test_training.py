@@ -11,7 +11,7 @@ from amcr.errors import DataError, ParameterError
 from amcr.training import (TrainSettings, _Cycler, cache_features,
                            class_loss_fn, eval_class_accuracy, eval_reg_mse,
                            eval_reg_feature_mse, predict_class, predict_score,
-                           reg_feature_loss_fn, reg_loss_fn, train_model)
+                           reg_loss_fn, train_model)
 from amcr.tensor import Tensor
 
 
@@ -273,7 +273,7 @@ def test_cached_features_match_live_forward():
     net = tiny_net(rng)
     samples, images = fixture_samples(rng)
     feats = cache_features(net, samples, images)
-    fn = reg_feature_loss_fn(net, feats)
+    fn = reg_loss_fn(net, feats)
     cached = fn(samples, None).data
     live = reg_loss_fn(net, images)(samples, None).data
     np.testing.assert_allclose(cached, live, rtol=0, atol=1e-12)
