@@ -252,24 +252,34 @@ class AestheticNet:
         x = T.adaptive_avg_pool2d(x, (1, 1))
         return T.flatten(x)
 
+    def _head_input(self, x, params):
+        """Pooled features of a (C,H,W) image, or a cached (head_width,)
+        feature vector passed through after a length check."""
+        x = T.as_tensor(x)
+        if x.data.ndim != 1:
+            return self.features(x, params)
+        if x.shape[0] != self.head_width:
+            raise ShapeError(f"expected ({self.head_width},) features, got {x.shape}")
+        return x
+
+    def score(self, x, params=None) -> Tensor:
+        """Regression score alone for one (C,H,W) image or one cached
+        (head_width,) feature vector; the class head is not evaluated."""
+        p = self.params if params is None else {**self.params, **params}
+        row = T.reshape(self._head_input(x, params), (1, self.head_width))
+        return T.reshape(T.add_rowvec(
+            T.matmul(row, p["head.reg.w"]), p["head.reg.b"]), ())
+
     def forward(self, x, params=None):
         """(class logits, regression score, pooled features) for one
         (C,H,W) image or one cached (head_width,) feature vector; a vector
         skips the backbone and goes straight to the heads."""
         p = self.params if params is None else {**self.params, **params}
-        x = T.as_tensor(x)
-        if x.data.ndim != 1:
-            feat = self.features(x, params)
-        elif x.shape[0] == self.head_width:
-            feat = x
-        else:
-            raise ShapeError(f"expected ({self.head_width},) features, got {x.shape}")
+        feat = self._head_input(x, params)
         row = T.reshape(feat, (1, self.head_width))
         logits = T.flatten(T.add_rowvec(
             T.matmul(row, p["head.class.w"]), p["head.class.b"]))
-        reg = T.reshape(T.add_rowvec(
-            T.matmul(row, p["head.reg.w"]), p["head.reg.b"]), ())
-        return logits, reg, feat
+        return logits, self.score(feat, params), feat
 
     def __call__(self, x, params=None):
         return self.forward(x, params)

@@ -1,4 +1,4 @@
-"""Binary checkpoint format for parameters and optimizer moments.
+"""Binary checkpoint format for model parameters.
 
 Layout (all integers little-endian):
 
@@ -11,10 +11,9 @@ Layout (all integers little-endian):
             u8 ndim, ndim * u32 extents,
             extent-product * f64 values
 
-Float64 bytes round-trip bit-exactly. A record name carries its role as
-a prefix ("p." parameters, "om."/"ov." main moments, "mm."/"mv."
-reweighting moments, "k." scalar counters), but the format itself is
-just named arrays.
+Float64 bytes round-trip bit-exactly. The format itself is just named
+arrays; the CLI writes one "p."-prefixed record per model parameter and
+no optimizer state, so training does not resume from a checkpoint.
 """
 
 import struct

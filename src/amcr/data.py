@@ -35,7 +35,7 @@ SPLITS = ("train", "valid", "test", "meta", "")
 class Sample:
     id: str
     path: str
-    score: float          # None for discrete (binary-only) samples
+    score: float
     binary_label: int
     corrupted: bool = False
     split: str = ""
@@ -156,8 +156,8 @@ def save_manifest(path, samples):
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
         for s in samples:
-            score = "" if s.score is None else repr(float(s.score))
-            writer.writerow([s.id, s.path, score, int(s.binary_label),
+            writer.writerow([s.id, s.path, repr(float(s.score)),
+                             int(s.binary_label),
                              int(bool(s.corrupted)), s.split])
 
 
@@ -174,12 +174,15 @@ def load_manifest(path) -> list:
             sid, rel, score, binary, corrupted, split = row
             if split not in SPLITS:
                 raise FormatError(f"{path}:{lineno}: unknown split {split!r}")
-            samples.append(Sample(
-                id=sid, path=rel,
-                score=None if score == "" else float(score),
-                binary_label=int(binary),
-                corrupted=bool(int(corrupted)),
-                split=split))
+            try:
+                numbers = float(score), int(binary), bool(int(corrupted))
+            except ValueError:
+                # an empty score lands here too: no stage can train on it
+                raise FormatError(
+                    f"{path}:{lineno}: score, binary_label and corrupted "
+                    f"must be numbers, got {score!r}, {binary!r}, "
+                    f"{corrupted!r}") from None
+            samples.append(Sample(sid, rel, *numbers, split))
     return samples
 
 
@@ -195,7 +198,7 @@ def load_image(path) -> Tensor:
 def make_amdc(samples, rng) -> list:
     """Binary-task view: drop mid-range scores (open interval (4,6)) and
     balance the classes 1:1 by seeded downsampling of the majority."""
-    kept = [s for s in samples if s.score is None or not 4.0 < s.score < 6.0]
+    kept = [s for s in samples if not 4.0 < s.score < 6.0]
     pos = [s for s in kept if s.binary_label == 1]
     neg = [s for s in kept if s.binary_label == 0]
     if not pos or not neg:

@@ -1,8 +1,11 @@
 """Hot numeric kernels: 2D convolution, adaptive average pooling, bilinear resize.
 
 Vectorized numpy: convolution goes through im2col and one matrix product,
-pooling and resizing are slicing and gather arithmetic. `tensor` and
-`image` look the kernels up on this module by attribute at call time.
+pooling and resizing are slicing and gather arithmetic. The conv kernels
+take one Python step per kernel tap (u, v), and each step moves all input
+channels in one slice, so a 3x3 conv costs nine steps whatever its width.
+`tensor` and `image` look the kernels up on this module by attribute at
+call time.
 
 All arrays are float64 and C-contiguous. Channel-first layout (C, H, W).
 """
@@ -17,15 +20,12 @@ def _im2col(x, kh, kw, stride, pad, ho, wo):
     cin, h, w = x.shape
     xp = np.zeros((cin, h + 2 * pad, w + 2 * pad))
     xp[:, pad:pad + h, pad:pad + w] = x
-    cols = np.empty((cin * kh * kw, ho * wo))
-    idx = 0
-    for ci in range(cin):
-        for u in range(kh):
-            for v in range(kw):
-                patch = xp[ci, u:u + ho * stride:stride, v:v + wo * stride:stride]
-                cols[idx] = patch.reshape(-1)
-                idx += 1
-    return cols
+    # rows ordered (ci, u, v), as in k.reshape(cout, -1)
+    cols = np.empty((cin, kh, kw, ho, wo))
+    for u in range(kh):
+        for v in range(kw):
+            cols[:, u, v] = xp[:, u:u + ho * stride:stride, v:v + wo * stride:stride]
+    return cols.reshape(cin * kh * kw, ho * wo)
 
 
 def conv2d_forward(x, k, stride, pad):
@@ -41,16 +41,13 @@ def conv2d_forward(x, k, stride, pad):
 def conv2d_backward_input(dy, k, stride, pad, h, w):
     cout, ho, wo = dy.shape
     _, cin, kh, kw = k.shape
-    # scatter k^T @ dy back through the im2col mapping
+    # scatter k^T @ dy back through the im2col mapping, one kernel tap at a time
     dcols = k.reshape(cout, -1).T @ dy.reshape(cout, -1)
+    dcols = dcols.reshape(cin, kh, kw, ho, wo)
     dxp = np.zeros((cin, h + 2 * pad, w + 2 * pad))
-    idx = 0
-    for ci in range(cin):
-        for u in range(kh):
-            for v in range(kw):
-                dxp[ci, u:u + ho * stride:stride, v:v + wo * stride:stride] += \
-                    dcols[idx].reshape(ho, wo)
-                idx += 1
+    for u in range(kh):
+        for v in range(kw):
+            dxp[:, u:u + ho * stride:stride, v:v + wo * stride:stride] += dcols[:, u, v]
     if pad == 0:
         return dxp
     return np.ascontiguousarray(dxp[:, pad:pad + h, pad:pad + w])

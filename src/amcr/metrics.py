@@ -142,3 +142,30 @@ def evaluate_scores(pred, truth) -> MetricsReport:
         n=int(p.size),
         per_segment=segment_report((p >= THRESHOLD).astype(np.int64), t),
     )
+
+
+# a predictor spreading its scores less than this fraction of the truth's
+# spread, or a router sending more than this share of train to one branch,
+# has collapsed: its metrics score a near-constant, not a model
+MIN_SPREAD_RATIO = 0.2
+MAX_BRANCH_SHARE = 0.95
+
+
+def collapse_warnings(pred, truth, branch_counts=()) -> list:
+    """One message per sign that a run collapsed, empty when none shows.
+
+    `branch_counts` holds the number of train samples the router sent to
+    each branch; leave it empty for a run without a router.
+    """
+    p, t = _pair(pred, truth)
+    found = []
+    pred_std, truth_std = float(np.std(p)), float(np.std(t))
+    if pred_std < MIN_SPREAD_RATIO * truth_std:
+        found.append(f"predictions barely spread: std {pred_std:.4g} is "
+                     f"{pred_std / truth_std:.3f} of the truth std "
+                     f"{truth_std:.4g}")
+    total = sum(branch_counts)
+    if total and max(branch_counts) > MAX_BRANCH_SHARE * total:
+        found.append(f"router sent {max(branch_counts)} of {total} train "
+                     "samples to one branch")
+    return found

@@ -54,19 +54,6 @@ class Adam:
             vhat = v / (1.0 - self.b2 ** self.t)
             p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
-    def state(self) -> dict:
-        """Moment arrays keyed for checkpointing."""
-        out = {}
-        for name in self.m:
-            out["m." + name] = self.m[name]
-            out["v." + name] = self.v[name]
-        return out
-
-    def load_state(self, arrays: dict, t: int):
-        self.m = {k[2:]: np.array(v) for k, v in arrays.items() if k.startswith("m.")}
-        self.v = {k[2:]: np.array(v) for k, v in arrays.items() if k.startswith("v.")}
-        self.t = int(t)
-
 
 class PlateauScheduler:
     """Halve the optimizer's step size after `patience` consecutive

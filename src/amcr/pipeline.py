@@ -331,6 +331,7 @@ def run_ablation(requests, train, valid, test, images_by_prep, model_factory,
                            use_mrn=req["mrn"], meta_samples=meta_samples)
         preds = art.predict_samples(test, images)
         report = evaluate_scores(preds, [s.score for s in test])
-        return {**req, "report": report, "artifacts": art}
+        return {**req, "report": report, "predictions": preds,
+                "artifacts": art}
 
     return [run_cell(index, req) for index, req in enumerate(requests)]

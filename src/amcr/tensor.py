@@ -44,7 +44,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, _prev=(), _backward=None, _op=""):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DataError("non-finite element entering tensor op")
         self.data = arr
         self.grad = None
@@ -56,9 +56,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
 
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())

@@ -179,7 +179,7 @@ def reg_loss_fn(model, inputs: dict):
     def fn(batch, override):
         scalars = []
         for s in batch:
-            _, pred, _ = model.forward(Tensor(inputs[s.id]), override)
+            pred = model.score(Tensor(inputs[s.id]), override)
             d = T.sub(pred, Tensor(np.float64(s.score)))
             scalars.append(T.mul(d, d))
         return T.stack(scalars)
@@ -203,8 +203,7 @@ def predict_class(model, image) -> int:
 
 def predict_score(model, image) -> float:
     with T.no_grad():
-        _, pred, _ = model.forward(T.as_tensor(image))
-    return float(pred.data)
+        return float(model.score(image).data)
 
 
 def eval_class_accuracy(model, samples, images: dict, label_of) -> float:

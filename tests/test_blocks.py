@@ -232,6 +232,20 @@ def test_net_feature_vector_skips_backbone():
         net(np.zeros(7))
 
 
+def test_net_score_is_forward_regression_output():
+    net = small_net(np.random.default_rng(22))
+    img = np.random.default_rng(23).standard_normal((3, 16, 16))
+    _, reg, feat = net(img)
+    np.testing.assert_array_equal(net.score(img).data, reg.data)
+    np.testing.assert_array_equal(net.score(feat.data).data, reg.data)
+    # the class head stays out of the score's graph
+    net.score(img).backward()
+    assert net.params["head.class.w"].grad is None
+    assert net.params["head.reg.w"].grad is not None
+    with pytest.raises(ShapeError):
+        net.score(np.zeros(7))
+
+
 def test_cross_entropy_uniform_logits():
     # without an rng every weight is zero, so the class head is uniform
     net = small_net(None)

@@ -3,6 +3,7 @@ documented exit-code contract."""
 
 import csv
 import os
+import shutil
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from amcr.checkpoint import load_checkpoint, save_checkpoint
 from amcr.cli import main
+from amcr.metrics import collapse_warnings
 
 CONFIG = """\
 [data]
@@ -108,6 +110,37 @@ def test_evaluate_writes_metrics_and_scatter(workdir, capsys):
     for pred, truth in scatter[1:]:
         assert 0.0 <= float(pred) <= 10.0
         assert 0.0 <= float(truth) <= 10.0
+
+
+def test_evaluate_warns_on_collapse_outside_metrics(workdir, tmp_path, capsys):
+    cfg, out = workdir
+    run = tmp_path / "out"
+    for sub in ("data", "models"):
+        shutil.copytree(out / sub, run / sub)
+    assert main(["evaluate", "--config", str(cfg), "--out", str(run)]) == 0
+    warned = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("warning: ")]
+    scatter = read_rows(run / "scatter.csv")[1:]
+    expected = collapse_warnings([float(p) for p, _ in scatter],
+                                 [float(t) for _, t in scatter])
+    assert warned == ["warning: " + m for m in expected]
+
+    # a router that sent every train sample to one branch warns on stderr
+    # and leaves metrics.csv as it was without the split
+    pcr = ["evaluate", "--config", str(cfg), "--out", str(run),
+           "--variant", "pcr"]
+    assert main(pcr) == 0
+    before = (run / "metrics.csv").read_bytes()
+    assert "router sent" not in capsys.readouterr().err
+    manifest = read_rows(run / "data" / "manifest.csv")
+    rows = [[r[0], "1"] for r in manifest[1:] if r[5] == "train"]
+    with open(run / "split.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([["id", "pseudo_label"]] + rows)
+    assert main(pcr) == 0
+    n = len(rows)
+    assert (f"warning: router sent {n} of {n} train samples to one branch"
+            in capsys.readouterr().err.splitlines())
+    assert (run / "metrics.csv").read_bytes() == before
 
 
 def test_predict_scores_one_image(workdir, capsys):
@@ -234,6 +267,21 @@ def test_exit_code_data_empty_test_split(workdir, tmp_path, capsys):
         csv.writer(fh).writerows(rewritten)
     assert main(["evaluate", "--config", str(cfg), "--out", str(fresh)]) == 3
     assert "test split" in capsys.readouterr().err
+
+
+def test_exit_code_format_empty_manifest_score(workdir, tmp_path, capsys):
+    cfg, out = workdir
+    fresh = tmp_path / "noScore"
+    fresh.mkdir()
+    assert main(["gen-data", "--config", str(cfg), "--out", str(fresh)]) == 0
+    manifest = fresh / "data" / "manifest.csv"
+    rows = read_rows(manifest)
+    rows[1][2] = ""
+    with open(manifest, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["train", "--config", str(cfg), "--out", str(fresh)]) == 4
+    assert "manifest.csv:2: score, binary_label and corrupted must be " \
+        "numbers, got ''" in capsys.readouterr().err
 
 
 def test_exit_code_config_hash_mismatch(workdir, tmp_path, capsys):

@@ -172,7 +172,7 @@ def test_manifest_roundtrip_identity(tmp_path):
     samples = [
         Sample("a", "images/a.ppm", 7.25, 1, False, "train"),
         Sample("b", "images/b.ppm", 0.123456789012345, 0, True, "valid"),
-        Sample("c", "images/c.ppm", None, 1, False, ""),
+        Sample("c", "images/c.ppm", 10.0, 1, False, ""),
         Sample("d", "images/d.ppm", 5.0, 1, True, "meta"),
     ]
     path = tmp_path / "m.csv"
@@ -186,9 +186,8 @@ def test_manifest_roundtrip_many_random(tmp_path):
     for trial in range(25):
         samples = []
         for i in range(int(rng.integers(1, 30))):
-            score = None if rng.random() < 0.2 else float(rng.uniform(0, 10))
             samples.append(Sample(
-                f"s{i}", f"images/s{i}.ppm", score,
+                f"s{i}", f"images/s{i}.ppm", float(rng.uniform(0, 10)),
                 int(rng.integers(0, 2)), bool(rng.integers(0, 2)),
                 str(rng.choice(["train", "valid", "test", "meta", ""]))))
         path = tmp_path / f"m{trial}.csv"
@@ -209,6 +208,11 @@ def test_manifest_rejects_malformed(tmp_path):
     p3.write_text(",".join(MANIFEST_HEADER) + "\nx,y,1.0,1\n")
     with pytest.raises(FormatError):
         load_manifest(p3)
+    for row in ("x,y,,1,0,train", "x,y,high,1,0,train", "x,y,1.0,yes,0,train"):
+        p4 = tmp_path / "bad4.csv"
+        p4.write_text(",".join(MANIFEST_HEADER) + "\n" + row + "\n")
+        with pytest.raises(FormatError, match="must be numbers"):
+            load_manifest(p4)
 
 
 # ---------------------------------------------------------------------------

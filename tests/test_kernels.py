@@ -36,6 +36,38 @@ def conv_reference(x, k, stride, pad):
     return out
 
 
+def conv_backward_input_reference(dy, k, stride, pad, h, w):
+    # output cell (i, j) read input pixel (i*stride + u - pad, j*stride +
+    # v - pad) through tap (u, v); padding pixels take no gradient
+    cout, ho, wo = dy.shape
+    _, cin, kh, kw = k.shape
+    dx = np.zeros((cin, h, w))
+    for co in range(cout):
+        for i in range(ho):
+            for j in range(wo):
+                for u in range(kh):
+                    for v in range(kw):
+                        y, x = i * stride + u - pad, j * stride + v - pad
+                        if 0 <= y < h and 0 <= x < w:
+                            dx[:, y, x] += dy[co, i, j] * k[co, :, u, v]
+    return dx
+
+
+def conv_backward_kernel_reference(dy, x, stride, pad, kh, kw):
+    cout, ho, wo = dy.shape
+    cin, h, w = x.shape
+    dk = np.zeros((cout, cin, kh, kw))
+    for co in range(cout):
+        for u in range(kh):
+            for v in range(kw):
+                for i in range(ho):
+                    for j in range(wo):
+                        y, xx = i * stride + u - pad, j * stride + v - pad
+                        if 0 <= y < h and 0 <= xx < w:
+                            dk[co, :, u, v] += dy[co, i, j] * x[:, y, xx]
+    return dk
+
+
 CONV_CASES = [
     # (cin, h, w, cout, kh, kw, stride, pad)
     (1, 5, 5, 1, 3, 3, 1, 0),
@@ -44,6 +76,8 @@ CONV_CASES = [
     (4, 7, 11, 2, 1, 1, 1, 0),
     (2, 6, 6, 2, 3, 3, 2, 0),
     (1, 4, 4, 5, 3, 3, 1, 2),  # padding larger than usual
+    (3, 9, 10, 2, 3, 5, 2, 1),  # kh != kw
+    (4, 8, 8, 6, 3, 3, 2, 1),  # the model's stages: even input, stride 2
 ]
 
 
@@ -71,6 +105,35 @@ def test_conv_backward_adjoint_identity(cin, h, w, cout, kh, kw, stride, pad):
     dk = K.conv2d_backward_kernel(dy, x, stride, pad, kh, kw)
     assert abs(lhs - np.sum(x * dx)) < 1e-9 * max(1.0, abs(lhs))
     assert abs(lhs - np.sum(k * dk)) < 1e-9 * max(1.0, abs(lhs))
+
+
+def conv_backward_case(cin, h, w, cout, kh, kw, stride, pad):
+    # ints hash the same in every process, so each case draws fixed data
+    rng = rng_for(hash((2, cin, h, w, cout, kh, kw, stride, pad)) % 2**32)
+    x = rng.standard_normal((cin, h, w))
+    k = rng.standard_normal((cout, cin, kh, kw))
+    dy = rng.standard_normal((cout,) + conv_sizes(h, w, kh, kw, stride, pad))
+    return x, k, dy
+
+
+@pytest.mark.parametrize("cin,h,w,cout,kh,kw,stride,pad", CONV_CASES)
+def test_conv_backward_input_matches_reference(cin, h, w, cout, kh, kw,
+                                               stride, pad):
+    _, k, dy = conv_backward_case(cin, h, w, cout, kh, kw, stride, pad)
+    np.testing.assert_allclose(
+        K.conv2d_backward_input(dy, k, stride, pad, h, w),
+        conv_backward_input_reference(dy, k, stride, pad, h, w),
+        rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("cin,h,w,cout,kh,kw,stride,pad", CONV_CASES)
+def test_conv_backward_kernel_matches_reference(cin, h, w, cout, kh, kw,
+                                                stride, pad):
+    x, _, dy = conv_backward_case(cin, h, w, cout, kh, kw, stride, pad)
+    np.testing.assert_allclose(
+        K.conv2d_backward_kernel(dy, x, stride, pad, kh, kw),
+        conv_backward_kernel_reference(dy, x, stride, pad, kh, kw),
+        rtol=0, atol=1e-12)
 
 
 def test_conv_zero_padding_contributes_zero():

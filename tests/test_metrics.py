@@ -6,7 +6,8 @@ from scipy import stats
 
 from amcr.errors import DataError
 from amcr.metrics import (THRESHOLD, MetricsReport, accuracy, accuracy_within_1,
-                          evaluate_scores, mae, mse, ranks, segment_report, srocc)
+                          collapse_warnings, evaluate_scores, mae, mse, ranks,
+                          segment_report, srocc)
 
 
 def test_mse_mae_brute_force_loop():
@@ -192,3 +193,18 @@ def test_evaluate_scores_fields_consistent():
     assert -1.0 <= rep.srocc <= 1.0
     assert rep.mse >= 0.0 and rep.mae >= 0.0
     assert sum(r.count for r in rep.per_segment) == rep.n
+
+
+def test_collapse_warnings_flag_constant_predictor_and_lopsided_router():
+    truth = np.linspace(1.0, 9.0, 40)
+    constant = collapse_warnings(np.full(40, 5.0), truth)
+    assert len(constant) == 1 and "barely spread" in constant[0]
+    # spread just under and over a fifth of the truth's
+    centred = truth - truth.mean()
+    assert collapse_warnings(5.0 + 0.19 * centred, truth)
+    assert collapse_warnings(5.0 + 0.21 * centred, truth) == []
+    assert collapse_warnings(truth[::-1], truth) == []
+    lopsided = collapse_warnings(truth, truth, [96, 4])
+    assert lopsided == ["router sent 96 of 100 train samples to one branch"]
+    assert collapse_warnings(truth, truth, [95, 5]) == []
+    assert len(collapse_warnings(np.full(40, 5.0), truth, [0, 50])) == 2
