@@ -15,7 +15,7 @@ from .data import Sample, SynthSpec, generate_dataset, load_manifest, save_manif
 from .errors import (AmcrError, ConfigError, DataError, DependencyError,
                      FormatError, ParameterError, ShapeError, StateError,
                      TapeError, VersionError)
-from .meta import MetaConfig, MetaState, build_meta_set, weighted_loss
+from .meta import MetaState, build_meta_set
 from .metrics import evaluate_scores, mae, mse, segment_report, srocc
 from .optim import Adam, PlateauScheduler
 from .pipeline import (PipelineArtifacts, binarize_label, fuse_score,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AestheticNet", "Adam", "AmcrError", "ConfigError", "DataError",
-    "DependencyError", "EcaBlock", "FormatError", "MetaConfig", "MetaState",
+    "DependencyError", "EcaBlock", "FormatError", "MetaState",
     "Mrn", "ParameterError", "PipelineArtifacts", "PlateauScheduler",
     "RunConfig", "Sample", "ShapeError", "StateError", "SynthSpec",
     "TapeError", "Tensor", "TrainResult", "TrainSettings", "VersionError",
@@ -39,5 +39,5 @@ __all__ = [
     "mae", "mrn_forward", "mse", "no_grad", "per_sample_gradients",
     "pseudo_split", "run_ablation", "run_pipeline", "save_checkpoint",
     "save_manifest", "segment_report", "srocc", "ten_class_label",
-    "train_binary", "train_branch", "train_model", "weighted_loss",
+    "train_binary", "train_branch", "train_model",
 ]

@@ -267,19 +267,25 @@ class AestheticNet:
         (head_width,) feature vector; the class head is not evaluated."""
         p = self.params if params is None else {**self.params, **params}
         row = T.reshape(self._head_input(x, params), (1, self.head_width))
+        return self._reg_head(row, p)
+
+    @staticmethod
+    def _reg_head(row, p) -> Tensor:
+        """Scalar regression output of one (1, head_width) feature row."""
         return T.reshape(T.add_rowvec(
             T.matmul(row, p["head.reg.w"]), p["head.reg.b"]), ())
 
     def forward(self, x, params=None):
         """(class logits, regression score, pooled features) for one
         (C,H,W) image or one cached (head_width,) feature vector; a vector
-        skips the backbone and goes straight to the heads."""
+        skips the backbone and goes straight to the heads, which share
+        one (1, head_width) row."""
         p = self.params if params is None else {**self.params, **params}
         feat = self._head_input(x, params)
         row = T.reshape(feat, (1, self.head_width))
         logits = T.flatten(T.add_rowvec(
             T.matmul(row, p["head.class.w"]), p["head.class.b"]))
-        return logits, self.score(feat, params), feat
+        return logits, self._reg_head(row, p), feat
 
     def __call__(self, x, params=None):
         return self.forward(x, params)

@@ -31,7 +31,7 @@ from .image import aab_prepare, preprocess_crop, preprocess_resize
 from .meta import build_meta_set
 from .metrics import collapse_warnings, evaluate_scores, segment_report
 from .pipeline import (PipelineArtifacts, prepare_images, pseudo_split,
-                       run_ablation, run_pipeline, train_binary)
+                       router_sets, run_ablation, run_pipeline, train_binary)
 
 _EXIT_CODES = (
     (ConfigError, 2),
@@ -63,12 +63,9 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def _build_model(cfg: RunConfig, rng, num_classes: int, *, eca=None,
-                 prep=None) -> AestheticNet:
-    prep = cfg.model_prep if prep is None else prep
-    eca = cfg.model_eca if eca is None else eca
+def _build_model(cfg: RunConfig, rng, num_classes: int) -> AestheticNet:
     pool_target = None
-    if prep == "aab" and cfg.model_pool_target > 0:
+    if cfg.model_prep == "aab" and cfg.model_pool_target > 0:
         pool_target = cfg.model_pool_target
     return AestheticNet(
         rng,
@@ -77,7 +74,7 @@ def _build_model(cfg: RunConfig, rng, num_classes: int, *, eca=None,
         stage_channels=cfg.model_stage_channels,
         head_width=cfg.model_head_width,
         num_classes=num_classes,
-        eca=eca,
+        eca=cfg.model_eca,
         eca_mode=cfg.model_eca_mode,
         pool_target=pool_target,
     )
@@ -218,14 +215,13 @@ def cmd_train_binary(args) -> int:
     cfg = _load_run_config(args)
     samples, images = _load_split_images(cfg, args)
     rng = np.random.default_rng(cfg.train_seed)
-    train = D.make_amdc(D.split_of(samples, "train"), rng)
-    valid = [s for s in D.split_of(samples, "valid")
-             if not 4.0 < s.score < 6.0]
+    train = D.split_of(samples, "train")
+    valid = D.split_of(samples, "valid")
+    meta = _meta_set_for(cfg, train, rng) if cfg.meta_mrn else None
     model = _build_model(cfg, rng, 2)
-    meta = _meta_set_for(cfg, D.split_of(samples, "train"), rng) \
-        if cfg.meta_mrn else None
-    result = train_binary(model, train, valid, images, _class_settings(cfg),
-                          rng, use_mrn=cfg.meta_mrn, meta_samples=meta)
+    result = train_binary(model, *router_sets(train, valid), images,
+                          _class_settings(cfg), rng, use_mrn=cfg.meta_mrn,
+                          meta_samples=meta)
     _save_model(args, "c2", model, cfg, result.iterations)
     print(f"binary stage done: best validation accuracy "
           f"{result.best_metric:.4f} over {result.iterations} iterations")
@@ -266,6 +262,10 @@ def cmd_train(args) -> int:
         model = getattr(art, name)
         if model is not None:
             _save_model(args, name, model, cfg, iterations)
+        elif name != "c2" and os.path.exists(_model_path(args, name)):
+            # a branch this run did not train must not be scored from an
+            # earlier run's checkpoint
+            os.remove(_model_path(args, name))
     if art.split is not None:
         rows = [(sid, label) for sid, label in sorted(art.split.pseudo.items())]
         _write_csv(os.path.join(args.out, "split.csv"),
@@ -370,7 +370,7 @@ def cmd_report_segments(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_run_config(args)
-    samples = _require_manifest(cfg, args)
+    samples, images = _load_split_images(cfg, args)
     train = D.split_of(samples, "train")
     valid = D.split_of(samples, "valid")
     test = D.split_of(samples, "test")
@@ -379,31 +379,22 @@ def cmd_ablate(args) -> int:
 
     variants = [cfg.pipeline_variant] if args.variant else ["r", "cr", "pcr"]
     mrns = [cfg.meta_mrn] if args.mrn else [False, True]
-    requests = [{"variant": v, "prep": cfg.model_prep, "eca": cfg.model_eca,
-                 "mrn": m} for v in variants for m in mrns]
-    images_by_prep = {
-        cfg.model_prep: prepare_images(samples, _data_dir(cfg, args),
-                                       cfg.model_prep,
-                                       crop_side=cfg.model_crop_side,
-                                       square_side=cfg.model_square_side)}
+    requests = [{"variant": v, "mrn": m} for v in variants for m in mrns]
     rng = np.random.default_rng(cfg.train_seed)
-    meta = _meta_set_for(cfg, train, rng) if any(
-        r["mrn"] for r in requests) else None
-    factory = lambda r, k, eca, prep: _build_model(cfg, r, k, eca=eca,
-                                                   prep=prep)
-    results = run_ablation(requests, train, valid, test, images_by_prep,
-                           factory, _class_settings(cfg), _reg_settings(cfg),
+    meta = _meta_set_for(cfg, train, rng) if any(mrns) else None
+    factory = lambda r, k: _build_model(cfg, r, k)
+    results = run_ablation(requests, train, valid, test, images, factory,
+                           _class_settings(cfg), _reg_settings(cfg),
                            meta_samples=meta, base_seed=cfg.train_seed)
+    eca = "on" if cfg.model_eca else "off"
     rows = []
     for cell in results:
         rep = cell["report"]
-        rows.append([cell["variant"], cell["prep"],
-                     "on" if cell["eca"] else "off",
+        rows.append([cell["variant"], cfg.model_prep, eca,
                      "on" if cell["mrn"] else "off",
                      repr(rep.srocc), repr(rep.mse), repr(rep.mae),
                      repr(rep.accuracy), repr(rep.accuracy_err_le_1)])
-        print(f"{cell['variant']:>3} prep={cell['prep']} "
-              f"eca={'on' if cell['eca'] else 'off'} "
+        print(f"{cell['variant']:>3} prep={cfg.model_prep} eca={eca} "
               f"mrn={'on' if cell['mrn'] else 'off'} "
               f"srocc={rep.srocc:.4f} mse={rep.mse:.4f}")
         split = cell["artifacts"].split

@@ -195,10 +195,16 @@ def load_image(path) -> Tensor:
 # dataset variants
 
 
+def drop_mid_scores(samples) -> list:
+    """Samples outside the open mid-range band that the binary task
+    leaves out."""
+    return [s for s in samples if not 4.0 < s.score < 6.0]
+
+
 def make_amdc(samples, rng) -> list:
-    """Binary-task view: drop mid-range scores (open interval (4,6)) and
+    """Binary-task view: drop mid-range scores (see drop_mid_scores) and
     balance the classes 1:1 by seeded downsampling of the majority."""
-    kept = [s for s in samples if not 4.0 < s.score < 6.0]
+    kept = drop_mid_scores(samples)
     pos = [s for s in kept if s.binary_label == 1]
     neg = [s for s in kept if s.binary_label == 0]
     if not pos or not neg:

@@ -27,7 +27,6 @@ analytic meta-gradient is exact only for the SGD form of the lookahead.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,27 +37,6 @@ from .optim import Adam
 from .tensor import Tensor
 
 EPS_NORMALIZE = 1e-8
-
-
-@dataclass
-class MetaConfig:
-    """Step sizes and optimizer settings for one bilevel training context."""
-
-    alpha: float = 1e-4        # main-network step size
-    # Under Adam every Theta component moves up to beta per iteration, so the
-    # output bias can shift all weights together by beta each step while the
-    # loss-shape signal has to accumulate across the hidden layer. A beta much
-    # above 1e-4 lets that common drift saturate the sigmoid over long runs
-    # before the per-sample ordering is learned.
-    beta: float = 1e-4         # reweighting-network step size
-    normalize_weights: bool = True
-    betas: tuple = (0.98, 0.999)
-    weight_decay: float = 1e-4
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ParameterError("step sizes must be positive")
 
 
 def weight_coefficients(values: np.ndarray, normalize: bool):
@@ -77,27 +55,6 @@ def weight_coefficients(values: np.ndarray, normalize: bool):
     return values / n, float(n)
 
 
-def weighted_loss(losses: Tensor, weights, normalize: bool) -> Tensor:
-    """Scalar weighted training loss.
-
-    Plain mode: (1/n) sum v_i L_i. Normalized: (sum v_i L_i)/(sum v + eps).
-    The weights enter the denominator as values, so the result stays
-    linear in both inputs' graphs; gradients w.r.t. w flow through the
-    losses only, which is how the main update uses it.
-    """
-    losses = T.as_tensor(losses)
-    w = T.as_tensor(weights)
-    if losses.data.ndim != 1 or losses.shape != w.shape:
-        raise ShapeError(f"weighted_loss: {losses.shape} vs {w.shape}")
-    total = T.tsum(T.mul(losses, w))
-    if normalize:
-        s = w.data.sum() + EPS_NORMALIZE
-        if w.data.sum() == 0.0:
-            warnings.warn("all sample weights are zero; weighted loss collapses to 0")
-        return T.scale(total, 1.0 / s)
-    return T.scale(total, 1.0 / losses.shape[0])
-
-
 class MetaState:
     """Owns the main parameters, the reweighting network, both Adam
     optimizers, and the per-iteration cache shared by the three stages.
@@ -106,14 +63,18 @@ class MetaState:
     a batch, built so each entry is its own scalar subgraph (stacked),
     evaluated under `params` when given (a name -> Tensor override) or
     the live parameters when None.
+
+    `settings` is the phase's training.TrainSettings: `lr` is the main
+    step size alpha, `mrn_lr` the reweighting network's step size beta,
+    and `normalize_weights`, `betas` and `weight_decay` apply as named.
     """
 
-    def __init__(self, params: dict, mrn: Mrn, loss_fn, cfg: MetaConfig,
+    def __init__(self, params: dict, mrn: Mrn, loss_fn, settings,
                  trainable=None, freeze_mrn: bool = False):
         self.params = params
         self.mrn = mrn
         self.loss_fn = loss_fn
-        self.cfg = cfg
+        self.settings = settings
         self.trainable = list(params) if trainable is None else list(trainable)
         unknown = [n for n in self.trainable if n not in params]
         if unknown:
@@ -123,8 +84,10 @@ class MetaState:
         # decay doubles as a restoring force: a saturated sigmoid emits
         # near-zero gradients, and without decay Adam's normalized steps
         # keep pushing in the stale direction instead of backing out.
-        self.adam_main = Adam(cfg.alpha, cfg.betas, cfg.eps, cfg.weight_decay)
-        self.adam_mrn = Adam(cfg.beta, cfg.betas, cfg.eps, cfg.weight_decay)
+        self.adam_main = Adam(settings.lr, settings.betas,
+                              weight_decay=settings.weight_decay)
+        self.adam_mrn = Adam(settings.mrn_lr, settings.betas,
+                             weight_decay=settings.weight_decay)
         self.t = 0
         self._cache = None
         self.last_losses = np.zeros(0)  # per-sample losses of the last lookahead
@@ -144,20 +107,23 @@ class MetaState:
         g_list = T.per_sample_gradients(losses, subset)
         loss_values = losses.data.copy()
         v = mrn_forward(loss_values, self.mrn)
-        coeff, _ = weight_coefficients(v.data, self.cfg.normalize_weights)
+        coeff, s = weight_coefficients(v.data, self.settings.normalize_weights)
         w_hat = {}
         for name in self.trainable:
             step = np.zeros_like(self.params[name].data)
             for i in range(len(batch)):
                 step += coeff[i] * g_list[i][name]
-            w_hat[name] = Tensor(self.params[name].data - self.cfg.alpha * step,
-                                 requires_grad=True)
+            w_hat[name] = Tensor(
+                self.params[name].data - self.settings.lr * step,
+                requires_grad=True)
         self._cache = {
             "stage": "lookahead",
             "batch": batch,
             "loss_values": loss_values,
             "g_list": g_list,
             "v": v,
+            "coeff": coeff,
+            "s": s,
             "w_hat": w_hat,
         }
         self.last_losses = loss_values
@@ -193,14 +159,11 @@ class MetaState:
             for i in range(n):
                 d[i] += float(np.sum(g_list[i][name] * gw))
 
-        v = cache["v"]
-        if self.cfg.normalize_weights:
-            s = v.data.sum() + EPS_NORMALIZE
-            big_d = float(np.sum((v.data / s) * d))
-            coef = -(self.cfg.alpha / s) * (d - big_d)
-        else:
-            coef = -(self.cfg.alpha / n) * d
-        surrogate = T.tsum(T.mul(v, Tensor(coef)))
+        # S is n in plain mode, where D drops out
+        big_d = (float(np.sum(cache["coeff"] * d))
+                 if self.settings.normalize_weights else 0.0)
+        coef = -(self.settings.lr / cache["s"]) * (d - big_d)
+        surrogate = T.tsum(T.mul(cache["v"], Tensor(coef)))
         theta = self.mrn.params
         for p in theta.values():
             p.zero_grad()
@@ -231,7 +194,8 @@ class MetaState:
             raise StateError("main_step needs meta_step to have run this iteration")
         with T.no_grad():
             v_new = mrn_forward(cache["loss_values"], self.mrn)
-        coeff, _ = weight_coefficients(v_new.data, self.cfg.normalize_weights)
+        coeff, _ = weight_coefficients(v_new.data,
+                                       self.settings.normalize_weights)
         g_list = cache["g_list"]
         n = len(cache["batch"])
         grads = {}

@@ -25,16 +25,16 @@ import warnings
 import numpy as np
 
 from . import training as TR
-from .data import make_amdc, load_image
+from .data import drop_mid_scores, load_image, make_amdc
 from .errors import ConfigError, DataError
 from .image import aab_prepare, preprocess_crop, preprocess_resize
-from .metrics import evaluate_scores, segment_report
+from .metrics import evaluate_scores
 from .training import TrainSettings, train_model
 
 __all__ = [
-    "binarize_label", "ten_class_label", "train_binary", "pseudo_split",
-    "train_branch", "fuse_score", "run_pipeline", "run_ablation",
-    "SplitAssignment", "PipelineArtifacts", "prepare_images",
+    "binarize_label", "ten_class_label", "router_sets", "train_binary",
+    "pseudo_split", "train_branch", "fuse_score", "run_pipeline",
+    "run_ablation", "SplitAssignment", "PipelineArtifacts", "prepare_images",
 ]
 
 
@@ -81,9 +81,17 @@ def prepare_images(samples, base_dir, prep: str, *, crop_side: int = 32,
 # binary stage
 
 
+def router_sets(train, valid):
+    """The binary router's (train, valid) sets: the two-sided subset of
+    `train` (make_amdc, downsampled with a fixed seed 0, so the run's RNG
+    is not drawn), and `valid` without mid scores, or all of `valid` when
+    the filter leaves nothing."""
+    return (make_amdc(train, np.random.default_rng(0)),
+            drop_mid_scores(valid) or list(valid))
+
+
 def train_binary(model, train, valid, images, settings: TrainSettings, rng, *,
-                 use_mrn: bool = False, meta_samples=None,
-                 mrn=None) -> TR.TrainResult:
+                 use_mrn: bool = False, meta_samples=None) -> TR.TrainResult:
     """Fit a 2-way classifier on threshold labels, tracking best validation
     accuracy; the best parameters are left on the model."""
     if model.num_classes != 2:
@@ -96,7 +104,7 @@ def train_binary(model, train, valid, images, settings: TrainSettings, rng, *,
     valid_fn = lambda: TR.eval_class_accuracy(model, valid, images, label_of)
     return train_model(model, loss_fn, train, valid_fn, settings, rng,
                        metric_mode="higher", use_mrn=use_mrn,
-                       meta_samples=meta_samples, mrn=mrn)
+                       meta_samples=meta_samples)
 
 
 @dataclasses.dataclass
@@ -221,7 +229,6 @@ class PipelineArtifacts:
     r1: object = None
     split: SplitAssignment = None
     history: dict = dataclasses.field(default_factory=dict)
-    binary_report: list = None
 
     def predict(self, image) -> float:
         if self.variant == "pcr":
@@ -234,13 +241,13 @@ class PipelineArtifacts:
 
 def run_pipeline(variant: str, train, valid, images, model_factory,
                  class_settings: TrainSettings, reg_settings: TrainSettings,
-                 rng, *, use_mrn: bool = False, meta_samples=None,
-                 amdc_rng=None) -> PipelineArtifacts:
+                 rng, *, use_mrn: bool = False,
+                 meta_samples=None) -> PipelineArtifacts:
     """Train one variant end to end and return every produced model.
 
     `model_factory(rng, num_classes)` builds a fresh backbone; all models
     of a run share the architecture it encodes. The binary stage trains
-    on the distilled two-sided subset of `train` (mid scores removed).
+    on `router_sets(train, valid)`.
     """
     if variant not in ("r", "cr", "pcr"):
         raise ConfigError(f"unknown pipeline variant {variant!r}")
@@ -268,18 +275,11 @@ def run_pipeline(variant: str, train, valid, images, model_factory,
         return art
 
     # binary router, trained on the two-sided subset
-    amdc_rng = np.random.default_rng(0) if amdc_rng is None else amdc_rng
-    amdc_train = make_amdc(train, amdc_rng)
-    amdc_valid = [s for s in valid if not 4.0 < s.score < 6.0]
-    if not amdc_valid:
-        amdc_valid = valid
     c2 = model_factory(rng, 2)
     art.history["c2"] = train_binary(
-        c2, amdc_train, amdc_valid, images, class_settings, rng,
+        c2, *router_sets(train, valid), images, class_settings, rng,
         use_mrn=use_mrn, meta_samples=meta_samples)
     art.c2 = c2
-    preds = [TR.predict_class(c2, images[s.id]) for s in valid]
-    art.binary_report = segment_report(preds, [s.score for s in valid])
 
     split = pseudo_split(c2, train, valid, images)
     art.split = split
@@ -302,31 +302,26 @@ def run_pipeline(variant: str, train, valid, images, model_factory,
 # ablation harness
 
 
-def run_ablation(requests, train, valid, test, images_by_prep, model_factory,
+def run_ablation(requests, train, valid, test, images, model_factory,
                  class_settings, reg_settings, *, meta_samples=None,
                  base_seed: int = 0):
-    """Run each requested (variant, prep, eca, mrn) cell and score it.
+    """Run each requested (variant, mrn) cell and score it.
 
-    `images_by_prep` maps prep name -> id -> array (see prepare_images);
-    `model_factory(rng, num_classes, eca, prep)` builds the cell's model.
-    Cells run in order, each with its own RNG stream seeded from
-    `base_seed` and the cell index.
+    `images` and `model_factory(rng, num_classes)` are those run_pipeline
+    takes; every cell shares them. Cells run in order, each with its own
+    RNG stream seeded from `base_seed` and the cell index.
     """
     requests = list(requests)
     for req in requests:
-        unknown = set(req) - {"variant", "prep", "eca", "mrn"}
+        unknown = set(req) - {"variant", "mrn"}
         if unknown:
             raise ConfigError(f"unknown ablation keys {sorted(unknown)}")
         if req["variant"] not in ("r", "cr", "pcr"):
             raise ConfigError(f"unknown pipeline variant {req['variant']!r}")
-        if req["prep"] not in images_by_prep:
-            raise ConfigError(f"no prepared images for prep {req['prep']!r}")
 
     def run_cell(index, req):
         rng = np.random.default_rng((base_seed, index))
-        images = images_by_prep[req["prep"]]
-        factory = lambda r, k: model_factory(r, k, req["eca"], req["prep"])
-        art = run_pipeline(req["variant"], train, valid, images, factory,
+        art = run_pipeline(req["variant"], train, valid, images, model_factory,
                            class_settings, reg_settings, rng,
                            use_mrn=req["mrn"], meta_samples=meta_samples)
         preds = art.predict_samples(test, images)

@@ -9,7 +9,7 @@ import numpy as np
 from . import tensor as T
 from .blocks import Mrn
 from .errors import DataError, ParameterError
-from .meta import MetaConfig, MetaState
+from .meta import MetaState
 from .optim import Adam, PlateauScheduler
 from .tensor import Tensor
 
@@ -25,6 +25,11 @@ class TrainSettings:
     lr: float = 1e-4
     weight_decay: float = 1e-4
     betas: tuple = (0.98, 0.999)
+    # Under Adam every reweighting-network component moves up to mrn_lr per
+    # iteration, so the output bias can shift all weights together by mrn_lr
+    # each step while the loss-shape signal has to accumulate across the
+    # hidden layer. A step much above 1e-4 lets that common drift saturate
+    # the sigmoid over long runs before the per-sample ordering is learned.
     mrn_lr: float = 1e-4
     mrn_hidden: int = 100
     meta_batch: int = 32
@@ -96,11 +101,7 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
             raise DataError("reweighted training needs a meta set")
         if mrn is None:
             mrn = Mrn(hidden=settings.mrn_hidden, rng=rng)
-        cfg = MetaConfig(alpha=settings.lr, beta=settings.mrn_lr,
-                         normalize_weights=settings.normalize_weights,
-                         betas=settings.betas,
-                         weight_decay=settings.weight_decay)
-        state = MetaState(params, mrn, loss_fn, cfg, trainable=trainable,
+        state = MetaState(params, mrn, loss_fn, settings, trainable=trainable,
                           freeze_mrn=freeze_mrn)
         optimizer = state.adam_main
         meta_cycler = _Cycler(meta_samples, settings.meta_batch, rng)

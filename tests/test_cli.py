@@ -211,6 +211,79 @@ def test_train_with_reweighting_enabled(tmp_path, capsys):
     assert (out / "models" / "r_all.ckpt").exists()
 
 
+def fresh_data(tmp_path, config=CONFIG):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    return cfg, out
+
+
+def test_train_binary_keeps_validation_of_mid_scores(tmp_path, capsys):
+    # every validation score sits in the (4, 6) band the router leaves
+    # out; like train, train-binary then validates on the whole split
+    cfg, out = fresh_data(tmp_path)
+    manifest = out / "data" / "manifest.csv"
+    rows = read_rows(manifest)
+    for r in rows[1:]:
+        if r[5] == "valid":
+            r[2], r[3] = "5.0", "1"
+    with open(manifest, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["train-binary", "--config", str(cfg), "--out",
+                 str(out)]) == 0
+    assert (out / "models" / "c2.ckpt").exists()
+
+
+def test_train_binary_trains_on_the_sets_train_uses(tmp_path, monkeypatch):
+    import amcr.cli
+    import amcr.pipeline
+
+    cfg, out = fresh_data(tmp_path)
+    seen = []
+    original = amcr.pipeline.train_binary
+
+    def recording(model, train, valid, *args, **kwargs):
+        seen.append(([s.id for s in train], [s.id for s in valid]))
+        return original(model, train, valid, *args, **kwargs)
+
+    monkeypatch.setattr(amcr.pipeline, "train_binary", recording)
+    monkeypatch.setattr(amcr.cli, "train_binary", recording)
+    # a seed other than the router's fixed downsampling seed 0; the train
+    # split's two-sided subset has unequal classes, so it is downsampled
+    run = ["--config", str(cfg), "--out", str(out), "--seed", "1"]
+    assert main(["train-binary"] + run) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small branches may fall back
+        assert main(["train", "--variant", "pcr"] + run) == 0
+    assert len(seen) == 2
+    assert seen[0] == seen[1]
+
+
+def test_train_removes_checkpoints_of_branches_it_did_not_train(tmp_path):
+    # a batch of 48 is the whole train split, so at least one router
+    # branch is too small to train and falls back
+    cfg, out = fresh_data(tmp_path, CONFIG.replace(
+        "class_batch = 8\nreg_batch = 8", "class_batch = 48\nreg_batch = 48"))
+    models = out / "models"
+    models.mkdir()
+    for name in ("r0", "r1"):
+        (models / f"{name}.ckpt").write_bytes(b"stale checkpoint")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", str(cfg), "--out", str(out),
+                     "--variant", "pcr"]) == 0
+    warned = {name for name in ("r0", "r1")
+              if any(str(w.message).startswith(f"branch {name} has ")
+                     for w in caught)}
+    assert warned
+    for name in ("r0", "r1"):
+        assert (models / f"{name}.ckpt").exists() == (name not in warned)
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out),
+                 "--variant", "pcr"]) == 0
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -8,10 +8,11 @@ import pytest
 from amcr import tensor as T
 from amcr.blocks import Mrn, mrn_forward
 from amcr.errors import DataError, ParameterError, StateError
-from amcr.meta import (EPS_NORMALIZE, MetaConfig, MetaState, build_meta_set,
-                       segment_of, weight_coefficients, weighted_loss)
+from amcr.meta import (EPS_NORMALIZE, MetaState, build_meta_set, segment_of,
+                       weight_coefficients)
 from amcr.optim import Adam
 from amcr.tensor import Tensor
+from amcr.training import TrainSettings
 
 from helpers import numerical_grad, rel_err
 
@@ -61,31 +62,13 @@ def test_weight_coefficients_zero_weights_warn():
     np.testing.assert_array_equal(c, 0.0)
 
 
-def test_weighted_loss_uniform_weights_is_mean():
-    losses = Tensor(np.array([2.0, 4.0, 6.0]))
-    out = weighted_loss(losses, np.ones(3), normalize=False)
-    assert float(out.data) == pytest.approx(4.0)
-    out_n = weighted_loss(losses, np.ones(3), normalize=True)
-    assert float(out_n.data) == pytest.approx(12.0 / (3.0 + EPS_NORMALIZE))
-
-
-def test_weighted_loss_gradient_through_losses():
-    losses = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    out = weighted_loss(losses, np.array([0.25, 0.75]), normalize=False)
-    out.backward()
-    np.testing.assert_allclose(losses.grad, [0.125, 0.375])
-
-
-def test_weighted_loss_shape_check():
-    with pytest.raises(Exception):
-        weighted_loss(Tensor(np.zeros(3)), np.zeros(4), False)
-
-
 def test_meta_config_validation():
-    with pytest.raises(ParameterError):
-        MetaConfig(alpha=0.0)
-    with pytest.raises(ParameterError):
-        MetaConfig(beta=-1.0)
+    model = ToyModel(0.0)
+    for bad in ({"lr": 0.0}, {"lr": -1.0}, {"mrn_lr": 0.0},
+                {"mrn_lr": -1.0}):
+        with pytest.raises(ParameterError):
+            MetaState(model.params, Mrn(hidden=2), toy_loss_fn(model),
+                      TrainSettings(**bad))
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +78,7 @@ def test_meta_config_validation():
 def test_lookahead_matches_closed_form():
     model = ToyModel(2.0)
     mrn = Mrn(hidden=4)  # all zero: every weight 0.5
-    cfg = MetaConfig(alpha=0.1, beta=0.01, normalize_weights=False,
+    cfg = TrainSettings(lr=0.1, mrn_lr=0.01, normalize_weights=False,
                      weight_decay=0.0)
     state = MetaState(model.params, mrn, toy_loss_fn(model), cfg)
     batch = [0.0, 1.0, 5.0]
@@ -111,7 +94,7 @@ def test_lookahead_matches_closed_form():
 def test_lookahead_normalized_coefficients():
     model = ToyModel(1.0)
     mrn = Mrn(hidden=4)
-    cfg = MetaConfig(alpha=0.2, normalize_weights=True, weight_decay=0.0)
+    cfg = TrainSettings(lr=0.2, normalize_weights=True, weight_decay=0.0)
     state = MetaState(model.params, mrn, toy_loss_fn(model), cfg)
     w_hat = state.lookahead_update([0.0, 3.0])
     # v = (0.5, 0.5): normalized c_i = 0.5/(1+eps); g = [2, -4]
@@ -123,7 +106,7 @@ def test_lookahead_normalized_coefficients():
 def test_lookahead_records_last_losses():
     model = ToyModel(2.0)
     state = MetaState(model.params, Mrn(hidden=4), toy_loss_fn(model),
-                      MetaConfig())
+                      TrainSettings())
     assert state.last_losses.shape == (0,)
     state.lookahead_update([0.0, 1.0, 5.0])
     np.testing.assert_array_equal(state.last_losses, [4.0, 1.0, 9.0])
@@ -131,7 +114,8 @@ def test_lookahead_records_last_losses():
 
 def test_lookahead_rejects_empty_batch():
     model = ToyModel(0.0)
-    state = MetaState(model.params, Mrn(hidden=2), toy_loss_fn(model), MetaConfig())
+    state = MetaState(model.params, Mrn(hidden=2), toy_loss_fn(model),
+                      TrainSettings())
     with pytest.raises(DataError):
         state.lookahead_update([])
 
@@ -139,7 +123,7 @@ def test_lookahead_rejects_empty_batch():
 def test_state_machine_order_enforced():
     model = ToyModel(0.5)
     state = MetaState(model.params, Mrn(hidden=2), toy_loss_fn(model),
-                      MetaConfig())
+                      TrainSettings())
     with pytest.raises(StateError):
         state.meta_step([1.0])
     with pytest.raises(StateError):
@@ -156,8 +140,8 @@ def test_state_machine_order_enforced():
 def test_unknown_trainable_names_rejected():
     model = ToyModel(0.0)
     with pytest.raises(ParameterError):
-        MetaState(model.params, Mrn(hidden=2), toy_loss_fn(model), MetaConfig(),
-                  trainable=["w", "ghost"])
+        MetaState(model.params, Mrn(hidden=2), toy_loss_fn(model),
+                  TrainSettings(), trainable=["w", "ghost"])
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +157,7 @@ def test_meta_gradient_matches_fd(normalize):
     # alpha keeps gradient entries well above finite-difference roundoff
     mrn.params["mrn.w2"].data = rng.normal(scale=1.0, size=(8, 1))
     mrn.params["mrn.b2"].data = rng.normal(scale=1.0, size=(1,))
-    cfg = MetaConfig(alpha=0.5, beta=0.01, normalize_weights=normalize,
+    cfg = TrainSettings(lr=0.5, mrn_lr=0.01, normalize_weights=normalize,
                      weight_decay=0.0)
     loss_fn = toy_loss_fn(model)
     state = MetaState(model.params, mrn, loss_fn, cfg)
@@ -193,7 +177,7 @@ def test_meta_gradient_matches_fd(normalize):
         coeff, _ = weight_coefficients(v.data, normalize)
         g = [2.0 * (float(model.params["w"].data[0]) - t) for t in batch]
         step = sum(c * gi for c, gi in zip(coeff, g))
-        w_hat = {"w": Tensor(model.params["w"].data - cfg.alpha * step)}
+        w_hat = {"w": Tensor(model.params["w"].data - cfg.lr * step)}
         with T.no_grad():
             meta_losses = loss_fn(meta_batch, w_hat)
         return float(np.mean(meta_losses.data))
@@ -212,7 +196,7 @@ def test_meta_step_skipped_when_frozen():
     model = ToyModel(0.8)
     mrn = Mrn(hidden=4, rng=rng)
     state = MetaState(model.params, mrn, toy_loss_fn(model),
-                      MetaConfig(), freeze_mrn=True)
+                      TrainSettings(), freeze_mrn=True)
     before = {n: p.data.copy() for n, p in mrn.params.items()}
     state.lookahead_update([0.0, 2.0])
     state.meta_step([1.0, 1.0])
@@ -226,7 +210,7 @@ def test_meta_iteration_returns_weights_and_counts():
     model = ToyModel(0.0)
     mrn = Mrn(hidden=4, rng=np.random.default_rng(9))
     state = MetaState(model.params, mrn, toy_loss_fn(model),
-                      MetaConfig())
+                      TrainSettings())
     w = state.meta_iteration([0.0, 1.0, 2.0], [0.5, 1.5])
     assert w.shape == (3,)
     assert np.all((w > 0) & (w < 1))
@@ -238,12 +222,12 @@ def test_meta_iteration_returns_weights_and_counts():
 
 
 def test_reduction_to_half_weighted_adam():
-    cfg = MetaConfig(alpha=0.03, normalize_weights=False, weight_decay=1e-4)
+    cfg = TrainSettings(lr=0.03, normalize_weights=False, weight_decay=1e-4)
     model = ToyModel(3.0)
     state = MetaState(model.params, Mrn(hidden=4), toy_loss_fn(model), cfg,
                       freeze_mrn=True)
     ref = Tensor(np.array([3.0]), requires_grad=True)
-    ref_opt = Adam(cfg.alpha, cfg.betas, cfg.eps, cfg.weight_decay)
+    ref_opt = Adam(cfg.lr, cfg.betas, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(3)
     for _ in range(10):
         batch = list(rng.uniform(0.0, 6.0, 4))

@@ -55,10 +55,10 @@ def test_label_maps_agree_on_their_shared_boundary():
 # fixtures
 
 
-def tiny_factory(rng, num_classes, eca=True, prep=None):
+def tiny_factory(rng, num_classes):
     return AestheticNet(rng, in_channels=3, stem_channels=4,
                         stage_channels=(4,), head_width=4,
-                        num_classes=num_classes, eca=eca)
+                        num_classes=num_classes, eca=True)
 
 
 def spread_samples(rng, n=24, side=8):
@@ -294,7 +294,6 @@ def test_run_pipeline_pcr_variant():
     assert art.c2 is not None and art.c2.num_classes == 2
     assert art.split is not None
     assert set(art.split.pseudo) == {s.id for s in samples}
-    assert art.binary_report is not None and len(art.binary_report) == 10
     assert {"r_all", "c2"} <= set(art.history)
     img = images[samples[0].id]
     assert art.predict(img) == fuse_score(art.c2, art.r0, art.r1, art.r_all, img)
@@ -320,45 +319,40 @@ def test_run_pipeline_pcr_branch_fallback():
 
 def ablation_fixture(rng):
     samples, images = spread_samples(rng, n=16)
-    return samples[:10], samples[10:13], samples[13:], {"crop": images}
+    return samples[:10], samples[10:13], samples[13:], images
 
 
 def test_run_ablation_validates_requests():
     rng = np.random.default_rng(13)
-    train, valid, test, by_prep = ablation_fixture(rng)
-    factory = lambda r, k, eca, prep: tiny_factory(r, k, eca=eca)
+    train, valid, test, images = ablation_fixture(rng)
     with pytest.raises(ConfigError):
-        run_ablation([{"variant": "r", "prep": "crop", "eca": True,
-                       "mrn": False, "extra": 1}], train, valid, test,
-                     by_prep, factory, fast_settings(), fast_settings())
-    with pytest.raises(ConfigError):
-        run_ablation([{"variant": "x", "prep": "crop", "eca": True,
-                       "mrn": False}], train, valid, test, by_prep, factory,
+        run_ablation([{"variant": "r", "mrn": False, "prep": "crop"}],
+                     train, valid, test, images, tiny_factory,
                      fast_settings(), fast_settings())
     with pytest.raises(ConfigError):
-        run_ablation([{"variant": "r", "prep": "aab", "eca": True,
-                       "mrn": False}], train, valid, test, by_prep, factory,
-                     fast_settings(), fast_settings())
+        run_ablation([{"variant": "x", "mrn": False}], train, valid, test,
+                     images, tiny_factory, fast_settings(), fast_settings())
 
 
 def test_run_ablation_runs_cells_in_order():
     rng = np.random.default_rng(14)
-    train, valid, test, by_prep = ablation_fixture(rng)
-    factory = lambda r, k, eca, prep: tiny_factory(r, k, eca=eca)
-    requests = [
-        {"variant": "r", "prep": "crop", "eca": True, "mrn": False},
-        {"variant": "r", "prep": "crop", "eca": False, "mrn": False},
-    ]
-    results = run_ablation(requests, train, valid, test, by_prep, factory,
+    train, valid, test, images = ablation_fixture(rng)
+    requests = [{"variant": "r", "mrn": False},
+                {"variant": "cr", "mrn": False}]
+    results = run_ablation(requests, train, valid, test, images, tiny_factory,
                            fast_settings(), fast_settings())
-    assert [r["eca"] for r in results] == [True, False]
+    assert [(r["variant"], r["mrn"]) for r in results] == [("r", False),
+                                                           ("cr", False)]
     for r in results:
         assert isinstance(r["artifacts"], PipelineArtifacts)
+        assert r["artifacts"].variant == r["variant"]
         assert np.isfinite(r["report"].mse)
 
-    # the two cells use independent seeded streams, so same request twice
-    # in one call still reproduces across calls
-    again = run_ablation(requests, train, valid, test, by_prep, factory,
+    # every cell runs on its own seeded stream, so a rerun reproduces
+    # each cell's scores exactly
+    again = run_ablation(requests, train, valid, test, images, tiny_factory,
                          fast_settings(), fast_settings())
-    assert again[0]["report"].mse == results[0]["report"].mse
+    for first, second in zip(results, again):
+        np.testing.assert_array_equal(first["predictions"],
+                                      second["predictions"])
 
