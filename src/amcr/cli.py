@@ -223,6 +223,15 @@ def cmd_train_binary(args) -> int:
                           _class_settings(cfg), rng, use_mrn=cfg.meta_mrn,
                           meta_samples=meta)
     _save_model(args, "c2", model, cfg, result.iterations)
+    # branches split by an earlier router must not be scored through this one
+    stale = [path for path in (_model_path(args, "r0"), _model_path(args, "r1"),
+                               os.path.join(args.out, "split.csv"))
+             if os.path.exists(path)]
+    for path in stale:
+        os.remove(path)
+    if stale:
+        print(f"warning: removed {', '.join(stale)}: they belong to the "
+              f"previous router", file=sys.stderr)
     print(f"binary stage done: best validation accuracy "
           f"{result.best_metric:.4f} over {result.iterations} iterations")
     return 0

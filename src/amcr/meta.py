@@ -22,6 +22,11 @@ batch:
      parameters take an Adam step on grad = sum_i c_i g_i, reusing the
      cached g_i (w has not moved since they were taken).
 
+The cached g_i are the rows of one (n, P) matrix over the P trainable
+entries, allocated once per MetaState and overwritten every iteration.
+Both sums over c_i g_i accumulate its rows in sample order, and the
+meta-gradient's d_i are one matrix-vector product with it.
+
 The lookahead uses plain SGD while both outer updates use Adam; the
 analytic meta-gradient is exact only for the SGD form of the lookahead.
 """
@@ -37,6 +42,9 @@ from .optim import Adam
 from .tensor import Tensor
 
 EPS_NORMALIZE = 1e-8
+# columns per pass of _weighted_row_sum: the accumulator block stays in
+# cache while every row adds into it
+ROW_SUM_BLOCK = 16384
 
 
 def weight_coefficients(values: np.ndarray, normalize: bool):
@@ -53,6 +61,24 @@ def weight_coefficients(values: np.ndarray, normalize: bool):
             warnings.warn("all sample weights are zero; weighted loss collapses to 0")
         return values / s, s
     return values / n, float(n)
+
+
+def _weighted_row_sum(coeff, rows):
+    """sum_i coeff[i] * rows[i] as one new flat vector.
+
+    Rows are added in sample order, so every element sees the float
+    operations of a per-sample loop `acc += coeff[i] * g_i`.
+    """
+    n, width = rows.shape
+    total = np.zeros(width)
+    term = np.empty(min(width, ROW_SUM_BLOCK))
+    for lo in range(0, width, ROW_SUM_BLOCK):
+        acc = total[lo:lo + ROW_SUM_BLOCK]
+        tmp = term[:acc.size]
+        for i in range(n):
+            np.multiply(rows[i, lo:lo + ROW_SUM_BLOCK], coeff[i], out=tmp)
+            acc += tmp
+    return total
 
 
 class MetaState:
@@ -90,7 +116,26 @@ class MetaState:
                              weight_decay=settings.weight_decay)
         self.t = 0
         self._cache = None
+        # column range of each trainable parameter in a gradient row
+        self._bounds = {}
+        width = 0
+        for name in self.trainable:
+            size = params[name].data.size
+            self._bounds[name] = (width, width + size)
+            width += size
+        self._width = width
+        self._rows = None  # per-sample gradient buffer, grown to the largest batch
         self.last_losses = np.zeros(0)  # per-sample losses of the last lookahead
+
+    def _gradient_rows(self, n: int) -> np.ndarray:
+        if self._rows is None or self._rows.shape[0] < n:
+            self._rows = np.empty((n, self._width))
+        return self._rows[:n]
+
+    def _unflatten(self, flat) -> dict:
+        """Per-parameter views of a flat vector in gradient-row layout."""
+        return {name: flat[lo:hi].reshape(self.params[name].data.shape)
+                for name, (lo, hi) in self._bounds.items()}
 
     # stage 1 -------------------------------------------------------------
 
@@ -104,23 +149,23 @@ class MetaState:
             raise ShapeError(
                 f"loss_fn returned {losses.shape} for a batch of {len(batch)}")
         subset = {n: self.params[n] for n in self.trainable}
-        g_list = T.per_sample_gradients(losses, subset)
+        rows = self._gradient_rows(len(batch))
+        T.per_sample_gradients(losses, subset, out=rows)
         loss_values = losses.data.copy()
         v = mrn_forward(loss_values, self.mrn)
         coeff, s = weight_coefficients(v.data, self.settings.normalize_weights)
+        # w_hat = w - alpha * step, built in place in the step vector:
+        # w + (-alpha * step) rounds exactly like w - alpha * step
+        step = _weighted_row_sum(coeff, rows)
+        step *= -self.settings.lr
         w_hat = {}
-        for name in self.trainable:
-            step = np.zeros_like(self.params[name].data)
-            for i in range(len(batch)):
-                step += coeff[i] * g_list[i][name]
-            w_hat[name] = Tensor(
-                self.params[name].data - self.settings.lr * step,
-                requires_grad=True)
+        for name, view in self._unflatten(step).items():
+            view += self.params[name].data
+            w_hat[name] = Tensor(view, requires_grad=True)
         self._cache = {
             "stage": "lookahead",
-            "batch": batch,
             "loss_values": loss_values,
-            "g_list": g_list,
+            "rows": rows,
             "v": v,
             "coeff": coeff,
             "s": s,
@@ -149,15 +194,12 @@ class MetaState:
             p.zero_grad()
         meta_loss.backward()
 
-        g_list = cache["g_list"]
-        n = len(cache["batch"])
-        d = np.zeros(n)
-        for name in self.trainable:
-            gw = w_hat[name].grad
-            if gw is None:
-                continue
-            for i in range(n):
-                d[i] += float(np.sum(g_list[i][name] * gw))
+        # d_i = g_i . grad_{w_hat}(meta loss); unreached parameters add 0
+        gw = np.zeros(self._width)
+        for name, (lo, hi) in self._bounds.items():
+            if w_hat[name].grad is not None:
+                gw[lo:hi] = w_hat[name].grad.reshape(-1)
+        d = cache["rows"] @ gw
 
         # S is n in plain mode, where D drops out
         big_d = (float(np.sum(cache["coeff"] * d))
@@ -196,14 +238,7 @@ class MetaState:
             v_new = mrn_forward(cache["loss_values"], self.mrn)
         coeff, _ = weight_coefficients(v_new.data,
                                        self.settings.normalize_weights)
-        g_list = cache["g_list"]
-        n = len(cache["batch"])
-        grads = {}
-        for name in self.trainable:
-            acc = np.zeros_like(self.params[name].data)
-            for i in range(n):
-                acc += coeff[i] * g_list[i][name]
-            grads[name] = acc
+        grads = self._unflatten(_weighted_row_sum(coeff, cache["rows"]))
         self.adam_main.step(self.params, grads)
         self._cache = None
         return v_new.data

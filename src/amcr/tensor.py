@@ -64,9 +64,8 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # never in place: `add` hands the same g to both of its parents
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self, seed=None):
         """Backpropagate from this tensor.
@@ -297,9 +296,14 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     out = kernels.conv2d_forward(xd, kd, stride, padding)
 
     def backward(g):
+        # skip the gradient no parent needs (the stem's input is the image)
         g = np.ascontiguousarray(g)
-        return ((x, kernels.conv2d_backward_input(g, kd, stride, padding, h, w)),
-                (k, kernels.conv2d_backward_kernel(g, xd, stride, padding, kh, kw)))
+        out = []
+        if x.requires_grad:
+            out.append((x, kernels.conv2d_backward_input(g, kd, stride, padding, h, w)))
+        if k.requires_grad:
+            out.append((k, kernels.conv2d_backward_kernel(g, xd, stride, padding, kh, kw)))
+        return out
 
     return _make(out, (x, k), backward, "conv2d")
 
@@ -401,14 +405,22 @@ def cross_entropy_logits(z: Tensor, label: int) -> Tensor:
 # per-sample gradients
 
 
-def per_sample_gradients(loss_vector: Tensor, params):
+def per_sample_gradients(loss_vector: Tensor, params, out=None):
     """Gradient of each entry of `loss_vector` w.r.t. every tensor in `params`.
 
-    `loss_vector` must be a `stack` of per-sample scalars. Returns a list
-    (one dict per sample) mapping parameter name to its gradient array;
-    parameters a sample does not reach get zeros. The mean of the
-    returned gradients equals the gradient of the mean loss up to float
-    summation order.
+    `loss_vector` must be a `stack` of per-sample scalars. Sample i's
+    gradients go to row i of one (n, P) float64 matrix: the parameters in
+    `params` order, each flattened, P their total size. `out` is that
+    matrix when given (a buffer reused across calls; every entry is
+    overwritten, so parameters a sample does not reach get zero rows
+    whatever the buffer held), else a new one. Every parameter's `.grad`
+    is cleared before each sample, so a gradient left from an earlier
+    backward does not leak into sample 0, and is left cleared.
+
+    Returns a list (one dict per sample) mapping parameter name to its
+    gradient, a view into the sample's row. The mean of the returned
+    gradients equals the gradient of the mean loss up to float summation
+    order.
     """
     if not isinstance(loss_vector, Tensor) or not loss_vector.requires_grad:
         raise TapeError("per_sample_gradients: loss vector is detached from the graph")
@@ -418,18 +430,26 @@ def per_sample_gradients(loss_vector: Tensor, params):
         raise TapeError("per_sample_gradients: loss vector must be a stack "
                         "of per-sample scalars")
     named = dict(params) if isinstance(params, dict) else {str(i): p for i, p in enumerate(params)}
+    layout, width = [], 0  # (name, parameter, first column, end column)
+    for name, p in named.items():
+        layout.append((name, p, width, width + p.data.size))
+        width += p.data.size
+    shape = (loss_vector.shape[0], width)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ShapeError(f"per_sample_gradients: out is {out.dtype} {out.shape}, "
+                         f"needs float64 {shape}")
 
-    def snapshot():
-        out = {}
-        for name, p in named.items():
-            out[name] = np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-            p.grad = None
-        return out
-
-    grads = []
-    for scalar in loss_vector._prev:
+    for p in named.values():
+        p.grad = None
+    for i, scalar in enumerate(loss_vector._prev):
         # each per-sample scalar backpropagates through its own subgraph
         if scalar.requires_grad:
             scalar.backward()
-        grads.append(snapshot())
-    return grads
+        row = out[i]
+        for _, p, lo, hi in layout:
+            row[lo:hi] = 0.0 if p.grad is None else p.grad.reshape(-1)
+            p.grad = None
+    return [{name: out[i, lo:hi].reshape(p.data.shape) for name, p, lo, hi in layout}
+            for i in range(shape[0])]

@@ -284,6 +284,40 @@ def test_train_removes_checkpoints_of_branches_it_did_not_train(tmp_path):
                  "--variant", "pcr"]) == 0
 
 
+def test_train_binary_removes_what_the_previous_router_split(tmp_path, capsys):
+    cfg, out = fresh_data(tmp_path)
+    run = ["--config", str(cfg), "--out", str(out), "--variant", "pcr"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small branches may fall back
+        assert main(["train"] + run) == 0
+    stale = [path for path in (out / "models" / "r0.ckpt",
+                               out / "models" / "r1.ckpt", out / "split.csv")
+             if path.exists()]
+    assert out / "split.csv" in stale
+    capsys.readouterr()
+    assert main(["train-binary"] + run) == 0
+    warned = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("warning:")]
+    assert len(warned) == 1
+    for path in stale:
+        assert not path.exists()
+        assert str(path) in warned[0]
+    assert main(["evaluate"] + run) == 0
+
+
+def test_train_with_reweighting_reruns_byte_identical(tmp_path):
+    checkpoints = []
+    for name in ("a", "b"):
+        root = tmp_path / name
+        root.mkdir()
+        cfg, out = fresh_data(root)
+        assert main(["train", "--config", str(cfg), "--out", str(out),
+                     "--mrn", "on"]) == 0
+        checkpoints.append({path.name: path.read_bytes()
+                            for path in (out / "models").iterdir()})
+    assert checkpoints[0] and checkpoints[0] == checkpoints[1]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -5,8 +5,9 @@ baseline reduction, and balanced meta-set construction."""
 import numpy as np
 import pytest
 
+from amcr import meta
 from amcr import tensor as T
-from amcr.blocks import Mrn, mrn_forward
+from amcr.blocks import AestheticNet, Mrn, mrn_forward
 from amcr.errors import DataError, ParameterError, StateError
 from amcr.meta import (EPS_NORMALIZE, MetaState, build_meta_set, segment_of,
                        weight_coefficients)
@@ -238,6 +239,113 @@ def test_reduction_to_half_weighted_adam():
             acc += (0.5 / 4.0) * np.array([2.0 * (float(ref.data[0]) - t)])
         ref_opt.step({"w": ref}, {"w": acc})
         assert float(model.params["w"].data[0]) == float(ref.data[0])  # bitwise
+
+
+# ---------------------------------------------------------------------------
+# the gradient-row matrix against per-sample dict loops on a small network
+
+
+def tiny_net_setup(normalize):
+    """A small AestheticNet and reweighting network, built fresh from
+    fixed seeds so two calls give bitwise-equal starting points."""
+    rng = np.random.default_rng(31)
+    net = AestheticNet(rng, stem_channels=4, stage_channels=(4,), head_width=8)
+    mrn = Mrn(hidden=6, rng=rng)
+    mrn.params["mrn.w2"].data = rng.normal(size=(6, 1))
+    mrn.params["mrn.b2"].data = rng.normal(size=(1,))
+    images = rng.normal(size=(8, 3, 8, 8))
+    labels = rng.integers(0, 10, size=8)
+
+    def loss_fn(batch, override):
+        # the class loss never reaches head.reg.*: their rows stay zero
+        return T.stack([T.cross_entropy_logits(
+            net.forward(Tensor(images[i]), override)[0], int(labels[i]))
+            for i in batch])
+
+    settings = TrainSettings(lr=0.05, mrn_lr=0.01, normalize_weights=normalize)
+    return net, mrn, loss_fn, settings
+
+
+def reference_lookahead(params, mrn, loss_fn, settings, batch):
+    """Stage 1 written with one gradient dict per sample."""
+    losses = loss_fn(batch, None)
+    g_list = T.per_sample_gradients(losses, params)
+    v = mrn_forward(losses.data, mrn)
+    coeff, s = weight_coefficients(v.data, settings.normalize_weights)
+    w_hat = {}
+    for name in params:
+        step = np.zeros_like(params[name].data)
+        for i in range(len(batch)):
+            step += coeff[i] * g_list[i][name]
+        w_hat[name] = Tensor(params[name].data - settings.lr * step,
+                             requires_grad=True)
+    return losses.data.copy(), g_list, v, coeff, s, w_hat
+
+
+def reference_meta_gradient(mrn, loss_fn, settings, meta_batch, cache):
+    loss_values, g_list, v, coeff, s, w_hat = cache
+    T.tmean(loss_fn(meta_batch, w_hat)).backward()
+    d = np.zeros(len(g_list))
+    for name, p in w_hat.items():
+        if p.grad is not None:
+            for i in range(len(g_list)):
+                d[i] += float(np.sum(g_list[i][name] * p.grad))
+    big_d = float(np.sum(coeff * d)) if settings.normalize_weights else 0.0
+    T.tsum(T.mul(v, Tensor(-(settings.lr / s) * (d - big_d)))).backward()
+    return {n: p.grad for n, p in mrn.params.items()}
+
+
+def reference_main_grads(params, mrn, settings, cache):
+    loss_values, g_list = cache[:2]
+    with T.no_grad():
+        v_new = mrn_forward(loss_values, mrn)
+    coeff, _ = weight_coefficients(v_new.data, settings.normalize_weights)
+    grads = {}
+    for name in params:
+        acc = np.zeros_like(params[name].data)
+        for i in range(len(g_list)):
+            acc += coeff[i] * g_list[i][name]
+        grads[name] = acc
+    return grads
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_meta_iteration_matches_per_sample_loops(normalize, monkeypatch):
+    # a block narrower than most parameters, with a ragged last block
+    monkeypatch.setattr(meta, "ROW_SUM_BLOCK", 7)
+    batch, meta_batch = [0, 1, 2, 3, 4], [5, 6, 7]
+    net, mrn, loss_fn, settings = tiny_net_setup(normalize)
+    state = MetaState(net.parameters(), mrn, loss_fn, settings)
+    state._gradient_rows(len(batch) + 2).fill(1e300)  # a dirty, larger buffer
+    ref_net, ref_mrn, ref_loss_fn, _ = tiny_net_setup(normalize)
+    ref_params = ref_net.parameters()
+
+    w_hat = state.lookahead_update(batch)
+    cache = reference_lookahead(ref_params, ref_mrn, ref_loss_fn, settings, batch)
+    for name, p in cache[-1].items():
+        np.testing.assert_array_equal(w_hat[name].data, p.data)
+    # the reused, dirty buffer holds the rows a fresh per-sample call gives
+    for row, grads in zip(state._cache["rows"], cache[1]):
+        np.testing.assert_array_equal(
+            row, np.concatenate([g.ravel() for g in grads.values()]))
+
+    state.meta_step(meta_batch)
+    ref_grads = reference_meta_gradient(ref_mrn, ref_loss_fn, settings,
+                                        meta_batch, cache)
+    Adam(settings.mrn_lr, settings.betas, weight_decay=settings.weight_decay
+         ).step(ref_mrn.params, ref_grads)
+    for name, p in ref_mrn.params.items():
+        # only the summation order of d_i differs
+        np.testing.assert_allclose(mrn.params[name].data, p.data, rtol=1e-12)
+
+    # the main step from the same reweighting network is bitwise the loop's
+    for name, p in mrn.params.items():
+        ref_mrn.params[name].data = p.data.copy()
+    state.main_step()
+    Adam(settings.lr, settings.betas, weight_decay=settings.weight_decay
+         ).step(ref_params, reference_main_grads(ref_params, ref_mrn, settings, cache))
+    for name, p in ref_params.items():
+        np.testing.assert_array_equal(net.parameters()[name].data, p.data)
 
 
 # ---------------------------------------------------------------------------

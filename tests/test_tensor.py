@@ -144,6 +144,28 @@ def test_conv2d_rejects_even_kernel_and_empty_output():
         T.conv2d(leaf(rng, 1, 1, 1), leaf(rng, 1, 1, 5, 5), stride=1, padding=0)
 
 
+def test_conv2d_backward_computes_only_the_needed_gradients(monkeypatch):
+    rng = np.random.default_rng(20)
+    image = rng.normal(size=(2, 5, 5))
+    k = leaf(rng, 3, 2, 3, 3)
+    x = Tensor(image, requires_grad=True)
+    T.tsum(T.conv2d(x, k, stride=2, padding=1)).backward()
+    want = k.grad
+    calls = {"conv2d_backward_input": 0, "conv2d_backward_kernel": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(T.kernels, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(T.kernels, name, counted)
+    k.zero_grad()
+    T.tsum(T.conv2d(Tensor(image), k, stride=2, padding=1)).backward()
+    assert calls == {"conv2d_backward_input": 0, "conv2d_backward_kernel": 1}
+    np.testing.assert_array_equal(k.grad, want)
+    frozen = Tensor(k.data)
+    T.tsum(T.conv2d(Tensor(image, requires_grad=True), frozen, padding=1)).backward()
+    assert calls == {"conv2d_backward_input": 1, "conv2d_backward_kernel": 1}
+
+
 def test_conv1d_channel_oracle_and_gradient():
     # correlate([1,2,3], [1,1,1], same) with zero ends -> [3, 6, 5]
     x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
@@ -188,6 +210,16 @@ def test_backward_accumulates_into_shared_leaf():
     y = T.add(T.mul(x, x), T.mul(x, x))
     T.tsum(y).backward()
     assert x.grad == pytest.approx(np.array([8.0]))
+
+
+def test_backward_keeps_leaves_sharing_one_gradient_apart():
+    # add hands one upstream array to both parents
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    T.tsum(T.add(a, b)).backward()
+    T.tsum(T.scale(a, 2.0)).backward()
+    np.testing.assert_array_equal(a.grad, [3.0, 3.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
 
 def test_backward_seed():
@@ -262,6 +294,44 @@ def test_per_sample_gradients_match_seeded_backward():
             fresh.backward(seed=seed)
             assert rel_err(per[i]["w"], w.grad) < 1e-12
             assert rel_err(per[i]["b"], b.grad) < 1e-12
+
+
+def test_per_sample_gradients_ignore_a_stale_grad():
+    w = Tensor(np.array(2.0), requires_grad=True)
+
+    def losses():
+        return T.stack([T.mul(w, w), T.scale(w, 3.0)])
+
+    T.tmean(losses()).backward()
+    assert float(w.grad) == 3.5  # left over from the mean-loss backward
+    per = T.per_sample_gradients(losses(), {"w": w})
+    assert [float(g["w"]) for g in per] == [4.0, 3.0]
+    assert w.grad is None
+
+
+def test_per_sample_gradients_fill_rows_of_out():
+    rng = np.random.default_rng(19)
+    w = leaf(rng, 2, 3)
+    b = leaf(rng, 3)
+    unused = leaf(rng, 2)  # no sample reaches it
+    xs = rng.normal(size=(3, 2))
+
+    def losses():
+        return T.stack([T.tsum(T.add_rowvec(T.matmul(Tensor(xs[i:i + 1]), w), b))
+                        for i in range(3)])
+
+    fresh = T.per_sample_gradients(losses(), {"w": w, "b": b, "unused": unused})
+    out = rng.normal(size=(3, 11)) * 1e6  # garbage from an earlier call
+    per = T.per_sample_gradients(losses(), {"w": w, "b": b, "unused": unused},
+                                 out=out)
+    for i in range(3):
+        np.testing.assert_array_equal(out[i], np.concatenate(
+            [fresh[i]["w"].ravel(), fresh[i]["b"], np.zeros(2)]))
+        for name in ("w", "b", "unused"):
+            np.testing.assert_array_equal(per[i][name], fresh[i][name])
+            assert np.shares_memory(per[i][name], out)
+    with pytest.raises(ShapeError):
+        T.per_sample_gradients(losses(), {"w": w, "b": b}, out=out)
 
 
 def test_per_sample_gradients_reject_detached():
