@@ -8,7 +8,7 @@ training (`pipeline`, `training`), metrics, synthetic data tooling (`data`,
 `pnm`), checkpointing, and a CLI.
 """
 
-from .blocks import AestheticNet, EcaBlock, Mrn, eca_kernel_size, mrn_forward
+from .blocks import AestheticNet, Mrn, eca_kernel_size, mrn_forward
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash, default_config, load_config
 from .data import Sample, SynthSpec, generate_dataset, load_manifest, save_manifest
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AestheticNet", "Adam", "AmcrError", "ConfigError", "DataError",
-    "DependencyError", "EcaBlock", "FormatError", "MetaState",
+    "DependencyError", "FormatError", "MetaState",
     "Mrn", "ParameterError", "PipelineArtifacts", "PlateauScheduler",
     "RunConfig", "Sample", "ShapeError", "StateError", "SynthSpec",
     "TapeError", "Tensor", "TrainResult", "TrainSettings", "VersionError",

@@ -46,41 +46,12 @@ def eca_kernel_size(channels: int, mode: str = "ceil_odd") -> int:
     return max(k, 1)
 
 
-class EcaBlock:
-    """Channel attention: squeeze to a channel vector, convolve each
-    channel with its k neighbors, gate the input by the sigmoid output."""
-
-    def __init__(self, channels: int, kernel_mode: str = "ceil_odd", rng=None):
-        self.channels = int(channels)
-        self.kernel_mode = kernel_mode
-        self.k = eca_kernel_size(self.channels, kernel_mode)
-        if self.k > self.channels:
-            raise ParameterError(
-                f"attention kernel {self.k} exceeds channel count {self.channels}")
-        if rng is None:
-            weights = np.zeros(self.k)
-        else:
-            weights = rng.normal(scale=1.0 / math.sqrt(self.k), size=self.k)
-        self.kernel = Tensor(weights, requires_grad=True)
-
-    def __call__(self, x: Tensor, kernel: Tensor = None) -> Tensor:
-        return eca_forward(x, self, kernel)
-
-
-def eca_forward(x: Tensor, block: EcaBlock, kernel: Tensor = None) -> Tensor:
-    x = T.as_tensor(x)
-    if x.data.ndim != 3 or x.shape[0] != block.channels:
-        raise ShapeError(f"expected ({block.channels},h,w), got {x.shape}")
-    k = block.kernel if kernel is None else kernel
-    pooled = T.global_avg_pool(x)
-    attention = T.sigmoid(T.conv1d_channel(pooled, k))
+def eca_forward(x: Tensor, kernel: Tensor) -> Tensor:
+    """Channel attention on a (C,H,W) map: squeeze it to a channel vector,
+    convolve each channel with its len(kernel) neighbors, gate the input
+    by the sigmoid output."""
+    attention = T.sigmoid(T.conv1d_channel(T.global_avg_pool(x), kernel))
     return T.scale_channels(x, attention)
-
-
-def aab_pool(features: Tensor, pool_target: int) -> Tensor:
-    """Adaptive average pool of the stem output down to a fixed square."""
-    t = int(pool_target)
-    return T.adaptive_avg_pool2d(features, (t, t))
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +91,6 @@ class Mrn:
             "mrn.b2": Tensor(b2, requires_grad=True),
         }
 
-    def parameters(self):
-        return self.params
-
-    def __call__(self, losses, params=None) -> Tensor:
-        return mrn_forward(losses, self, params)
-
 
 def mrn_forward(losses, mrn: Mrn, params=None) -> Tensor:
     """Map n detached sample losses to n weights in (0,1).
@@ -158,19 +123,21 @@ class AestheticNet:
 
     Layout: stem conv (stride 2) -> optional adaptive square pooling
     (pad-to-square preparation feeds this) -> stride-2 stages with
-    optional channel attention -> reduce conv -> 1x1 pool -> heads.
+    optional channel attention -> reduce conv -> global pool -> heads.
     `num_classes` is 10 for score-decile classification and 2 for the
     binary quality model used to route samples. Without an rng every
     weight starts at zero, ready to be overwritten from a checkpoint.
     """
 
     STEM_STRIDE = 2
+    # scores live on a 0..10 scale; starting the regression output at the
+    # midpoint keeps first-iteration losses near the score variance
+    MID_SCORE = 5.0
 
     def __init__(self, rng=None, in_channels: int = 3, stem_channels: int = 24,
                  stage_channels=(48, 96, 128), head_width: int = 448,
                  num_classes: int = 10, eca: bool = True,
-                 eca_mode: str = "ceil_odd", pool_target: int = None,
-                 reg_bias: float = 5.0):
+                 eca_mode: str = "ceil_odd", pool_target: int = None):
         if stem_channels < 2 or any(c < 2 for c in stage_channels):
             raise ParameterError("channel counts must be >= 2")
         if head_width < 1:
@@ -185,7 +152,6 @@ class AestheticNet:
         self.eca = bool(eca)
         self.eca_mode = eca_mode
         self.pool_target = None if pool_target is None else int(pool_target)
-        self.eca_blocks = {}
         self.params = {}
 
         def draw(scale, size):
@@ -210,19 +176,14 @@ class AestheticNet:
         for i, c in enumerate(self.stage_channels):
             conv(f"stage{i}.w", c, prev)
             if self.eca:
-                block = EcaBlock(c, eca_mode, rng=rng)
-                self.eca_blocks[i] = block
-                self.params[f"stage{i}.eca"] = block.kernel
+                k = eca_kernel_size(c, eca_mode)
+                self.params[f"stage{i}.eca"] = Tensor(
+                    draw(1.0 / math.sqrt(k), k), requires_grad=True)
             prev = c
         conv("head.reduce.w", self.head_width, prev)
         linear("head.class", self.head_width, self.num_classes)
         linear("head.reg", self.head_width, 1)
-        # scores live on a 0..10 scale; starting the regression output at
-        # the midpoint keeps first-iteration losses near the score variance
-        self.params["head.reg.b"].data[:] = float(reg_bias)
-
-    def parameters(self):
-        return self.params
+        self.params["head.reg.b"].data[:] = self.MID_SCORE
 
     def trainable_names(self, phase: str = "all"):
         """Parameter names updated in a phase: classification trains
@@ -243,49 +204,32 @@ class AestheticNet:
             raise ShapeError(f"expected ({self.in_channels},H,W), got {x.shape}")
         x = T.relu(T.conv2d(x, p["stem.w"], stride=self.STEM_STRIDE, padding=1))
         if self.pool_target is not None:
-            x = aab_pool(x, self.pool_target)
+            x = T.adaptive_avg_pool2d(x, (self.pool_target, self.pool_target))
         for i in range(len(self.stage_channels)):
             x = T.relu(T.conv2d(x, p[f"stage{i}.w"], stride=2, padding=1))
             if self.eca:
-                x = eca_forward(x, self.eca_blocks[i], p[f"stage{i}.eca"])
+                x = eca_forward(x, p[f"stage{i}.eca"])
         x = T.relu(T.conv2d(x, p["head.reduce.w"], stride=1, padding=1))
-        x = T.adaptive_avg_pool2d(x, (1, 1))
-        return T.flatten(x)
-
-    def _head_input(self, x, params):
-        """Pooled features of a (C,H,W) image, or a cached (head_width,)
-        feature vector passed through after a length check."""
-        x = T.as_tensor(x)
-        if x.data.ndim != 1:
-            return self.features(x, params)
-        if x.shape[0] != self.head_width:
-            raise ShapeError(f"expected ({self.head_width},) features, got {x.shape}")
-        return x
+        return T.global_avg_pool(x)
 
     def score(self, x, params=None) -> Tensor:
-        """Regression score alone for one (C,H,W) image or one cached
-        (head_width,) feature vector; the class head is not evaluated."""
+        """Regression score of one (C,H,W) image or one cached
+        (head_width,) feature vector; a vector skips the backbone, and the
+        class head is not evaluated."""
         p = self.params if params is None else {**self.params, **params}
-        row = T.reshape(self._head_input(x, params), (1, self.head_width))
-        return self._reg_head(row, p)
-
-    @staticmethod
-    def _reg_head(row, p) -> Tensor:
-        """Scalar regression output of one (1, head_width) feature row."""
+        x = T.as_tensor(x)
+        if x.data.ndim != 1:
+            x = self.features(x, params)
+        elif x.shape[0] != self.head_width:
+            raise ShapeError(f"expected ({self.head_width},) features, got {x.shape}")
+        row = T.reshape(x, (1, self.head_width))
         return T.reshape(T.add_rowvec(
             T.matmul(row, p["head.reg.w"]), p["head.reg.b"]), ())
 
-    def forward(self, x, params=None):
-        """(class logits, regression score, pooled features) for one
-        (C,H,W) image or one cached (head_width,) feature vector; a vector
-        skips the backbone and goes straight to the heads, which share
-        one (1, head_width) row."""
+    def forward(self, img, params=None) -> Tensor:
+        """Class logits (num_classes,) of one (C,H,W) image; the regression
+        head is not evaluated."""
         p = self.params if params is None else {**self.params, **params}
-        feat = self._head_input(x, params)
-        row = T.reshape(feat, (1, self.head_width))
-        logits = T.flatten(T.add_rowvec(
+        row = T.reshape(self.features(img, params), (1, self.head_width))
+        return T.flatten(T.add_rowvec(
             T.matmul(row, p["head.class.w"]), p["head.class.b"]))
-        return logits, self._reg_head(row, p), feat
-
-    def __call__(self, x, params=None):
-        return self.forward(x, params)

@@ -6,8 +6,9 @@ ablation, and the per-segment report. Every command is deterministic
 given the same config, seed, and input files, and artifacts carry no
 timestamps, so reruns are byte-identical.
 
-Exit codes: 0 success, 2 config, 3 data, 4 format/version, 5 missing
-dependency artifact, 6 state, 1 anything unexpected.
+Exit codes: 0 success, 2 config (a malformed file or a value a constructor
+rejects), 3 data, 4 format/version, 5 missing dependency artifact, 6 state,
+1 anything unexpected.
 """
 
 from __future__ import annotations
@@ -26,15 +27,17 @@ from .blocks import AestheticNet
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash, default_config, effective_batch, load_config
 from .errors import (AmcrError, ConfigError, DataError, DependencyError,
-                     FormatError, StateError)
+                     FormatError, ParameterError, StateError)
 from .image import aab_prepare, preprocess_crop, preprocess_resize
 from .meta import build_meta_set
 from .metrics import collapse_warnings, evaluate_scores, segment_report
 from .pipeline import (PipelineArtifacts, prepare_images, pseudo_split,
                        router_sets, run_ablation, run_pipeline, train_binary)
 
+# every ParameterError a command can raise comes from a config value
 _EXIT_CODES = (
     (ConfigError, 2),
+    (ParameterError, 2),
     (DataError, 3),
     (FormatError, 4),
     (DependencyError, 5),
@@ -149,7 +152,7 @@ def _prepare_one(cfg, image):
 
 
 def _save_model(args, name: str, model, cfg, iteration: int) -> None:
-    arrays = {"p." + k: v.data for k, v in model.parameters().items()}
+    arrays = {"p." + k: v.data for k, v in model.params.items()}
     path = _model_path(args, name)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     save_checkpoint(path, arrays, iteration, config_hash(cfg))
@@ -162,7 +165,7 @@ def _load_model(args, name: str, cfg, num_classes: int) -> AestheticNet:
     arrays, _iteration, _hash = load_checkpoint(path,
                                                 expect_hash=config_hash(cfg))
     model = _build_model(cfg, None, num_classes)
-    params = model.parameters()
+    params = model.params
     loaded = {k[2:]: v for k, v in arrays.items() if k.startswith("p.")}
     if loaded.keys() != params.keys() or any(
             params[name].data.shape != value.shape
@@ -180,10 +183,6 @@ def _write_csv(path: str, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _meta_set_for(cfg, train, rng):
-    return build_meta_set(train, cfg.meta_meta_quota, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +216,7 @@ def cmd_train_binary(args) -> int:
     rng = np.random.default_rng(cfg.train_seed)
     train = D.split_of(samples, "train")
     valid = D.split_of(samples, "valid")
-    meta = _meta_set_for(cfg, train, rng) if cfg.meta_mrn else None
+    meta = build_meta_set(train, cfg.meta_meta_quota, rng) if cfg.meta_mrn else None
     model = _build_model(cfg, rng, 2)
     result = train_binary(model, *router_sets(train, valid), images,
                           _class_settings(cfg), rng, use_mrn=cfg.meta_mrn,
@@ -257,7 +256,7 @@ def cmd_train(args) -> int:
     rng = np.random.default_rng(cfg.train_seed)
     train = D.split_of(samples, "train")
     valid = D.split_of(samples, "valid")
-    meta = _meta_set_for(cfg, train, rng) if cfg.meta_mrn else None
+    meta = build_meta_set(train, cfg.meta_meta_quota, rng) if cfg.meta_mrn else None
     factory = lambda r, k: _build_model(cfg, r, k)
     art = run_pipeline(cfg.pipeline_variant, train, valid, images, factory,
                        _class_settings(cfg), _reg_settings(cfg), rng,
@@ -390,7 +389,7 @@ def cmd_ablate(args) -> int:
     mrns = [cfg.meta_mrn] if args.mrn else [False, True]
     requests = [{"variant": v, "mrn": m} for v in variants for m in mrns]
     rng = np.random.default_rng(cfg.train_seed)
-    meta = _meta_set_for(cfg, train, rng) if any(mrns) else None
+    meta = build_meta_set(train, cfg.meta_meta_quota, rng) if any(mrns) else None
     factory = lambda r, k: _build_model(cfg, r, k)
     results = run_ablation(requests, train, valid, test, images, factory,
                            _class_settings(cfg), _reg_settings(cfg),

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import pnm
 from .errors import ConfigError, DataError, FormatError
-from .tensor import Tensor
 
 ATTRIBUTE_WEIGHTS = (0.25, 0.25, 0.25, 0.25)  # brightness, contrast, 1-offset, 1-noise
 MANIFEST_HEADER = ["id", "path", "score", "binary_label", "corrupted", "split"]
@@ -184,11 +183,6 @@ def load_manifest(path) -> list:
                     f"{corrupted!r}") from None
             samples.append(Sample(sid, rel, *numbers, split))
     return samples
-
-
-def load_image(path) -> Tensor:
-    """Read one PPM/PGM image as a float (C,H,W) tensor in [0,1]."""
-    return pnm.load_pnm(path)
 
 
 # ---------------------------------------------------------------------------

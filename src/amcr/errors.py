@@ -1,6 +1,6 @@
 """Exception taxonomy shared across the package.
 
-Every category maps to a stable CLI exit code (see cli.EXIT_CODES).
+Every category maps to a stable CLI exit code (see cli._EXIT_CODES).
 """
 
 

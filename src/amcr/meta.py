@@ -114,7 +114,6 @@ class MetaState:
                               weight_decay=settings.weight_decay)
         self.adam_mrn = Adam(settings.mrn_lr, settings.betas,
                              weight_decay=settings.weight_decay)
-        self.t = 0
         self._cache = None
         # column range of each trainable parameter in a gradient row
         self._bounds = {}
@@ -250,9 +249,7 @@ class MetaState:
         weights used by the main update."""
         self.lookahead_update(train_batch)
         self.meta_step(meta_batch)
-        weights = self.main_step()
-        self.t += 1
-        return weights
+        return self.main_step()
 
 
 def segment_of(score: float) -> int:

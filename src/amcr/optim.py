@@ -5,6 +5,8 @@ import numpy as np
 
 from .errors import ParameterError
 
+EPS = 1e-8  # keeps the step finite where the second moment is zero
+
 
 class Adam:
     """Adam over a name -> Tensor parameter dict with explicit gradients.
@@ -15,8 +17,7 @@ class Adam:
     (L2 style). Moments are exposed for checkpointing.
     """
 
-    def __init__(self, lr: float, betas=(0.98, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    def __init__(self, lr: float, betas=(0.98, 0.999), weight_decay: float = 0.0):
         if lr <= 0:
             raise ParameterError(f"step size must be positive, got {lr}")
         b1, b2 = float(betas[0]), float(betas[1])
@@ -25,7 +26,6 @@ class Adam:
         self.lr = float(lr)
         self.b1 = b1
         self.b2 = b2
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.m = {}
         self.v = {}
@@ -52,7 +52,7 @@ class Adam:
             self.v[name] = v
             mhat = m / (1.0 - self.b1 ** self.t)
             vhat = v / (1.0 - self.b2 ** self.t)
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + EPS)
 
 
 class PlateauScheduler:

@@ -24,8 +24,9 @@ import warnings
 
 import numpy as np
 
+from . import pnm
 from . import training as TR
-from .data import drop_mid_scores, load_image, make_amdc
+from .data import drop_mid_scores, make_amdc
 from .errors import ConfigError, DataError
 from .image import aab_prepare, preprocess_crop, preprocess_resize
 from .metrics import evaluate_scores
@@ -65,7 +66,7 @@ def prepare_images(samples, base_dir, prep: str, *, crop_side: int = 32,
     """Load and preprocess every sample once; id -> (C,H,W) float array."""
     out = {}
     for s in samples:
-        img = load_image(os.path.join(base_dir, s.path))
+        img = pnm.load_pnm(os.path.join(base_dir, s.path))
         if prep == "crop":
             out[s.id] = preprocess_crop(img, crop_side).data
         elif prep == "resize":
@@ -179,9 +180,10 @@ def train_branch(model, train, valid, images, class_settings: TrainSettings,
                          metric_mode="higher", use_mrn=use_mrn,
                          meta_samples=meta_samples, mrn=mrn)
 
-    # the backbone is frozen now, so each image collapses to one feature row
-    feats = TR.cache_features(model, list(train) + list(valid) +
-                              list(meta_samples or []), images)
+    # the backbone is frozen now, so each image collapses to one feature row;
+    # meta samples may also be train samples, so each id is cached once
+    unique = {s.id: s for s in [*train, *valid, *(meta_samples or [])]}
+    feats = TR.cache_features(model, list(unique.values()), images)
     reg_loss = TR.reg_loss_fn(model, feats)
     reg_valid = lambda: TR.eval_reg_feature_mse(model, valid, feats)
     phase2 = train_model(model, reg_loss, train, reg_valid, reg_settings, rng,

@@ -90,7 +90,7 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
     train_samples = list(train_samples)
     if not train_samples:
         raise DataError("empty training set")
-    params = model.parameters()
+    params = model.params
     trainable = list(params) if trainable is None else list(trainable)
     result = TrainResult()
 
@@ -168,7 +168,7 @@ def class_loss_fn(model, images: dict, label_of):
     def fn(batch, override):
         scalars = []
         for s in batch:
-            logits, _, _ = model.forward(Tensor(images[s.id]), override)
+            logits = model.forward(Tensor(images[s.id]), override)
             scalars.append(T.cross_entropy_logits(logits, label_of(s)))
         return T.stack(scalars)
     return fn
@@ -198,7 +198,7 @@ def cache_features(model, samples, images: dict) -> dict:
 
 def predict_class(model, image) -> int:
     with T.no_grad():
-        logits, _, _ = model.forward(T.as_tensor(image))
+        logits = model.forward(T.as_tensor(image))
     return int(np.argmax(logits.data))
 
 

@@ -1,12 +1,14 @@
 """Building blocks: attention kernel rule, reweighting network shape and
 neutrality, backbone geometry, and gradient flow through full forwards."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from amcr import tensor as T
-from amcr.blocks import (AestheticNet, EcaBlock, Mrn, aab_pool, eca_forward,
-                         eca_kernel_size, mrn_forward)
+from amcr.blocks import (AestheticNet, Mrn, eca_forward, eca_kernel_size,
+                         mrn_forward)
 from amcr.errors import DataError, ParameterError, ShapeError
 from amcr.tensor import Tensor
 
@@ -59,22 +61,27 @@ def test_kernel_size_validation():
 
 
 # ---------------------------------------------------------------------------
-# channel attention block
+# channel attention
+
+
+def eca_kernel(channels, rng):
+    """A trainable attention kernel drawn as the backbone draws it."""
+    k = eca_kernel_size(channels)
+    return Tensor(rng.normal(scale=1.0 / np.sqrt(k), size=k), requires_grad=True)
 
 
 def test_eca_zero_kernel_halves_channels():
     # zero kernel -> zero pre-activation -> sigmoid 0.5 on every channel
     x = Tensor(np.arange(2 * 3 * 3, dtype=np.float64).reshape(2, 3, 3))
-    block = EcaBlock(2)
-    out = block(x)
+    out = eca_forward(x, Tensor(np.zeros(eca_kernel_size(2))))
     np.testing.assert_allclose(out.data, 0.5 * x.data, rtol=0, atol=1e-12)
 
 
 def test_eca_gate_depends_on_channel_means():
     rng = np.random.default_rng(0)
-    block = EcaBlock(8, rng=rng)
+    kernel = eca_kernel(8, rng)
     x = rng.standard_normal((8, 4, 4))
-    out = block(Tensor(x)).data
+    out = eca_forward(Tensor(x), kernel).data
     # each channel is scaled by one scalar in (0,1)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = out / x
@@ -87,45 +94,37 @@ def test_eca_gate_depends_on_channel_means():
 
 def test_eca_preserves_shape_and_backprops():
     rng = np.random.default_rng(1)
-    block = EcaBlock(4, rng=rng)
+    kernel = eca_kernel(4, rng)
     x = Tensor(rng.standard_normal((4, 5, 5)), requires_grad=True)
-    out = block(x)
+    out = eca_forward(x, kernel)
     assert out.shape == (4, 5, 5)
     T.tsum(out).backward()
     assert x.grad is not None and np.any(x.grad != 0)
-    assert block.kernel.grad is not None and np.any(block.kernel.grad != 0)
+    assert kernel.grad is not None and np.any(kernel.grad != 0)
 
 
 def test_eca_kernel_gradient_matches_fd():
     rng = np.random.default_rng(2)
-    block = EcaBlock(8, rng=rng)
     x = rng.standard_normal((8, 3, 3))
-    arrs = {"k": block.kernel.data.copy()}
+    arrs = {"k": eca_kernel(8, rng).data.copy()}
 
     def f():
         k = Tensor(arrs["k"], requires_grad=True)
-        return float(T.tsum(eca_forward(Tensor(x), block, k)).data)
+        return float(T.tsum(eca_forward(Tensor(x), k)).data)
 
     kt = Tensor(arrs["k"].copy(), requires_grad=True)
-    T.tsum(eca_forward(Tensor(x), block, kt)).backward()
+    T.tsum(eca_forward(Tensor(x), kt)).backward()
     num = numerical_grad(f, arrs)["k"]
     assert rel_err(kt.grad, num) < 1e-6
 
 
 def test_eca_rejects_wrong_channel_count():
-    block = EcaBlock(4)
+    # a 4-channel kernel (k=3) is longer than a 2-channel input
+    kernel = Tensor(np.zeros(eca_kernel_size(4)))
+    with pytest.raises(ParameterError):
+        eca_forward(Tensor(np.zeros((2, 4, 4))), kernel)
     with pytest.raises(ShapeError):
-        block(Tensor(np.zeros((3, 4, 4))))
-
-
-# ---------------------------------------------------------------------------
-# pooling helper
-
-
-def test_aab_pool_reduces_to_square():
-    x = Tensor(np.random.default_rng(3).standard_normal((2, 9, 13)))
-    out = aab_pool(x, 4)
-    assert out.shape == (2, 4, 4)
+        eca_forward(Tensor(np.zeros((4, 4))), kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -212,36 +211,69 @@ def small_net(rng, **kw):
     return AestheticNet(rng, **args)
 
 
+def param_digest(params):
+    """sha256 over every parameter's name and little-endian float64 bytes,
+    in dict order."""
+    h = hashlib.sha256()
+    for name, p in params.items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_net_random_init_is_pinned():
+    # the draw order (stem, then each stage's conv and attention kernel,
+    # then the heads) decides every seeded run's starting point
+    net = small_net(np.random.default_rng(0))
+    assert list(net.params) == [
+        "stem.w", "stage0.w", "stage0.eca", "stage1.w", "stage1.eca",
+        "head.reduce.w", "head.class.w", "head.class.b", "head.reg.w",
+        "head.reg.b"]
+    assert param_digest(net.params) == (
+        "1e969efe2a187a83e85fc44df3efeef36ad75ce8c1280e36061ee7131c7915ad")
+
+
+def test_mrn_random_init_is_pinned():
+    mrn = Mrn(rng=np.random.default_rng(0))
+    assert param_digest(mrn.params) == (
+        "ab1dc733e53929de8def63dd06feca44ed3ff5fed78f99e2d7634a9add8ce946")
+
+
 def test_net_forward_shapes():
     net = small_net(np.random.default_rng(7))
-    logits, reg, feat = net(np.random.default_rng(8).standard_normal((3, 16, 16)))
-    assert logits.shape == (10,)
-    assert reg.shape == ()
-    assert feat.shape == (8,)
+    img = np.random.default_rng(8).standard_normal((3, 16, 16))
+    assert net.forward(img).shape == (10,)
+    assert net.score(img).shape == ()
+    assert net.features(img).shape == (8,)
 
 
 def test_net_feature_vector_skips_backbone():
     net = small_net(np.random.default_rng(19))
     img = np.random.default_rng(20).standard_normal((3, 16, 16))
-    logits, reg, feat = net(img)
-    from_feat = net(feat.data)
-    np.testing.assert_array_equal(from_feat[0].data, logits.data)
-    np.testing.assert_array_equal(from_feat[1].data, reg.data)
-    np.testing.assert_array_equal(from_feat[2].data, feat.data)
+    feat = net.features(img)
+    np.testing.assert_array_equal(net.score(feat.data).data, net.score(img).data)
     with pytest.raises(ShapeError):
-        net(np.zeros(7))
+        net.score(np.zeros(7))
+    # the class head takes images only
+    with pytest.raises(ShapeError):
+        net.forward(feat.data)
 
 
 def test_net_score_is_forward_regression_output():
     net = small_net(np.random.default_rng(22))
     img = np.random.default_rng(23).standard_normal((3, 16, 16))
-    _, reg, feat = net(img)
-    np.testing.assert_array_equal(net.score(img).data, reg.data)
-    np.testing.assert_array_equal(net.score(feat.data).data, reg.data)
-    # the class head stays out of the score's graph
+    feat = net.features(img).data
+    head = (feat[None, :] @ net.params["head.reg.w"].data
+            + net.params["head.reg.b"].data[None, :])
+    np.testing.assert_array_equal(net.score(img).data, head.reshape(()))
+    # each entry point evaluates its own head only
     net.score(img).backward()
     assert net.params["head.class.w"].grad is None
     assert net.params["head.reg.w"].grad is not None
+    net.params["head.reg.w"].zero_grad()
+    T.tsum(net.forward(img)).backward()
+    assert net.params["head.reg.w"].grad is None
+    assert net.params["head.class.w"].grad is not None
     with pytest.raises(ShapeError):
         net.score(np.zeros(7))
 
@@ -249,7 +281,8 @@ def test_net_score_is_forward_regression_output():
 def test_cross_entropy_uniform_logits():
     # without an rng every weight is zero, so the class head is uniform
     net = small_net(None)
-    logits, reg, _ = net(np.random.default_rng(21).standard_normal((3, 16, 16)))
+    img = np.random.default_rng(21).standard_normal((3, 16, 16))
+    logits, reg = net.forward(img), net.score(img)
     assert all(np.all(p.data == 0.0) for n, p in net.params.items()
                if n != "head.reg.b")
     assert float(reg.data) == 5.0
@@ -259,14 +292,13 @@ def test_cross_entropy_uniform_logits():
 
 
 def test_net_regression_starts_at_midscore():
-    net = small_net(np.random.default_rng(9), reg_bias=5.0)
+    net = small_net(np.random.default_rng(9))
     assert float(net.params["head.reg.b"].data[0]) == 5.0
 
 
 def test_net_binary_head_variant():
     net = small_net(np.random.default_rng(10), num_classes=2)
-    logits, _, _ = net(np.zeros((3, 16, 16)))
-    assert logits.shape == (2,)
+    assert net.forward(np.zeros((3, 16, 16))).shape == (2,)
 
 
 def test_net_eca_toggle_changes_parameter_set():
@@ -281,8 +313,26 @@ def test_net_pool_target_fixes_feature_geometry():
     # same downstream geometry; without it they still pool to 1x1 at the end
     net = small_net(np.random.default_rng(12), pool_target=6)
     for side in (16, 24, 30):
-        logits, reg, feat = net(np.zeros((3, side, side)))
-        assert feat.shape == (8,)
+        assert net.features(np.zeros((3, side, side))).shape == (8,)
+
+
+def test_aab_pool_reduces_to_square(monkeypatch):
+    # the stem output of a non-square image pools to pool_target x
+    # pool_target; without a target the backbone never pools adaptively
+    shapes = []
+    pool = T.adaptive_avg_pool2d
+
+    def recording_pool(x, target):
+        out = pool(x, target)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(T, "adaptive_avg_pool2d", recording_pool)
+    img = np.random.default_rng(3).standard_normal((3, 18, 26))
+    small_net(np.random.default_rng(24), pool_target=4).features(img)
+    assert shapes == [(4, 4, 4)]
+    small_net(np.random.default_rng(24)).features(img)
+    assert shapes == [(4, 4, 4)]
 
 
 def test_net_trainable_name_phases():
@@ -306,8 +356,9 @@ def test_net_forward_full_gradient_matches_fd():
     names = [n for n in net.params]
 
     def loss_under(params):
-        logits, reg, _ = net(img, params)
-        return T.add(T.cross_entropy_logits(logits, 1), T.mul(reg, reg))
+        reg = net.score(img, params)
+        return T.add(T.cross_entropy_logits(net.forward(img, params), 1),
+                     T.mul(reg, reg))
 
     out = loss_under(None)
     out.backward()
@@ -329,8 +380,8 @@ def test_net_override_params_leave_model_unchanged():
     img = rng.standard_normal((3, 16, 16))
     base = {n: p.data.copy() for n, p in net.params.items()}
     shifted = {n: Tensor(p.data + 0.05) for n, p in net.params.items()}
-    a = net(img)[1].data
-    b = net(img, shifted)[1].data
+    a = net.score(img).data
+    b = net.score(img, shifted).data
     assert a != b
     for n, v in base.items():
         np.testing.assert_array_equal(net.params[n].data, v)
@@ -339,9 +390,9 @@ def test_net_override_params_leave_model_unchanged():
 def test_net_input_validation():
     net = small_net(np.random.default_rng(16))
     with pytest.raises(ShapeError):
-        net(np.zeros((1, 16, 16)))
+        net.forward(np.zeros((1, 16, 16)))
     with pytest.raises(ShapeError):
-        net(np.zeros((16, 16)))
+        net.forward(np.zeros((16, 16)))
     with pytest.raises(ParameterError):
         small_net(np.random.default_rng(17), num_classes=1)
     with pytest.raises(ParameterError):

@@ -361,6 +361,24 @@ def test_exit_code_config_dataset_too_small(tmp_path, capsys):
     assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("old, new", [
+    ("epochs = 1", "epochs = 0"),
+    ("lr = 0.003", "lr = 0.003\nbeta1 = 1.0"),
+    ("stem_channels = 4", "stem_channels = 1"),
+], ids=["epochs", "beta1", "stem_channels"])
+def test_exit_code_config_value_rejected(tmp_path, capsys, old, new):
+    # a value the config file accepts but a constructor rejects is still
+    # a config error
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace(old, new))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_exit_code_data_empty_test_split(workdir, tmp_path, capsys):
     cfg, out = workdir
     fresh = tmp_path / "noTest"

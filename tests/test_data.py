@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from amcr.data import (MANIFEST_HEADER, Sample, SynthSpec, generate_dataset,
-                       load_image, load_manifest, make_amdc,
+                       load_manifest, make_amdc,
                        save_manifest, split_811, split_of, true_score)
 from amcr.errors import ConfigError, DataError, FormatError
+from amcr.pnm import load_pnm
 
 SMALL = SynthSpec(image_height=8, image_width=8)
 
@@ -89,7 +90,7 @@ def test_images_reflect_score_ordering(tmp_path):
     # brightness contributes positively, so bright images should score
     # higher on average: check the correlation over a generated set
     samples, out = gen(tmp_path, n=60, seed=3)
-    means = np.array([load_image(os.path.join(out, s.path)).data.mean()
+    means = np.array([load_pnm(os.path.join(out, s.path)).data.mean()
                       for s in samples])
     scores = np.array([s.score for s in samples])
     r = np.corrcoef(means, scores)[0, 1]
