@@ -11,11 +11,19 @@ Layout (all integers little-endian):
             u8 ndim, ndim * u32 extents,
             extent-product * f64 values
 
-Float64 bytes round-trip bit-exactly. The format itself is just named
+Float64 bytes round-trip bit-exactly. The loader reads the header fields
+with small reads and each record's values with one `readinto` straight
+into a fresh aligned, native float64 array of the record's shape, so no
+whole-file buffer is kept and no two records share memory. A record's byte
+count is checked against the bytes left in the file before its array is
+allocated, so a corrupted extent is a FormatError, not an allocation
+failure. The format itself is just named
 arrays; the CLI writes one "p."-prefixed record per model parameter and
 no optimizer state, so training does not resume from a checkpoint.
 """
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -53,10 +61,11 @@ def save_checkpoint(path, arrays: dict, iteration: int, config_hash: bytes):
         fh.write(blob)
 
 
-def _need(data: bytes, pos: int, count: int, what: str) -> int:
-    if pos + count > len(data):
+def _read(fh, count: int, what: str) -> bytes:
+    data = fh.read(count)
+    if len(data) != count:
         raise FormatError(f"checkpoint truncated reading {what}")
-    return pos + count
+    return data
 
 
 def load_checkpoint(path, expect_hash: bytes = None):
@@ -66,50 +75,39 @@ def load_checkpoint(path, expect_hash: bytes = None):
     checkpoint written under different architecture settings is refused.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    pos = _need(data, 0, 4, "magic")
-    if data[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}")
-    end = _need(data, pos, 4, "version")
-    (version,) = struct.unpack("<I", data[pos:end])
-    pos = end
-    if version != VERSION:
-        raise VersionError(f"{path}: format version {version}, expected {VERSION}")
-    end = _need(data, pos, _HASH_BYTES, "config hash")
-    stored_hash = data[pos:end]
-    pos = end
-    if expect_hash is not None and bytes(expect_hash) != stored_hash:
-        raise ConfigError(
-            f"{path}: checkpoint was written under different architecture settings")
-    end = _need(data, pos, 8, "iteration")
-    (iteration,) = struct.unpack("<Q", data[pos:end])
-    pos = end
-    end = _need(data, pos, 4, "record count")
-    (count,) = struct.unpack("<I", data[pos:end])
-    pos = end
-    arrays = {}
-    for _ in range(count):
-        end = _need(data, pos, 2, "name length")
-        (name_len,) = struct.unpack("<H", data[pos:end])
-        pos = end
-        end = _need(data, pos, name_len, "name")
-        name = data[pos:end].decode("utf-8")
-        pos = end
-        end = _need(data, pos, 1, "rank")
-        ndim = data[pos]
-        pos = end
-        shape = []
-        for _ in range(ndim):
-            end = _need(data, pos, 4, "extent")
-            shape.append(struct.unpack("<I", data[pos:end])[0])
-            pos = end
-        size = 1
-        for extent in shape:
-            size *= extent
-        end = _need(data, pos, size * 8, f"data of {name}")
-        arrays[name] = np.frombuffer(
-            data[pos:end], dtype="<f8").reshape(shape).copy()
-        pos = end
-    if pos != len(data):
-        raise FormatError(f"{path}: {len(data) - pos} trailing bytes")
+        size = os.fstat(fh.fileno()).st_size
+        magic = _read(fh, 4, "magic")
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        (version,) = struct.unpack("<I", _read(fh, 4, "version"))
+        if version != VERSION:
+            raise VersionError(f"{path}: format version {version}, expected {VERSION}")
+        stored_hash = _read(fh, _HASH_BYTES, "config hash")
+        if expect_hash is not None and bytes(expect_hash) != stored_hash:
+            raise ConfigError(
+                f"{path}: checkpoint was written under different architecture settings")
+        (iteration,) = struct.unpack("<Q", _read(fh, 8, "iteration"))
+        (count,) = struct.unpack("<I", _read(fh, 4, "record count"))
+        arrays = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", _read(fh, 2, "name length"))
+            try:
+                name = _read(fh, name_len, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: record name is not utf-8") from None
+            if name in arrays:
+                raise FormatError(f"{path}: record {name!r} repeated")
+            ndim = _read(fh, 1, "rank")[0]
+            shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim, "extents"))
+            # size the record against the file before allocating for it
+            nbytes = 8 * math.prod(shape)
+            if nbytes > size - fh.tell():
+                raise FormatError(f"checkpoint truncated reading data of {name}")
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr) != nbytes:
+                raise FormatError(f"checkpoint truncated reading data of {name}")
+            arrays[name] = arr.astype(np.float64, copy=False)
+        trailing = size - fh.tell()
+        if trailing:
+            raise FormatError(f"{path}: {trailing} trailing bytes")
     return arrays, int(iteration), stored_hash

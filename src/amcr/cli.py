@@ -70,6 +70,11 @@ def _build_model(cfg: RunConfig, rng, num_classes: int) -> AestheticNet:
     pool_target = None
     if cfg.model_prep == "aab" and cfg.model_pool_target > 0:
         pool_target = cfg.model_pool_target
+        stem_side = (cfg.model_square_side - 1) // AestheticNet.STEM_STRIDE + 1
+        if pool_target > stem_side:
+            raise ParameterError(
+                f"pool_target {pool_target} exceeds the {stem_side}x{stem_side} "
+                f"stem output of square_side {cfg.model_square_side}")
     return AestheticNet(
         rng,
         in_channels=cfg.model_in_channels,
@@ -173,7 +178,7 @@ def _load_model(args, name: str, cfg, num_classes: int) -> AestheticNet:
         raise ConfigError(
             f"checkpoint {path} does not fit the configured architecture")
     for name, value in loaded.items():
-        params[name].data = value.astype(np.float64)
+        params[name].data = value
     return model
 
 

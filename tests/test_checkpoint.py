@@ -93,8 +93,7 @@ def test_every_truncation_point_rejected(tmp_path):
     save_checkpoint(path, {"p.a": np.arange(4.0), "p.b": np.ones((2, 3))},
                     9, fake_hash())
     blob = path.read_bytes()
-    cut_points = sorted(set(list(range(0, len(blob), 7)) + [len(blob) - 1]))
-    for cut in cut_points:
+    for cut in range(len(blob)):
         short = tmp_path / "short.ckpt"
         short.write_bytes(blob[:cut])
         with pytest.raises(FormatError):
@@ -121,3 +120,62 @@ def test_scalar_and_empty_name_records(tmp_path):
     back, _, _ = load_checkpoint(path)
     assert back[""].shape == ()
     assert float(back[""]) == 3.5
+
+
+def test_zero_size_records_roundtrip(tmp_path):
+    arrays = {"p.rows": np.zeros((0, 3)), "p.cols": np.zeros((2, 0)),
+              "p.after": np.arange(3.0)}
+    path = tmp_path / "z.ckpt"
+    save_checkpoint(path, arrays, 1, fake_hash())
+    back, _, _ = load_checkpoint(path)
+    assert back["p.rows"].shape == (0, 3)
+    assert back["p.cols"].shape == (2, 0)
+    assert back["p.after"].tobytes() == arrays["p.after"].tobytes()
+
+
+def test_huge_extent_rejected_before_allocating(tmp_path):
+    # an extent field corrupted to 0xFFFFFFFF claims ~96 GiB of values; the
+    # loader must compare that with the file size, not try to allocate it
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, {"p.w": np.ones((3, 4))}, 0, fake_hash())
+    raw = bytearray(path.read_bytes())
+    extent_at = 52 + 2 + len(b"p.w") + 1  # header, name length, name, rank
+    assert struct.unpack_from("<I", raw, extent_at)[0] == 3
+    struct.pack_into("<I", raw, extent_at, 0xFFFFFFFF)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def record(name: bytes, values) -> bytes:
+    values = np.asarray(values, dtype="<f8")
+    return (struct.pack("<H", len(name)) + name
+            + struct.pack("<B", values.ndim)
+            + b"".join(struct.pack("<I", e) for e in values.shape)
+            + values.tobytes())
+
+
+def header(count: int) -> bytes:
+    return (MAGIC + struct.pack("<I", VERSION) + fake_hash()
+            + struct.pack("<Q", 0) + struct.pack("<I", count))
+
+
+def test_non_utf8_record_name_rejected(tmp_path):
+    path = tmp_path / "u.ckpt"
+    path.write_bytes(header(1) + record(b"p.\xff", [1.0]))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def test_repeated_record_name_rejected(tmp_path):
+    path = tmp_path / "d.ckpt"
+    path.write_bytes(header(2) + record(b"p.w", [1.0, 2.0])
+                     + record(b"p.w", [3.0, 4.0]))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+    # the same bytes with distinct names load
+    path.write_bytes(header(2) + record(b"p.w", [1.0, 2.0])
+                     + record(b"p.v", [3.0, 4.0]))
+    back, _, _ = load_checkpoint(path)
+    assert back["p.w"].tolist() == [1.0, 2.0]
+    assert back["p.v"].tolist() == [3.0, 4.0]

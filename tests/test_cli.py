@@ -4,13 +4,14 @@ documented exit-code contract."""
 import csv
 import os
 import shutil
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
 from amcr.checkpoint import load_checkpoint, save_checkpoint
-from amcr.cli import main
+from amcr.cli import _load_model, _load_run_config, build_parser, main
 from amcr.metrics import collapse_warnings
 
 CONFIG = """\
@@ -379,6 +380,20 @@ def test_exit_code_config_value_rejected(tmp_path, capsys, old, new):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_exit_code_impossible_aab_pool_target(tmp_path, capsys):
+    # the stem halves an 8x8 canvas to 4x4, which cannot pool up to 6x6
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace("prep = crop",
+                                  "prep = aab\nsquare_side = 8\npool_target = 6"))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "pool_target" in capsys.readouterr().err
+    assert not (out / "models").exists()
+
+
 def test_exit_code_data_empty_test_split(workdir, tmp_path, capsys):
     cfg, out = workdir
     fresh = tmp_path / "noTest"
@@ -426,6 +441,43 @@ def test_exit_code_format_truncated_checkpoint(workdir, tmp_path, capsys):
                      str(out)]) == 4
     finally:
         ckpt.write_bytes(blob)
+
+
+def test_exit_code_format_huge_extent_checkpoint(workdir, capsys):
+    # a corrupted extent must be refused as a format error, not surface as
+    # an allocation failure
+    cfg, out = workdir
+    ckpt = out / "models" / "r_all.ckpt"
+    blob = ckpt.read_bytes()
+    (name_len,) = struct.unpack_from("<H", blob, 52)
+    raw = bytearray(blob)
+    struct.pack_into("<I", raw, 52 + 2 + name_len + 1, 0xFFFFFFFF)
+    try:
+        ckpt.write_bytes(bytes(raw))
+        assert main(["evaluate", "--config", str(cfg), "--out",
+                     str(out)]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+    finally:
+        ckpt.write_bytes(blob)
+
+
+def test_loaded_parameters_are_aligned_native_and_unshared(workdir):
+    # forward passes hand these arrays to BLAS; an unaligned, byte-swapped
+    # or shared view would silently take them off it
+    cfg, out = workdir
+    args = build_parser().parse_args(
+        ["evaluate", "--config", str(cfg), "--out", str(out)])
+    params = _load_model(args, "r_all", _load_run_config(args), 10).params
+    arrays = [p.data for p in params.values()]
+    for name, arr in zip(params, arrays):
+        assert arr.dtype == np.float64, name
+        assert arr.dtype.isnative, name
+        assert arr.flags.aligned, name
+        assert arr.flags.c_contiguous, name
+        assert arr.flags.writeable, name
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 def test_exit_code_config_incomplete_checkpoint(workdir, capsys):
