@@ -178,6 +178,9 @@ def _load_model(args, name: str, cfg, num_classes: int) -> AestheticNet:
         raise ConfigError(
             f"checkpoint {path} does not fit the configured architecture")
     for name, value in loaded.items():
+        if not np.isfinite(value).all():
+            raise FormatError(
+                f"checkpoint {path}: record p.{name} holds a non-finite value")
         params[name].data = value
     return model
 
@@ -224,8 +227,7 @@ def cmd_train_binary(args) -> int:
     meta = build_meta_set(train, cfg.meta_meta_quota, rng) if cfg.meta_mrn else None
     model = _build_model(cfg, rng, 2)
     result = train_binary(model, *router_sets(train, valid), images,
-                          _class_settings(cfg), rng, use_mrn=cfg.meta_mrn,
-                          meta_samples=meta)
+                          _class_settings(cfg), rng, meta_samples=meta)
     _save_model(args, "c2", model, cfg, result.iterations)
     # branches split by an earlier router must not be scored through this one
     stale = [path for path in (_model_path(args, "r0"), _model_path(args, "r1"),
@@ -265,7 +267,7 @@ def cmd_train(args) -> int:
     factory = lambda r, k: _build_model(cfg, r, k)
     art = run_pipeline(cfg.pipeline_variant, train, valid, images, factory,
                        _class_settings(cfg), _reg_settings(cfg), rng,
-                       use_mrn=cfg.meta_mrn, meta_samples=meta)
+                       meta_samples=meta)
     iterations = sum(
         res.iterations
         for stage in art.history.values()
@@ -441,37 +443,56 @@ def _add_variant_flags(sub):
     sub.add_argument("--eca", choices=("on", "off"), default=None)
 
 
+_COMMANDS = {
+    "gen-data": (cmd_gen_data, "generate the synthetic dataset"),
+    "train-binary": (cmd_train_binary, "train the binary router"),
+    "pseudo-split": (cmd_pseudo_split,
+                     "split the dataset by router predictions"),
+    "train": (cmd_train, "train a pipeline variant"),
+    "evaluate": (cmd_evaluate, "score the test split"),
+    "predict": (cmd_predict, "score one image file"),
+    "ablate": (cmd_ablate, "run the variant comparison"),
+    "report-segments": (cmd_report_segments,
+                        "per-segment router correctness"),
+}
+
+
+def _add_command_args(sub, name: str) -> None:
+    _add_common(sub)
+    if name != "gen-data":
+        _add_variant_flags(sub)
+    if name == "predict":
+        sub.add_argument("image", help="PPM/PGM image file")
+    sub.set_defaults(fn=_COMMANDS[name][0])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="amcr",
         description="Meta-reweighted aesthetic score training laboratory")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    specs = (
-        ("gen-data", cmd_gen_data, "generate the synthetic dataset", False),
-        ("train-binary", cmd_train_binary, "train the binary router", True),
-        ("pseudo-split", cmd_pseudo_split,
-         "split the dataset by router predictions", True),
-        ("train", cmd_train, "train a pipeline variant", True),
-        ("evaluate", cmd_evaluate, "score the test split", True),
-        ("predict", cmd_predict, "score one image file", True),
-        ("ablate", cmd_ablate, "run the variant comparison", True),
-        ("report-segments", cmd_report_segments,
-         "per-segment router correctness", True),
-    )
-    for name, fn, help_text, variant_flags in specs:
-        sub = subs.add_parser(name, help=help_text)
-        _add_common(sub)
-        if variant_flags:
-            _add_variant_flags(sub)
-        if name == "predict":
-            sub.add_argument("image", help="PPM/PGM image file")
-        sub.set_defaults(fn=fn)
+    for name, (_fn, help_text) in _COMMANDS.items():
+        _add_command_args(subs.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse `argv` with only the named subcommand's parser, built as
+    `build_parser` builds it. Whatever that parser cannot settle alone (top
+    level help, an unknown or missing subcommand, unrecognized arguments)
+    goes through `build_parser`, so every message stays the same."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        sub = argparse.ArgumentParser(prog="amcr " + argv[0])
+        _add_command_args(sub, argv[0])
+        args, extra = sub.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.fn(args)
     except AmcrError as exc:

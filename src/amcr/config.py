@@ -195,24 +195,13 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
     cfg = default_config()
-    values = dict(cfg.values)
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown config key [{section}] {key}")
-            tag = _SCHEMA[section][key][0]
-            value = _parse_value(tag, raw)
-            choices = _CHOICES.get((section, key))
-            if choices is not None and value not in choices:
-                raise ConfigError(
-                    f"[{section}] {key} must be one of {choices}, got {value!r}"
-                )
-            values[f"{section}_{key}"] = value
-    out = RunConfig(values)
-    _validate(out)
-    return out
+            cfg = cfg.replace(section, key, raw)
+    _validate(cfg)
+    return cfg
 
 
 def _validate(cfg: RunConfig) -> None:

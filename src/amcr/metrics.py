@@ -127,7 +127,6 @@ class MetricsReport:
     accuracy: float
     accuracy_err_le_1: float
     n: int
-    per_segment: list
 
 
 def evaluate_scores(pred, truth) -> MetricsReport:
@@ -140,7 +139,6 @@ def evaluate_scores(pred, truth) -> MetricsReport:
         accuracy=accuracy(p, t),
         accuracy_err_le_1=accuracy_within_1(p, t),
         n=int(p.size),
-        per_segment=segment_report((p >= THRESHOLD).astype(np.int64), t),
     )
 
 

@@ -10,9 +10,10 @@ Three variants share one backbone architecture:
        its own prediction (not the ground-truth label); each branch is a
        cr-style regressor, and scores fuse with the all-data regressor.
 
-Branch weighting, when enabled, reuses the reweighting loop: the
-loss-to-weight network is trained during the classification phase and
-frozen for the regression phase.
+Every stage is reweighted exactly when it is handed a meta set: then
+`train_model` draws and learns the loss-to-weight network, and a branch
+trains it during the classification phase and keeps it frozen for the
+regression phase.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def router_sets(train, valid):
 
 
 def train_binary(model, train, valid, images, settings: TrainSettings, rng, *,
-                 use_mrn: bool = False, meta_samples=None) -> TR.TrainResult:
+                 meta_samples=None) -> TR.TrainResult:
     """Fit a 2-way classifier on threshold labels, tracking best validation
     accuracy; the best parameters are left on the model."""
     if model.num_classes != 2:
@@ -104,8 +105,7 @@ def train_binary(model, train, valid, images, settings: TrainSettings, rng, *,
     loss_fn = TR.class_loss_fn(model, images, label_of)
     valid_fn = lambda: TR.eval_class_accuracy(model, valid, images, label_of)
     return train_model(model, loss_fn, train, valid_fn, settings, rng,
-                       metric_mode="higher", use_mrn=use_mrn,
-                       meta_samples=meta_samples)
+                       metric_mode="higher", meta_samples=meta_samples)
 
 
 @dataclasses.dataclass
@@ -152,14 +152,13 @@ def pseudo_split(model, train, valid, images) -> SplitAssignment:
 
 
 def train_branch(model, train, valid, images, class_settings: TrainSettings,
-                 reg_settings: TrainSettings, rng, *, use_mrn: bool = False,
-                 meta_samples=None):
+                 reg_settings: TrainSettings, rng, *, meta_samples=None):
     """Two-phase fit: ten-class backbone training, then the regression head
     on frozen features.
 
     Phase 1 keeps the regression head untouched; phase 2 trains only the
-    regression head, with the backbone, class head, and (when enabled)
-    the trained loss-to-weight network all frozen. Returns the phase
+    regression head, with the backbone, class head, and (given a meta set)
+    phase 1's loss-to-weight network all frozen. Returns the phase
     results as a dict.
     """
     if len(train) < class_settings.batch_size or len(train) < reg_settings.batch_size:
@@ -168,17 +167,11 @@ def train_branch(model, train, valid, images, class_settings: TrainSettings,
     if not valid:
         raise DataError("empty validation split")
     label_of = lambda s: ten_class_label(s.score)
-    mrn = None
-    if use_mrn:
-        from .blocks import Mrn
-        mrn = Mrn(hidden=class_settings.mrn_hidden, rng=rng)
-
     loss_fn = TR.class_loss_fn(model, images, label_of)
     valid_fn = lambda: TR.eval_class_accuracy(model, valid, images, label_of)
     phase1 = train_model(model, loss_fn, train, valid_fn, class_settings, rng,
                          trainable=model.trainable_names("class"),
-                         metric_mode="higher", use_mrn=use_mrn,
-                         meta_samples=meta_samples, mrn=mrn)
+                         metric_mode="higher", meta_samples=meta_samples)
 
     # the backbone is frozen now, so each image collapses to one feature row;
     # meta samples may also be train samples, so each id is cached once
@@ -188,9 +181,8 @@ def train_branch(model, train, valid, images, class_settings: TrainSettings,
     reg_valid = lambda: TR.eval_reg_feature_mse(model, valid, feats)
     phase2 = train_model(model, reg_loss, train, reg_valid, reg_settings, rng,
                          trainable=model.trainable_names("reg"),
-                         metric_mode="lower",
-                         use_mrn=use_mrn, meta_samples=meta_samples,
-                         mrn=mrn, freeze_mrn=True)
+                         metric_mode="lower", meta_samples=meta_samples,
+                         frozen_mrn=phase1.mrn)
     return {"class": phase1, "reg": phase2}
 
 
@@ -243,18 +235,16 @@ class PipelineArtifacts:
 
 def run_pipeline(variant: str, train, valid, images, model_factory,
                  class_settings: TrainSettings, reg_settings: TrainSettings,
-                 rng, *, use_mrn: bool = False,
-                 meta_samples=None) -> PipelineArtifacts:
+                 rng, *, meta_samples=None) -> PipelineArtifacts:
     """Train one variant end to end and return every produced model.
 
     `model_factory(rng, num_classes)` builds a fresh backbone; all models
     of a run share the architecture it encodes. The binary stage trains
-    on `router_sets(train, valid)`.
+    on `router_sets(train, valid)`. Every stage is reweighted when
+    `meta_samples` is given.
     """
     if variant not in ("r", "cr", "pcr"):
         raise ConfigError(f"unknown pipeline variant {variant!r}")
-    if use_mrn and not meta_samples:
-        raise DataError("reweighted training needs a meta set")
     art = PipelineArtifacts(variant=variant, r_all=None)
 
     if variant == "r":
@@ -263,7 +253,7 @@ def run_pipeline(variant: str, train, valid, images, model_factory,
         valid_fn = lambda: TR.eval_reg_mse(model, valid, images)
         art.history["r"] = train_model(
             model, loss_fn, train, valid_fn, reg_settings, rng,
-            metric_mode="lower", use_mrn=use_mrn, meta_samples=meta_samples)
+            metric_mode="lower", meta_samples=meta_samples)
         art.r_all = model
         return art
 
@@ -271,7 +261,7 @@ def run_pipeline(variant: str, train, valid, images, model_factory,
     r_all = model_factory(rng, 10)
     art.history["r_all"] = train_branch(
         r_all, train, valid, images, class_settings, reg_settings, rng,
-        use_mrn=use_mrn, meta_samples=meta_samples)
+        meta_samples=meta_samples)
     art.r_all = r_all
     if variant == "cr":
         return art
@@ -280,7 +270,7 @@ def run_pipeline(variant: str, train, valid, images, model_factory,
     c2 = model_factory(rng, 2)
     art.history["c2"] = train_binary(
         c2, *router_sets(train, valid), images, class_settings, rng,
-        use_mrn=use_mrn, meta_samples=meta_samples)
+        meta_samples=meta_samples)
     art.c2 = c2
 
     split = pseudo_split(c2, train, valid, images)
@@ -295,7 +285,7 @@ def run_pipeline(variant: str, train, valid, images, model_factory,
         model = model_factory(rng, 10)
         art.history[name] = train_branch(
             model, btrain, bvalid or valid, images, class_settings,
-            reg_settings, rng, use_mrn=use_mrn, meta_samples=meta_samples)
+            reg_settings, rng, meta_samples=meta_samples)
         setattr(art, name, model)
     return art
 
@@ -310,8 +300,9 @@ def run_ablation(requests, train, valid, test, images, model_factory,
     """Run each requested (variant, mrn) cell and score it.
 
     `images` and `model_factory(rng, num_classes)` are those run_pipeline
-    takes; every cell shares them. Cells run in order, each with its own
-    RNG stream seeded from `base_seed` and the cell index.
+    takes; every cell shares them, and only the MRN-on cells get
+    `meta_samples`. Cells run in order, each with its own RNG stream
+    seeded from `base_seed` and the cell index.
     """
     requests = list(requests)
     for req in requests:
@@ -323,9 +314,11 @@ def run_ablation(requests, train, valid, test, images, model_factory,
 
     def run_cell(index, req):
         rng = np.random.default_rng((base_seed, index))
+        # an MRN-on cell without a meta set fails in train_model
+        meta = (meta_samples or []) if req["mrn"] else None
         art = run_pipeline(req["variant"], train, valid, images, model_factory,
                            class_settings, reg_settings, rng,
-                           use_mrn=req["mrn"], meta_samples=meta_samples)
+                           meta_samples=meta)
         preds = art.predict_samples(test, images)
         report = evaluate_scores(preds, [s.score for s in test])
         return {**req, "report": report, "predictions": preds,

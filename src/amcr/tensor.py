@@ -149,12 +149,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                  lambda g: ((a, g * b.data), (b, g * a.data)), "mul")
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    a = as_tensor(a)
-    s = float(s)
-    return _make(a.data * s, (a,), lambda g: ((a, g * s),), "scale")
-
-
 def relu(a: Tensor) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0.0  # subgradient at 0 is 0

@@ -50,6 +50,7 @@ class TrainResult:
     best_metric: float = None
     iterations: int = 0
     sample_weights: dict = field(default_factory=dict)  # id -> last weight
+    mrn: object = None  # the loss-to-weight network of a reweighted run
 
 
 class _Cycler:
@@ -74,17 +75,18 @@ class _Cycler:
 
 
 def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings,
-                rng, *, trainable=None, metric_mode="lower", use_mrn=False,
-                meta_samples=None, mrn=None, freeze_mrn=False) -> TrainResult:
+                rng, *, trainable=None, metric_mode="lower", meta_samples=None,
+                frozen_mrn=None) -> TrainResult:
     """Fit `trainable` parameters of `model` and leave the best-validation
     values in place.
 
     loss_fn(batch, override) must return the per-sample loss vector;
     valid_fn() the validation metric (metric_mode says which direction
-    improves). With use_mrn, every batch runs the full three-stage
-    reweighted iteration against batches cycled from meta_samples;
-    freeze_mrn keeps the provided loss-to-weight network fixed while its
-    weights still scale each batch.
+    improves). Training is reweighted exactly when meta_samples is given:
+    every batch then runs the full three-stage iteration against batches
+    cycled from meta_samples. The loss-to-weight network is drawn from
+    `rng` and learned, or, passed as frozen_mrn, kept fixed while its
+    weights still scale each batch; `TrainResult.mrn` returns it.
     """
     settings.validate()
     train_samples = list(train_samples)
@@ -95,19 +97,19 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
     result = TrainResult()
 
     state = None
-    adam = None
-    if use_mrn:
+    if meta_samples is not None or frozen_mrn is not None:
         if not meta_samples:
             raise DataError("reweighted training needs a meta set")
-        if mrn is None:
-            mrn = Mrn(hidden=settings.mrn_hidden, rng=rng)
-        state = MetaState(params, mrn, loss_fn, settings, trainable=trainable,
-                          freeze_mrn=freeze_mrn)
+        frozen = frozen_mrn is not None
+        result.mrn = (frozen_mrn if frozen
+                      else Mrn(hidden=settings.mrn_hidden, rng=rng))
+        state = MetaState(params, result.mrn, loss_fn, settings, trainable,
+                          frozen)
         optimizer = state.adam_main
         meta_cycler = _Cycler(meta_samples, settings.meta_batch, rng)
     else:
-        adam = Adam(settings.lr, settings.betas, weight_decay=settings.weight_decay)
-        optimizer = adam
+        optimizer = Adam(settings.lr, settings.betas,
+                         weight_decay=settings.weight_decay)
     scheduler = PlateauScheduler(optimizer, mode=metric_mode,
                                  factor=settings.plateau_factor,
                                  patience=settings.plateau_patience)
@@ -120,7 +122,7 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
         seen = 0
         for start in range(0, len(order), settings.batch_size):
             batch = [train_samples[i] for i in order[start:start + settings.batch_size]]
-            if use_mrn:
+            if state is not None:
                 weights = state.meta_iteration(batch, meta_cycler.next())
                 for s, w in zip(batch, weights):
                     result.sample_weights[s.id] = float(w)
@@ -135,7 +137,7 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
                 for name in trainable:
                     g = params[name].grad
                     grads[name] = np.zeros_like(params[name].data) if g is None else g
-                adam.step(params, grads)
+                optimizer.step(params, grads)
                 epoch_loss += float(losses.data.sum())
             seen += len(batch)
             result.iterations += 1

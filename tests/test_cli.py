@@ -461,6 +461,27 @@ def test_exit_code_format_huge_extent_checkpoint(workdir, capsys):
         ckpt.write_bytes(blob)
 
 
+def test_exit_code_format_non_finite_checkpoint_value(workdir, capsys):
+    # a NaN record under a valid hash is refused at load, before any
+    # forward pass could meet it
+    cfg, out = workdir
+    ckpt = out / "models" / "r_all.ckpt"
+    blob = ckpt.read_bytes()
+    arrays, iteration, stored_hash = load_checkpoint(str(ckpt))
+    record = sorted(k for k in arrays if k.startswith("p."))[0]
+    arrays[record].flat[0] = np.nan
+    image = out / "data" / read_rows(out / "data" / "manifest.csv")[1][1]
+    try:
+        save_checkpoint(str(ckpt), arrays, iteration, stored_hash)
+        for argv in (["evaluate"], ["predict", str(image)]):
+            capsys.readouterr()
+            assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and record in err
+    finally:
+        ckpt.write_bytes(blob)
+
+
 def test_loaded_parameters_are_aligned_native_and_unshared(workdir):
     # forward passes hand these arrays to BLAS; an unaligned, byte-swapped
     # or shared view would silently take them off it
@@ -504,3 +525,75 @@ def test_exit_code_unexpected_os_error(tmp_path, capsys):
     out.mkdir()
     assert main(["predict", "--config", str(cfg), "--out", str(out),
                  str(tmp_path / "missing.ppm")]) == 1
+
+
+_TOP_USAGE = """\
+usage: amcr [-h]
+            {gen-data,train-binary,pseudo-split,train,evaluate,predict,ablate,report-segments}
+            ...
+"""
+
+_PREDICT_USAGE = """\
+usage: amcr predict [-h] [--config CONFIG] [--seed SEED] [--out OUT]
+                    [--variant {r,cr,pcr}] [--prep {crop,resize,aab}]
+                    [--mrn {on,off}] [--eca {on,off}]
+                    image
+"""
+
+_TOP_HELP = _TOP_USAGE + """
+Meta-reweighted aesthetic score training laboratory
+
+positional arguments:
+  {gen-data,train-binary,pseudo-split,train,evaluate,predict,ablate,report-segments}
+    gen-data            generate the synthetic dataset
+    train-binary        train the binary router
+    pseudo-split        split the dataset by router predictions
+    train               train a pipeline variant
+    evaluate            score the test split
+    predict             score one image file
+    ablate              run the variant comparison
+    report-segments     per-segment router correctness
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+_PREDICT_HELP = _PREDICT_USAGE + """
+positional arguments:
+  image                 PPM/PGM image file
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       INI config file
+  --seed SEED           override [train] seed
+  --out OUT             artifact directory
+  --variant {r,cr,pcr}
+  --prep {crop,resize,aab}
+  --mrn {on,off}
+  --eca {on,off}
+"""
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["--help"], 0, _TOP_HELP, ""),
+    (["bogus"], 2, "", _TOP_USAGE + (
+        "amcr: error: argument command: invalid choice: 'bogus' (choose from "
+        "'gen-data', 'train-binary', 'pseudo-split', 'train', 'evaluate', "
+        "'predict', 'ablate', 'report-segments')\n")),
+    ([], 2, "", _TOP_USAGE
+     + "amcr: error: the following arguments are required: command\n"),
+    (["predict", "--help"], 0, _PREDICT_HELP, ""),
+    (["predict"], 2, "", _PREDICT_USAGE
+     + "amcr predict: error: the following arguments are required: image\n"),
+    (["predict", "img.ppm", "--bogus"], 2, "", _TOP_USAGE
+     + "amcr: error: unrecognized arguments: --bogus\n"),
+], ids=["help", "unknown-command", "no-command", "predict-help",
+        "predict-no-image", "unrecognized-argument"])
+def test_parser_help_and_errors_are_pinned(argv, code, out, err, capsys,
+                                           monkeypatch):
+    # argparse wraps usage lines to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert capsys.readouterr() == (out, err)

@@ -202,6 +202,18 @@ def test_train_branch_two_phases_and_freeze():
     assert moved - reg_names <= class_names
 
 
+def test_train_branch_reuses_phase_one_mrn_frozen():
+    rng = np.random.default_rng(15)
+    samples, images = spread_samples(rng, n=12)
+    model = tiny_factory(rng, 10)
+    out = train_branch(model, samples[:8], samples[8:], images,
+                       fast_settings(meta_batch=4, mrn_hidden=4),
+                       fast_settings(meta_batch=4, mrn_hidden=4), rng,
+                       meta_samples=samples[:4])
+    assert out["class"].mrn is not None
+    assert out["reg"].mrn is out["class"].mrn
+
+
 def test_train_branch_rejects_small_branches():
     rng = np.random.default_rng(6)
     samples, images = spread_samples(rng, n=8)
@@ -253,9 +265,9 @@ def test_run_pipeline_rejects_bad_requests():
     with pytest.raises(ConfigError):
         run_pipeline("rc", samples, samples, images, tiny_factory,
                      fast_settings(), fast_settings(), rng)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="needs a meta set"):
         run_pipeline("r", samples, samples, images, tiny_factory,
-                     fast_settings(), fast_settings(), rng, use_mrn=True)
+                     fast_settings(), fast_settings(), rng, meta_samples=[])
 
 
 def test_run_pipeline_r_variant():
@@ -356,3 +368,23 @@ def test_run_ablation_runs_cells_in_order():
         np.testing.assert_array_equal(first["predictions"],
                                       second["predictions"])
 
+
+
+def _stage_results(artifacts):
+    for stage in artifacts.history.values():
+        yield from (stage.values() if isinstance(stage, dict) else [stage])
+
+
+def test_run_ablation_hands_the_meta_set_to_mrn_on_cells_only():
+    rng = np.random.default_rng(16)
+    train, valid, test, images = ablation_fixture(rng)
+    requests = [{"variant": "cr", "mrn": False}, {"variant": "cr", "mrn": True}]
+    settings = fast_settings(meta_batch=4, mrn_hidden=4)
+    off, on = run_ablation(requests, train, valid, test, images, tiny_factory,
+                           settings, settings, meta_samples=train[:4])
+    assert all(res.mrn is None for res in _stage_results(off["artifacts"]))
+    assert all(res.mrn is not None for res in _stage_results(on["artifacts"]))
+    # an MRN-on cell without a meta set is refused
+    with pytest.raises(DataError, match="needs a meta set"):
+        run_ablation(requests[1:], train, valid, test, images, tiny_factory,
+                     settings, settings)

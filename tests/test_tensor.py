@@ -124,7 +124,7 @@ def test_reshape_flatten_stack_gradients():
 def test_scale_and_mean():
     rng = np.random.default_rng(10)
     x = leaf(rng, 7)
-    check_grads(lambda: T.scale(T.tmean(x), 3.5), {"x": x})
+    check_grads(lambda: T.mul(T.tmean(x), Tensor(np.array(3.5))), {"x": x})
 
 
 def test_conv2d_gradient():
@@ -217,7 +217,7 @@ def test_backward_keeps_leaves_sharing_one_gradient_apart():
     a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
     T.tsum(T.add(a, b)).backward()
-    T.tsum(T.scale(a, 2.0)).backward()
+    T.tsum(T.mul(a, Tensor(np.full(2, 2.0)))).backward()
     np.testing.assert_array_equal(a.grad, [3.0, 3.0])
     np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
@@ -300,7 +300,7 @@ def test_per_sample_gradients_ignore_a_stale_grad():
     w = Tensor(np.array(2.0), requires_grad=True)
 
     def losses():
-        return T.stack([T.mul(w, w), T.scale(w, 3.0)])
+        return T.stack([T.mul(w, w), T.mul(w, Tensor(np.array(3.0)))])
 
     T.tmean(losses()).backward()
     assert float(w.grad) == 3.5  # left over from the mean-loss backward

@@ -159,9 +159,19 @@ def test_empty_training_set_rejected():
 
 def test_mrn_mode_needs_meta_samples():
     model = LineModel()
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="needs a meta set"):
         train_model(model, model.loss_fn(), [(0.0, 0.0)], lambda: 0.0,
-                    TrainSettings(), np.random.default_rng(0), use_mrn=True)
+                    TrainSettings(), np.random.default_rng(0), meta_samples=[])
+
+
+def test_frozen_mrn_needs_meta_samples():
+    # a frozen network without a meta set is refused, not run as plain
+    # training that silently ignores it
+    rng = np.random.default_rng(0)
+    model = LineModel()
+    with pytest.raises(DataError, match="needs a meta set"):
+        train_model(model, model.loss_fn(), [(0.0, 0.0)], lambda: 0.0,
+                    TrainSettings(), rng, frozen_mrn=Mrn(hidden=4, rng=rng))
 
 
 def test_mrn_mode_records_sample_weights():
@@ -189,7 +199,8 @@ def test_mrn_mode_records_sample_weights():
     settings = TrainSettings(epochs=2, batch_size=8, lr=0.05, meta_batch=4,
                              weight_decay=0.0)
     result = train_model(model, fn, pts, lambda: 0.0, settings, rng,
-                         metric_mode="lower", use_mrn=True, meta_samples=meta)
+                         metric_mode="lower", meta_samples=meta)
+    assert isinstance(result.mrn, Mrn)
     assert set(result.sample_weights) == {p.id for p in pts}
     assert all(0.0 < w < 1.0 for w in result.sample_weights.values())
 
@@ -219,9 +230,10 @@ def test_mrn_frozen_mode_keeps_network_fixed():
     before = {n: p.data.copy() for n, p in mrn.params.items()}
     settings = TrainSettings(epochs=2, batch_size=8, lr=0.05, meta_batch=4,
                              weight_decay=0.0)
-    train_model(model, fn, pts, lambda: 0.0, settings, rng,
-                metric_mode="lower", use_mrn=True, meta_samples=meta,
-                mrn=mrn, freeze_mrn=True)
+    result = train_model(model, fn, pts, lambda: 0.0, settings, rng,
+                         metric_mode="lower", meta_samples=meta,
+                         frozen_mrn=mrn)
+    assert result.mrn is mrn
     for n, v in before.items():
         np.testing.assert_array_equal(mrn.params[n].data, v)
 
