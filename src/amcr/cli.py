@@ -140,20 +140,30 @@ def _require_manifest(cfg, args):
     return D.load_manifest(path)
 
 
+def _check_channels(cfg, path, image) -> None:
+    """An image whose channel count the network does not take is bad data."""
+    if image.shape[0] != cfg.model_in_channels:
+        raise DataError(f"{path}: a {image.shape[0]}-channel image, but the "
+                        f"model takes {cfg.model_in_channels} channels")
+
+
 def _load_split_images(cfg, args):
     samples = _require_manifest(cfg, args)
-    images = prepare_images(samples, _data_dir(cfg, args), cfg.model_prep,
+    data_dir = _data_dir(cfg, args)
+    images = prepare_images(samples, data_dir, cfg.model_prep,
                             crop_side=cfg.model_crop_side,
                             square_side=cfg.model_square_side)
+    for s in samples:
+        _check_channels(cfg, os.path.join(data_dir, s.path), images[s.id])
     return samples, images
 
 
 def _prepare_one(cfg, image):
     if cfg.model_prep == "crop":
-        return preprocess_crop(image, cfg.model_crop_side).data
+        return preprocess_crop(image, cfg.model_crop_side)
     if cfg.model_prep == "resize":
-        return preprocess_resize(image, cfg.model_crop_side).data
-    return aab_prepare(image, cfg.model_square_side).data
+        return preprocess_resize(image, cfg.model_crop_side)
+    return aab_prepare(image, cfg.model_square_side)
 
 
 def _save_model(args, name: str, model, cfg, iteration: int) -> None:
@@ -357,6 +367,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _load_run_config(args)
     image = pnm.load_pnm(args.image)
+    _check_channels(cfg, args.image, image)
     prepared = _prepare_one(cfg, image)
     print(f"{_load_artifacts(cfg, args).predict(prepared):.4f}")
     return 0

@@ -27,7 +27,7 @@ from .errors import ConfigError, DataError, FormatError
 
 ATTRIBUTE_WEIGHTS = (0.25, 0.25, 0.25, 0.25)  # brightness, contrast, 1-offset, 1-noise
 MANIFEST_HEADER = ["id", "path", "score", "binary_label", "corrupted", "split"]
-SPLITS = ("train", "valid", "test", "meta", "")
+SPLITS = ("train", "valid", "test", "")
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Image preparation: pad-to-square, center-crop, and stretch pipelines.
 
 All three run before the network and are never differentiated, so they
-work on plain arrays and return detached tensors. Scaling is bilinear
+take and return plain float64 arrays. Scaling is bilinear
 with half-pixel centers (kernels.bilinear_resize).
 """
 
@@ -9,7 +9,6 @@ import numpy as np
 
 from . import kernels
 from .errors import ParameterError, ShapeError
-from .tensor import Tensor
 
 
 def _round_half_away(x: float) -> int:
@@ -18,7 +17,7 @@ def _round_half_away(x: float) -> int:
 
 
 def _as_chw(img) -> np.ndarray:
-    arr = img.data if isinstance(img, Tensor) else np.asarray(img, dtype=np.float64)
+    arr = np.asarray(img, dtype=np.float64)
     if arr.ndim != 3:
         raise ShapeError(f"expected (C,H,W) image, got {arr.shape}")
     if arr.shape[1] < 1 or arr.shape[2] < 1:
@@ -32,7 +31,7 @@ def _resize(arr: np.ndarray, ho: int, wo: int) -> np.ndarray:
     return kernels.bilinear_resize(arr, ho, wo)
 
 
-def aab_prepare(img, square_side: int) -> Tensor:
+def aab_prepare(img, square_side: int) -> np.ndarray:
     """Scale the long edge to `square_side`, center on a zero square canvas.
 
     The short edge scales proportionally (half-away-from-zero rounding)
@@ -56,10 +55,10 @@ def aab_prepare(img, square_side: int) -> Tensor:
     top = (s - nh) // 2
     left = (s - nw) // 2
     canvas[:, top:top + nh, left:left + nw] = content
-    return Tensor(canvas)
+    return canvas
 
 
-def preprocess_crop(img, side: int) -> Tensor:
+def preprocess_crop(img, side: int) -> np.ndarray:
     """Scale the short edge to `side`, then take the central side x side window."""
     arr = _as_chw(img)
     s = int(side)
@@ -75,13 +74,13 @@ def preprocess_crop(img, side: int) -> Tensor:
     scaled = _resize(arr, nh, nw)
     top = (nh - s) // 2
     left = (nw - s) // 2
-    return Tensor(scaled[:, top:top + s, left:left + s].copy())
+    return scaled[:, top:top + s, left:left + s].copy()
 
 
-def preprocess_resize(img, side: int) -> Tensor:
+def preprocess_resize(img, side: int) -> np.ndarray:
     """Stretch both edges to `side`, ignoring aspect ratio."""
     arr = _as_chw(img)
     s = int(side)
     if s < 1:
         raise ParameterError(f"resize side must be positive, got {s}")
-    return Tensor(_resize(arr, s, s))
+    return _resize(arr, s, s)

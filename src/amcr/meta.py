@@ -22,6 +22,11 @@ batch:
      parameters take an Adam step on grad = sum_i c_i g_i, reusing the
      cached g_i (w has not moved since they were taken).
 
+A MetaState always learns Theta. A network that is no longer learned is
+a fixed map from loss to weight: `fixed_weighting` gives its
+coefficients c_i on detached losses, with no meta set and no lookahead,
+and training.train_model takes one step on sum_i c_i L_i with them.
+
 The cached g_i are the rows of one (n, P) matrix over the P trainable
 entries, allocated once per MetaState and overwritten every iteration.
 Both sums over c_i g_i accumulate its rows in sample order, and the
@@ -63,6 +68,17 @@ def weight_coefficients(values: np.ndarray, normalize: bool):
     return values / n, float(n)
 
 
+def fixed_weighting(loss_values, mrn: Mrn, normalize: bool):
+    """Weights v_i of a reweighting network held fixed, evaluated on the
+    detached per-sample losses without building a graph, and their loss
+    coefficients c_i (see weight_coefficients). Returns (v, c) as arrays.
+    """
+    with T.no_grad():
+        v = mrn_forward(loss_values, mrn)
+    coeff, _ = weight_coefficients(v.data, normalize)
+    return v.data, coeff
+
+
 def _weighted_row_sum(coeff, rows):
     """sum_i coeff[i] * rows[i] as one new flat vector.
 
@@ -82,8 +98,9 @@ def _weighted_row_sum(coeff, rows):
 
 
 class MetaState:
-    """Owns the main parameters, the reweighting network, both Adam
-    optimizers, and the per-iteration cache shared by the three stages.
+    """Owns the main parameters, the reweighting network it learns, both
+    Adam optimizers, and the per-iteration cache shared by the three
+    stages.
 
     `loss_fn(batch, params)` must return the per-sample loss vector for
     a batch, built so each entry is its own scalar subgraph (stacked),
@@ -96,7 +113,7 @@ class MetaState:
     """
 
     def __init__(self, params: dict, mrn: Mrn, loss_fn, settings,
-                 trainable=None, freeze_mrn: bool = False):
+                 trainable=None):
         self.params = params
         self.mrn = mrn
         self.loss_fn = loss_fn
@@ -105,7 +122,6 @@ class MetaState:
         unknown = [n for n in self.trainable if n not in params]
         if unknown:
             raise ParameterError(f"unknown trainable parameters {unknown}")
-        self.freeze_mrn = bool(freeze_mrn)
         # One weight-decay setting serves both optimizers. On Theta the
         # decay doubles as a restoring force: a saturated sigmoid emits
         # near-zero gradients, and without decay Adam's normalized steps
@@ -213,17 +229,11 @@ class MetaState:
                 for name, p in theta.items()}
 
     def meta_step(self, meta_batch):
-        """Adam-update Theta from the exact meta-gradient; no-op when the
-        reweighting network is frozen (moments stay untouched too)."""
-        cache = self._cache
-        if cache is None or cache["stage"] != "lookahead":
-            raise StateError("meta_step needs the lookahead cache of this iteration")
-        if self.freeze_mrn:
-            cache["stage"] = "meta"
-            return
+        """Adam-update Theta from the exact meta-gradient (which checks
+        that the lookahead cache of this iteration exists)."""
         grads = self.meta_gradient(meta_batch)
         self.adam_mrn.step(self.mrn.params, grads)
-        cache["stage"] = "meta"
+        self._cache["stage"] = "meta"
 
     # stage 3 -------------------------------------------------------------
 
@@ -233,14 +243,12 @@ class MetaState:
         cache = self._cache
         if cache is None or cache["stage"] != "meta":
             raise StateError("main_step needs meta_step to have run this iteration")
-        with T.no_grad():
-            v_new = mrn_forward(cache["loss_values"], self.mrn)
-        coeff, _ = weight_coefficients(v_new.data,
+        v_new, coeff = fixed_weighting(cache["loss_values"], self.mrn,
                                        self.settings.normalize_weights)
         grads = self._unflatten(_weighted_row_sum(coeff, cache["rows"]))
         self.adam_main.step(self.params, grads)
         self._cache = None
-        return v_new.data
+        return v_new
 
     # ---------------------------------------------------------------------
 

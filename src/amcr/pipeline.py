@@ -11,9 +11,10 @@ Three variants share one backbone architecture:
        cr-style regressor, and scores fuse with the all-data regressor.
 
 Every stage is reweighted exactly when it is handed a meta set: then
-`train_model` draws and learns the loss-to-weight network, and a branch
-trains it during the classification phase and keeps it frozen for the
-regression phase.
+`train_model` draws and learns the loss-to-weight network. A branch
+learns it during the classification phase and reuses it frozen for the
+regression phase, where it is a fixed loss weighting that needs no meta
+set.
 """
 
 from __future__ import annotations
@@ -69,11 +70,11 @@ def prepare_images(samples, base_dir, prep: str, *, crop_side: int = 32,
     for s in samples:
         img = pnm.load_pnm(os.path.join(base_dir, s.path))
         if prep == "crop":
-            out[s.id] = preprocess_crop(img, crop_side).data
+            out[s.id] = preprocess_crop(img, crop_side)
         elif prep == "resize":
-            out[s.id] = preprocess_resize(img, crop_side).data
+            out[s.id] = preprocess_resize(img, crop_side)
         elif prep == "aab":
-            out[s.id] = aab_prepare(img, square_side).data
+            out[s.id] = aab_prepare(img, square_side)
         else:
             raise ConfigError(f"unknown preprocessing {prep!r}")
     return out
@@ -156,10 +157,10 @@ def train_branch(model, train, valid, images, class_settings: TrainSettings,
     """Two-phase fit: ten-class backbone training, then the regression head
     on frozen features.
 
-    Phase 1 keeps the regression head untouched; phase 2 trains only the
-    regression head, with the backbone, class head, and (given a meta set)
-    phase 1's loss-to-weight network all frozen. Returns the phase
-    results as a dict.
+    Phase 1 keeps the regression head untouched and, given a meta set,
+    learns a loss-to-weight network; phase 2 trains only the regression
+    head, with the backbone, class head and phase 1's network all
+    frozen. Returns the phase results as a dict.
     """
     if len(train) < class_settings.batch_size or len(train) < reg_settings.batch_size:
         raise DataError(
@@ -173,16 +174,13 @@ def train_branch(model, train, valid, images, class_settings: TrainSettings,
                          trainable=model.trainable_names("class"),
                          metric_mode="higher", meta_samples=meta_samples)
 
-    # the backbone is frozen now, so each image collapses to one feature row;
-    # meta samples may also be train samples, so each id is cached once
-    unique = {s.id: s for s in [*train, *valid, *(meta_samples or [])]}
-    feats = TR.cache_features(model, list(unique.values()), images)
+    # the backbone is frozen now, so each image collapses to one feature row
+    feats = TR.cache_features(model, [*train, *valid], images)
     reg_loss = TR.reg_loss_fn(model, feats)
     reg_valid = lambda: TR.eval_reg_feature_mse(model, valid, feats)
     phase2 = train_model(model, reg_loss, train, reg_valid, reg_settings, rng,
                          trainable=model.trainable_names("reg"),
-                         metric_mode="lower", meta_samples=meta_samples,
-                         frozen_mrn=phase1.mrn)
+                         metric_mode="lower", frozen_mrn=phase1.mrn)
     return {"class": phase1, "reg": phase2}
 
 

@@ -1,14 +1,13 @@
 """Binary PPM (P6, color) and PGM (P5, gray) reading and writing.
 
 These two headers-plus-raster formats need no external decoder, which
-keeps the dataset pipeline self-contained. Pixels map to float tensors
+keeps the dataset pipeline self-contained. Pixels map to float64 arrays
 in [0,1]; writing quantizes to 8-bit.
 """
 
 import numpy as np
 
 from .errors import FormatError
-from .tensor import Tensor
 
 _MAXVAL = 255
 
@@ -33,8 +32,8 @@ def _read_token(data: bytes, pos: int):
     return data[start:pos], pos
 
 
-def load_pnm(path) -> Tensor:
-    """Read a P6 file to a (3,H,W) tensor or a P5 file to (1,H,W)."""
+def load_pnm(path) -> np.ndarray:
+    """Read a P6 file to a (3,H,W) array or a P5 file to (1,H,W)."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 2:
@@ -62,7 +61,7 @@ def load_pnm(path) -> Tensor:
         raise FormatError(f"{path}: raster holds {len(raster)} of {expected} bytes")
     arr = np.frombuffer(raster, dtype=np.uint8).astype(np.float64) / _MAXVAL
     chw = arr.reshape(height, width, channels).transpose(2, 0, 1)
-    return Tensor(np.ascontiguousarray(chw))
+    return np.ascontiguousarray(chw)
 
 
 def save_pnm(path, image):
@@ -70,7 +69,7 @@ def save_pnm(path, image):
 
     Values may be floats in [0,1] (quantized) or uint8 (taken as is).
     """
-    arr = image.data if isinstance(image, Tensor) else np.asarray(image)
+    arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[0] not in (1, 3):
         raise FormatError(f"expected (1|3,H,W), got {arr.shape}")
     if arr.dtype != np.uint8:

@@ -1,6 +1,7 @@
-"""Training loops shared by every stage: plain Adam on the mean batch
-loss, or the three-stage reweighted iteration, both with plateau learning
-rate halving and best-validation parameter tracking."""
+"""Training loop shared by every stage: one Adam step per batch on a
+weighted batch loss (uniform, or from a fixed reweighting network), or
+the three-stage iteration that learns the reweighting network, both with
+plateau learning rate halving and best-validation parameter tracking."""
 
 from dataclasses import dataclass, field
 
@@ -9,7 +10,7 @@ import numpy as np
 from . import tensor as T
 from .blocks import Mrn
 from .errors import DataError, ParameterError
-from .meta import MetaState
+from .meta import MetaState, fixed_weighting
 from .optim import Adam, PlateauScheduler
 from .tensor import Tensor
 
@@ -82,29 +83,32 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
 
     loss_fn(batch, override) must return the per-sample loss vector;
     valid_fn() the validation metric (metric_mode says which direction
-    improves). Training is reweighted exactly when meta_samples is given:
-    every batch then runs the full three-stage iteration against batches
-    cycled from meta_samples. The loss-to-weight network is drawn from
-    `rng` and learned, or, passed as frozen_mrn, kept fixed while its
-    weights still scale each batch; `TrainResult.mrn` returns it.
+    improves). Without meta_samples every batch takes one backward and
+    one Adam step on sum_i c_i L_i: c_i = 1/n for plain training, or,
+    given frozen_mrn, the coefficients of that network's weights on the
+    detached losses (meta.fixed_weighting), which no step changes.
+    Given meta_samples instead, training is reweighted and learned: the
+    loss-to-weight network is drawn from `rng`, and every batch runs the
+    three-stage meta.MetaState iteration against batches cycled from
+    meta_samples. `TrainResult.mrn` returns the network of either mode.
     """
     settings.validate()
+    if meta_samples is not None and frozen_mrn is not None:
+        raise ParameterError(
+            "a frozen reweighting network takes no meta set; pass one or the other")
     train_samples = list(train_samples)
     if not train_samples:
         raise DataError("empty training set")
     params = model.params
     trainable = list(params) if trainable is None else list(trainable)
-    result = TrainResult()
+    result = TrainResult(mrn=frozen_mrn)
 
     state = None
-    if meta_samples is not None or frozen_mrn is not None:
+    if meta_samples is not None:
         if not meta_samples:
             raise DataError("reweighted training needs a meta set")
-        frozen = frozen_mrn is not None
-        result.mrn = (frozen_mrn if frozen
-                      else Mrn(hidden=settings.mrn_hidden, rng=rng))
-        state = MetaState(params, result.mrn, loss_fn, settings, trainable,
-                          frozen)
+        result.mrn = Mrn(hidden=settings.mrn_hidden, rng=rng)
+        state = MetaState(params, result.mrn, loss_fn, settings, trainable)
         optimizer = state.adam_main
         meta_cycler = _Cycler(meta_samples, settings.meta_batch, rng)
     else:
@@ -124,21 +128,29 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
             batch = [train_samples[i] for i in order[start:start + settings.batch_size]]
             if state is not None:
                 weights = state.meta_iteration(batch, meta_cycler.next())
-                for s, w in zip(batch, weights):
-                    result.sample_weights[s.id] = float(w)
-                epoch_loss += float(np.sum(state.last_losses))
+                losses = state.last_losses
             else:
-                losses = loss_fn(batch, None)
-                mean = T.tmean(losses)
+                loss_vector = loss_fn(batch, None)
+                losses = loss_vector.data
+                if frozen_mrn is None:
+                    weights = None
+                    coeff = np.full(len(batch), 1.0 / len(batch))
+                else:
+                    weights, coeff = fixed_weighting(
+                        losses, frozen_mrn, settings.normalize_weights)
+                total = T.tsum(T.mul(loss_vector, Tensor(coeff)))
                 for name in trainable:
                     params[name].zero_grad()
-                mean.backward()
+                total.backward()
                 grads = {}
                 for name in trainable:
                     g = params[name].grad
                     grads[name] = np.zeros_like(params[name].data) if g is None else g
                 optimizer.step(params, grads)
-                epoch_loss += float(losses.data.sum())
+            if weights is not None:
+                for s, w in zip(batch, weights):
+                    result.sample_weights[s.id] = float(w)
+            epoch_loss += float(np.sum(losses))
             seen += len(batch)
             result.iterations += 1
         value = float(valid_fn())

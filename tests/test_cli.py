@@ -13,6 +13,7 @@ import pytest
 from amcr.checkpoint import load_checkpoint, save_checkpoint
 from amcr.cli import _load_model, _load_run_config, build_parser, main
 from amcr.metrics import collapse_warnings
+from amcr.pnm import save_pnm
 
 CONFIG = """\
 [data]
@@ -152,6 +153,40 @@ def test_predict_scores_one_image(workdir, capsys):
                  str(image_path)]) == 0
     value = float(capsys.readouterr().out.strip())
     assert 0.0 <= value <= 10.0
+
+
+def write_gray(path):
+    save_pnm(path, np.full((1, 10, 10), 0.5))
+    return path
+
+
+def test_predict_rejects_image_of_other_channel_count(workdir, tmp_path,
+                                                      capsys):
+    cfg, out = workdir
+    image = write_gray(tmp_path / "gray.pgm")
+    assert main(["predict", "--config", str(cfg), "--out", str(out),
+                 str(image)]) == 3
+    assert (f"error: {image}: a 1-channel image, but the model takes 3 channels"
+            in capsys.readouterr().err)
+
+
+def test_evaluate_rejects_manifest_image_of_other_channel_count(
+        workdir, tmp_path, capsys):
+    cfg, out = workdir
+    run = tmp_path / "out"
+    for sub in ("data", "models"):
+        shutil.copytree(out / sub, run / sub)
+    manifest = run / "data" / "manifest.csv"
+    rows = read_rows(manifest)
+    row = next(r for r in rows[1:] if r[5] == "test")
+    row[1] = "images/gray.pgm"
+    write_gray(run / "data" / row[1])
+    with open(manifest, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["evaluate", "--config", str(cfg), "--out", str(run)]) == 3
+    path = os.path.join(run / "data", row[1])
+    assert (f"error: {path}: a 1-channel image, but the model takes 3 channels"
+            in capsys.readouterr().err)
 
 
 def test_pseudo_split_writes_assignment(workdir, capsys):
@@ -306,14 +341,16 @@ def test_train_binary_removes_what_the_previous_router_split(tmp_path, capsys):
     assert main(["evaluate"] + run) == 0
 
 
-def test_train_with_reweighting_reruns_byte_identical(tmp_path):
+# cr reuses its learned reweighting network frozen in the regression phase
+@pytest.mark.parametrize("variant", ["r", "cr"])
+def test_train_with_reweighting_reruns_byte_identical(tmp_path, variant):
     checkpoints = []
     for name in ("a", "b"):
         root = tmp_path / name
         root.mkdir()
         cfg, out = fresh_data(root)
         assert main(["train", "--config", str(cfg), "--out", str(out),
-                     "--mrn", "on"]) == 0
+                     "--variant", variant, "--mrn", "on"]) == 0
         checkpoints.append({path.name: path.read_bytes()
                             for path in (out / "models").iterdir()})
     assert checkpoints[0] and checkpoints[0] == checkpoints[1]

@@ -90,7 +90,7 @@ def test_images_reflect_score_ordering(tmp_path):
     # brightness contributes positively, so bright images should score
     # higher on average: check the correlation over a generated set
     samples, out = gen(tmp_path, n=60, seed=3)
-    means = np.array([load_pnm(os.path.join(out, s.path)).data.mean()
+    means = np.array([load_pnm(os.path.join(out, s.path)).mean()
                       for s in samples])
     scores = np.array([s.score for s in samples])
     r = np.corrcoef(means, scores)[0, 1]
@@ -174,7 +174,7 @@ def test_manifest_roundtrip_identity(tmp_path):
         Sample("a", "images/a.ppm", 7.25, 1, False, "train"),
         Sample("b", "images/b.ppm", 0.123456789012345, 0, True, "valid"),
         Sample("c", "images/c.ppm", 10.0, 1, False, ""),
-        Sample("d", "images/d.ppm", 5.0, 1, True, "meta"),
+        Sample("d", "images/d.ppm", 5.0, 1, True, "test"),
     ]
     path = tmp_path / "m.csv"
     save_manifest(path, samples)
@@ -190,7 +190,7 @@ def test_manifest_roundtrip_many_random(tmp_path):
             samples.append(Sample(
                 f"s{i}", f"images/s{i}.ppm", float(rng.uniform(0, 10)),
                 int(rng.integers(0, 2)), bool(rng.integers(0, 2)),
-                str(rng.choice(["train", "valid", "test", "meta", ""]))))
+                str(rng.choice(["train", "valid", "test", ""]))))
         path = tmp_path / f"m{trial}.csv"
         save_manifest(path, samples)
         assert load_manifest(path) == samples
@@ -214,6 +214,16 @@ def test_manifest_rejects_malformed(tmp_path):
         p4.write_text(",".join(MANIFEST_HEADER) + "\n" + row + "\n")
         with pytest.raises(FormatError, match="must be numbers"):
             load_manifest(p4)
+
+
+def test_manifest_rejects_meta_split(tmp_path):
+    # no stage reads a "meta" split, so such a row would drop out of
+    # every split unnoticed
+    p = tmp_path / "m.csv"
+    p.write_text(",".join(MANIFEST_HEADER) + "\nx,y,1.0,0,0,test\n"
+                 "z,w,9.0,1,0,meta\n")
+    with pytest.raises(FormatError, match=r"m\.csv:3: unknown split 'meta'"):
+        load_manifest(p)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from amcr.meta import (EPS_NORMALIZE, MetaState, build_meta_set, segment_of,
                        weight_coefficients)
 from amcr.optim import Adam
 from amcr.tensor import Tensor
-from amcr.training import TrainSettings
+from amcr.training import TrainSettings, train_model
 
 from helpers import numerical_grad, rel_err
 
@@ -192,21 +192,6 @@ def test_meta_gradient_matches_fd(normalize):
         assert diff < 1e-9 + 1e-6 * scale, (n, diff, scale)
 
 
-def test_meta_step_skipped_when_frozen():
-    rng = np.random.default_rng(7)
-    model = ToyModel(0.8)
-    mrn = Mrn(hidden=4, rng=rng)
-    state = MetaState(model.params, mrn, toy_loss_fn(model),
-                      TrainSettings(), freeze_mrn=True)
-    before = {n: p.data.copy() for n, p in mrn.params.items()}
-    state.lookahead_update([0.0, 2.0])
-    state.meta_step([1.0, 1.0])
-    state.main_step()
-    for n, v in before.items():
-        np.testing.assert_array_equal(mrn.params[n].data, v)
-    assert state.adam_mrn.t == 0  # moments never engaged
-
-
 def test_meta_iteration_returns_weights_and_counts():
     model = ToyModel(0.0)
     mrn = Mrn(hidden=4, rng=np.random.default_rng(9))
@@ -218,26 +203,41 @@ def test_meta_iteration_returns_weights_and_counts():
 
 
 # ---------------------------------------------------------------------------
-# reduction: frozen zero Theta + plain mode == Adam on the half-scaled loss
+# reduction: a frozen zero Theta in plain mode == plain training on the
+# half-scaled loss
+
+
+class Target:
+    def __init__(self, i, t):
+        self.id = f"t{i}"
+        self.t = float(t)
 
 
 def test_reduction_to_half_weighted_adam():
-    cfg = TrainSettings(lr=0.03, normalize_weights=False, weight_decay=1e-4)
-    model = ToyModel(3.0)
-    state = MetaState(model.params, Mrn(hidden=4), toy_loss_fn(model), cfg,
-                      freeze_mrn=True)
-    ref = Tensor(np.array([3.0]), requires_grad=True)
-    ref_opt = Adam(cfg.lr, cfg.betas, weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        batch = list(rng.uniform(0.0, 6.0, 4))
-        state.meta_iteration(batch, [1.0, 2.0])
-        # same accumulation order as the weighted update: c_i = 0.5/n
-        acc = np.zeros(1)
-        for t in batch:
-            acc += (0.5 / 4.0) * np.array([2.0 * (float(ref.data[0]) - t)])
-        ref_opt.step({"w": ref}, {"w": acc})
-        assert float(model.params["w"].data[0]) == float(ref.data[0])  # bitwise
+    cfg = TrainSettings(epochs=5, batch_size=8, lr=0.03, weight_decay=1e-4,
+                        normalize_weights=False)
+    targets = np.random.default_rng(3).uniform(0.0, 6.0, 37)
+    samples = [Target(i, t) for i, t in enumerate(targets)]
+
+    def fit(scale, frozen_mrn):
+        model = ToyModel(3.0)
+        toy = toy_loss_fn(model)
+
+        def loss_fn(batch, override):
+            losses = toy([s.t for s in batch], override)
+            return T.mul(losses, Tensor(np.full(len(batch), scale)))
+
+        epochs = iter(range(cfg.epochs))  # every epoch improves: keep the last
+        train_model(model, loss_fn, samples, lambda: -next(epochs), cfg,
+                    np.random.default_rng(0), metric_mode="lower",
+                    frozen_mrn=frozen_mrn)
+        return model.params["w"].data
+
+    # v_i = 0.5 gives c_i = 0.5/n, which is 0.5 * (1/n) exactly
+    frozen = fit(1.0, Mrn(hidden=4))
+    plain = fit(0.5, None)
+    assert frozen[0] != 3.0
+    np.testing.assert_array_equal(frozen, plain)  # bitwise
 
 
 # ---------------------------------------------------------------------------

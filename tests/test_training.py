@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from amcr import tensor as T
-from amcr.blocks import AestheticNet, Mrn
+from amcr import training
+from amcr.blocks import AestheticNet, Mrn, mrn_forward
 from amcr.data import Sample
 from amcr.errors import DataError, ParameterError
+from amcr.meta import weight_coefficients
+from amcr.optim import Adam
 from amcr.training import (TrainSettings, _Cycler, cache_features,
                            class_loss_fn, eval_class_accuracy, eval_reg_mse,
                            eval_reg_feature_mse, predict_class, predict_score,
@@ -164,28 +167,24 @@ def test_mrn_mode_needs_meta_samples():
                     TrainSettings(), np.random.default_rng(0), meta_samples=[])
 
 
-def test_frozen_mrn_needs_meta_samples():
-    # a frozen network without a meta set is refused, not run as plain
-    # training that silently ignores it
+def test_meta_samples_and_frozen_mrn_are_exclusive():
+    # a frozen network is a fixed weighting; a meta set would mean
+    # learning it, so asking for both is refused
     rng = np.random.default_rng(0)
     model = LineModel()
-    with pytest.raises(DataError, match="needs a meta set"):
+    with pytest.raises(ParameterError, match="one or the other"):
         train_model(model, model.loss_fn(), [(0.0, 0.0)], lambda: 0.0,
-                    TrainSettings(), rng, frozen_mrn=Mrn(hidden=4, rng=rng))
+                    TrainSettings(), rng, meta_samples=[(0.0, 0.0)],
+                    frozen_mrn=Mrn(hidden=4, rng=rng))
 
 
-def test_mrn_mode_records_sample_weights():
-    rng = np.random.default_rng(5)
-    model = LineModel()
+class Pt:
+    def __init__(self, i, x, t):
+        self.id = f"pt{i}"
+        self.x, self.t = x, t
 
-    class Pt:
-        def __init__(self, i, x, t):
-            self.id = f"pt{i}"
-            self.x, self.t = x, t
 
-    pts = [Pt(i, x, t) for i, (x, t) in enumerate(line_data(rng, 24))]
-    meta = [Pt(100 + i, x, t) for i, (x, t) in enumerate(line_data(rng, 8))]
-
+def point_loss_fn(model):
     def fn(batch, override):
         p = model.params if override is None else {**model.params, **override}
         a = T.reshape(p["a"], ())
@@ -195,11 +194,26 @@ def test_mrn_mode_records_sample_weights():
             d = T.sub(T.add(T.mul(a, T.as_tensor(s.x)), b), T.as_tensor(s.t))
             out.append(T.mul(d, d))
         return T.stack(out)
+    return fn
 
+
+def skewed_mrn(rng):
+    """A reweighting network whose weights vary with the loss."""
+    mrn = Mrn(hidden=8, rng=rng)
+    mrn.params["mrn.w2"].data = rng.normal(size=(8, 1))
+    mrn.params["mrn.b2"].data = rng.normal(size=(1,))
+    return mrn
+
+
+def test_mrn_mode_records_sample_weights():
+    rng = np.random.default_rng(5)
+    model = LineModel()
+    pts = [Pt(i, x, t) for i, (x, t) in enumerate(line_data(rng, 24))]
+    meta = [Pt(100 + i, x, t) for i, (x, t) in enumerate(line_data(rng, 8))]
     settings = TrainSettings(epochs=2, batch_size=8, lr=0.05, meta_batch=4,
                              weight_decay=0.0)
-    result = train_model(model, fn, pts, lambda: 0.0, settings, rng,
-                         metric_mode="lower", meta_samples=meta)
+    result = train_model(model, point_loss_fn(model), pts, lambda: 0.0,
+                         settings, rng, metric_mode="lower", meta_samples=meta)
     assert isinstance(result.mrn, Mrn)
     assert set(result.sample_weights) == {p.id for p in pts}
     assert all(0.0 < w < 1.0 for w in result.sample_weights.values())
@@ -208,34 +222,68 @@ def test_mrn_mode_records_sample_weights():
 def test_mrn_frozen_mode_keeps_network_fixed():
     rng = np.random.default_rng(6)
     model = LineModel()
-
-    class Pt:
-        def __init__(self, i, x, t):
-            self.id = f"pt{i}"
-            self.x, self.t = x, t
-
     pts = [Pt(i, x, t) for i, (x, t) in enumerate(line_data(rng, 16))]
-    meta = pts[:4]
-
-    def fn(batch, override):
-        p = model.params if override is None else {**model.params, **override}
-        a = T.reshape(p["a"], ())
-        b = T.reshape(p["b"], ())
-        return T.stack([T.mul(T.sub(T.add(T.mul(a, T.as_tensor(s.x)), b),
-                                    T.as_tensor(s.t)),
-                              T.sub(T.add(T.mul(a, T.as_tensor(s.x)), b),
-                                    T.as_tensor(s.t))) for s in batch])
-
     mrn = Mrn(hidden=8, rng=rng)
     before = {n: p.data.copy() for n, p in mrn.params.items()}
-    settings = TrainSettings(epochs=2, batch_size=8, lr=0.05, meta_batch=4,
-                             weight_decay=0.0)
-    result = train_model(model, fn, pts, lambda: 0.0, settings, rng,
-                         metric_mode="lower", meta_samples=meta,
-                         frozen_mrn=mrn)
+    settings = TrainSettings(epochs=2, batch_size=8, lr=0.05, weight_decay=0.0)
+    result = train_model(model, point_loss_fn(model), pts, lambda: 0.0,
+                         settings, rng, metric_mode="lower", frozen_mrn=mrn)
     assert result.mrn is mrn
     for n, v in before.items():
         np.testing.assert_array_equal(mrn.params[n].data, v)
+    assert set(result.sample_weights) == {p.id for p in pts}
+    assert all(0.0 < w < 1.0 for w in result.sample_weights.values())
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_frozen_step_gradient_is_weighted_per_sample_sum(normalize,
+                                                         monkeypatch):
+    rng = np.random.default_rng(16)
+    model = LineModel(a0=0.3, b0=-0.2)
+    pts = [Pt(i, x, t) for i, (x, t) in enumerate(line_data(rng, 6, noise=0.5))]
+    mrn = skewed_mrn(rng)
+    loss_fn = point_loss_fn(model)
+
+    # the reference at the starting parameters: sum_i c_i g_i
+    losses = loss_fn(pts, None)
+    rows = T.per_sample_gradients(losses, model.params)
+    weights, _ = weight_coefficients(
+        mrn_forward(losses.data, mrn).data, normalize)
+    coeff = dict(zip((p.id for p in pts), weights))
+    want = {n: sum(coeff[p.id] * g[n] for p, g in zip(pts, rows))
+            for n in model.params}
+
+    steps = []
+
+    class RecordingAdam(Adam):
+        def step(self, params, grads):
+            steps.append({n: g.copy() for n, g in grads.items()})
+            super().step(params, grads)
+
+    monkeypatch.setattr(training, "Adam", RecordingAdam)
+    settings = TrainSettings(epochs=1, batch_size=len(pts), lr=0.05,
+                             weight_decay=0.0, normalize_weights=normalize)
+    train_model(model, loss_fn, pts, lambda: 0.0, settings, rng,
+                metric_mode="lower", frozen_mrn=mrn)
+    assert len(steps) == 1
+    for n, g in want.items():
+        np.testing.assert_allclose(steps[0][n], g, rtol=1e-12, atol=0)
+
+
+def test_frozen_stage_draws_what_a_plain_stage_draws():
+    # a fixed weighting needs no meta batches, so the run's RNG moves
+    # exactly as in plain training
+    settings = TrainSettings(epochs=3, batch_size=4, lr=0.05, weight_decay=0.0)
+    pts = [Pt(i, x, t) for i, (x, t)
+           in enumerate(line_data(np.random.default_rng(17), 10))]
+    states = []
+    for frozen_mrn in (None, skewed_mrn(np.random.default_rng(18))):
+        model = LineModel()
+        rng = np.random.default_rng(19)
+        train_model(model, point_loss_fn(model), pts, lambda: 0.0, settings,
+                    rng, metric_mode="lower", frozen_mrn=frozen_mrn)
+        states.append(rng.bit_generator.state)
+    assert states[0] == states[1]
 
 
 # ---------------------------------------------------------------------------
