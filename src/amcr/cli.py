@@ -17,6 +17,7 @@ import argparse
 import csv
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -203,6 +204,18 @@ def _write_csv(path: str, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _write_split(args, split) -> None:
+    """split.csv: every routed sample's pseudo label, by id."""
+    _write_csv(os.path.join(args.out, "split.csv"), ["id", "pseudo_label"],
+               sorted(split.pseudo.items()))
+
+
+def _meta_set(cfg, train, rng, reweighted: bool):
+    """The run's meta set, drawn from `rng` only when some stage is
+    reweighted; None otherwise."""
+    return build_meta_set(train, cfg.meta_meta_quota, rng) if reweighted else None
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -214,6 +227,7 @@ def cmd_gen_data(args) -> int:
         image_width=cfg.data_image_width,
         corrupt_fraction=cfg.data_corrupt_fraction,
         corrupt_kind=cfg.data_corrupt_kind,
+        channels=cfg.model_in_channels,
     )
     out = _data_dir(cfg, args)
     samples = D.generate_dataset(spec, cfg.data_dataset_size,
@@ -234,7 +248,7 @@ def cmd_train_binary(args) -> int:
     rng = np.random.default_rng(cfg.train_seed)
     train = D.split_of(samples, "train")
     valid = D.split_of(samples, "valid")
-    meta = build_meta_set(train, cfg.meta_meta_quota, rng) if cfg.meta_mrn else None
+    meta = _meta_set(cfg, train, rng, cfg.meta_mrn)
     model = _build_model(cfg, rng, 2)
     result = train_binary(model, *router_sets(train, valid), images,
                           _class_settings(cfg), rng, meta_samples=meta)
@@ -259,9 +273,7 @@ def cmd_pseudo_split(args) -> int:
     model = _load_model(args, "c2", cfg, 2)
     split = pseudo_split(model, D.split_of(samples, "train"),
                          D.split_of(samples, "valid"), images)
-    rows = [(sid, label) for sid, label in sorted(split.pseudo.items())]
-    _write_csv(os.path.join(args.out, "split.csv"),
-               ["id", "pseudo_label"], rows)
+    _write_split(args, split)
     print("pseudo split:", " ".join(f"{k}={v}"
                                     for k, v in sorted(split.counts().items())))
     return 0
@@ -273,7 +285,7 @@ def cmd_train(args) -> int:
     rng = np.random.default_rng(cfg.train_seed)
     train = D.split_of(samples, "train")
     valid = D.split_of(samples, "valid")
-    meta = build_meta_set(train, cfg.meta_meta_quota, rng) if cfg.meta_mrn else None
+    meta = _meta_set(cfg, train, rng, cfg.meta_mrn)
     factory = lambda r, k: _build_model(cfg, r, k)
     art = run_pipeline(cfg.pipeline_variant, train, valid, images, factory,
                        _class_settings(cfg), _reg_settings(cfg), rng,
@@ -292,9 +304,7 @@ def cmd_train(args) -> int:
             # earlier run's checkpoint
             os.remove(_model_path(args, name))
     if art.split is not None:
-        rows = [(sid, label) for sid, label in sorted(art.split.pseudo.items())]
-        _write_csv(os.path.join(args.out, "split.csv"),
-                   ["id", "pseudo_label"], rows)
+        _write_split(args, art.split)
     print(f"trained variant {cfg.pipeline_variant} "
           f"({iterations} iterations); models under "
           f"{os.path.join(args.out, 'models')}")
@@ -344,7 +354,7 @@ def cmd_evaluate(args) -> int:
     test = D.split_of(samples, "test")
     if not test:
         raise DataError("manifest has no test split")
-    preds = _load_artifacts(cfg, args).predict_samples(test, images)
+    preds = _load_artifacts(cfg, args).predict([images[s.id] for s in test])
     truth = [s.score for s in test]
     report = evaluate_scores(preds, truth)
     _write_csv(os.path.join(args.out, "metrics.csv"),
@@ -369,7 +379,7 @@ def cmd_predict(args) -> int:
     image = pnm.load_pnm(args.image)
     _check_channels(cfg, args.image, image)
     prepared = _prepare_one(cfg, image)
-    print(f"{_load_artifacts(cfg, args).predict(prepared):.4f}")
+    print(f"{_load_artifacts(cfg, args).predict([prepared])[0]:.4f}")
     return 0
 
 
@@ -380,7 +390,7 @@ def cmd_report_segments(args) -> int:
     if not valid:
         raise DataError("manifest has no validation split")
     model = _load_model(args, "c2", cfg, 2)
-    preds = [TR.predict_class(model, images[s.id]) for s in valid]
+    preds = TR.predict_class(model, [images[s.id] for s in valid])
     rows = segment_report(preds, [s.score for s in valid])
     csv_rows = [(r.segment, r.count,
                  "" if r.correct_rate is None else repr(r.correct_rate),
@@ -407,7 +417,7 @@ def cmd_ablate(args) -> int:
     mrns = [cfg.meta_mrn] if args.mrn else [False, True]
     requests = [{"variant": v, "mrn": m} for v in variants for m in mrns]
     rng = np.random.default_rng(cfg.train_seed)
-    meta = build_meta_set(train, cfg.meta_meta_quota, rng) if any(mrns) else None
+    meta = _meta_set(cfg, train, rng, any(mrns))
     factory = lambda r, k: _build_model(cfg, r, k)
     results = run_ablation(requests, train, valid, test, images, factory,
                            _class_settings(cfg), _reg_settings(cfg),
@@ -502,8 +512,14 @@ def _parse_args(argv) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
+    # a warning reads like the collapse warnings, without a source location
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.fn(args)
     except AmcrError as exc:
@@ -516,6 +532,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

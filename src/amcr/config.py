@@ -90,6 +90,8 @@ _SCHEMA = {
 _CHOICES = {
     ("data", "corrupt_kind"): ("score-shift", "label-flip"),
     ("model", "eca_mode"): ("ceil_odd", "nearest_odd"),
+    # gen-data writes PNM images, which hold 1 or 3 channels
+    ("model", "in_channels"): (1, 3),
     ("model", "prep"): ("crop", "resize", "aab"),
     ("pipeline", "variant"): ("r", "cr", "pcr"),
 }

@@ -49,6 +49,7 @@ class SynthSpec:
     jitter: float = 0.06        # zero-sum attribute jitter scale
     corrupt_fraction: float = 0.0
     corrupt_kind: str = "score-shift"   # or "label-flip"
+    channels: int = 3           # 3 writes color PPM, 1 gray PGM
 
     def validate(self):
         if self.image_height < 4 or self.image_width < 4:
@@ -59,6 +60,16 @@ class SynthSpec:
             raise ConfigError(f"corrupt fraction {self.corrupt_fraction} outside [0,1]")
         if self.corrupt_kind not in ("score-shift", "label-flip"):
             raise ConfigError(f"unknown corruption kind {self.corrupt_kind!r}")
+        if self.channels not in (1, 3):
+            raise ConfigError(f"a PNM image holds 1 or 3 channels, not {self.channels}")
+
+
+def binarize_label(score: float) -> int:
+    """Threshold a 0..10 score at the 5-point boundary; 5.0 itself is 1."""
+    s = float(score)
+    if not 0.0 <= s <= 10.0:
+        raise DataError(f"score {s} outside [0, 10]")
+    return 1 if s >= 5.0 else 0
 
 
 def true_score(brightness, contrast, offset, noise) -> float:
@@ -97,7 +108,9 @@ def generate_dataset(spec: SynthSpec, n: int, seed: int, out_dir) -> list:
     """Write n images plus a manifest under out_dir; return the samples.
 
     Deterministic in (spec, n, seed): same inputs give bit-identical
-    files. Corruption hits round(corrupt_fraction * n) samples.
+    files. Corruption hits round(corrupt_fraction * n) samples. A
+    1-channel dataset holds the first, untinted channel of the same
+    renders, so its scores and splits equal the 3-channel dataset's.
     """
     spec.validate()
     if n < 10:
@@ -105,6 +118,7 @@ def generate_dataset(spec: SynthSpec, n: int, seed: int, out_dir) -> list:
     rng = np.random.default_rng(seed)
     image_dir = os.path.join(out_dir, "images")
     os.makedirs(image_dir, exist_ok=True)
+    extension = ".ppm" if spec.channels == 3 else ".pgm"
 
     samples = []
     for i in range(n):
@@ -122,10 +136,10 @@ def generate_dataset(spec: SynthSpec, n: int, seed: int, out_dir) -> list:
         score = float(np.clip(true_score(brightness, contrast, offset, noise)
                               + label_noise, 0.0, 10.0))
         sid = f"syn{i:05d}"
-        rel_path = os.path.join("images", sid + ".ppm")
-        pnm.save_pnm(os.path.join(out_dir, rel_path), img)
+        rel_path = os.path.join("images", sid + extension)
+        pnm.save_pnm(os.path.join(out_dir, rel_path), img[:spec.channels])
         samples.append(Sample(id=sid, path=rel_path, score=score,
-                              binary_label=int(score >= 5.0)))
+                              binary_label=binarize_label(score)))
 
     k = int(round(spec.corrupt_fraction * n))
     if k > 0:
@@ -136,7 +150,7 @@ def generate_dataset(spec: SynthSpec, n: int, seed: int, out_dir) -> list:
                 shift = float(rng.uniform(2.0, 4.0)) * float(rng.choice([-1.0, 1.0]))
                 new_score = float(np.clip(s.score + shift, 0.0, 10.0))
                 samples[idx] = replace(s, score=new_score,
-                                       binary_label=int(new_score >= 5.0),
+                                       binary_label=binarize_label(new_score),
                                        corrupted=True)
             else:
                 samples[idx] = replace(s, binary_label=1 - s.binary_label,

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import pnm
 from . import training as TR
-from .data import drop_mid_scores, make_amdc
+from .data import binarize_label, drop_mid_scores, make_amdc
 from .errors import ConfigError, DataError
 from .image import aab_prepare, preprocess_crop, preprocess_resize
 from .metrics import evaluate_scores
@@ -39,14 +39,6 @@ __all__ = [
     "pseudo_split", "train_branch", "fuse_score", "run_pipeline",
     "run_ablation", "SplitAssignment", "PipelineArtifacts", "prepare_images",
 ]
-
-
-def binarize_label(score: float) -> int:
-    """Threshold a 0..10 score at the 5-point boundary; 5.0 itself is 1."""
-    s = float(score)
-    if not 0.0 <= s <= 10.0:
-        raise DataError(f"score {s} outside [0, 10]")
-    return 1 if s >= 5.0 else 0
 
 
 def ten_class_label(score: float) -> int:
@@ -95,14 +87,16 @@ def router_sets(train, valid):
 
 def train_binary(model, train, valid, images, settings: TrainSettings, rng, *,
                  meta_samples=None) -> TR.TrainResult:
-    """Fit a 2-way classifier on threshold labels, tracking best validation
-    accuracy; the best parameters are left on the model."""
+    """Fit a 2-way classifier on the manifest's `binary_label` (the AMD-CR
+    class label: `binarize_label` of the score unless the data flipped
+    it), tracking best validation accuracy; the best parameters are left
+    on the model."""
     if model.num_classes != 2:
         raise ConfigError(
             f"binary stage needs a 2-class head, got {model.num_classes}")
     if not valid:
         raise DataError("empty validation split")
-    label_of = lambda s: binarize_label(s.score)
+    label_of = lambda s: s.binary_label
     loss_fn = TR.class_loss_fn(model, images, label_of)
     valid_fn = lambda: TR.eval_class_accuracy(model, valid, images, label_of)
     return train_model(model, loss_fn, train, valid_fn, settings, rng,
@@ -132,14 +126,13 @@ def pseudo_split(model, train, valid, images) -> SplitAssignment:
     Ground-truth scores play no part; a branch left empty only produces
     a warning here, the fallback happens at fuse time.
     """
-    pseudo = {}
+    routed = [*train, *valid]
+    labels = TR.predict_class(model, [images[s.id] for s in routed]) >= 1
+    pseudo = {s.id: int(label) for s, label in zip(routed, labels)}
     buckets = {("t", 0): [], ("t", 1): [], ("v", 0): [], ("v", 1): []}
     for tag, group in (("t", train), ("v", valid)):
         for s in group:
-            label = TR.predict_class(model, images[s.id])
-            label = 1 if label >= 1 else 0
-            pseudo[s.id] = label
-            buckets[(tag, label)].append(s)
+            buckets[(tag, pseudo[s.id])].append(s)
     split = SplitAssignment(pseudo, buckets[("t", 0)], buckets[("t", 1)],
                             buckets[("v", 0)], buckets[("v", 1)])
     for name in ("train0", "train1"):
@@ -188,22 +181,22 @@ def train_branch(model, train, valid, images, class_settings: TrainSettings,
 # fused scoring
 
 
-def _clamp_score(x: float) -> float:
-    return float(min(10.0, max(0.0, x)))
-
-
-def fuse_score(c2, r0, r1, r_all, image) -> float:
-    """Route by the binary prediction, average the branch and all-data
-    regressors, clamp to the score scale.
+def fuse_score(c2, r0, r1, r_all, inputs) -> np.ndarray:
+    """Route the list `inputs` by one binary prediction each, and average
+    each branch regressor with the all-data regressor on the inputs routed
+    to it; the result is not clamped.
 
     A missing branch model (None) degrades to the all-data regressor.
     """
-    side = TR.predict_class(c2, image)
-    branch = r1 if side >= 1 else r0
-    all_score = TR.predict_score(r_all, image)
-    if branch is None:
-        return _clamp_score(all_score)
-    return _clamp_score(0.5 * (TR.predict_score(branch, image) + all_score))
+    inputs = list(inputs)
+    side = TR.predict_class(c2, inputs) >= 1
+    fused = TR.predict_score(r_all, inputs)
+    for branch, routed in ((r0, ~side), (r1, side)):
+        idx = np.flatnonzero(routed)
+        if branch is not None and idx.size:
+            own = TR.predict_score(branch, [inputs[i] for i in idx])
+            fused[idx] = 0.5 * (own + fused[idx])
+    return fused
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +215,14 @@ class PipelineArtifacts:
     split: SplitAssignment = None
     history: dict = dataclasses.field(default_factory=dict)
 
-    def predict(self, image) -> float:
+    def predict(self, inputs) -> np.ndarray:
+        """Scores of the list of images `inputs`, clamped to 0..10; the one
+        scoring entry point of every command."""
         if self.variant == "pcr":
-            return fuse_score(self.c2, self.r0, self.r1, self.r_all, image)
-        return _clamp_score(TR.predict_score(self.r_all, image))
-
-    def predict_samples(self, samples, images) -> np.ndarray:
-        return np.array([self.predict(images[s.id]) for s in samples])
+            scores = fuse_score(self.c2, self.r0, self.r1, self.r_all, inputs)
+        else:
+            scores = TR.predict_score(self.r_all, inputs)
+        return np.clip(scores, 0.0, 10.0)
 
 
 def run_pipeline(variant: str, train, valid, images, model_factory,
@@ -317,7 +311,7 @@ def run_ablation(requests, train, valid, test, images, model_factory,
         art = run_pipeline(req["variant"], train, valid, images, model_factory,
                            class_settings, reg_settings, rng,
                            meta_samples=meta)
-        preds = art.predict_samples(test, images)
+        preds = art.predict([images[s.id] for s in test])
         report = evaluate_scores(preds, [s.score for s in test])
         return {**req, "report": report, "predictions": preds,
                 "artifacts": art}

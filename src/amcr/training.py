@@ -210,21 +210,26 @@ def cache_features(model, samples, images: dict) -> dict:
     return feats
 
 
-def predict_class(model, image) -> int:
+def predict_class(model, inputs) -> np.ndarray:
+    """Argmax class of each image in the list `inputs`."""
     with T.no_grad():
-        logits = model.forward(T.as_tensor(image))
-    return int(np.argmax(logits.data))
+        return np.array([np.argmax(model.forward(x).data) for x in inputs],
+                        dtype=np.int64)
 
 
-def predict_score(model, image) -> float:
+def predict_score(model, inputs) -> np.ndarray:
+    """Regression score of each image or cached feature vector in the
+    list `inputs`."""
     with T.no_grad():
-        return float(model.score(image).data)
+        return np.array([float(model.score(x).data) for x in inputs],
+                        dtype=np.float64)
 
 
 def eval_class_accuracy(model, samples, images: dict, label_of) -> float:
     if not samples:
         raise DataError("empty validation set")
-    hits = sum(predict_class(model, images[s.id]) == label_of(s) for s in samples)
+    preds = predict_class(model, [images[s.id] for s in samples])
+    hits = int(np.sum(preds == [label_of(s) for s in samples]))
     return hits / len(samples)
 
 
@@ -232,8 +237,9 @@ def eval_reg_mse(model, samples, inputs: dict) -> float:
     """Mean squared score error over images or cached feature vectors."""
     if not samples:
         raise DataError("empty validation set")
-    total = sum((predict_score(model, inputs[s.id]) - s.score) ** 2
-                for s in samples)
+    preds = predict_score(model, [inputs[s.id] for s in samples])
+    # a sequential float sum: np.sum's pairwise order would move the last bit
+    total = sum((p - s.score) ** 2 for p, s in zip(preds.tolist(), samples))
     return total / len(samples)
 
 

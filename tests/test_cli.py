@@ -5,15 +5,18 @@ import csv
 import os
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import amcr
 from amcr.checkpoint import load_checkpoint, save_checkpoint
 from amcr.cli import _load_model, _load_run_config, build_parser, main
 from amcr.metrics import collapse_warnings
-from amcr.pnm import save_pnm
+from amcr.pnm import load_pnm, save_pnm
 
 CONFIG = """\
 [data]
@@ -153,6 +156,65 @@ def test_predict_scores_one_image(workdir, capsys):
                  str(image_path)]) == 0
     value = float(capsys.readouterr().out.strip())
     assert 0.0 <= value <= 10.0
+
+
+def test_predict_prints_what_evaluate_scored(tmp_path, capsys):
+    # both commands score through PipelineArtifacts.predict
+    cfg, out = fresh_data(tmp_path)
+    run = ["--config", str(cfg), "--out", str(out), "--variant", "pcr"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small branches may fall back
+        assert main(["train"] + run) == 0
+    assert main(["evaluate"] + run) == 0
+    capsys.readouterr()
+    manifest = read_rows(out / "data" / "manifest.csv")
+    test_paths = [r[1] for r in manifest[1:] if r[5] == "test"]
+    scatter = read_rows(out / "scatter.csv")[1:]
+    assert len(scatter) == len(test_paths) > 0
+    for path, (pred, _truth) in zip(test_paths, scatter):
+        assert main(["predict"] + run + [str(out / "data" / path)]) == 0
+        assert capsys.readouterr().out == f"{float(pred):.4f}\n"
+
+
+GRAY_CONFIG = CONFIG.replace("[model]\n", "[model]\nin_channels = 1\n")
+
+
+def test_one_channel_config_runs_end_to_end(tmp_path):
+    for name in ("gray", "color"):
+        (tmp_path / name).mkdir()
+    cfg, out = fresh_data(tmp_path / "gray", GRAY_CONFIG)
+    _, color = fresh_data(tmp_path / "color")
+    # the first, untinted channel of the same renders, with the same
+    # scores, labels and splits
+    rows = read_rows(out / "data" / "manifest.csv")
+    color_rows = read_rows(color / "data" / "manifest.csv")
+    assert [r[:1] + r[2:] for r in rows] == [r[:1] + r[2:] for r in color_rows]
+    image = out / "data" / rows[1][1]
+    assert image.suffix == ".pgm"
+    gray_pixels = load_pnm(image)
+    assert gray_pixels.shape[0] == 1
+    np.testing.assert_array_equal(
+        gray_pixels[0], load_pnm(color / "data" / color_rows[1][1])[0])
+    run = ["--config", str(cfg), "--out", str(out)]
+    assert main(["train"] + run) == 0
+    assert main(["evaluate"] + run) == 0
+    assert main(["predict"] + run + [str(image)]) == 0
+
+
+def test_warnings_print_without_source_location(workdir):
+    # pytest records warnings in process, where no formatter runs
+    cfg, out = workdir
+    src = os.path.dirname(os.path.dirname(amcr.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys; from amcr.cli import main; sys.exit(main())"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "pseudo-split", "--config", str(cfg),
+         "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert "warning: pseudo split left train0 empty" in lines
+    assert not [line for line in lines if ".py:" in line]
 
 
 def write_gray(path):

@@ -65,6 +65,9 @@ def test_bad_values_rejected(tmp_path):
         load_config(write(tmp_path, "[pipeline]\nvariant = qcr\n"))
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, "[model]\nprep = stretch\n"))
+    # gen-data writes PNM images, which hold 1 or 3 channels
+    with pytest.raises(ConfigError, match="in_channels"):
+        load_config(write(tmp_path, "[model]\nin_channels = 2\n"))
 
 
 def test_semantic_validation(tmp_path):

@@ -73,6 +73,8 @@ def test_spec_validation():
         SynthSpec(corrupt_kind="swap").validate()
     with pytest.raises(ConfigError):
         SynthSpec(sigma_pop=0.0).validate()
+    with pytest.raises(ConfigError):
+        SynthSpec(channels=2).validate()
 
 
 def test_score_statistics_match_population(tmp_path):

@@ -15,6 +15,7 @@ from amcr.pipeline import (PipelineArtifacts, binarize_label, fuse_score,
                            run_pipeline, ten_class_label, train_binary,
                            train_branch)
 from amcr.pnm import save_pnm
+from amcr.tensor import Tensor
 from amcr.training import TrainSettings, predict_class, predict_score
 
 
@@ -144,6 +145,19 @@ def test_train_binary_reports_accuracy():
     assert len(result.history) == 2
 
 
+def test_train_binary_learns_the_manifest_binary_label():
+    # a router that calls every image class 1 is right on every sample
+    # whose binary_label is 1, whatever its score says
+    rng = np.random.default_rng(13)
+    samples, images = spread_samples(rng, n=8)
+    labelled = [Sample(s.id, s.path, s.score, 1) for s in samples]
+    model = tiny_factory(rng, 2)
+    set_constant_head(model, None, classes=1)
+    result = train_binary(model, labelled, labelled, images,
+                          fast_settings(lr=1e-12), rng)
+    assert result.best_metric == 1.0
+
+
 def test_pseudo_split_partitions_by_prediction_only():
     rng = np.random.default_rng(3)
     samples, images = spread_samples(rng, n=16)
@@ -152,8 +166,8 @@ def test_pseudo_split_partitions_by_prediction_only():
         warnings.simplefilter("ignore")
         split = pseudo_split(model, samples[:12], samples[12:], images)
 
-    for s in samples:
-        assert split.pseudo[s.id] == predict_class(model, images[s.id])
+    labels = predict_class(model, [images[s.id] for s in samples])
+    assert [split.pseudo[s.id] for s in samples] == labels.tolist()
     assert {s.id for s in split.train0} | {s.id for s in split.train1} == \
         {s.id for s in samples[:12]}
     assert not ({s.id for s in split.train0} & {s.id for s in split.train1})
@@ -241,18 +255,40 @@ def test_fuse_score_routes_averages_and_clamps():
     set_constant_head(r1, 9.0)
 
     set_constant_head(c2, None, classes=1)
-    assert fuse_score(c2, r0, r1, r_all, image) == pytest.approx(8.0)  # (9+7)/2
+    assert fuse_score(c2, r0, r1, r_all, [image]) == pytest.approx([8.0])  # (9+7)/2
     set_constant_head(c2, None, classes=0)
-    assert fuse_score(c2, r0, r1, r_all, image) == pytest.approx(4.5)  # (2+7)/2
+    assert fuse_score(c2, r0, r1, r_all, [image]) == pytest.approx([4.5])  # (2+7)/2
 
     # a missing branch degrades to the all-data regressor
-    assert fuse_score(c2, None, r1, r_all, image) == pytest.approx(7.0)
+    assert fuse_score(c2, None, r1, r_all, [image]) == pytest.approx([7.0])
 
     # the average clamps to the score scale on both ends
+    art = PipelineArtifacts("pcr", r_all, c2, r0, r1)
     set_constant_head(r0, -9.0)
-    assert fuse_score(c2, r0, r1, r_all, image) == 0.0
+    assert art.predict([image]).tolist() == [0.0]
     set_constant_head(r0, 25.0)
-    assert fuse_score(c2, r0, r1, r_all, image) == 10.0
+    assert art.predict([image]).tolist() == [10.0]
+
+
+class BrightnessRouter:
+    """A stand-in binary router: class 1 exactly when the image is bright."""
+
+    def forward(self, image):
+        return Tensor(np.array([0.5, np.mean(image)]))
+
+
+def test_fuse_score_scores_each_branch_on_its_routed_inputs():
+    rng = np.random.default_rng(17)
+    dark, bright = np.full((3, 8, 8), 0.1), np.full((3, 8, 8), 0.9)
+    r_all, r0, r1 = (tiny_factory(rng, 10) for _ in range(3))
+    set_constant_head(r_all, 7.0)
+    set_constant_head(r0, 2.0)
+    set_constant_head(r1, 9.0)
+    inputs = [dark, bright, dark, bright, bright]
+    fused = fuse_score(BrightnessRouter(), r0, r1, r_all, inputs)
+    assert fused.tolist() == [4.5, 8.0, 4.5, 8.0, 8.0]
+    fused = fuse_score(BrightnessRouter(), None, r1, r_all, inputs)
+    assert fused.tolist() == [7.0, 8.0, 7.0, 8.0, 8.0]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +315,8 @@ def test_run_pipeline_r_variant():
     assert art.r_all is not None and art.c2 is None
     assert set(art.history) == {"r"}
     img = images[samples[0].id]
-    assert art.predict(img) == min(10.0, max(0.0, predict_score(art.r_all, img)))
+    assert art.predict([img]).tolist() == [
+        min(10.0, max(0.0, predict_score(art.r_all, [img])[0]))]
 
 
 def test_run_pipeline_cr_variant():
@@ -290,7 +327,7 @@ def test_run_pipeline_cr_variant():
     assert set(art.history) == {"r_all"}
     assert set(art.history["r_all"]) == {"class", "reg"}
     assert art.c2 is None and art.split is None
-    preds = art.predict_samples(samples[8:], images)
+    preds = art.predict([images[s.id] for s in samples[8:]])
     assert preds.shape == (4,)
     assert np.all((preds >= 0.0) & (preds <= 10.0))
 
@@ -308,7 +345,8 @@ def test_run_pipeline_pcr_variant():
     assert set(art.split.pseudo) == {s.id for s in samples}
     assert {"r_all", "c2"} <= set(art.history)
     img = images[samples[0].id]
-    assert art.predict(img) == fuse_score(art.c2, art.r0, art.r1, art.r_all, img)
+    assert art.predict([img]).tolist() == [min(10.0, max(0.0, fuse_score(
+        art.c2, art.r0, art.r1, art.r_all, [img])[0]))]
 
 
 def test_run_pipeline_pcr_branch_fallback():
@@ -321,8 +359,8 @@ def test_run_pipeline_pcr_branch_fallback():
                            fast_settings(batch_size=8), rng)
     assert art.r0 is None and art.r1 is None
     img = images[samples[0].id]
-    assert art.predict(img) == pytest.approx(
-        min(10.0, max(0.0, predict_score(art.r_all, img))))
+    assert art.predict([img]) == pytest.approx(
+        [min(10.0, max(0.0, predict_score(art.r_all, [img])[0]))])
 
 
 # ---------------------------------------------------------------------------

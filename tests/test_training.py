@@ -323,8 +323,8 @@ def test_reg_loss_fn_matches_prediction_error():
     samples, images = fixture_samples(rng)
     fn = reg_loss_fn(net, images)
     losses = fn(samples, None).data
-    for s, loss in zip(samples, losses):
-        pred = predict_score(net, images[s.id])
+    preds = predict_score(net, [images[s.id] for s in samples])
+    for s, loss, pred in zip(samples, losses, preds):
         assert loss == pytest.approx((pred - s.score) ** 2, rel=1e-12)
 
 
@@ -346,7 +346,8 @@ def test_eval_class_accuracy_counts_argmax_hits():
     net = tiny_net(rng, num_classes=2)
     samples, images = fixture_samples(rng)
     acc = eval_class_accuracy(net, samples, images, lambda s: s.binary_label)
-    hits = sum(predict_class(net, images[s.id]) == s.binary_label for s in samples)
+    preds = predict_class(net, [images[s.id] for s in samples])
+    hits = sum(p == s.binary_label for p, s in zip(preds, samples))
     assert acc == hits / len(samples)
     with pytest.raises(DataError):
         eval_class_accuracy(net, [], images, lambda s: s.binary_label)
