@@ -188,14 +188,21 @@ def load_manifest(path) -> list:
             if split not in SPLITS:
                 raise FormatError(f"{path}:{lineno}: unknown split {split!r}")
             try:
-                numbers = float(score), int(binary), bool(int(corrupted))
+                value, label, flag = float(score), int(binary), int(corrupted)
             except ValueError:
                 # an empty score lands here too: no stage can train on it
                 raise FormatError(
                     f"{path}:{lineno}: score, binary_label and corrupted "
                     f"must be numbers, got {score!r}, {binary!r}, "
                     f"{corrupted!r}") from None
-            samples.append(Sample(sid, rel, *numbers, split))
+            if not 0.0 <= value <= 10.0:  # NaN fails this too
+                raise FormatError(
+                    f"{path}:{lineno}: score {score!r} outside [0, 10]")
+            if label not in (0, 1) or flag not in (0, 1):
+                raise FormatError(
+                    f"{path}:{lineno}: binary_label and corrupted must be "
+                    f"0 or 1, got {binary!r}, {corrupted!r}")
+            samples.append(Sample(sid, rel, value, label, bool(flag), split))
     return samples
 
 

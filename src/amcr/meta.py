@@ -29,8 +29,8 @@ and training.train_model takes one step on sum_i c_i L_i with them.
 
 The cached g_i are the rows of one (n, P) matrix over the P trainable
 entries, allocated once per MetaState and overwritten every iteration.
-Both sums over c_i g_i accumulate its rows in sample order, and the
-meta-gradient's d_i are one matrix-vector product with it.
+Both sums over c_i g_i are one product `coeff @ rows`, and the
+meta-gradient's d_i are one product `rows @ grad`.
 
 The lookahead uses plain SGD while both outer updates use Adam; the
 analytic meta-gradient is exact only for the SGD form of the lookahead.
@@ -47,9 +47,6 @@ from .optim import Adam
 from .tensor import Tensor
 
 EPS_NORMALIZE = 1e-8
-# columns per pass of _weighted_row_sum: the accumulator block stays in
-# cache while every row adds into it
-ROW_SUM_BLOCK = 16384
 
 
 def weight_coefficients(values: np.ndarray, normalize: bool):
@@ -77,24 +74,6 @@ def fixed_weighting(loss_values, mrn: Mrn, normalize: bool):
         v = mrn_forward(loss_values, mrn)
     coeff, _ = weight_coefficients(v.data, normalize)
     return v.data, coeff
-
-
-def _weighted_row_sum(coeff, rows):
-    """sum_i coeff[i] * rows[i] as one new flat vector.
-
-    Rows are added in sample order, so every element sees the float
-    operations of a per-sample loop `acc += coeff[i] * g_i`.
-    """
-    n, width = rows.shape
-    total = np.zeros(width)
-    term = np.empty(min(width, ROW_SUM_BLOCK))
-    for lo in range(0, width, ROW_SUM_BLOCK):
-        acc = total[lo:lo + ROW_SUM_BLOCK]
-        tmp = term[:acc.size]
-        for i in range(n):
-            np.multiply(rows[i, lo:lo + ROW_SUM_BLOCK], coeff[i], out=tmp)
-            acc += tmp
-    return total
 
 
 class MetaState:
@@ -169,14 +148,10 @@ class MetaState:
         loss_values = losses.data.copy()
         v = mrn_forward(loss_values, self.mrn)
         coeff, s = weight_coefficients(v.data, self.settings.normalize_weights)
-        # w_hat = w - alpha * step, built in place in the step vector:
-        # w + (-alpha * step) rounds exactly like w - alpha * step
-        step = _weighted_row_sum(coeff, rows)
-        step *= -self.settings.lr
-        w_hat = {}
-        for name, view in self._unflatten(step).items():
-            view += self.params[name].data
-            w_hat[name] = Tensor(view, requires_grad=True)
+        step = self._unflatten(coeff @ rows)
+        w_hat = {name: Tensor(self.params[name].data - self.settings.lr * g,
+                              requires_grad=True)
+                 for name, g in step.items()}
         self._cache = {
             "stage": "lookahead",
             "loss_values": loss_values,
@@ -245,7 +220,7 @@ class MetaState:
             raise StateError("main_step needs meta_step to have run this iteration")
         v_new, coeff = fixed_weighting(cache["loss_values"], self.mrn,
                                        self.settings.normalize_weights)
-        grads = self._unflatten(_weighted_row_sum(coeff, cache["rows"]))
+        grads = self._unflatten(coeff @ cache["rows"])
         self.adam_main.step(self.params, grads)
         self._cache = None
         return v_new
@@ -269,7 +244,8 @@ def segment_of(score: float) -> int:
 
 
 def build_meta_set(samples, quota: int, rng):
-    """Pick a balanced clean subset: `quota` per score segment.
+    """Pick a score-balanced subset: `quota` per score segment. Nothing
+    filters label noise, so the subset is as clean as `samples`.
 
     Segments run [0,1), [1,2), ..., [9,10]. Each segment in ascending
     order first draws from its own (seeded-shuffled) pool; a shortfall

@@ -49,25 +49,17 @@ def ranks(values) -> np.ndarray:
 
 
 def srocc(pred, truth) -> float:
-    """Spearman rank correlation.
-
-    Without ties this is 1 - 6*sum(d^2)/(N^3 - N) over rank differences
-    d; with ties it falls back to the Pearson correlation of the rank
-    vectors. A constant input has no defined rank order, so the result
-    is reported as 0 with a warning.
+    """Spearman rank correlation: the Pearson correlation of the rank
+    vectors, tied values sharing their average rank. A constant input has
+    no defined rank order, so the result is reported as 0 with a warning.
     """
     p, t = _pair(pred, truth)
-    n = p.size
-    if n < 2:
+    if p.size < 2:
         raise DataError("rank correlation needs at least two samples")
     if np.all(p == p[0]) or np.all(t == t[0]):
         warnings.warn("rank correlation undefined for a constant vector; reporting 0")
         return 0.0
     rp, rt = ranks(p), ranks(t)
-    ties = np.unique(p).size < n or np.unique(t).size < n
-    if not ties:
-        d = rp - rt
-        return float(1.0 - 6.0 * np.sum(d * d) / (n ** 3 - n))
     rp = rp - rp.mean()
     rt = rt - rt.mean()
     return float(np.sum(rp * rt) / np.sqrt(np.sum(rp * rp) * np.sum(rt * rt)))

@@ -372,12 +372,13 @@ def cross_entropy_logits(z: Tensor, label: int) -> Tensor:
 # per-sample gradients
 
 
-def per_sample_gradients(loss_vector: Tensor, params, out=None):
-    """Gradient of each entry of `loss_vector` w.r.t. every tensor in `params`.
+def per_sample_gradients(loss_vector: Tensor, params: dict, out=None):
+    """Gradient of each entry of `loss_vector` w.r.t. every tensor in the
+    name -> Tensor dict `params`.
 
     `loss_vector` must be a `stack` of per-sample scalars. Sample i's
     gradients go to row i of one (n, P) float64 matrix: the parameters in
-    `params` order, each flattened, P their total size. `out` is that
+    dict order, each flattened, P their total size. `out` is that
     matrix when given (a buffer reused across calls; every entry is
     overwritten, so parameters a sample does not reach get zero rows
     whatever the buffer held), else a new one. Every parameter's `.grad`
@@ -396,9 +397,8 @@ def per_sample_gradients(loss_vector: Tensor, params, out=None):
     if loss_vector._op != "stack" or len(loss_vector._prev) != loss_vector.shape[0]:
         raise TapeError("per_sample_gradients: loss vector must be a stack "
                         "of per-sample scalars")
-    named = dict(params) if isinstance(params, dict) else {str(i): p for i, p in enumerate(params)}
     layout, width = [], 0  # (name, parameter, first column, end column)
-    for name, p in named.items():
+    for name, p in params.items():
         layout.append((name, p, width, width + p.data.size))
         width += p.data.size
     shape = (loss_vector.shape[0], width)
@@ -408,7 +408,7 @@ def per_sample_gradients(loss_vector: Tensor, params, out=None):
         raise ShapeError(f"per_sample_gradients: out is {out.dtype} {out.shape}, "
                          f"needs float64 {shape}")
 
-    for p in named.values():
+    for p in params.values():
         p.grad = None
     for i, scalar in enumerate(loss_vector._prev):
         # each per-sample scalar backpropagates through its own subgraph

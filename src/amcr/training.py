@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import metrics
 from . import tensor as T
 from .blocks import Mrn
 from .errors import DataError, ParameterError
@@ -238,9 +239,7 @@ def eval_reg_mse(model, samples, inputs: dict) -> float:
     if not samples:
         raise DataError("empty validation set")
     preds = predict_score(model, [inputs[s.id] for s in samples])
-    # a sequential float sum: np.sum's pairwise order would move the last bit
-    total = sum((p - s.score) ** 2 for p, s in zip(preds.tolist(), samples))
-    return total / len(samples)
+    return metrics.mse(preds, [s.score for s in samples])
 
 
 # phase 2 of pipeline.train_branch validates through this name, which

@@ -523,6 +523,23 @@ def test_exit_code_format_empty_manifest_score(workdir, tmp_path, capsys):
         "numbers, got ''" in capsys.readouterr().err
 
 
+def test_exit_code_format_manifest_score_out_of_range(workdir, tmp_path,
+                                                     capsys):
+    cfg, out = workdir
+    fresh = tmp_path / "highScore"
+    fresh.mkdir()
+    assert main(["gen-data", "--config", str(cfg), "--out", str(fresh)]) == 0
+    manifest = fresh / "data" / "manifest.csv"
+    rows = read_rows(manifest)
+    line = next(i for i, r in enumerate(rows) if r[5] == "train") + 1
+    rows[line - 1][2] = "12.5"
+    with open(manifest, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["train", "--config", str(cfg), "--out", str(fresh)]) == 4
+    assert f"manifest.csv:{line}: score '12.5' outside [0, 10]" \
+        in capsys.readouterr().err
+
+
 def test_exit_code_config_hash_mismatch(workdir, tmp_path, capsys):
     cfg, out = workdir
     other = tmp_path / "other.ini"

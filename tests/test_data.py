@@ -2,6 +2,7 @@
 and the split rule."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,28 @@ def test_manifest_rejects_malformed(tmp_path):
         p4.write_text(",".join(MANIFEST_HEADER) + "\n" + row + "\n")
         with pytest.raises(FormatError, match="must be numbers"):
             load_manifest(p4)
+
+
+FLAGS = "binary_label and corrupted must be 0 or 1, got "
+
+
+@pytest.mark.parametrize("row, message", [
+    ("z,w,12.5,1,0,train", "score '12.5' outside [0, 10]"),
+    ("z,w,-0.5,0,0,train", "score '-0.5' outside [0, 10]"),
+    ("z,w,nan,0,0,train", "score 'nan' outside [0, 10]"),
+    ("z,w,inf,1,0,train", "score 'inf' outside [0, 10]"),
+    ("z,w,7.0,3,0,train", FLAGS + "'3', '0'"),
+    ("z,w,7.0,-1,0,train", FLAGS + "'-1', '0'"),
+    ("z,w,7.0,1,2,train", FLAGS + "'1', '2'"),
+])
+def test_manifest_rejects_out_of_range_values(tmp_path, row, message):
+    # every stage takes scores in [0, 10] and 0/1 flags, so a value out
+    # of range is a malformed manifest, named by its line
+    p = tmp_path / "m.csv"
+    p.write_text(",".join(MANIFEST_HEADER) + "\nx,y,10.0,1,1,test\n"
+                 + row + "\n")
+    with pytest.raises(FormatError, match=r"m\.csv:3: " + re.escape(message)):
+        load_manifest(p)
 
 
 def test_manifest_rejects_meta_split(tmp_path):

@@ -309,9 +309,7 @@ def reference_main_grads(params, mrn, settings, cache):
 
 
 @pytest.mark.parametrize("normalize", [False, True])
-def test_meta_iteration_matches_per_sample_loops(normalize, monkeypatch):
-    # a block narrower than most parameters, with a ragged last block
-    monkeypatch.setattr(meta, "ROW_SUM_BLOCK", 7)
+def test_meta_iteration_matches_per_sample_loops(normalize):
     batch, meta_batch = [0, 1, 2, 3, 4], [5, 6, 7]
     net, mrn, loss_fn, settings = tiny_net_setup(normalize)
     state = MetaState(net.params, mrn, loss_fn, settings)
@@ -321,8 +319,10 @@ def test_meta_iteration_matches_per_sample_loops(normalize, monkeypatch):
 
     w_hat = state.lookahead_update(batch)
     cache = reference_lookahead(ref_params, ref_mrn, ref_loss_fn, settings, batch)
+    # only the summation order of sum_i c_i g_i differs
     for name, p in cache[-1].items():
-        np.testing.assert_array_equal(w_hat[name].data, p.data)
+        np.testing.assert_allclose(w_hat[name].data, p.data, rtol=1e-12,
+                                   atol=1e-15)
     # the reused, dirty buffer holds the rows a fresh per-sample call gives
     for row, grads in zip(state._cache["rows"], cache[1]):
         np.testing.assert_array_equal(
@@ -337,14 +337,43 @@ def test_meta_iteration_matches_per_sample_loops(normalize, monkeypatch):
         # only the summation order of d_i differs
         np.testing.assert_allclose(mrn.params[name].data, p.data, rtol=1e-12)
 
-    # the main step from the same reweighting network is bitwise the loop's
+    # the main step from the same reweighting network is the loop's, up
+    # to the summation order of sum_i c_i g_i
     for name, p in mrn.params.items():
         ref_mrn.params[name].data = p.data.copy()
     state.main_step()
     Adam(settings.lr, settings.betas, weight_decay=settings.weight_decay
          ).step(ref_params, reference_main_grads(ref_params, ref_mrn, settings, cache))
     for name, p in ref_params.items():
-        np.testing.assert_array_equal(net.params[name].data, p.data)
+        np.testing.assert_allclose(net.params[name].data, p.data, rtol=1e-12,
+                                   atol=1e-15)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_main_step_gradient_is_one_backward_of_weighted_loss(normalize):
+    batch, meta_batch = [0, 1, 2, 3, 4], [5, 6, 7]
+    net, mrn, loss_fn, settings = tiny_net_setup(normalize)
+    state = MetaState(net.params, mrn, loss_fn, settings)
+    steps = []
+    adam_step = state.adam_main.step
+
+    def recording_step(params, grads):
+        steps.append({n: g.copy() for n, g in grads.items()})
+        adam_step(params, grads)
+
+    state.adam_main.step = recording_step
+    state.lookahead_update(batch)
+    state.meta_step(meta_batch)
+    # the oracle: one backward of sum_i c_i L_i at the unmoved main
+    # parameters, c_i from the updated network on the cached losses
+    _, coeff = meta.fixed_weighting(state.last_losses, mrn, normalize)
+    ref_net, _, ref_loss_fn, _ = tiny_net_setup(normalize)
+    T.tsum(T.mul(ref_loss_fn(batch, None), Tensor(coeff))).backward()
+    state.main_step()
+    assert len(steps) == 1
+    for name, p in ref_net.params.items():
+        want = np.zeros_like(p.data) if p.grad is None else p.grad
+        np.testing.assert_allclose(steps[0][name], want, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,18 @@ def test_srocc_matches_scipy_no_ties():
         assert abs(srocc(p, t) - want) < 1e-12
 
 
+def test_srocc_matches_closed_form_without_ties():
+    # without ties Spearman's rho is 1 - 6*sum(d^2)/(n^3 - n) over the
+    # rank differences d
+    rng = np.random.default_rng(4)
+    for _ in range(100):
+        n = int(rng.integers(2, 40))
+        p, t = rng.normal(size=n), rng.normal(size=n)
+        d = np.argsort(np.argsort(p)) - np.argsort(np.argsort(t))
+        want = 1.0 - 6.0 * np.sum(d * d) / (n ** 3 - n)
+        assert abs(srocc(p, t) - want) < 1e-12
+
+
 def test_srocc_matches_scipy_with_ties():
     rng = np.random.default_rng(3)
     for _ in range(100):
