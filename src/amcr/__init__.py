@@ -11,16 +11,16 @@ training (`pipeline`, `training`), metrics, synthetic data tooling (`data`,
 from .blocks import AestheticNet, Mrn, eca_kernel_size, mrn_forward
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash, default_config, load_config
-from .data import Sample, SynthSpec, generate_dataset, load_manifest, save_manifest
+from .data import (Sample, SynthSpec, binarize_label, generate_dataset,
+                   load_manifest, save_manifest, ten_class_label)
 from .errors import (AmcrError, ConfigError, DataError, DependencyError,
                      FormatError, ParameterError, ShapeError, StateError,
                      TapeError, VersionError)
 from .meta import MetaState, build_meta_set
 from .metrics import evaluate_scores, mae, mse, segment_report, srocc
 from .optim import Adam, PlateauScheduler
-from .pipeline import (PipelineArtifacts, binarize_label, fuse_score,
-                       pseudo_split, run_ablation, run_pipeline,
-                       ten_class_label, train_binary, train_branch)
+from .pipeline import (PipelineArtifacts, fuse_score, pseudo_split,
+                       run_ablation, run_pipeline, train_binary, train_branch)
 from .tensor import Tensor, grad_enabled, no_grad, per_sample_gradients
 from .training import TrainResult, TrainSettings, train_model
 

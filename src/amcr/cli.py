@@ -29,11 +29,13 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash, default_config, effective_batch, load_config
 from .errors import (AmcrError, ConfigError, DataError, DependencyError,
                      FormatError, ParameterError, StateError)
+# not called here: perfbench/tracing.py patches these names on this module
 from .image import aab_prepare, preprocess_crop, preprocess_resize
 from .meta import build_meta_set
 from .metrics import collapse_warnings, evaluate_scores, segment_report
-from .pipeline import (PipelineArtifacts, prepare_images, pseudo_split,
-                       router_sets, run_ablation, run_pipeline, train_binary)
+from .pipeline import (PipelineArtifacts, prepare_image, prepare_images,
+                       pseudo_split, router_sets, run_ablation, run_pipeline,
+                       train_binary)
 
 # every ParameterError a command can raise comes from a config value
 _EXIT_CODES = (
@@ -157,14 +159,6 @@ def _load_split_images(cfg, args):
     for s in samples:
         _check_channels(cfg, os.path.join(data_dir, s.path), images[s.id])
     return samples, images
-
-
-def _prepare_one(cfg, image):
-    if cfg.model_prep == "crop":
-        return preprocess_crop(image, cfg.model_crop_side)
-    if cfg.model_prep == "resize":
-        return preprocess_resize(image, cfg.model_crop_side)
-    return aab_prepare(image, cfg.model_square_side)
 
 
 def _save_model(args, name: str, model, cfg, iteration: int) -> None:
@@ -378,7 +372,8 @@ def cmd_predict(args) -> int:
     cfg = _load_run_config(args)
     image = pnm.load_pnm(args.image)
     _check_channels(cfg, args.image, image)
-    prepared = _prepare_one(cfg, image)
+    prepared = prepare_image(image, cfg.model_prep, cfg.model_crop_side,
+                             cfg.model_square_side)
     print(f"{_load_artifacts(cfg, args).predict([prepared])[0]:.4f}")
     return 0
 

@@ -64,12 +64,45 @@ class SynthSpec:
             raise ConfigError(f"a PNM image holds 1 or 3 channels, not {self.channels}")
 
 
+# ---------------------------------------------------------------------------
+# score rules: every label and bin cut from the 0..10 score scale
+#
+# The ten classes are the classification stage's targets and are
+# left-open: class A holds (A, A+1]. The segments bin the segment report
+# and the meta-set quotas and are left-closed: segment S holds [S, S+1).
+# So an integer score tops its class but opens its segment (5.0 is class
+# 4, segment 5), and each rule folds its odd end point in: 0 into class
+# 0, 10 into segment 9.
+
+THRESHOLD = 5.0  # binary quality boundary; a score of exactly 5 is positive
+
+
+def _checked_scores(scores) -> np.ndarray:
+    """`scores` as a float64 array, each in [0, 10]; NaN is outside."""
+    s = np.asarray(scores, dtype=np.float64)
+    outside = ~((s >= 0.0) & (s <= 10.0))
+    if outside.any():
+        raise DataError(f"score {s[outside][0]} outside [0, 10]")
+    return s
+
+
 def binarize_label(score: float) -> int:
-    """Threshold a 0..10 score at the 5-point boundary; 5.0 itself is 1."""
-    s = float(score)
-    if not 0.0 <= s <= 10.0:
-        raise DataError(f"score {s} outside [0, 10]")
-    return 1 if s >= 5.0 else 0
+    """Threshold a 0..10 score at THRESHOLD; THRESHOLD itself is 1."""
+    return int(_checked_scores(score) >= THRESHOLD)
+
+
+def ten_class_label(score: float) -> int:
+    """Class A covers scores in (A, A+1]; an exact 0 stays in class 0."""
+    return max(math.ceil(float(_checked_scores(score))) - 1, 0)
+
+
+def segment_of(scores) -> np.ndarray:
+    """Score segment of each score, as int64: [0,1) -> 0 ... [9,10] -> 9."""
+    return np.minimum(_checked_scores(scores).astype(np.int64), 9)
+
+
+# ---------------------------------------------------------------------------
+# rendering
 
 
 def true_score(brightness, contrast, offset, noise) -> float:
@@ -176,6 +209,7 @@ def save_manifest(path, samples):
 
 def load_manifest(path) -> list:
     samples = []
+    line_of = {}  # id -> its line; images are keyed by id
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -185,6 +219,10 @@ def load_manifest(path) -> list:
             if len(row) != len(MANIFEST_HEADER):
                 raise FormatError(f"{path}:{lineno}: {len(row)} fields")
             sid, rel, score, binary, corrupted, split = row
+            if sid in line_of:
+                raise FormatError(
+                    f"{path}:{lineno}: id {sid!r} repeats line {line_of[sid]}")
+            line_of[sid] = lineno
             if split not in SPLITS:
                 raise FormatError(f"{path}:{lineno}: unknown split {split!r}")
             try:
@@ -220,30 +258,15 @@ def make_amdc(samples, rng) -> list:
     """Binary-task view: drop mid-range scores (see drop_mid_scores) and
     balance the classes 1:1 by seeded downsampling of the majority."""
     kept = drop_mid_scores(samples)
-    pos = [s for s in kept if s.binary_label == 1]
-    neg = [s for s in kept if s.binary_label == 0]
+    pos = [i for i, s in enumerate(kept) if s.binary_label == 1]
+    neg = [i for i, s in enumerate(kept) if s.binary_label == 0]
     if not pos or not neg:
         raise DataError("one binary class is empty after removing mid scores")
-    target = min(len(pos), len(neg))
-
-    def pick(group):
-        if len(group) == target:
-            return set(range(len(group)))
-        return set(rng.choice(len(group), size=target, replace=False).tolist())
-
-    keep_pos, keep_neg = pick(pos), pick(neg)
-    ip = in_ = 0
-    out = []
-    for s in kept:
-        if s.binary_label == 1:
-            if ip in keep_pos:
-                out.append(s)
-            ip += 1
-        else:
-            if in_ in keep_neg:
-                out.append(s)
-            in_ += 1
-    return out
+    small, large = sorted((pos, neg), key=len)
+    if len(large) > len(small):
+        large = [large[j] for j in
+                 rng.choice(len(large), size=len(small), replace=False)]
+    return [kept[i] for i in sorted(small + large)]
 
 
 def split_811(samples, rng) -> list:

@@ -42,6 +42,7 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import Mrn, mrn_forward
+from .data import segment_of
 from .errors import DataError, ParameterError, ShapeError, StateError
 from .optim import Adam
 from .tensor import Tensor
@@ -235,23 +236,15 @@ class MetaState:
         return self.main_step()
 
 
-def segment_of(score: float) -> int:
-    """Score segment index: [0,1) -> 0 ... [9,10] -> 9."""
-    s = float(score)
-    if not 0.0 <= s <= 10.0:
-        raise DataError(f"score {s} outside [0,10]")
-    return min(int(s), 9)
-
-
 def build_meta_set(samples, quota: int, rng):
     """Pick a score-balanced subset: `quota` per score segment. Nothing
     filters label noise, so the subset is as clean as `samples`.
 
-    Segments run [0,1), [1,2), ..., [9,10]. Each segment in ascending
-    order first draws from its own (seeded-shuffled) pool; a shortfall
-    borrows from the nearest segments' unclaimed samples, alternating
-    lower then higher at each distance. A dataset smaller than 10*quota
-    is returned whole with a warning.
+    Segments run [0,1), [1,2), ..., [9,10] (data.segment_of). Each segment
+    in ascending order first draws from its own (seeded-shuffled) pool; a
+    shortfall borrows from the nearest segments' unclaimed samples, lower
+    before higher at each distance. A dataset smaller than 10*quota is
+    returned whole with a warning.
     """
     quota = int(quota)
     if quota < 1:
@@ -262,29 +255,14 @@ def build_meta_set(samples, quota: int, rng):
             f"dataset of {len(samples)} cannot fill 10 segments of {quota}; using all")
         return samples
 
-    pools = {seg: [] for seg in range(10)}
-    for idx, sample in enumerate(samples):
-        pools[segment_of(sample.score)].append(idx)
-    for seg in range(10):
-        pools[seg] = [pools[seg][j] for j in rng.permutation(len(pools[seg]))]
-    cursor = {seg: 0 for seg in range(10)}  # claimed prefix of each pool
-
-    def take(seg, k):
-        got = pools[seg][cursor[seg]:cursor[seg] + k]
-        cursor[seg] += len(got)
-        return got
-
+    segments = segment_of([s.score for s in samples])
+    pools = [np.flatnonzero(segments == seg) for seg in range(10)]
+    pools = [pool[rng.permutation(pool.size)] for pool in pools]
     chosen = []
     for seg in range(10):
-        mine = take(seg, quota)
-        deficit = quota - len(mine)
-        distance = 1
-        while deficit > 0 and distance < 10:
-            for neighbor in (seg - distance, seg + distance):
-                if deficit > 0 and 0 <= neighbor <= 9:
-                    borrowed = take(neighbor, deficit)
-                    mine.extend(borrowed)
-                    deficit -= len(borrowed)
-            distance += 1
-        chosen.extend(mine)
+        need = quota
+        for near in sorted(range(10), key=lambda t: (abs(t - seg), t)):
+            got, pools[near] = pools[near][:need], pools[near][need:]
+            chosen.extend(got)
+            need -= got.size
     return [samples[i] for i in chosen]

@@ -6,9 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import THRESHOLD, segment_of
 from .errors import DataError
-
-THRESHOLD = 5.0  # binary quality boundary shared with the pipeline's labeling
 
 
 def _pair(pred, truth):
@@ -88,16 +87,15 @@ class SegmentRow:
 def segment_report(pred_labels, truth_scores):
     """Ten rows of binary-classification correctness by score segment.
 
-    Segments are [0,1), [1,2), ..., [9,10]. Correctness compares the
-    binary prediction against the threshold label of the true score.
+    Segments are [0,1), [1,2), ..., [9,10] (data.segment_of). Correctness
+    compares the binary prediction against the threshold label of the
+    true score.
     """
     labels = np.asarray(pred_labels, dtype=np.int64).reshape(-1)
     scores = np.asarray(truth_scores, dtype=np.float64).reshape(-1)
     if labels.shape != scores.shape:
         raise DataError(f"length mismatch: {labels.size} vs {scores.size}")
-    if scores.size and (scores.min() < 0.0 or scores.max() > 10.0):
-        raise DataError("scores outside [0,10]")
-    seg_idx = np.minimum(scores.astype(np.int64), 9)
+    seg_idx = segment_of(scores)
     truth_labels = (scores >= THRESHOLD).astype(np.int64)
     rows = []
     for seg in range(10):

@@ -78,7 +78,8 @@ class PlateauScheduler:
         self.best = None
         self.streak = 0
 
-    def _improved(self, value: float) -> bool:
+    def improved(self, value: float) -> bool:
+        """Whether `value` beats the best value observed so far."""
         if self.best is None:
             return True
         return value > self.best if self.mode == "higher" else value < self.best
@@ -86,7 +87,7 @@ class PlateauScheduler:
     def observe(self, value: float) -> bool:
         """Record one validation result; True when the rate was halved."""
         value = float(value)
-        if self._improved(value):
+        if self.improved(value):
             self.best = value
             self.streak = 0
             return False

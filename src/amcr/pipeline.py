@@ -20,7 +20,6 @@ set.
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 import warnings
 
@@ -28,48 +27,41 @@ import numpy as np
 
 from . import pnm
 from . import training as TR
-from .data import binarize_label, drop_mid_scores, make_amdc
+from .data import drop_mid_scores, make_amdc, ten_class_label
 from .errors import ConfigError, DataError
 from .image import aab_prepare, preprocess_crop, preprocess_resize
 from .metrics import evaluate_scores
 from .training import TrainSettings, train_model
 
 __all__ = [
-    "binarize_label", "ten_class_label", "router_sets", "train_binary",
-    "pseudo_split", "train_branch", "fuse_score", "run_pipeline",
-    "run_ablation", "SplitAssignment", "PipelineArtifacts", "prepare_images",
+    "router_sets", "train_binary", "pseudo_split", "train_branch",
+    "fuse_score", "run_pipeline", "run_ablation", "SplitAssignment",
+    "PipelineArtifacts", "prepare_image", "prepare_images",
 ]
-
-
-def ten_class_label(score: float) -> int:
-    """Class A covers scores in (A, A+1]; an exact 0 stays in class 0."""
-    s = float(score)
-    if not 0.0 <= s <= 10.0:
-        raise DataError(f"score {s} outside [0, 10]")
-    if s == 0.0:
-        return 0
-    return int(math.ceil(s)) - 1
 
 
 # ---------------------------------------------------------------------------
 # preprocessing
 
 
+def prepare_image(img, prep: str, crop_side: int, square_side: int):
+    """One loaded (C,H,W) image preprocessed as `prep` names: crop,
+    resize or aab."""
+    if prep == "crop":
+        return preprocess_crop(img, crop_side)
+    if prep == "resize":
+        return preprocess_resize(img, crop_side)
+    if prep == "aab":
+        return aab_prepare(img, square_side)
+    raise ConfigError(f"unknown preprocessing {prep!r}")
+
+
 def prepare_images(samples, base_dir, prep: str, *, crop_side: int = 32,
                    square_side: int = 64) -> dict:
     """Load and preprocess every sample once; id -> (C,H,W) float array."""
-    out = {}
-    for s in samples:
-        img = pnm.load_pnm(os.path.join(base_dir, s.path))
-        if prep == "crop":
-            out[s.id] = preprocess_crop(img, crop_side)
-        elif prep == "resize":
-            out[s.id] = preprocess_resize(img, crop_side)
-        elif prep == "aab":
-            out[s.id] = aab_prepare(img, square_side)
-        else:
-            raise ConfigError(f"unknown preprocessing {prep!r}")
-    return out
+    return {s.id: prepare_image(pnm.load_pnm(os.path.join(base_dir, s.path)),
+                                prep, crop_side, square_side)
+            for s in samples}
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +80,7 @@ def router_sets(train, valid):
 def train_binary(model, train, valid, images, settings: TrainSettings, rng, *,
                  meta_samples=None) -> TR.TrainResult:
     """Fit a 2-way classifier on the manifest's `binary_label` (the AMD-CR
-    class label: `binarize_label` of the score unless the data flipped
+    class label: `data.binarize_label` of the score unless the data flipped
     it), tracking best validation accuracy; the best parameters are left
     on the model."""
     if model.num_classes != 2:

@@ -119,7 +119,6 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
                                  factor=settings.plateau_factor,
                                  patience=settings.plateau_patience)
 
-    best = None
     best_params = None
     for epoch in range(settings.epochs):
         order = rng.permutation(len(train_samples))
@@ -155,10 +154,7 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
             seen += len(batch)
             result.iterations += 1
         value = float(valid_fn())
-        improved = (best is None
-                    or (value > best if metric_mode == "higher" else value < best))
-        if improved:
-            best = value
+        if scheduler.improved(value):
             result.best_metric = value
             best_params = {n: params[n].data.copy() for n in trainable}
         scheduler.observe(value)

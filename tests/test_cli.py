@@ -540,6 +540,26 @@ def test_exit_code_format_manifest_score_out_of_range(workdir, tmp_path,
         in capsys.readouterr().err
 
 
+def test_exit_code_format_manifest_repeated_id(workdir, tmp_path, capsys):
+    # images are keyed by id, so a train row repeating a test row's id
+    # would train on the test image
+    cfg, out = workdir
+    fresh = tmp_path / "twinId"
+    fresh.mkdir()
+    assert main(["gen-data", "--config", str(cfg), "--out", str(fresh)]) == 0
+    manifest = fresh / "data" / "manifest.csv"
+    rows = read_rows(manifest)
+    test_row = next(i for i, r in enumerate(rows) if r[5] == "test")
+    twin = next(i for i, r in enumerate(rows)
+                if r[5] == "train" and i > test_row)
+    rows[twin][0] = rows[test_row][0]
+    with open(manifest, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["train", "--config", str(cfg), "--out", str(fresh)]) == 4
+    assert (f"manifest.csv:{twin + 1}: id '{rows[test_row][0]}' repeats "
+            f"line {test_row + 1}") in capsys.readouterr().err
+
+
 def test_exit_code_config_hash_mismatch(workdir, tmp_path, capsys):
     cfg, out = workdir
     other = tmp_path / "other.ini"

@@ -1,6 +1,7 @@
 """Synthetic dataset generation, manifest round-trips, dataset views,
 and the split rule."""
 
+import ast
 import os
 import re
 
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from amcr.data import (MANIFEST_HEADER, Sample, SynthSpec, generate_dataset,
-                       load_manifest, make_amdc,
-                       save_manifest, split_811, split_of, true_score)
+                       load_manifest, make_amdc, save_manifest, segment_of,
+                       split_811, split_of, true_score)
 from amcr.errors import ConfigError, DataError, FormatError
 from amcr.pnm import load_pnm
 
@@ -158,14 +159,34 @@ def test_label_flip_keeps_scores(tmp_path):
             assert c.binary_label == r.binary_label
 
 
+# (module, top-level function) of the only code that may touch the
+# corruption flag: the generator sets it and the manifest writer stores it
+CORRUPTION_FLAG_OWNERS = {("data", "generate_dataset"),
+                          ("data", "save_manifest")}
+
+
 def test_training_code_never_reads_the_corruption_flag():
-    # the mask exists for evaluation only; no learning path may branch on it
+    # the mask exists for evaluation only; no learning path may branch on
+    # it. Checked on the parsed source of every module, so prose naming
+    # the flag does not count and no module is left out
     import amcr
     root = os.path.dirname(amcr.__file__)
-    for mod in ("training.py", "meta.py", "pipeline.py", "blocks.py",
-                "tensor.py", "optim.py"):
-        with open(os.path.join(root, mod)) as fh:
-            assert "corrupted" not in fh.read(), mod
+    found = []
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(root, name)) as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            if (name[:-3], owner) in CORRUPTION_FLAG_OWNERS:
+                continue
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr == "corrupted"
+                        or isinstance(node, ast.keyword)
+                        and node.arg == "corrupted"):
+                    found.append(f"{name}:{node.lineno} in {owner}")
+    assert not found
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +251,7 @@ FLAGS = "binary_label and corrupted must be 0 or 1, got "
     ("z,w,7.0,3,0,train", FLAGS + "'3', '0'"),
     ("z,w,7.0,-1,0,train", FLAGS + "'-1', '0'"),
     ("z,w,7.0,1,2,train", FLAGS + "'1', '2'"),
+    ("x,w,7.0,1,0,train", "id 'x' repeats line 2"),
 ])
 def test_manifest_rejects_out_of_range_values(tmp_path, row, message):
     # every stage takes scores in [0, 10] and 0/1 flags, so a value out
@@ -249,6 +271,20 @@ def test_manifest_rejects_meta_split(tmp_path):
                  "z,w,9.0,1,0,meta\n")
     with pytest.raises(FormatError, match=r"m\.csv:3: unknown split 'meta'"):
         load_manifest(p)
+
+
+# ---------------------------------------------------------------------------
+# score rules
+
+
+def test_segment_of_bins_an_array_and_rejects_nan():
+    segs = segment_of([0.0, 0.999, 1.0, 5.0, 9.999, 10.0])
+    assert segs.dtype == np.int64
+    assert segs.tolist() == [0, 0, 1, 5, 9, 9]
+    assert segment_of([]).shape == (0,)
+    for bad in ([3.0, np.nan], [np.inf], [2.0, -1e-9]):
+        with pytest.raises(DataError, match=r"outside \[0, 10\]"):
+            segment_of(bad)
 
 
 # ---------------------------------------------------------------------------

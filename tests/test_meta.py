@@ -9,7 +9,8 @@ from amcr import meta
 from amcr import tensor as T
 from amcr.blocks import AestheticNet, Mrn, mrn_forward
 from amcr.errors import DataError, ParameterError, StateError
-from amcr.meta import (EPS_NORMALIZE, MetaState, build_meta_set, segment_of,
+from amcr.data import segment_of
+from amcr.meta import (EPS_NORMALIZE, MetaState, build_meta_set,
                        weight_coefficients)
 from amcr.optim import Adam
 from amcr.tensor import Tensor

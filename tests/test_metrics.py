@@ -170,6 +170,12 @@ def test_segment_report_counts_partition_input():
     assert sum(r.count for r in rows) == 500
 
 
+def test_segment_report_rejects_nan_score():
+    # a NaN score belongs to no segment
+    with pytest.raises(DataError, match="score nan outside"):
+        segment_report([0, 1], [5.0, np.nan])
+
+
 def test_segment_report_rejects_out_of_range():
     with pytest.raises(DataError):
         segment_report([0], [10.5])

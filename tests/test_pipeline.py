@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from amcr.blocks import AestheticNet
-from amcr.data import Sample
+from amcr.data import Sample, binarize_label, ten_class_label
 from amcr.errors import ConfigError, DataError
-from amcr.pipeline import (PipelineArtifacts, binarize_label, fuse_score,
-                           prepare_images, pseudo_split, run_ablation,
-                           run_pipeline, ten_class_label, train_binary,
-                           train_branch)
+from amcr.pipeline import (PipelineArtifacts, fuse_score, prepare_images,
+                           pseudo_split, run_ablation, run_pipeline,
+                           train_binary, train_branch)
 from amcr.pnm import save_pnm
 from amcr.tensor import Tensor
 from amcr.training import TrainSettings, predict_class, predict_score
