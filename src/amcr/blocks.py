@@ -125,8 +125,10 @@ class AestheticNet:
     (pad-to-square preparation feeds this) -> stride-2 stages with
     optional channel attention -> reduce conv -> global pool -> heads.
     `num_classes` is 10 for score-decile classification and 2 for the
-    binary quality model used to route samples. Without an rng every
-    weight starts at zero, ready to be overwritten from a checkpoint.
+    binary quality model used to route samples. The weights are drawn
+    from `rng`, or taken as given from `params`, a name -> Tensor dict
+    (a loaded checkpoint) that must hold exactly the layout's names and
+    shapes; its tensors become the net's parameters, uncopied.
     """
 
     STEM_STRIDE = 2
@@ -137,7 +139,8 @@ class AestheticNet:
     def __init__(self, rng=None, in_channels: int = 3, stem_channels: int = 24,
                  stage_channels=(48, 96, 128), head_width: int = 448,
                  num_classes: int = 10, eca: bool = True,
-                 eca_mode: str = "ceil_odd", pool_target: int = None):
+                 eca_mode: str = "ceil_odd", pool_target: int = None,
+                 params: dict = None):
         if stem_channels < 2 or any(c < 2 for c in stage_channels):
             raise ParameterError("channel counts must be >= 2")
         if head_width < 1:
@@ -152,38 +155,47 @@ class AestheticNet:
         self.eca = bool(eca)
         self.eca_mode = eca_mode
         self.pool_target = None if pool_target is None else int(pool_target)
-        self.params = {}
+        layout = self._layout()
+        if params is not None:
+            if params.keys() != layout.keys() or any(
+                    params[name].shape != shape
+                    for name, (shape, _scale) in layout.items()):
+                raise ShapeError("parameters do not fit the architecture")
+            self.params = {name: params[name] for name in layout}
+            return
+        if rng is None:
+            raise ParameterError("need an rng to draw the weights, or the weights")
+        self.params = {
+            name: Tensor(np.zeros(shape) if scale is None
+                         else rng.normal(scale=scale, size=shape),
+                         requires_grad=True)
+            for name, (shape, scale) in layout.items()}
+        self.params["head.reg.b"].data[:] = self.MID_SCORE
 
-        def draw(scale, size):
-            if rng is None:
-                return np.zeros(size)
-            return rng.normal(scale=scale, size=size)
+    def _layout(self) -> dict:
+        """Parameter name -> (shape, init scale), in draw order; a bias has
+        scale None and starts at zero."""
+        layout = {}
 
         def conv(name, cout, cin, k=3):
-            scale = math.sqrt(2.0 / (cin * k * k))
-            self.params[name] = Tensor(
-                draw(scale, (cout, cin, k, k)), requires_grad=True)
+            layout[name] = ((cout, cin, k, k), math.sqrt(2.0 / (cin * k * k)))
 
         def linear(name, fan_in, fan_out):
-            scale = math.sqrt(1.0 / fan_in)
-            self.params[name + ".w"] = Tensor(
-                draw(scale, (fan_in, fan_out)), requires_grad=True)
-            self.params[name + ".b"] = Tensor(
-                np.zeros(fan_out), requires_grad=True)
+            layout[name + ".w"] = ((fan_in, fan_out), math.sqrt(1.0 / fan_in))
+            layout[name + ".b"] = ((fan_out,), None)
 
         conv("stem.w", self.stem_channels, self.in_channels)
         prev = self.stem_channels
         for i, c in enumerate(self.stage_channels):
             conv(f"stage{i}.w", c, prev)
             if self.eca:
-                k = eca_kernel_size(c, eca_mode)
-                self.params[f"stage{i}.eca"] = Tensor(
-                    draw(1.0 / math.sqrt(k), k), requires_grad=True)
+                k = eca_kernel_size(c, self.eca_mode)
+                layout[f"stage{i}.eca"] = ((k,), 1.0 / math.sqrt(k))
             prev = c
         conv("head.reduce.w", self.head_width, prev)
         linear("head.class", self.head_width, self.num_classes)
         linear("head.reg", self.head_width, 1)
-        self.params["head.reg.b"].data[:] = self.MID_SCORE
+        return layout
 
     def trainable_names(self, phase: str = "all"):
         """Parameter names updated in a phase: classification trains

@@ -17,9 +17,11 @@ into a fresh aligned, native float64 array of the record's shape, so no
 whole-file buffer is kept and no two records share memory. A record's byte
 count is checked against the bytes left in the file before its array is
 allocated, so a corrupted extent is a FormatError, not an allocation
-failure. The format itself is just named
-arrays; the CLI writes one "p."-prefixed record per model parameter and
-no optimizer state, so training does not resume from a checkpoint.
+failure. The format itself is just named arrays; the CLI writes one
+"p."-prefixed record per model parameter and no optimizer state, so
+training does not resume from a checkpoint. Loading makes each such
+array, as read, the data of that parameter's Tensor, whose construction
+is the one finiteness check; no model is built first and overwritten.
 """
 
 import math

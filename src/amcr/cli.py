@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 import warnings
@@ -28,7 +29,7 @@ from .blocks import AestheticNet
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash, default_config, effective_batch, load_config
 from .errors import (AmcrError, ConfigError, DataError, DependencyError,
-                     FormatError, ParameterError, StateError)
+                     FormatError, ParameterError, ShapeError, StateError)
 # not called here: perfbench/tracing.py patches these names on this module
 from .image import aab_prepare, preprocess_crop, preprocess_resize
 from .meta import build_meta_set
@@ -36,6 +37,7 @@ from .metrics import collapse_warnings, evaluate_scores, segment_report
 from .pipeline import (PipelineArtifacts, prepare_image, prepare_images,
                        pseudo_split, router_sets, run_ablation, run_pipeline,
                        train_binary)
+from .tensor import Tensor
 
 # every ParameterError a command can raise comes from a config value
 _EXIT_CODES = (
@@ -69,7 +71,8 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def _build_model(cfg: RunConfig, rng, num_classes: int) -> AestheticNet:
+def _build_model(cfg: RunConfig, rng, num_classes: int,
+                 params: dict = None) -> AestheticNet:
     pool_target = None
     if cfg.model_prep == "aab" and cfg.model_pool_target > 0:
         pool_target = cfg.model_pool_target
@@ -88,6 +91,7 @@ def _build_model(cfg: RunConfig, rng, num_classes: int) -> AestheticNet:
         eca=cfg.model_eca,
         eca_mode=cfg.model_eca_mode,
         pool_target=pool_target,
+        params=params,
     )
 
 
@@ -169,25 +173,27 @@ def _save_model(args, name: str, model, cfg, iteration: int) -> None:
 
 
 def _load_model(args, name: str, cfg, num_classes: int) -> AestheticNet:
+    """The model whose parameters are the checkpoint's `p.` records, each
+    array taken as it was read and checked for finiteness once, by its
+    Tensor."""
     path = _model_path(args, name)
     if not os.path.exists(path):
         raise DependencyError(f"missing checkpoint {path}; train first")
     arrays, _iteration, _hash = load_checkpoint(path,
                                                 expect_hash=config_hash(cfg))
-    model = _build_model(cfg, None, num_classes)
-    params = model.params
-    loaded = {k[2:]: v for k, v in arrays.items() if k.startswith("p.")}
-    if loaded.keys() != params.keys() or any(
-            params[name].data.shape != value.shape
-            for name, value in loaded.items()):
-        raise ConfigError(
-            f"checkpoint {path} does not fit the configured architecture")
-    for name, value in loaded.items():
-        if not np.isfinite(value).all():
-            raise FormatError(
-                f"checkpoint {path}: record p.{name} holds a non-finite value")
-        params[name].data = value
-    return model
+    params = {}
+    for key, value in arrays.items():
+        if key.startswith("p."):
+            try:
+                params[key[2:]] = Tensor(value, requires_grad=True)
+            except DataError:
+                raise FormatError(f"checkpoint {path}: record {key} holds "
+                                  f"a non-finite value") from None
+    try:
+        return _build_model(cfg, None, num_classes, params)
+    except ShapeError:
+        raise ConfigError(f"checkpoint {path} does not fit the configured "
+                          f"architecture") from None
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -492,16 +498,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand `name` alone, built as `build_parser`
+    builds it, once per process: it depends on nothing else, and each
+    parse fills a fresh Namespace."""
+    sub = argparse.ArgumentParser(prog="amcr " + name)
+    _add_command_args(sub, name)
+    return sub
+
+
 def _parse_args(argv) -> argparse.Namespace:
-    """Parse `argv` with only the named subcommand's parser, built as
-    `build_parser` builds it. Whatever that parser cannot settle alone (top
-    level help, an unknown or missing subcommand, unrecognized arguments)
-    goes through `build_parser`, so every message stays the same."""
+    """Parse `argv` with only the named subcommand's parser. Whatever that
+    parser cannot settle alone (top level help, an unknown or missing
+    subcommand, unrecognized arguments) goes through `build_parser`, so
+    every message stays the same."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in _COMMANDS:
-        sub = argparse.ArgumentParser(prog="amcr " + argv[0])
-        _add_command_args(sub, argv[0])
-        args, extra = sub.parse_known_args(argv[1:])
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not extra:
             return args
     return build_parser().parse_args(argv)

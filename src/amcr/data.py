@@ -86,14 +86,16 @@ def _checked_scores(scores) -> np.ndarray:
     return s
 
 
-def binarize_label(score: float) -> int:
-    """Threshold a 0..10 score at THRESHOLD; THRESHOLD itself is 1."""
-    return int(_checked_scores(score) >= THRESHOLD)
+def binarize_label(scores) -> np.ndarray:
+    """Binary label of each 0..10 score, as int64: 1 at or above
+    THRESHOLD, so THRESHOLD itself is 1."""
+    return (_checked_scores(scores) >= THRESHOLD).astype(np.int64)
 
 
-def ten_class_label(score: float) -> int:
-    """Class A covers scores in (A, A+1]; an exact 0 stays in class 0."""
-    return max(math.ceil(float(_checked_scores(score))) - 1, 0)
+def ten_class_label(scores) -> np.ndarray:
+    """Class of each score, as int64: class A covers scores in (A, A+1];
+    an exact 0 stays in class 0."""
+    return np.maximum(np.ceil(_checked_scores(scores)).astype(np.int64) - 1, 0)
 
 
 def segment_of(scores) -> np.ndarray:
@@ -172,22 +174,21 @@ def generate_dataset(spec: SynthSpec, n: int, seed: int, out_dir) -> list:
         rel_path = os.path.join("images", sid + extension)
         pnm.save_pnm(os.path.join(out_dir, rel_path), img[:spec.channels])
         samples.append(Sample(id=sid, path=rel_path, score=score,
-                              binary_label=binarize_label(score)))
+                              binary_label=0))
 
     k = int(round(spec.corrupt_fraction * n))
-    if k > 0:
-        hit = rng.choice(n, size=k, replace=False)
-        for idx in sorted(hit):
-            s = samples[idx]
-            if spec.corrupt_kind == "score-shift":
-                shift = float(rng.uniform(2.0, 4.0)) * float(rng.choice([-1.0, 1.0]))
-                new_score = float(np.clip(s.score + shift, 0.0, 10.0))
-                samples[idx] = replace(s, score=new_score,
-                                       binary_label=binarize_label(new_score),
-                                       corrupted=True)
-            else:
-                samples[idx] = replace(s, binary_label=1 - s.binary_label,
-                                       corrupted=True)
+    hit = sorted(rng.choice(n, size=k, replace=False)) if k > 0 else []
+    for idx in hit:
+        samples[idx].corrupted = True
+        if spec.corrupt_kind == "score-shift":
+            shift = float(rng.uniform(2.0, 4.0)) * float(rng.choice([-1.0, 1.0]))
+            samples[idx].score = float(np.clip(samples[idx].score + shift,
+                                               0.0, 10.0))
+    labels = binarize_label([s.score for s in samples]).tolist()
+    for s, label in zip(samples, labels):
+        # a flipped label is the one corruption that leaves the score alone
+        flip = s.corrupted and spec.corrupt_kind == "label-flip"
+        s.binary_label = 1 - label if flip else label
 
     save_manifest(os.path.join(out_dir, "manifest.csv"), samples)
     return samples

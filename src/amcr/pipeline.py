@@ -88,9 +88,9 @@ def train_binary(model, train, valid, images, settings: TrainSettings, rng, *,
             f"binary stage needs a 2-class head, got {model.num_classes}")
     if not valid:
         raise DataError("empty validation split")
-    label_of = lambda s: s.binary_label
-    loss_fn = TR.class_loss_fn(model, images, label_of)
-    valid_fn = lambda: TR.eval_class_accuracy(model, valid, images, label_of)
+    labels_of = lambda batch: [s.binary_label for s in batch]
+    loss_fn = TR.class_loss_fn(model, images, labels_of)
+    valid_fn = lambda: TR.eval_class_accuracy(model, valid, images, labels_of)
     return train_model(model, loss_fn, train, valid_fn, settings, rng,
                        metric_mode="higher", meta_samples=meta_samples)
 
@@ -152,9 +152,9 @@ def train_branch(model, train, valid, images, class_settings: TrainSettings,
             f"branch of {len(train)} samples is smaller than one batch")
     if not valid:
         raise DataError("empty validation split")
-    label_of = lambda s: ten_class_label(s.score)
-    loss_fn = TR.class_loss_fn(model, images, label_of)
-    valid_fn = lambda: TR.eval_class_accuracy(model, valid, images, label_of)
+    labels_of = lambda batch: ten_class_label([s.score for s in batch])
+    loss_fn = TR.class_loss_fn(model, images, labels_of)
+    valid_fn = lambda: TR.eval_class_accuracy(model, valid, images, labels_of)
     phase1 = train_model(model, loss_fn, train, valid_fn, class_settings, rng,
                          trainable=model.trainable_names("class"),
                          metric_mode="higher", meta_samples=meta_samples)

@@ -174,13 +174,14 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
 # loss builders and evaluation helpers
 
 
-def class_loss_fn(model, images: dict, label_of):
-    """Per-sample cross-entropy through the model's class head."""
+def class_loss_fn(model, images: dict, labels_of):
+    """Per-sample cross-entropy through the model's class head;
+    `labels_of` maps a list of samples to their class labels."""
     def fn(batch, override):
         scalars = []
-        for s in batch:
+        for s, label in zip(batch, labels_of(batch)):
             logits = model.forward(Tensor(images[s.id]), override)
-            scalars.append(T.cross_entropy_logits(logits, label_of(s)))
+            scalars.append(T.cross_entropy_logits(logits, label))
         return T.stack(scalars)
     return fn
 
@@ -222,11 +223,11 @@ def predict_score(model, inputs) -> np.ndarray:
                         dtype=np.float64)
 
 
-def eval_class_accuracy(model, samples, images: dict, label_of) -> float:
+def eval_class_accuracy(model, samples, images: dict, labels_of) -> float:
     if not samples:
         raise DataError("empty validation set")
     preds = predict_class(model, [images[s.id] for s in samples])
-    hits = int(np.sum(preds == [label_of(s) for s in samples]))
+    hits = int(np.sum(preds == labels_of(samples)))
     return hits / len(samples)
 
 

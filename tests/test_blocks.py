@@ -279,8 +279,11 @@ def test_net_score_is_forward_regression_output():
 
 
 def test_cross_entropy_uniform_logits():
-    # without an rng every weight is zero, so the class head is uniform
-    net = small_net(None)
+    # with every weight zero the class head is uniform
+    drawn = small_net(np.random.default_rng(0)).params
+    zeros = {n: Tensor(np.zeros(p.shape)) for n, p in drawn.items()}
+    zeros["head.reg.b"] = Tensor(np.full(1, AestheticNet.MID_SCORE))
+    net = small_net(None, params=zeros)
     img = np.random.default_rng(21).standard_normal((3, 16, 16))
     logits, reg = net.forward(img), net.score(img)
     assert all(np.all(p.data == 0.0) for n, p in net.params.items()
@@ -289,6 +292,21 @@ def test_cross_entropy_uniform_logits():
     for label in (0, 5, 9):
         loss = T.cross_entropy_logits(logits, label)
         assert float(loss.data) == pytest.approx(np.log(10.0), abs=1e-12)
+
+
+def test_net_takes_given_parameters_that_fit_its_layout():
+    drawn = small_net(np.random.default_rng(3)).params
+    net = small_net(None, params=dict(reversed(drawn.items())))
+    assert list(net.params) == list(drawn)
+    assert all(net.params[n] is p for n, p in drawn.items())
+    misfits = ({n: p for n, p in drawn.items() if n != "stem.w"},
+               {**drawn, "extra.w": Tensor(np.zeros(2))},
+               {**drawn, "head.reg.b": Tensor(np.zeros(2))})
+    for params in misfits:
+        with pytest.raises(ShapeError, match="do not fit the architecture"):
+            small_net(None, params=params)
+    with pytest.raises(ParameterError, match="rng"):
+        small_net(None)
 
 
 def test_net_regression_starts_at_midscore():

@@ -14,7 +14,8 @@ import pytest
 
 import amcr
 from amcr.checkpoint import load_checkpoint, save_checkpoint
-from amcr.cli import _load_model, _load_run_config, build_parser, main
+from amcr.cli import (_load_model, _load_run_config, _parse_args, build_parser,
+                      main)
 from amcr.metrics import collapse_warnings
 from amcr.pnm import load_pnm, save_pnm
 
@@ -652,6 +653,75 @@ def test_exit_code_config_incomplete_checkpoint(workdir, capsys):
             capsys.readouterr().err
     finally:
         ckpt.write_bytes(blob)
+
+
+@pytest.mark.parametrize("misfit", ["misshapen", "extra"])
+def test_exit_code_config_misfit_checkpoint(workdir, capsys, misfit):
+    cfg, out = workdir
+    ckpt = out / "models" / "r_all.ckpt"
+    blob = ckpt.read_bytes()
+    arrays, iteration, stored_hash = load_checkpoint(str(ckpt))
+    record = sorted(k for k in arrays if k.startswith("p."))[0]
+    if misfit == "misshapen":
+        arrays[record] = arrays[record].ravel()[1:]
+    else:
+        arrays["p.extra.w"] = np.zeros(3)
+    try:
+        save_checkpoint(str(ckpt), arrays, iteration, stored_hash)
+        assert main(["evaluate", "--config", str(cfg), "--out",
+                     str(out)]) == 2
+        assert "does not fit the configured architecture" in \
+            capsys.readouterr().err
+    finally:
+        ckpt.write_bytes(blob)
+
+
+def load_r_all(workdir):
+    cfg, out = workdir
+    args = build_parser().parse_args(
+        ["evaluate", "--config", str(cfg), "--out", str(out)])
+    return _load_model(args, "r_all", _load_run_config(args), 10)
+
+
+def test_load_model_checks_each_record_for_finiteness_once(workdir,
+                                                            monkeypatch):
+    arrays = load_checkpoint(str(workdir[1] / "models" / "r_all.ckpt"))[0]
+    records = [k for k in arrays if k.startswith("p.")]
+    calls = []
+    isfinite = np.isfinite
+
+    def counting(x, *args, **kwargs):
+        calls.append(x)
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    load_r_all(workdir)
+    assert len(calls) == len(records)
+
+
+def test_loaded_parameters_are_the_read_arrays(workdir, monkeypatch):
+    # each parameter is built on the array the checkpoint reader made,
+    # with no copy on the way
+    read = {}
+
+    def recording_load(path, *args, **kwargs):
+        arrays, iteration, stored_hash = load_checkpoint(path, *args, **kwargs)
+        read.update(arrays)
+        return arrays, iteration, stored_hash
+
+    monkeypatch.setattr(amcr.cli, "load_checkpoint", recording_load)
+    params = load_r_all(workdir).params
+    assert set(read) == {"p." + name for name in params}
+    for name, p in params.items():
+        assert p.data is read["p." + name], name
+
+
+def test_parser_builds_a_fresh_namespace_per_call():
+    first = _parse_args(["predict", "--seed", "3", "a.ppm"])
+    second = _parse_args(["predict", "b.ppm"])
+    assert first is not second
+    assert (first.seed, first.image) == (3, "a.ppm")
+    assert (second.seed, second.image) == (None, "b.ppm")
 
 
 def test_exit_code_unexpected_os_error(tmp_path, capsys):

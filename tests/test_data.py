@@ -2,15 +2,17 @@
 and the split rule."""
 
 import ast
+import math
 import os
 import re
 
 import numpy as np
 import pytest
 
-from amcr.data import (MANIFEST_HEADER, Sample, SynthSpec, generate_dataset,
-                       load_manifest, make_amdc, save_manifest, segment_of,
-                       split_811, split_of, true_score)
+from amcr.data import (MANIFEST_HEADER, THRESHOLD, Sample, SynthSpec,
+                       binarize_label, generate_dataset, load_manifest,
+                       make_amdc, save_manifest, segment_of, split_811,
+                       split_of, ten_class_label, true_score)
 from amcr.errors import ConfigError, DataError, FormatError
 from amcr.pnm import load_pnm
 
@@ -285,6 +287,22 @@ def test_segment_of_bins_an_array_and_rejects_nan():
     for bad in ([3.0, np.nan], [np.inf], [2.0, -1e-9]):
         with pytest.raises(DataError, match=r"outside \[0, 10\]"):
             segment_of(bad)
+
+
+def test_label_rules_label_an_array_as_the_scalar_rules_do():
+    grid = [0.0, 0.25, 1.0, 1.5, 4.0, np.nextafter(5.0, 0.0), 5.0,
+            np.nextafter(5.0, 6.0), 7.0, 9.999, 10.0]
+    classes, labels = ten_class_label(grid), binarize_label(grid)
+    assert classes.dtype == labels.dtype == np.int64
+    assert classes.tolist() == [max(math.ceil(s) - 1, 0) for s in grid]
+    assert labels.tolist() == [int(s >= THRESHOLD) for s in grid]
+    assert classes.tolist() == [ten_class_label(s) for s in grid]
+    assert labels.tolist() == [binarize_label(s) for s in grid]
+    assert ten_class_label([]).shape == binarize_label([]).shape == (0,)
+    for bad in ([3.0, np.nan], [np.inf], [2.0, -1e-9], [10.5]):
+        for rule in (ten_class_label, binarize_label):
+            with pytest.raises(DataError, match=r"outside \[0, 10\]"):
+                rule(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -307,11 +307,15 @@ def fixture_samples(rng, n=6, side=8):
     return samples, images
 
 
+def binary_labels(batch):
+    return [s.binary_label for s in batch]
+
+
 def test_class_loss_fn_shape_and_positivity():
     rng = np.random.default_rng(7)
     net = tiny_net(rng)
     samples, images = fixture_samples(rng)
-    fn = class_loss_fn(net, images, lambda s: s.binary_label)
+    fn = class_loss_fn(net, images, binary_labels)
     losses = fn(samples, None)
     assert losses.shape == (6,)
     assert np.all(losses.data >= 0.0)
@@ -345,12 +349,12 @@ def test_eval_class_accuracy_counts_argmax_hits():
     rng = np.random.default_rng(10)
     net = tiny_net(rng, num_classes=2)
     samples, images = fixture_samples(rng)
-    acc = eval_class_accuracy(net, samples, images, lambda s: s.binary_label)
+    acc = eval_class_accuracy(net, samples, images, binary_labels)
     preds = predict_class(net, [images[s.id] for s in samples])
     hits = sum(p == s.binary_label for p, s in zip(preds, samples))
     assert acc == hits / len(samples)
     with pytest.raises(DataError):
-        eval_class_accuracy(net, [], images, lambda s: s.binary_label)
+        eval_class_accuracy(net, [], images, binary_labels)
 
 
 def test_eval_reg_mse_empty_rejected():
