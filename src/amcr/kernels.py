@@ -4,8 +4,9 @@ Vectorized numpy: convolution goes through im2col and one matrix product,
 pooling and resizing are slicing and gather arithmetic. The conv kernels
 take one Python step per kernel tap (u, v), and each step moves all input
 channels in one slice, so a 3x3 conv costs nine steps whatever its width.
-`tensor` and `image` look the kernels up on this module by attribute at
-call time.
+`unfold` is that im2col; `tensor` also records it as one factor of a
+conv kernel's per-sample gradient. `tensor` and `image` look the kernels
+up on this module by attribute at call time.
 
 All arrays are float64 and C-contiguous. Channel-first layout (C, H, W).
 """
@@ -16,11 +17,15 @@ import numpy as np
 # conv2d: x (Cin, H, W) * k (Cout, Cin, kh, kw) -> (Cout, Ho, Wo)
 
 
-def _im2col(x, kh, kw, stride, pad, ho, wo):
+def unfold(x, kh, kw, stride, pad):
+    """im2col of x (Cin, H, W): (Cin*kh*kw, Ho*Wo), one column per output
+    position, rows ordered (ci, u, v) as in k.reshape(cout, -1), so a
+    conv is k.reshape(cout, -1) @ unfold(x, ...)."""
     cin, h, w = x.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
     xp = np.zeros((cin, h + 2 * pad, w + 2 * pad))
     xp[:, pad:pad + h, pad:pad + w] = x
-    # rows ordered (ci, u, v), as in k.reshape(cout, -1)
     cols = np.empty((cin, kh, kw, ho, wo))
     for u in range(kh):
         for v in range(kw):
@@ -29,12 +34,11 @@ def _im2col(x, kh, kw, stride, pad, ho, wo):
 
 
 def conv2d_forward(x, k, stride, pad):
-    cin, h, w = x.shape
+    _, h, w = x.shape
     cout, _, kh, kw = k.shape
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
-    cols = _im2col(x, kh, kw, stride, pad, ho, wo)
-    out = k.reshape(cout, -1) @ cols
+    out = k.reshape(cout, -1) @ unfold(x, kh, kw, stride, pad)
     return np.ascontiguousarray(out.reshape(cout, ho, wo))
 
 
@@ -54,10 +58,9 @@ def conv2d_backward_input(dy, k, stride, pad, h, w):
 
 
 def conv2d_backward_kernel(dy, x, stride, pad, kh, kw):
-    cout, ho, wo = dy.shape
+    cout = dy.shape[0]
     cin = x.shape[0]
-    cols = _im2col(x, kh, kw, stride, pad, ho, wo)
-    dk = dy.reshape(cout, -1) @ cols.T
+    dk = dy.reshape(cout, -1) @ unfold(x, kh, kw, stride, pad).T
     return np.ascontiguousarray(dk.reshape(cout, cin, kh, kw))
 
 

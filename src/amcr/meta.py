@@ -27,10 +27,18 @@ a fixed map from loss to weight: `fixed_weighting` gives its
 coefficients c_i on detached losses, with no meta set and no lookahead,
 and training.train_model takes one step on sum_i c_i L_i with them.
 
-The cached g_i are the rows of one (n, P) matrix over the P trainable
-entries, allocated once per MetaState and overwritten every iteration.
-Both sums over c_i g_i are one product `coeff @ rows`, and the
-meta-gradient's d_i are one product `rows @ grad`.
+The cached g_i are never formed whole. A conv kernel's per-sample
+gradient is dy_i @ unfold(a_i).T, its output gradient times its unfolded
+input, so each trainable conv kernel keeps those factors, stacked over
+the batch: D (cout, M) and A (cin*kh*kw, M) over the M output positions
+of all samples, with owner[m] the sample of column m. Then
+    sum_i c_i g_i = (D * c[owner]) @ A.T                 (one GEMM)
+    d_i over the kernel = sum of the columns m of sample i of (G @ A) * D
+with G the kernel's meta-loss gradient at w_hat. The other trainable
+parameters (channel-attention kernels, heads: a few thousand entries)
+keep their g_i as the rows of one (n, P') matrix, allocated once per
+MetaState and overwritten every iteration, where the sums are
+`coeff @ rows` and `rows @ grad`.
 
 The lookahead uses plain SGD while both outer updates use Adam; the
 analytic meta-gradient is exact only for the SGD form of the lookahead.
@@ -90,6 +98,11 @@ class MetaState:
     `settings` is the phase's training.TrainSettings: `lr` is the main
     step size alpha, `mrn_lr` the reweighting network's step size beta,
     and `normalize_weights`, `betas` and `weight_decay` apply as named.
+
+    Every 4-d trainable parameter is taken for a conv kernel and keeps
+    its per-sample gradients as factors; it must reach the loss only
+    through conv2d. The cache holds those factors and the gradient rows
+    of the rest (see the module docstring).
     """
 
     def __init__(self, params: dict, mrn: Mrn, loss_fn, settings,
@@ -111,10 +124,13 @@ class MetaState:
         self.adam_mrn = Adam(settings.mrn_lr, settings.betas,
                              weight_decay=settings.weight_decay)
         self._cache = None
-        # column range of each trainable parameter in a gradient row
+        self._conv = [n for n in self.trainable if params[n].data.ndim == 4]
+        # column range of every other trainable parameter in a gradient row
         self._bounds = {}
         width = 0
         for name in self.trainable:
+            if name in self._conv:
+                continue
             size = params[name].data.size
             self._bounds[name] = (width, width + size)
             width += size
@@ -127,10 +143,15 @@ class MetaState:
             self._rows = np.empty((n, self._width))
         return self._rows[:n]
 
-    def _unflatten(self, flat) -> dict:
-        """Per-parameter views of a flat vector in gradient-row layout."""
-        return {name: flat[lo:hi].reshape(self.params[name].data.shape)
-                for name, (lo, hi) in self._bounds.items()}
+    def _weighted_sum(self, coeff, rows, factors) -> dict:
+        """sum_i c_i g_i for every trainable parameter, from the gradient
+        rows and the conv kernels' stacked factors."""
+        flat = coeff @ rows
+        grads = {name: flat[lo:hi].reshape(self.params[name].shape)
+                 for name, (lo, hi) in self._bounds.items()}
+        for name, (dy, cols, owner) in factors.items():
+            grads[name] = ((dy * coeff[owner]) @ cols.T).reshape(self.params[name].shape)
+        return grads
 
     # stage 1 -------------------------------------------------------------
 
@@ -143,13 +164,18 @@ class MetaState:
         if losses.data.ndim != 1 or losses.shape[0] != len(batch):
             raise ShapeError(
                 f"loss_fn returned {losses.shape} for a batch of {len(batch)}")
-        subset = {n: self.params[n] for n in self.trainable}
+        subset = {n: self.params[n] for n in self._bounds}
+        records = {n: T.KernelFactors(self.params[n]) for n in self._conv}
         rows = self._gradient_rows(len(batch))
-        T.per_sample_gradients(losses, subset, out=rows)
+        T.per_sample_gradients(losses, subset, out=rows, factored=records)
+        factors = {}
+        for name, record in records.items():
+            factors[name] = record.stacked()
+            record.clear()  # drop the per-sample copies before the next stack
         loss_values = losses.data.copy()
         v = mrn_forward(loss_values, self.mrn)
         coeff, s = weight_coefficients(v.data, self.settings.normalize_weights)
-        step = self._unflatten(coeff @ rows)
+        step = self._weighted_sum(coeff, rows, factors)
         w_hat = {name: Tensor(self.params[name].data - self.settings.lr * g,
                               requires_grad=True)
                  for name, g in step.items()}
@@ -157,6 +183,7 @@ class MetaState:
             "stage": "lookahead",
             "loss_values": loss_values,
             "rows": rows,
+            "factors": factors,
             "v": v,
             "coeff": coeff,
             "s": s,
@@ -191,6 +218,11 @@ class MetaState:
             if w_hat[name].grad is not None:
                 gw[lo:hi] = w_hat[name].grad.reshape(-1)
         d = cache["rows"] @ gw
+        for name, (dy, cols, owner) in cache["factors"].items():
+            grad = w_hat[name].grad
+            if grad is not None:
+                per_col = np.einsum("ij,ij->j", grad.reshape(dy.shape[0], -1) @ cols, dy)
+                d += np.bincount(owner, weights=per_col, minlength=d.size)
 
         # S is n in plain mode, where D drops out
         big_d = (float(np.sum(cache["coeff"] * d))
@@ -221,7 +253,7 @@ class MetaState:
             raise StateError("main_step needs meta_step to have run this iteration")
         v_new, coeff = fixed_weighting(cache["loss_values"], self.mrn,
                                        self.settings.normalize_weights)
-        grads = self._unflatten(coeff @ cache["rows"])
+        grads = self._weighted_sum(coeff, cache["rows"], cache["factors"])
         self.adam_main.step(self.params, grads)
         self._cache = None
         return v_new

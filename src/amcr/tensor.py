@@ -21,6 +21,9 @@ from .errors import DataError, ParameterError, ShapeError, TapeError
 # per thread (and per asyncio task): one thread's no_grad() block cannot
 # detach the graphs another thread is building
 _grad_enabled = ContextVar("amcr_grad_enabled", default=True)
+# id(kernel) -> KernelFactors of the conv kernels whose gradients
+# per_sample_gradients is recording in factored form
+_factoring = ContextVar("amcr_factoring", default=None)
 
 
 @contextmanager
@@ -197,8 +200,10 @@ def flatten(a: Tensor) -> Tensor:
 def stack(tensors) -> Tensor:
     """Stack same-shaped tensors along a new leading axis.
 
-    per_sample_gradients accepts only a stack of per-sample scalars, so
-    loss vectors must be built with this op.
+    per_sample_gradients accepts only a stack of per-sample scalars: it
+    backpropagates each stacked entry on its own, which is how it assigns
+    gradient rows and conv-kernel factors to samples. Loss vectors must
+    be built with this op.
     """
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
@@ -269,7 +274,12 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         if x.requires_grad:
             out.append((x, kernels.conv2d_backward_input(g, kd, stride, padding, h, w)))
         if k.requires_grad:
-            out.append((k, kernels.conv2d_backward_kernel(g, xd, stride, padding, kh, kw)))
+            factors = (_factoring.get() or {}).get(id(k))
+            if factors is None:
+                out.append((k, kernels.conv2d_backward_kernel(g, xd, stride, padding, kh, kw)))
+            else:  # the kernel's gradient is g @ unfold(x).T: keep the factors
+                factors.dy.append(g.reshape(cout, -1))
+                factors.cols.append(kernels.unfold(xd, kh, kw, stride, padding))
         return out
 
     return _make(out, (x, k), backward, "conv2d")
@@ -372,7 +382,41 @@ def cross_entropy_logits(z: Tensor, label: int) -> Tensor:
 # per-sample gradients
 
 
-def per_sample_gradients(loss_vector: Tensor, params: dict, out=None):
+class KernelFactors:
+    """One conv kernel's per-sample gradients in factored form.
+
+    Each application of the kernel in a sample's backward adds one record:
+    the output gradient dy (cout, Ho*Wo) and the unfolded input cols
+    (cin*kh*kw, Ho*Wo), whose product dy @ cols.T is that application's
+    share of the kernel gradient. `owner` holds the sample of each record.
+    A sample's gradient is the sum of its records' products: zero when
+    the kernel never reaches the sample, a sum when it is applied twice.
+    """
+
+    __slots__ = ("kernel", "dy", "cols", "owner")
+
+    def __init__(self, kernel: Tensor):
+        self.kernel = kernel
+        self.clear()
+
+    def clear(self):
+        self.dy, self.cols, self.owner = [], [], []
+
+    def stacked(self):
+        """(D, A, owner): the records side by side, D (cout, M) and
+        A (cin*kh*kw, M) over the M output positions of all of them, and
+        the sample owning each column."""
+        widths = [dy.shape[1] for dy in self.dy]
+        owner = np.repeat(np.asarray(self.owner, dtype=np.int64), widths)
+        if not widths:  # no sample reached the kernel
+            cout = self.kernel.shape[0]
+            return (np.zeros((cout, 0)),
+                    np.zeros((self.kernel.data.size // cout, 0)), owner)
+        return np.hstack(self.dy), np.hstack(self.cols), owner
+
+
+def per_sample_gradients(loss_vector: Tensor, params: dict, out=None,
+                         factored=None):
     """Gradient of each entry of `loss_vector` w.r.t. every tensor in the
     name -> Tensor dict `params`.
 
@@ -385,8 +429,14 @@ def per_sample_gradients(loss_vector: Tensor, params: dict, out=None):
     is cleared before each sample, so a gradient left from an earlier
     backward does not leak into sample 0, and is left cleared.
 
-    Returns a list (one dict per sample) mapping parameter name to its
-    gradient, a view into the sample's row. The mean of the returned
+    `factored` names conv kernels to record instead, as a name ->
+    KernelFactors dict of containers the caller owns: each is cleared,
+    then receives every application's (dy, unfold(x)) pair tagged with
+    its sample, and its kernel gets no `.grad`. A factored kernel must
+    reach the loss only through conv2d, and must not be in `params`.
+
+    Returns a list (one dict per sample) mapping each name in `params` to
+    its gradient, a view into the sample's row. The mean of the returned
     gradients equals the gradient of the mean loss up to float summation
     order.
     """
@@ -397,6 +447,10 @@ def per_sample_gradients(loss_vector: Tensor, params: dict, out=None):
     if loss_vector._op != "stack" or len(loss_vector._prev) != loss_vector.shape[0]:
         raise TapeError("per_sample_gradients: loss vector must be a stack "
                         "of per-sample scalars")
+    factored = {} if factored is None else factored
+    if factored.keys() & params.keys():
+        raise ParameterError("per_sample_gradients: a parameter cannot be "
+                             "both in rows and factored")
     layout, width = [], 0  # (name, parameter, first column, end column)
     for name, p in params.items():
         layout.append((name, p, width, width + p.data.size))
@@ -410,13 +464,25 @@ def per_sample_gradients(loss_vector: Tensor, params: dict, out=None):
 
     for p in params.values():
         p.grad = None
-    for i, scalar in enumerate(loss_vector._prev):
-        # each per-sample scalar backpropagates through its own subgraph
-        if scalar.requires_grad:
-            scalar.backward()
-        row = out[i]
-        for _, p, lo, hi in layout:
-            row[lo:hi] = 0.0 if p.grad is None else p.grad.reshape(-1)
-            p.grad = None
+    for f in factored.values():
+        f.clear()
+        f.kernel.grad = None
+    token = _factoring.set({id(f.kernel): f for f in factored.values()})
+    try:
+        for i, scalar in enumerate(loss_vector._prev):
+            # each per-sample scalar backpropagates through its own subgraph
+            if scalar.requires_grad:
+                scalar.backward()
+            row = out[i]
+            for _, p, lo, hi in layout:
+                row[lo:hi] = 0.0 if p.grad is None else p.grad.reshape(-1)
+                p.grad = None
+            for name, f in factored.items():
+                if f.kernel.grad is not None:
+                    raise TapeError(f"per_sample_gradients: factored kernel {name} "
+                                    "reached the loss outside conv2d")
+                f.owner.extend([i] * (len(f.dy) - len(f.owner)))
+    finally:
+        _factoring.reset(token)
     return [{name: out[i, lo:hi].reshape(p.data.shape) for name, p, lo, hi in layout}
             for i in range(shape[0])]

@@ -136,6 +136,21 @@ def test_conv_backward_kernel_matches_reference(cin, h, w, cout, kh, kw,
         rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("cin,h,w,cout,kh,kw,stride,pad", CONV_CASES)
+def test_conv_passes_are_gemms_of_unfold(cin, h, w, cout, kh, kw, stride, pad):
+    # the factored per-sample gradients rely on the kernel gradient being
+    # exactly this product of the output gradient and the unfolded input
+    x, k, dy = conv_backward_case(cin, h, w, cout, kh, kw, stride, pad)
+    cols = K.unfold(x, kh, kw, stride, pad)
+    assert cols.shape == (cin * kh * kw, dy.shape[1] * dy.shape[2])
+    np.testing.assert_array_equal(
+        K.conv2d_backward_kernel(dy, x, stride, pad, kh, kw),
+        (dy.reshape(cout, -1) @ cols.T).reshape(k.shape))
+    np.testing.assert_array_equal(
+        K.conv2d_forward(x, k, stride, pad),
+        (k.reshape(cout, -1) @ cols).reshape(dy.shape))
+
+
 def test_conv_zero_padding_contributes_zero():
     # an all-ones kernel over an all-ones image counts only real pixels
     x = np.ones((1, 3, 3))

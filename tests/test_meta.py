@@ -193,6 +193,45 @@ def test_meta_gradient_matches_fd(normalize):
         assert diff < 1e-9 + 1e-6 * scale, (n, diff, scale)
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+def test_meta_gradient_matches_fd_on_a_conv_net(normalize):
+    # stride-2 stage, padding 1, channel attention: the meta-gradient's
+    # d_i come from the conv kernels' factors
+    net, mrn, loss_fn, settings = tiny_net_setup(normalize, lr=0.5)
+    state = MetaState(net.params, mrn, loss_fn, settings)
+    batch, meta_batch = [0, 1, 2, 3], [4, 5, 6]
+
+    w_hat = state.lookahead_update(batch)
+    ref_net, ref_mrn, ref_loss_fn, _ = tiny_net_setup(normalize, lr=0.5)
+    ref_w_hat = reference_lookahead(ref_net.params, ref_mrn, ref_loss_fn,
+                                    settings, batch)[-1]
+    for name, p in ref_w_hat.items():
+        np.testing.assert_allclose(w_hat[name].data, p.data, rtol=1e-12,
+                                   atol=1e-15)
+    analytic = state.meta_gradient(meta_batch)
+
+    losses = loss_fn(batch, None)
+    g_list = T.per_sample_gradients(losses, net.params)
+    arrs = {n: p.data.copy() for n, p in mrn.params.items()}
+
+    def meta_loss_at():
+        override = {n: Tensor(a) for n, a in arrs.items()}
+        v = mrn_forward(losses.data, mrn, override)
+        coeff, _ = weight_coefficients(v.data, normalize)
+        w_hat = {name: Tensor(p.data - settings.lr * sum(
+                     c * g[name] for c, g in zip(coeff, g_list)))
+                 for name, p in net.params.items()}
+        with T.no_grad():
+            return float(np.mean(loss_fn(meta_batch, w_hat).data))
+
+    nums = numerical_grad(meta_loss_at, arrs)
+    for n in arrs:
+        diff = float(np.abs(analytic[n] - nums[n]).max())
+        scale = float(np.abs(analytic[n]).max())
+        assert scale > 1e-6, n
+        assert diff < 1e-9 + 1e-6 * scale, (n, diff, scale)
+
+
 def test_meta_iteration_returns_weights_and_counts():
     model = ToyModel(0.0)
     mrn = Mrn(hidden=4, rng=np.random.default_rng(9))
@@ -245,7 +284,7 @@ def test_reduction_to_half_weighted_adam():
 # the gradient-row matrix against per-sample dict loops on a small network
 
 
-def tiny_net_setup(normalize):
+def tiny_net_setup(normalize, lr=0.05):
     """A small AestheticNet and reweighting network, built fresh from
     fixed seeds so two calls give bitwise-equal starting points."""
     rng = np.random.default_rng(31)
@@ -262,7 +301,7 @@ def tiny_net_setup(normalize):
             net.forward(Tensor(images[i]), override), int(labels[i]))
             for i in batch])
 
-    settings = TrainSettings(lr=0.05, mrn_lr=0.01, normalize_weights=normalize)
+    settings = TrainSettings(lr=lr, mrn_lr=0.01, normalize_weights=normalize)
     return net, mrn, loss_fn, settings
 
 
@@ -324,10 +363,19 @@ def test_meta_iteration_matches_per_sample_loops(normalize):
     for name, p in cache[-1].items():
         np.testing.assert_allclose(w_hat[name].data, p.data, rtol=1e-12,
                                    atol=1e-15)
-    # the reused, dirty buffer holds the rows a fresh per-sample call gives
-    for row, grads in zip(state._cache["rows"], cache[1]):
-        np.testing.assert_array_equal(
-            row, np.concatenate([g.ravel() for g in grads.values()]))
+    # the conv kernels keep factors; the reused, dirty buffer holds the
+    # rows a fresh per-sample call gives for every other parameter, and
+    # each sample's factors rebuild its conv kernel gradients
+    rows, factors = state._cache["rows"], state._cache["factors"]
+    assert list(factors) == ["stem.w", "stage0.w", "head.reduce.w"]
+    for i, grads in enumerate(cache[1]):
+        np.testing.assert_array_equal(rows[i], np.concatenate(
+            [g.ravel() for name, g in grads.items() if name not in factors]))
+        for name, (dy, cols, owner) in factors.items():
+            mine = owner == i
+            np.testing.assert_allclose(
+                (dy[:, mine] @ cols[:, mine].T).reshape(grads[name].shape),
+                grads[name], rtol=1e-12, atol=0)
 
     state.meta_step(meta_batch)
     ref_grads = reference_meta_gradient(ref_mrn, ref_loss_fn, settings,
@@ -348,6 +396,30 @@ def test_meta_iteration_matches_per_sample_loops(normalize):
     for name, p in ref_params.items():
         np.testing.assert_allclose(net.params[name].data, p.data, rtol=1e-12,
                                    atol=1e-15)
+
+
+def test_lookahead_cache_is_small_next_to_dense_rows():
+    # conv kernels hold most of P; their factors scale with the output
+    # positions instead, so the cache is far below n dense rows
+    rng = np.random.default_rng(33)
+    net = AestheticNet(rng, stem_channels=8, stage_channels=(16, 32),
+                       head_width=128)
+    images = rng.normal(size=(6, 3, 8, 8))
+
+    def loss_fn(batch, override):
+        return T.stack([T.cross_entropy_logits(
+            net.forward(Tensor(images[i]), override), i) for i in batch])
+
+    state = MetaState(net.params, Mrn(hidden=4), loss_fn, TrainSettings())
+    n = len(images)
+    state.lookahead_update(list(range(n)))
+    total = sum(p.data.size for p in net.params.values())
+    conv = sum(p.data.size for p in net.params.values() if p.data.ndim == 4)
+    assert conv > 0.9 * total
+    cache = state._cache
+    held = cache["rows"].size + sum(a.size for factors in cache["factors"].values()
+                                    for a in factors)
+    assert held < n * total / 10, (held, n * total)
 
 
 @pytest.mark.parametrize("normalize", [False, True])

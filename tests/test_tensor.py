@@ -334,6 +334,66 @@ def test_per_sample_gradients_fill_rows_of_out():
         T.per_sample_gradients(losses(), {"w": w, "b": b}, out=out)
 
 
+def test_per_sample_gradient_factors_rebuild_dense_kernel_gradients():
+    # stride 1 and 2, pad 0 and 1, a kernel applied twice per sample, one
+    # reached by odd samples only and one reached by no sample
+    rng = np.random.default_rng(21)
+    kernels = {"down": leaf(rng, 3, 2, 3, 3), "twice": leaf(rng, 3, 3, 3, 3),
+               "odd": leaf(rng, 2, 3, 1, 1), "unused": leaf(rng, 2, 2, 3, 3)}
+    eca = leaf(rng, 3)
+    images = rng.normal(size=(4, 2, 7, 7))
+
+    def losses():
+        per = []
+        for i, image in enumerate(images):
+            x = T.relu(T.conv2d(Tensor(image), kernels["down"], stride=2, padding=1))
+            x = T.scale_channels(x, eca)
+            x = T.relu(T.conv2d(x, kernels["twice"], stride=1, padding=1))
+            x = T.conv2d(x, kernels["twice"], stride=1, padding=1)
+            if i % 2:
+                x = T.conv2d(x, kernels["odd"], stride=1, padding=0)
+            per.append(T.tsum(T.mul(x, x)))
+        return T.stack(per)
+
+    dense = T.per_sample_gradients(losses(), {**kernels, "eca": eca})
+    records = {name: T.KernelFactors(k) for name, k in kernels.items()}
+    rowed = T.per_sample_gradients(losses(), {"eca": eca}, factored=records)
+    for name, record in records.items():
+        assert kernels[name].grad is None
+        dy, cols, owner = record.stacked()
+        cout = kernels[name].shape[0]
+        for i in range(len(images)):
+            mine = owner == i
+            rebuilt = (dy[:, mine] @ cols[:, mine].T).reshape(kernels[name].shape)
+            np.testing.assert_allclose(rebuilt, dense[i][name], rtol=1e-12, atol=0)
+        assert dy.shape[0] == cout and cols.shape[1] == dy.shape[1] == owner.size
+    assert records["twice"].owner == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert records["odd"].owner == [1, 3]
+    assert records["unused"].owner == []
+    for i in range(len(images)):
+        np.testing.assert_array_equal(rowed[i]["eca"], dense[i]["eca"])
+
+
+def test_per_sample_gradient_factors_need_conv_only_kernels():
+    rng = np.random.default_rng(22)
+    k = leaf(rng, 2, 1, 3, 3)
+    image = Tensor(rng.normal(size=(1, 4, 4)))
+
+    def losses():
+        y = T.conv2d(image, k, padding=1)
+        return T.stack([T.tsum(y), T.tsum(T.mul(k, k))])
+
+    with pytest.raises(TapeError):
+        T.per_sample_gradients(losses(), {}, factored={"k": T.KernelFactors(k)})
+    with pytest.raises(ParameterError):
+        T.per_sample_gradients(losses(), {"k": k},
+                               factored={"k": T.KernelFactors(k)})
+    # the recording ends with the call: a later backward fills .grad again
+    k.zero_grad()
+    T.tsum(T.conv2d(image, k, padding=1)).backward()
+    assert k.grad is not None
+
+
 def test_per_sample_gradients_reject_detached():
     with pytest.raises(TapeError):
         T.per_sample_gradients(Tensor(np.ones(3)), {})
