@@ -47,9 +47,9 @@ def eca_kernel_size(channels: int, mode: str = "ceil_odd") -> int:
 
 
 def eca_forward(x: Tensor, kernel: Tensor) -> Tensor:
-    """Channel attention on a (C,H,W) map: squeeze it to a channel vector,
-    convolve each channel with its len(kernel) neighbors, gate the input
-    by the sigmoid output."""
+    """Channel attention on an (N,C,H,W) batch: squeeze each map to a
+    channel vector, convolve each channel with its len(kernel) neighbors,
+    gate the input by the sigmoid output."""
     attention = T.sigmoid(T.conv1d_channel(T.global_avg_pool(x), kernel))
     return T.scale_channels(x, attention)
 
@@ -208,12 +208,12 @@ class AestheticNet:
             return [n for n in self.params if n.startswith("head.reg")]
         raise ParameterError(f"unknown phase {phase!r}")
 
-    def features(self, img, params=None) -> Tensor:
-        """Pooled feature vector (head_width,) for one (C,H,W) image."""
+    def features(self, images, params=None) -> Tensor:
+        """Pooled feature rows (N, head_width) of an (N,C,H,W) batch."""
         p = self.params if params is None else {**self.params, **params}
-        x = T.as_tensor(img)
-        if x.data.ndim != 3 or x.shape[0] != self.in_channels:
-            raise ShapeError(f"expected ({self.in_channels},H,W), got {x.shape}")
+        x = T.as_tensor(images)
+        if x.data.ndim != 4 or x.shape[1] != self.in_channels:
+            raise ShapeError(f"expected (N,{self.in_channels},H,W), got {x.shape}")
         x = T.relu(T.conv2d(x, p["stem.w"], stride=self.STEM_STRIDE, padding=1))
         if self.pool_target is not None:
             x = T.adaptive_avg_pool2d(x, (self.pool_target, self.pool_target))
@@ -225,23 +225,21 @@ class AestheticNet:
         return T.global_avg_pool(x)
 
     def score(self, x, params=None) -> Tensor:
-        """Regression score of one (C,H,W) image or one cached
-        (head_width,) feature vector; a vector skips the backbone, and the
+        """Regression scores (N,) of an (N,C,H,W) batch or of cached
+        (N, head_width) feature rows; rows skip the backbone, and the
         class head is not evaluated."""
         p = self.params if params is None else {**self.params, **params}
         x = T.as_tensor(x)
-        if x.data.ndim != 1:
+        if x.data.ndim != 2:
             x = self.features(x, params)
-        elif x.shape[0] != self.head_width:
-            raise ShapeError(f"expected ({self.head_width},) features, got {x.shape}")
-        row = T.reshape(x, (1, self.head_width))
+        elif x.shape[1] != self.head_width:
+            raise ShapeError(f"expected (N,{self.head_width}) features, got {x.shape}")
         return T.reshape(T.add_rowvec(
-            T.matmul(row, p["head.reg.w"]), p["head.reg.b"]), ())
+            T.matmul(x, p["head.reg.w"]), p["head.reg.b"]), (-1,))
 
-    def forward(self, img, params=None) -> Tensor:
-        """Class logits (num_classes,) of one (C,H,W) image; the regression
-        head is not evaluated."""
+    def forward(self, images, params=None) -> Tensor:
+        """Class logits (N, num_classes) of an (N,C,H,W) batch; the
+        regression head is not evaluated."""
         p = self.params if params is None else {**self.params, **params}
-        row = T.reshape(self.features(img, params), (1, self.head_width))
-        return T.flatten(T.add_rowvec(
-            T.matmul(row, p["head.class.w"]), p["head.class.b"]))
+        return T.add_rowvec(T.matmul(self.features(images, params),
+                                     p["head.class.w"]), p["head.class.b"])

@@ -375,12 +375,18 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    """Print the score of each image path, one line each, in argument
+    order; every image is loaded and checked before any checkpoint."""
     cfg = _load_run_config(args)
-    image = pnm.load_pnm(args.image)
-    _check_channels(cfg, args.image, image)
-    prepared = prepare_image(image, cfg.model_prep, cfg.model_crop_side,
-                             cfg.model_square_side)
-    print(f"{_load_artifacts(cfg, args).predict([prepared])[0]:.4f}")
+    prepared = []
+    for path in args.image:
+        image = pnm.load_pnm(path)
+        _check_channels(cfg, path, image)
+        prepared.append(prepare_image(image, cfg.model_prep,
+                                      cfg.model_crop_side,
+                                      cfg.model_square_side))
+    scores = _load_artifacts(cfg, args).predict(prepared)
+    print("\n".join(f"{score:.4f}" for score in scores))
     return 0
 
 
@@ -472,7 +478,7 @@ _COMMANDS = {
                      "split the dataset by router predictions"),
     "train": (cmd_train, "train a pipeline variant"),
     "evaluate": (cmd_evaluate, "score the test split"),
-    "predict": (cmd_predict, "score one image file"),
+    "predict": (cmd_predict, "score image files"),
     "ablate": (cmd_ablate, "run the variant comparison"),
     "report-segments": (cmd_report_segments,
                         "per-segment router correctness"),
@@ -484,7 +490,7 @@ def _add_command_args(sub, name: str) -> None:
     if name != "gen-data":
         _add_variant_flags(sub)
     if name == "predict":
-        sub.add_argument("image", help="PPM/PGM image file")
+        sub.add_argument("image", nargs="+", help="PPM/PGM image files")
     sub.set_defaults(fn=_COMMANDS[name][0])
 
 

@@ -27,11 +27,12 @@ a fixed map from loss to weight: `fixed_weighting` gives its
 coefficients c_i on detached losses, with no meta set and no lookahead,
 and training.train_model takes one step on sum_i c_i L_i with them.
 
-The cached g_i are never formed whole. A conv kernel's per-sample
-gradient is dy_i @ unfold(a_i).T, its output gradient times its unfolded
-input, so each trainable conv kernel keeps those factors, stacked over
-the batch: D (cout, M) and A (cin*kh*kw, M) over the M output positions
-of all samples, with owner[m] the sample of column m. Then
+The cached g_i all come from one backward of the batch's loss vector,
+and are never formed whole. A conv kernel's per-sample gradient is
+dy_i @ unfold(a_i).T, its output gradient times its unfolded input, so
+each trainable conv kernel keeps those factors, stacked over the batch:
+D (cout, M) and A (cin*kh*kw, M) over the M output positions of all
+samples, with owner[m] the sample of column m. Then
     sum_i c_i g_i = (D * c[owner]) @ A.T                 (one GEMM)
     d_i over the kernel = sum of the columns m of sample i of (G @ A) * D
 with G the kernel's meta-loss gradient at w_hat. The other trainable
@@ -90,10 +91,10 @@ class MetaState:
     Adam optimizers, and the per-iteration cache shared by the three
     stages.
 
-    `loss_fn(batch, params)` must return the per-sample loss vector for
-    a batch, built so each entry is its own scalar subgraph (stacked),
-    evaluated under `params` when given (a name -> Tensor override) or
-    the live parameters when None.
+    `loss_fn(batch, params)` must return the per-sample loss vector of a
+    batch from one batched graph whose entry i depends on sample i alone
+    (see tensor.per_sample_gradients), evaluated under `params` when
+    given (a name -> Tensor override) or the live parameters when None.
 
     `settings` is the phase's training.TrainSettings: `lr` is the main
     step size alpha, `mrn_lr` the reweighting network's step size beta,

@@ -7,9 +7,13 @@ rebuilt each iteration; nothing is compiled or cached.
 
 Values are numpy float64 arrays. Non-finite elements are rejected at op
 boundaries (every Tensor construction checks). Scalars are 0-d arrays.
+
+The network ops take a batch: images are (N, C, H, W), feature and logit
+rows (N, K), and row n of every op belongs to sample n, so one graph
+serves the whole batch and per_sample_gradients can split its one
+backward by sample.
 """
 
-import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -21,9 +25,9 @@ from .errors import DataError, ParameterError, ShapeError, TapeError
 # per thread (and per asyncio task): one thread's no_grad() block cannot
 # detach the graphs another thread is building
 _grad_enabled = ContextVar("amcr_grad_enabled", default=True)
-# id(kernel) -> KernelFactors of the conv kernels whose gradients
-# per_sample_gradients is recording in factored form
-_factoring = ContextVar("amcr_factoring", default=None)
+# (samples, id(parameter) -> recorder) while per_sample_gradients runs:
+# the parameters whose gradients the parameter ops record by sample
+_recording = ContextVar("amcr_recording", default=None)
 
 
 @contextmanager
@@ -193,32 +197,6 @@ def reshape(a: Tensor, shape) -> Tensor:
                  lambda g: ((a, g.reshape(a.shape)),), "reshape")
 
 
-def flatten(a: Tensor) -> Tensor:
-    return reshape(a, (-1,))
-
-
-def stack(tensors) -> Tensor:
-    """Stack same-shaped tensors along a new leading axis.
-
-    per_sample_gradients accepts only a stack of per-sample scalars: it
-    backpropagates each stacked entry on its own, which is how it assigns
-    gradient rows and conv-kernel factors to samples. Loss vectors must
-    be built with this op.
-    """
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("stack: empty input")
-    base = tensors[0].shape
-    if any(t.shape != base for t in tensors):
-        raise ShapeError("stack: mismatched shapes")
-    data = np.stack([t.data for t in tensors])
-
-    def backward(g):
-        return tuple((t, g[i]) for i, t in enumerate(tensors))
-
-    return _make(data, tensors, backward, "stack")
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -231,7 +209,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dims {a.shape} x {b.shape}")
 
     def backward(g):
-        return ((a, g @ b.data.T), (b, a.data.T @ g))
+        rec = _recorder(b, a.shape[0])
+        if rec is None:
+            return ((a, g @ b.data.T), (b, a.data.T @ g))
+        rec.add(a.data[:, :, None] * g[:, None, :])  # row n: a_n outer g_n
+        return ((a, g @ b.data.T),)
 
     return _make(a.data @ b.data, (a, b), backward, "matmul")
 
@@ -241,8 +223,15 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     m, v = as_tensor(m), as_tensor(v)
     if m.data.ndim != 2 or v.data.ndim != 1 or m.shape[1] != v.shape[0]:
         raise ShapeError(f"add_rowvec: {m.shape} vs {v.shape}")
-    return _make(m.data + v.data[None, :], (m, v),
-                 lambda g: ((m, g), (v, g.sum(axis=0))), "add_rowvec")
+
+    def backward(g):
+        rec = _recorder(v, m.shape[0])
+        if rec is None:
+            return ((m, g), (v, g.sum(axis=0)))
+        rec.add(g)
+        return ((m, g),)
+
+    return _make(m.data + v.data[None, :], (m, v), backward, "add_rowvec")
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +239,12 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """Convolve every image of an (N, Cin, H, W) batch with the kernels
+    (Cout, Cin, kh, kw): an (N, Cout, Ho, Wo) batch."""
     x, k = as_tensor(x), as_tensor(k)
-    if x.data.ndim != 3 or k.data.ndim != 4:
-        raise ShapeError("conv2d expects x (C,H,W) and kernels (Co,Ci,kh,kw)")
-    cin, h, w = x.shape
+    if x.data.ndim != 4 or k.data.ndim != 4:
+        raise ShapeError("conv2d expects x (N,C,H,W) and kernels (Co,Ci,kh,kw)")
+    n, cin, h, w = x.shape
     cout, kcin, kh, kw = k.shape
     if kcin != cin:
         raise ShapeError(f"conv2d: input channels {cin} vs kernel {kcin}")
@@ -265,132 +256,202 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeError(f"conv2d: output extent {ho}x{wo} < 1")
     xd = np.ascontiguousarray(x.data)
     kd = np.ascontiguousarray(k.data)
-    out = kernels.conv2d_forward(xd, kd, stride, padding)
+    # The conv kernels take one (C,H,W) image per call, and the benchmark's
+    # conv counters read their operands that way, so forward and backward
+    # call them once per image; with a batched kernel this loop becomes
+    # one GEMM over the N images.
+    out = np.empty((n, cout, ho, wo))
+    for i in range(n):
+        out[i] = kernels.conv2d_forward(xd[i], kd, stride, padding)
 
     def backward(g):
         # skip the gradient no parent needs (the stem's input is the image)
         g = np.ascontiguousarray(g)
-        out = []
-        if x.requires_grad:
-            out.append((x, kernels.conv2d_backward_input(g, kd, stride, padding, h, w)))
-        if k.requires_grad:
-            factors = (_factoring.get() or {}).get(id(k))
-            if factors is None:
-                out.append((k, kernels.conv2d_backward_kernel(g, xd, stride, padding, kh, kw)))
-            else:  # the kernel's gradient is g @ unfold(x).T: keep the factors
-                factors.dy.append(g.reshape(cout, -1))
-                factors.cols.append(kernels.unfold(xd, kh, kw, stride, padding))
-        return out
+        rec = _recorder(k, n) if k.requires_grad else None
+        dx = np.empty(x.shape) if x.requires_grad else None
+        dk = np.zeros(k.shape) if k.requires_grad and rec is None else None
+        for i in range(n):  # one kernel call per image, as in the forward
+            if dx is not None:
+                dx[i] = kernels.conv2d_backward_input(g[i], kd, stride, padding, h, w)
+            if dk is not None:
+                dk += kernels.conv2d_backward_kernel(g[i], xd[i], stride, padding, kh, kw)
+            elif rec is not None:
+                rec.conv(i, g[i], xd[i], stride, padding)
+        return [pair for pair in ((x, dx), (k, dk)) if pair[1] is not None]
 
     return _make(out, (x, k), backward, "conv2d")
 
 
+def _correlate_rows(rows, taps):
+    """Each row of the (N, C) `rows` correlated with the odd-length `taps`
+    to C outputs, zero padded: out[n, i] = sum_j taps[j] rows[n, i + j - k//2].
+    The rows run end to end through one np.correlate, each between k//2
+    zeros on both sides, so no window reaches into another row."""
+    n, c = rows.shape
+    half = taps.size // 2
+    width = c + 2 * half
+    flat = np.zeros(n * width + 2 * half)
+    flat[:n * width].reshape(n, width)[:, half:half + c] = rows
+    return np.correlate(flat, taps, mode="valid").reshape(n, width)[:, :c]
+
+
 def conv1d_channel(x: Tensor, kernel: Tensor) -> Tensor:
-    """Channel-wise 1D convolution with one shared odd-length kernel, zero padded."""
+    """Convolve each row of an (N, C) matrix along its C channels with one
+    shared odd-length kernel, zero padded."""
     x, kernel = as_tensor(x), as_tensor(kernel)
-    if x.data.ndim != 1 or kernel.data.ndim != 1:
-        raise ShapeError("conv1d_channel expects vectors")
+    if x.data.ndim != 2 or kernel.data.ndim != 1:
+        raise ShapeError("conv1d_channel expects (N, C) rows and a kernel vector")
     k = kernel.shape[0]
     if k % 2 == 0:
         raise ParameterError("conv1d_channel kernel length must be odd")
-    c = x.shape[0]
+    n, c = x.shape
     if k > c:
         raise ParameterError(f"conv1d_channel kernel {k} longer than channels {c}")
-    # out[i] = sum_j kernel[j] * x[i + j - k//2], zeros outside
-    out = np.correlate(x.data, kernel.data, mode="same")
 
     def backward(g):
-        dx = np.convolve(g, kernel.data, mode="same")
         half = k // 2
-        padded = np.zeros(c + 2 * half)
-        padded[half:half + c] = x.data
-        dk = np.array([float(np.dot(g, padded[j:j + c])) for j in range(k)])
-        return ((x, dx), (kernel, dk))
+        padded = np.zeros((n, c + 2 * half))
+        padded[:, half:half + c] = x.data
+        # row n: sample n's kernel gradient, one step per tap
+        dk = np.stack([(g * padded[:, j:j + c]).sum(axis=1) for j in range(k)],
+                      axis=1)
+        dx = _correlate_rows(g, kernel.data[::-1])
+        rec = _recorder(kernel, n)
+        if rec is None:
+            return ((x, dx), (kernel, dk.sum(axis=0)))
+        rec.add(dk)
+        return ((x, dx),)
 
-    return _make(out, (x, kernel), backward, "conv1d")
+    return _make(_correlate_rows(x.data, kernel.data), (x, kernel), backward, "conv1d")
 
 
 def adaptive_avg_pool2d(x: Tensor, target) -> Tensor:
     x = as_tensor(x)
-    if x.data.ndim != 3:
-        raise ShapeError("adaptive_avg_pool2d expects (C,H,W)")
+    if x.data.ndim != 4:
+        raise ShapeError("adaptive_avg_pool2d expects (N,C,H,W)")
     th, tw = int(target[0]), int(target[1])
-    c, h, w = x.shape
+    n, c, h, w = x.shape
     if th > h or tw > w or th < 1 or tw < 1:
         raise ShapeError(f"adaptive_avg_pool2d: target {th}x{tw} vs input {h}x{w}")
-    out = kernels.adaptive_avg_pool_forward(np.ascontiguousarray(x.data), th, tw)
+    # the pooling kernels see channels only, so one call pools all N*C maps
+    out = kernels.adaptive_avg_pool_forward(
+        np.ascontiguousarray(x.data).reshape(n * c, h, w), th, tw)
 
     def backward(g):
-        return ((x, kernels.adaptive_avg_pool_backward(np.ascontiguousarray(g), h, w)),)
+        dx = kernels.adaptive_avg_pool_backward(
+            np.ascontiguousarray(g).reshape(n * c, th, tw), h, w)
+        return ((x, dx.reshape(x.shape)),)
 
-    return _make(out, (x,), backward, "adaptive_avg_pool2d")
+    return _make(out.reshape(n, c, th, tw), (x,), backward, "adaptive_avg_pool2d")
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """(C, H, W) -> (C,) per-channel spatial mean."""
+    """(N, C, H, W) -> (N, C) per-channel spatial mean."""
     x = as_tensor(x)
-    if x.data.ndim != 3:
-        raise ShapeError("global_avg_pool expects (C,H,W)")
-    c, h, w = x.shape
-    area = h * w
+    if x.data.ndim != 4:
+        raise ShapeError("global_avg_pool expects (N,C,H,W)")
+    area = x.shape[2] * x.shape[3]
 
     def backward(g):
-        return ((x, np.repeat(g / area, area).reshape(c, h, w)),)
+        return ((x, np.repeat(g / area, area).reshape(x.shape)),)
 
-    return _make(x.data.sum(axis=(1, 2)) / area, (x,), backward, "global_avg_pool")
+    return _make(x.data.sum(axis=(2, 3)) / area, (x,), backward, "global_avg_pool")
 
 
 def scale_channels(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply each channel of (C, H, W) by the matching entry of s (C,)."""
+    """Multiply each channel map of (N, C, H, W) by the matching entry of
+    s (N, C)."""
     x, s = as_tensor(x), as_tensor(s)
-    if x.data.ndim != 3 or s.data.ndim != 1 or x.shape[0] != s.shape[0]:
+    if x.data.ndim != 4 or s.data.ndim != 2 or x.shape[:2] != s.shape:
         raise ShapeError(f"scale_channels: {x.shape} vs {s.shape}")
 
     def backward(g):
-        return ((x, g * s.data[:, None, None]),
-                (s, (g * x.data).sum(axis=(1, 2))))
+        return ((x, g * s.data[:, :, None, None]),
+                (s, (g * x.data).sum(axis=(2, 3))))
 
-    return _make(x.data * s.data[:, None, None], (x, s), backward, "scale_channels")
+    return _make(x.data * s.data[:, :, None, None], (x, s), backward, "scale_channels")
 
 
-def cross_entropy_logits(z: Tensor, label: int) -> Tensor:
-    """Scalar cross-entropy of one logits vector against an integer label.
+def cross_entropy_logits(z: Tensor, labels) -> Tensor:
+    """Cross-entropy of each row of (N, K) logits against its integer
+    label in `labels`: the (N,) loss vector.
 
     Fused log-sum-exp keeps the op stable for large logits; composing
     softmax then log would lose precision for near-zero probabilities.
     """
     z = as_tensor(z)
-    if z.data.ndim != 1:
-        raise ShapeError("cross_entropy_logits expects a logits vector")
-    label = int(label)
-    if not 0 <= label < z.shape[0]:
-        raise DataError(f"label {label} outside 0..{z.shape[0] - 1}")
-    m = z.data.max()
-    e = np.exp(z.data - m)
-    lse = m + math.log(e.sum())
-    p = e / e.sum()
+    if z.data.ndim != 2:
+        raise ShapeError("cross_entropy_logits expects (N, K) logits")
+    n, k = z.shape
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (n,):
+        raise ShapeError(f"cross_entropy_logits: labels {labels.shape} for {n} rows")
+    outside = labels[(labels < 0) | (labels >= k)]
+    if outside.size:
+        raise DataError(f"label {outside[0]} outside 0..{k - 1}")
+    rows = np.arange(n)
+    m = z.data.max(axis=1)
+    e = np.exp(z.data - m[:, None])
+    total = e.sum(axis=1)
+    p = e / total[:, None]
 
     def backward(g):
         dz = p.copy()
-        dz[label] -= 1.0
-        return ((z, dz * g),)
+        dz[rows, labels] -= 1.0
+        return ((z, dz * g[:, None]),)
 
-    return _make(np.float64(lse - z.data[label]), (z,), backward, "cross_entropy")
+    return _make(m + np.log(total) - z.data[rows, labels], (z,), backward,
+                 "cross_entropy")
 
 
 # ---------------------------------------------------------------------------
 # per-sample gradients
 
 
+def _recorder(p, rows: int):
+    """The recorder of p's per-sample gradients while per_sample_gradients
+    records p, else None. `rows` is the leading extent of the batch the op
+    applies p to, which must be the loss vector's samples."""
+    recording = _recording.get()
+    if recording is None:
+        return None
+    samples, recorders = recording
+    rec = recorders.get(id(p))
+    if rec is not None and rows != samples:
+        raise TapeError(f"per_sample_gradients: a recorded parameter met a "
+                        f"batch of {rows} rows, the loss has {samples} samples")
+    return rec
+
+
+class _GradientRows:
+    """One parameter's columns of the per-sample gradient matrix: row n
+    sums sample n's share of every application of the parameter."""
+
+    __slots__ = ("rows", "shape")
+
+    def __init__(self, rows: np.ndarray, shape):
+        self.rows, self.shape = rows, shape
+
+    def add(self, per_sample):
+        """Add an (N, *shape) stack of per-sample gradients."""
+        self.rows += per_sample.reshape(self.rows.shape)
+
+    def conv(self, n, dy, x, stride, pad):
+        """Add sample n's share of one conv2d application (see KernelFactors.conv)."""
+        kh, kw = self.shape[2:]
+        self.rows[n] += kernels.conv2d_backward_kernel(
+            dy, x, stride, pad, kh, kw).reshape(-1)
+
+
 class KernelFactors:
     """One conv kernel's per-sample gradients in factored form.
 
-    Each application of the kernel in a sample's backward adds one record:
+    Each application of the kernel to a sample's image adds one record:
     the output gradient dy (cout, Ho*Wo) and the unfolded input cols
     (cin*kh*kw, Ho*Wo), whose product dy @ cols.T is that application's
-    share of the kernel gradient. `owner` holds the sample of each record.
-    A sample's gradient is the sum of its records' products: zero when
-    the kernel never reaches the sample, a sum when it is applied twice.
+    share of the kernel gradient, and in `owner` the sample. A sample's
+    gradient is the sum of its records' products: zero when the kernel
+    never reaches the sample, a sum when it is applied twice.
     """
 
     __slots__ = ("kernel", "dy", "cols", "owner")
@@ -401,6 +462,14 @@ class KernelFactors:
 
     def clear(self):
         self.dy, self.cols, self.owner = [], [], []
+
+    def conv(self, n, dy, x, stride, pad):
+        """Record sample n's share of one conv2d application: dy (cout, Ho, Wo)
+        the gradient of its output, x (cin, H, W) its input."""
+        cout, _, kh, kw = self.kernel.shape
+        self.dy.append(dy.reshape(cout, -1))
+        self.cols.append(kernels.unfold(x, kh, kw, stride, pad))
+        self.owner.append(n)
 
     def stacked(self):
         """(D, A, owner): the records side by side, D (cout, M) and
@@ -417,23 +486,30 @@ class KernelFactors:
 
 def per_sample_gradients(loss_vector: Tensor, params: dict, out=None,
                          factored=None):
-    """Gradient of each entry of `loss_vector` w.r.t. every tensor in the
-    name -> Tensor dict `params`.
+    """Gradient of each entry of the (N,) `loss_vector` w.r.t. every tensor
+    in the name -> Tensor dict `params`, from one backward of the batch.
 
-    `loss_vector` must be a `stack` of per-sample scalars. Sample i's
-    gradients go to row i of one (n, P) float64 matrix: the parameters in
-    dict order, each flattened, P their total size. `out` is that
-    matrix when given (a buffer reused across calls; every entry is
+    Entry n must depend on row n of the batch alone, and every parameter
+    must reach the loss only as the kernel of conv2d or conv1d_channel,
+    the right operand of matmul or the vector of add_rowvec. While this
+    call runs, those ops record each row's share of a parameter's gradient
+    instead of its sum over the batch (the per-example trick of Goodfellow
+    2015, arXiv:1510.01799). A parameter that reaches the loss through any
+    other op, or meets a batch of other than N rows, raises TapeError.
+
+    Sample n's gradients go to row n of one (N, P) float64 matrix: the
+    parameters in dict order, each flattened, P their total size. `out` is
+    that matrix when given (a buffer reused across calls; every entry is
     overwritten, so parameters a sample does not reach get zero rows
     whatever the buffer held), else a new one. Every parameter's `.grad`
-    is cleared before each sample, so a gradient left from an earlier
-    backward does not leak into sample 0, and is left cleared.
+    is cleared before the backward, so a gradient left from an earlier
+    backward does not leak into the rows, and is left cleared.
 
     `factored` names conv kernels to record instead, as a name ->
     KernelFactors dict of containers the caller owns: each is cleared,
-    then receives every application's (dy, unfold(x)) pair tagged with
-    its sample, and its kernel gets no `.grad`. A factored kernel must
-    reach the loss only through conv2d, and must not be in `params`.
+    then receives every application's (dy, unfold(x)) pair with its
+    sample, and its kernel gets no `.grad`. A factored kernel must reach
+    the loss only through conv2d, and must not be in `params`.
 
     Returns a list (one dict per sample) mapping each name in `params` to
     its gradient, a view into the sample's row. The mean of the returned
@@ -444,45 +520,43 @@ def per_sample_gradients(loss_vector: Tensor, params: dict, out=None,
         raise TapeError("per_sample_gradients: loss vector is detached from the graph")
     if loss_vector.data.ndim != 1:
         raise ShapeError("per_sample_gradients expects a loss vector")
-    if loss_vector._op != "stack" or len(loss_vector._prev) != loss_vector.shape[0]:
-        raise TapeError("per_sample_gradients: loss vector must be a stack "
-                        "of per-sample scalars")
     factored = {} if factored is None else factored
-    if factored.keys() & params.keys():
+    if any(f.kernel.data.ndim != 4 for f in factored.values()):
+        raise ParameterError("per_sample_gradients: only conv kernels can be factored")
+    recorded = [*params.items(), *((name, f.kernel) for name, f in factored.items())]
+    if len({id(p) for _, p in recorded}) != len(recorded):
         raise ParameterError("per_sample_gradients: a parameter cannot be "
-                             "both in rows and factored")
+                             "recorded twice, in rows and factored")
     layout, width = [], 0  # (name, parameter, first column, end column)
     for name, p in params.items():
         layout.append((name, p, width, width + p.data.size))
         width += p.data.size
-    shape = (loss_vector.shape[0], width)
+    samples = loss_vector.shape[0]
+    shape = (samples, width)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
         raise ShapeError(f"per_sample_gradients: out is {out.dtype} {out.shape}, "
                          f"needs float64 {shape}")
 
-    for p in params.values():
-        p.grad = None
+    out[...] = 0.0
+    recorders = {id(p): _GradientRows(out[:, lo:hi], p.shape)
+                 for _, p, lo, hi in layout}
     for f in factored.values():
         f.clear()
-        f.kernel.grad = None
-    token = _factoring.set({id(f.kernel): f for f in factored.values()})
+        recorders[id(f.kernel)] = f
+    for _, p in recorded:
+        p.grad = None
+    token = _recording.set((samples, recorders))
     try:
-        for i, scalar in enumerate(loss_vector._prev):
-            # each per-sample scalar backpropagates through its own subgraph
-            if scalar.requires_grad:
-                scalar.backward()
-            row = out[i]
-            for _, p, lo, hi in layout:
-                row[lo:hi] = 0.0 if p.grad is None else p.grad.reshape(-1)
-                p.grad = None
-            for name, f in factored.items():
-                if f.kernel.grad is not None:
-                    raise TapeError(f"per_sample_gradients: factored kernel {name} "
-                                    "reached the loss outside conv2d")
-                f.owner.extend([i] * (len(f.dy) - len(f.owner)))
+        loss_vector.backward()
     finally:
-        _factoring.reset(token)
+        _recording.reset(token)
+    leaked = [name for name, p in recorded if p.grad is not None]
+    for _, p in recorded:
+        p.grad = None
+    if leaked:
+        raise TapeError(f"per_sample_gradients: {', '.join(leaked)} reached the "
+                        "loss outside the ops that record per-sample gradients")
     return [{name: out[i, lo:hi].reshape(p.data.shape) for name, p, lo, hi in layout}
-            for i in range(shape[0])]
+            for i in range(samples)]

@@ -148,8 +148,8 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
                     grads[name] = np.zeros_like(params[name].data) if g is None else g
                 optimizer.step(params, grads)
             if weights is not None:
-                for s, w in zip(batch, weights):
-                    result.sample_weights[s.id] = float(w)
+                result.sample_weights.update(zip([s.id for s in batch],
+                                                 weights.tolist()))
             epoch_loss += float(np.sum(losses))
             seen += len(batch)
             result.iterations += 1
@@ -174,53 +174,64 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
 # loss builders and evaluation helpers
 
 
+# inputs per no-grad forward in predict_class, predict_score and
+# cache_features: scoring a list holds one chunk's activations at a time,
+# however long the list
+SCORE_CHUNK = 64
+
+
+def _stacked(inputs: dict, batch) -> Tensor:
+    """The inputs of the samples in `batch`, stacked along a leading axis."""
+    return Tensor(np.array([inputs[s.id] for s in batch]))
+
+
+def _no_grad_rows(fn, inputs) -> np.ndarray:
+    """fn's output rows for the list `inputs`, evaluated without a graph on
+    SCORE_CHUNK stacked inputs at a time."""
+    inputs = list(inputs)
+    if not inputs:
+        raise DataError("nothing to score")
+    with T.no_grad():
+        return np.concatenate([
+            fn(Tensor(np.array(inputs[i:i + SCORE_CHUNK]))).data
+            for i in range(0, len(inputs), SCORE_CHUNK)])
+
+
 def class_loss_fn(model, images: dict, labels_of):
-    """Per-sample cross-entropy through the model's class head;
-    `labels_of` maps a list of samples to their class labels."""
+    """Per-sample cross-entropy through the model's class head, one graph
+    per batch; `labels_of` maps a list of samples to their class labels."""
     def fn(batch, override):
-        scalars = []
-        for s, label in zip(batch, labels_of(batch)):
-            logits = model.forward(Tensor(images[s.id]), override)
-            scalars.append(T.cross_entropy_logits(logits, label))
-        return T.stack(scalars)
+        logits = model.forward(_stacked(images, batch), override)
+        return T.cross_entropy_logits(logits, labels_of(batch))
     return fn
 
 
 def reg_loss_fn(model, inputs: dict):
-    """Per-sample squared error through the model's regression head;
-    `inputs` maps sample id to an image or to its cached feature vector."""
+    """Per-sample squared error through the model's regression head, one
+    graph per batch; `inputs` maps sample id to an image or to its cached
+    feature vector."""
     def fn(batch, override):
-        scalars = []
-        for s in batch:
-            pred = model.score(Tensor(inputs[s.id]), override)
-            d = T.sub(pred, Tensor(np.float64(s.score)))
-            scalars.append(T.mul(d, d))
-        return T.stack(scalars)
+        d = T.sub(model.score(_stacked(inputs, batch), override),
+                  Tensor(np.array([s.score for s in batch], dtype=np.float64)))
+        return T.mul(d, d)
     return fn
 
 
 def cache_features(model, samples, images: dict) -> dict:
     """Sample id -> pooled feature vector under the current parameters."""
-    feats = {}
-    with T.no_grad():
-        for s in samples:
-            feats[s.id] = model.features(Tensor(images[s.id])).data
-    return feats
+    feats = _no_grad_rows(model.features, [images[s.id] for s in samples])
+    return dict(zip([s.id for s in samples], feats))
 
 
 def predict_class(model, inputs) -> np.ndarray:
     """Argmax class of each image in the list `inputs`."""
-    with T.no_grad():
-        return np.array([np.argmax(model.forward(x).data) for x in inputs],
-                        dtype=np.int64)
+    return np.argmax(_no_grad_rows(model.forward, inputs), axis=1).astype(np.int64)
 
 
 def predict_score(model, inputs) -> np.ndarray:
     """Regression score of each image or cached feature vector in the
     list `inputs`."""
-    with T.no_grad():
-        return np.array([float(model.score(x).data) for x in inputs],
-                        dtype=np.float64)
+    return _no_grad_rows(model.score, inputs)
 
 
 def eval_class_accuracy(model, samples, images: dict, labels_of) -> float:

@@ -10,6 +10,7 @@ from amcr import tensor as T
 from amcr.blocks import (AestheticNet, Mrn, eca_forward, eca_kernel_size,
                          mrn_forward)
 from amcr.errors import DataError, ParameterError, ShapeError
+from amcr.image import aab_prepare
 from amcr.tensor import Tensor
 
 from helpers import numerical_grad, rel_err
@@ -72,7 +73,7 @@ def eca_kernel(channels, rng):
 
 def test_eca_zero_kernel_halves_channels():
     # zero kernel -> zero pre-activation -> sigmoid 0.5 on every channel
-    x = Tensor(np.arange(2 * 3 * 3, dtype=np.float64).reshape(2, 3, 3))
+    x = Tensor(np.arange(2 * 3 * 3, dtype=np.float64).reshape(1, 2, 3, 3))
     out = eca_forward(x, Tensor(np.zeros(eca_kernel_size(2))))
     np.testing.assert_allclose(out.data, 0.5 * x.data, rtol=0, atol=1e-12)
 
@@ -80,24 +81,25 @@ def test_eca_zero_kernel_halves_channels():
 def test_eca_gate_depends_on_channel_means():
     rng = np.random.default_rng(0)
     kernel = eca_kernel(8, rng)
-    x = rng.standard_normal((8, 4, 4))
+    x = rng.standard_normal((2, 8, 4, 4))
     out = eca_forward(Tensor(x), kernel).data
-    # each channel is scaled by one scalar in (0,1)
+    # each channel of each image is scaled by one scalar in (0,1)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = out / x
-    for c in range(8):
-        vals = ratio[c][np.isfinite(ratio[c])]
-        assert vals.size > 0
-        assert np.allclose(vals, vals.flat[0])
-        assert 0.0 < vals.flat[0] < 1.0
+    for n in range(2):
+        for c in range(8):
+            vals = ratio[n, c][np.isfinite(ratio[n, c])]
+            assert vals.size > 0
+            assert np.allclose(vals, vals.flat[0])
+            assert 0.0 < vals.flat[0] < 1.0
 
 
 def test_eca_preserves_shape_and_backprops():
     rng = np.random.default_rng(1)
     kernel = eca_kernel(4, rng)
-    x = Tensor(rng.standard_normal((4, 5, 5)), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, 4, 5, 5)), requires_grad=True)
     out = eca_forward(x, kernel)
-    assert out.shape == (4, 5, 5)
+    assert out.shape == (2, 4, 5, 5)
     T.tsum(out).backward()
     assert x.grad is not None and np.any(x.grad != 0)
     assert kernel.grad is not None and np.any(kernel.grad != 0)
@@ -105,7 +107,7 @@ def test_eca_preserves_shape_and_backprops():
 
 def test_eca_kernel_gradient_matches_fd():
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((8, 3, 3))
+    x = rng.standard_normal((2, 8, 3, 3))
     arrs = {"k": eca_kernel(8, rng).data.copy()}
 
     def f():
@@ -122,9 +124,9 @@ def test_eca_rejects_wrong_channel_count():
     # a 4-channel kernel (k=3) is longer than a 2-channel input
     kernel = Tensor(np.zeros(eca_kernel_size(4)))
     with pytest.raises(ParameterError):
-        eca_forward(Tensor(np.zeros((2, 4, 4))), kernel)
-    with pytest.raises(ShapeError):
-        eca_forward(Tensor(np.zeros((4, 4))), kernel)
+        eca_forward(Tensor(np.zeros((1, 2, 4, 4))), kernel)
+    with pytest.raises(ShapeError):  # one image is a batch of one
+        eca_forward(Tensor(np.zeros((4, 4, 4))), kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +243,19 @@ def test_mrn_random_init_is_pinned():
 
 def test_net_forward_shapes():
     net = small_net(np.random.default_rng(7))
-    img = np.random.default_rng(8).standard_normal((3, 16, 16))
-    assert net.forward(img).shape == (10,)
-    assert net.score(img).shape == ()
-    assert net.features(img).shape == (8,)
+    img = np.random.default_rng(8).standard_normal((2, 3, 16, 16))
+    assert net.forward(img).shape == (2, 10)
+    assert net.score(img).shape == (2,)
+    assert net.features(img).shape == (2, 8)
 
 
 def test_net_feature_vector_skips_backbone():
     net = small_net(np.random.default_rng(19))
-    img = np.random.default_rng(20).standard_normal((3, 16, 16))
+    img = np.random.default_rng(20).standard_normal((2, 3, 16, 16))
     feat = net.features(img)
     np.testing.assert_array_equal(net.score(feat.data).data, net.score(img).data)
     with pytest.raises(ShapeError):
-        net.score(np.zeros(7))
+        net.score(np.zeros((2, 7)))
     # the class head takes images only
     with pytest.raises(ShapeError):
         net.forward(feat.data)
@@ -261,11 +263,11 @@ def test_net_feature_vector_skips_backbone():
 
 def test_net_score_is_forward_regression_output():
     net = small_net(np.random.default_rng(22))
-    img = np.random.default_rng(23).standard_normal((3, 16, 16))
+    img = np.random.default_rng(23).standard_normal((2, 3, 16, 16))
     feat = net.features(img).data
-    head = (feat[None, :] @ net.params["head.reg.w"].data
+    head = (feat @ net.params["head.reg.w"].data
             + net.params["head.reg.b"].data[None, :])
-    np.testing.assert_array_equal(net.score(img).data, head.reshape(()))
+    np.testing.assert_array_equal(net.score(img).data, head.reshape(-1))
     # each entry point evaluates its own head only
     net.score(img).backward()
     assert net.params["head.class.w"].grad is None
@@ -275,7 +277,7 @@ def test_net_score_is_forward_regression_output():
     assert net.params["head.reg.w"].grad is None
     assert net.params["head.class.w"].grad is not None
     with pytest.raises(ShapeError):
-        net.score(np.zeros(7))
+        net.score(np.zeros((1, 7)))
 
 
 def test_cross_entropy_uniform_logits():
@@ -284,14 +286,14 @@ def test_cross_entropy_uniform_logits():
     zeros = {n: Tensor(np.zeros(p.shape)) for n, p in drawn.items()}
     zeros["head.reg.b"] = Tensor(np.full(1, AestheticNet.MID_SCORE))
     net = small_net(None, params=zeros)
-    img = np.random.default_rng(21).standard_normal((3, 16, 16))
+    img = np.random.default_rng(21).standard_normal((1, 3, 16, 16))
     logits, reg = net.forward(img), net.score(img)
     assert all(np.all(p.data == 0.0) for n, p in net.params.items()
                if n != "head.reg.b")
-    assert float(reg.data) == 5.0
+    assert float(reg.data[0]) == 5.0
     for label in (0, 5, 9):
-        loss = T.cross_entropy_logits(logits, label)
-        assert float(loss.data) == pytest.approx(np.log(10.0), abs=1e-12)
+        loss = T.cross_entropy_logits(logits, [label])
+        assert float(loss.data[0]) == pytest.approx(np.log(10.0), abs=1e-12)
 
 
 def test_net_takes_given_parameters_that_fit_its_layout():
@@ -316,7 +318,7 @@ def test_net_regression_starts_at_midscore():
 
 def test_net_binary_head_variant():
     net = small_net(np.random.default_rng(10), num_classes=2)
-    assert net.forward(np.zeros((3, 16, 16))).shape == (2,)
+    assert net.forward(np.zeros((1, 3, 16, 16))).shape == (1, 2)
 
 
 def test_net_eca_toggle_changes_parameter_set():
@@ -331,7 +333,7 @@ def test_net_pool_target_fixes_feature_geometry():
     # same downstream geometry; without it they still pool to 1x1 at the end
     net = small_net(np.random.default_rng(12), pool_target=6)
     for side in (16, 24, 30):
-        assert net.features(np.zeros((3, side, side))).shape == (8,)
+        assert net.features(np.zeros((1, 3, side, side))).shape == (1, 8)
 
 
 def test_aab_pool_reduces_to_square(monkeypatch):
@@ -346,11 +348,36 @@ def test_aab_pool_reduces_to_square(monkeypatch):
         return out
 
     monkeypatch.setattr(T, "adaptive_avg_pool2d", recording_pool)
-    img = np.random.default_rng(3).standard_normal((3, 18, 26))
+    img = np.random.default_rng(3).standard_normal((1, 3, 18, 26))
     small_net(np.random.default_rng(24), pool_target=4).features(img)
-    assert shapes == [(4, 4, 4)]
+    assert shapes == [(1, 4, 4, 4)]
     small_net(np.random.default_rng(24)).features(img)
-    assert shapes == [(4, 4, 4)]
+    assert shapes == [(1, 4, 4, 4)]
+
+
+@pytest.mark.parametrize("kw", [{"eca": True}, {"eca": False},
+                                {"pool_target": 6}],
+                         ids=["eca-on", "eca-off", "aab-pool-target"])
+def test_batched_forward_equals_batch_of_one_forwards(kw):
+    rng = np.random.default_rng(25)
+    net = small_net(rng, **kw)
+    if "pool_target" in kw:  # aab squares of differently shaped images
+        images = np.stack([aab_prepare(rng.uniform(0, 1, (3, h, w)), 16)
+                           for h, w in ((12, 20), (18, 10), (16, 16), (9, 14))])
+    else:
+        images = rng.standard_normal((4, 3, 16, 16))
+
+    def outputs(batch):
+        feats = net.features(batch).data
+        return {"logits": net.forward(batch).data, "features": feats,
+                "scores": net.score(batch).data,
+                "cached scores": net.score(feats).data}
+
+    batched = outputs(images)
+    for i in range(len(images)):
+        for name, value in outputs(images[i:i + 1]).items():
+            np.testing.assert_allclose(batched[name][i], value[0], rtol=1e-12,
+                                       atol=0, err_msg=name)
 
 
 def test_net_trainable_name_phases():
@@ -370,13 +397,13 @@ def test_net_forward_full_gradient_matches_fd():
     rng = np.random.default_rng(14)
     net = AestheticNet(rng, in_channels=2, stem_channels=4, stage_channels=(4,),
                        head_width=4, num_classes=3)
-    img = rng.standard_normal((2, 8, 8))
+    img = rng.standard_normal((1, 2, 8, 8))
     names = [n for n in net.params]
 
     def loss_under(params):
         reg = net.score(img, params)
-        return T.add(T.cross_entropy_logits(net.forward(img, params), 1),
-                     T.mul(reg, reg))
+        return T.tsum(T.add(T.cross_entropy_logits(net.forward(img, params), [1]),
+                            T.mul(reg, reg)))
 
     out = loss_under(None)
     out.backward()
@@ -395,7 +422,7 @@ def test_net_forward_full_gradient_matches_fd():
 def test_net_override_params_leave_model_unchanged():
     rng = np.random.default_rng(15)
     net = small_net(rng)
-    img = rng.standard_normal((3, 16, 16))
+    img = rng.standard_normal((1, 3, 16, 16))
     base = {n: p.data.copy() for n, p in net.params.items()}
     shifted = {n: Tensor(p.data + 0.05) for n, p in net.params.items()}
     a = net.score(img).data
@@ -408,9 +435,9 @@ def test_net_override_params_leave_model_unchanged():
 def test_net_input_validation():
     net = small_net(np.random.default_rng(16))
     with pytest.raises(ShapeError):
-        net.forward(np.zeros((1, 16, 16)))
-    with pytest.raises(ShapeError):
-        net.forward(np.zeros((16, 16)))
+        net.forward(np.zeros((1, 1, 16, 16)))
+    with pytest.raises(ShapeError):  # one image is a batch of one
+        net.forward(np.zeros((3, 16, 16)))
     with pytest.raises(ParameterError):
         small_net(np.random.default_rng(17), num_classes=1)
     with pytest.raises(ParameterError):

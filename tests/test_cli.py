@@ -159,6 +159,25 @@ def test_predict_scores_one_image(workdir, capsys):
     assert 0.0 <= value <= 10.0
 
 
+def test_predict_scores_several_images_in_one_call(workdir, tmp_path, capsys):
+    cfg, out = workdir
+    run = ["predict", "--config", str(cfg), "--out", str(out)]
+    manifest = read_rows(out / "data" / "manifest.csv")
+    paths = [str(out / "data" / row[1]) for row in manifest[1:3]]
+    singles = ""
+    for path in paths:
+        assert main(run + [path]) == 0
+        singles += capsys.readouterr().out
+    assert main(run + paths) == 0
+    assert capsys.readouterr().out == singles
+    # every image is checked before anything is scored or printed
+    gray = str(write_gray(tmp_path / "gray.pgm"))
+    assert main(run + [paths[0], gray]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {gray}: a 1-channel image" in captured.err
+
+
 def test_predict_prints_what_evaluate_scored(tmp_path, capsys):
     # both commands score through PipelineArtifacts.predict
     cfg, out = fresh_data(tmp_path)
@@ -720,8 +739,8 @@ def test_parser_builds_a_fresh_namespace_per_call():
     first = _parse_args(["predict", "--seed", "3", "a.ppm"])
     second = _parse_args(["predict", "b.ppm"])
     assert first is not second
-    assert (first.seed, first.image) == (3, "a.ppm")
-    assert (second.seed, second.image) == (None, "b.ppm")
+    assert (first.seed, first.image) == (3, ["a.ppm"])
+    assert (second.seed, second.image) == (None, ["b.ppm"])
 
 
 def test_exit_code_unexpected_os_error(tmp_path, capsys):
@@ -743,7 +762,7 @@ _PREDICT_USAGE = """\
 usage: amcr predict [-h] [--config CONFIG] [--seed SEED] [--out OUT]
                     [--variant {r,cr,pcr}] [--prep {crop,resize,aab}]
                     [--mrn {on,off}] [--eca {on,off}]
-                    image
+                    image [image ...]
 """
 
 _TOP_HELP = _TOP_USAGE + """
@@ -756,7 +775,7 @@ positional arguments:
     pseudo-split        split the dataset by router predictions
     train               train a pipeline variant
     evaluate            score the test split
-    predict             score one image file
+    predict             score image files
     ablate              run the variant comparison
     report-segments     per-segment router correctness
 
@@ -766,7 +785,7 @@ options:
 
 _PREDICT_HELP = _PREDICT_USAGE + """
 positional arguments:
-  image                 PPM/PGM image file
+  image                 PPM/PGM image files
 
 options:
   -h, --help            show this help message and exit

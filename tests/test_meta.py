@@ -31,12 +31,10 @@ class ToyModel:
 def toy_loss_fn(model: ToyModel):
     def loss_fn(batch, params):
         p = model.params if params is None else {**model.params, **params}
-        w = T.reshape(p["w"], ())
-        per = []
-        for t in batch:
-            d = T.sub(w, T.as_tensor(float(t)))
-            per.append(T.mul(d, d))
-        return T.stack(per)
+        # w on every row through add_rowvec, which records per-sample gradients
+        w = T.add_rowvec(Tensor(np.zeros((len(batch), 1))), p["w"])
+        d = T.sub(T.reshape(w, (-1,)), Tensor(np.asarray(batch, dtype=np.float64)))
+        return T.mul(d, d)
     return loss_fn
 
 
@@ -297,9 +295,8 @@ def tiny_net_setup(normalize, lr=0.05):
 
     def loss_fn(batch, override):
         # the class loss never reaches head.reg.*: their rows stay zero
-        return T.stack([T.cross_entropy_logits(
-            net.forward(Tensor(images[i]), override), int(labels[i]))
-            for i in batch])
+        return T.cross_entropy_logits(
+            net.forward(Tensor(images[batch]), override), labels[batch])
 
     settings = TrainSettings(lr=lr, mrn_lr=0.01, normalize_weights=normalize)
     return net, mrn, loss_fn, settings
@@ -407,8 +404,8 @@ def test_lookahead_cache_is_small_next_to_dense_rows():
     images = rng.normal(size=(6, 3, 8, 8))
 
     def loss_fn(batch, override):
-        return T.stack([T.cross_entropy_logits(
-            net.forward(Tensor(images[i]), override), i) for i in batch])
+        return T.cross_entropy_logits(
+            net.forward(Tensor(images[batch]), override), batch)
 
     state = MetaState(net.params, Mrn(hidden=4), loss_fn, TrainSettings())
     n = len(images)

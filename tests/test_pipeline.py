@@ -272,8 +272,9 @@ def test_fuse_score_routes_averages_and_clamps():
 class BrightnessRouter:
     """A stand-in binary router: class 1 exactly when the image is bright."""
 
-    def forward(self, image):
-        return Tensor(np.array([0.5, np.mean(image)]))
+    def forward(self, images):
+        means = images.data.mean(axis=(1, 2, 3))
+        return Tensor(np.stack([np.full_like(means, 0.5), means], axis=1))
 
 
 def test_fuse_score_scores_each_branch_on_its_routed_inputs():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import amcr.tensor as T
+from amcr.blocks import AestheticNet
 from amcr.errors import DataError, ParameterError, ShapeError, TapeError
 from amcr.tensor import Tensor, no_grad
 
@@ -14,6 +15,13 @@ from helpers import numerical_grad, rel_err
 
 def leaf(rng, *shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
+
+
+def row_sums(x):
+    """(N, ...) -> (N,) per-row sums, built from ops that
+    per_sample_gradients splits by row."""
+    flat = T.reshape(x, (x.shape[0], -1))
+    return T.reshape(T.matmul(flat, Tensor(np.ones((flat.shape[1], 1)))), (-1,))
 
 
 def check_grads(build, tensors, tol=1e-4, eps=1e-6):
@@ -80,7 +88,7 @@ def test_cross_entropy_matches_log_softmax():
     for _ in range(20):
         logits = rng.normal(size=11) * 5
         label = int(rng.integers(11))
-        out = T.cross_entropy_logits(Tensor(logits), label)
+        out = T.cross_entropy_logits(Tensor(logits[None]), [label])
         shifted = logits - logits.max()
         expect = -(shifted[label] - np.log(np.exp(shifted).sum()))
         assert out.data == pytest.approx(expect, rel=1e-12)
@@ -89,35 +97,35 @@ def test_cross_entropy_matches_log_softmax():
 def test_cross_entropy_gradient():
     rng = np.random.default_rng(7)
     for _ in range(5):
-        x = leaf(rng, 8)
+        x = leaf(rng, 1, 8)
         label = int(rng.integers(8))
-        check_grads(lambda: T.cross_entropy_logits(x, label), {"x": x})
+        check_grads(lambda: T.tsum(T.cross_entropy_logits(x, [label])), {"x": x})
 
 
 def test_cross_entropy_shift_invariance():
     # the fused log-sum-exp stays exact for logits far from zero
     rng = np.random.default_rng(5)
     x = rng.normal(size=9)
-    a = T.cross_entropy_logits(Tensor(x), 4)
-    b = T.cross_entropy_logits(Tensor(x + 1000.0), 4)
+    a = T.cross_entropy_logits(Tensor(x[None]), [4])
+    b = T.cross_entropy_logits(Tensor(x[None] + 1000.0), [4])
     assert np.allclose(a.data, b.data, atol=1e-12)
 
 
 def test_cross_entropy_label_check():
-    x = Tensor(np.zeros(6))
+    x = Tensor(np.zeros((1, 6)))
     for label in (-1, 6):
         with pytest.raises(DataError):
-            T.cross_entropy_logits(x, label)
+            T.cross_entropy_logits(x, [label])
 
 
-def test_reshape_flatten_stack_gradients():
+def test_reshape_gradients():
     rng = np.random.default_rng(9)
     a = leaf(rng, 2, 6)
     b = leaf(rng, 3, 4)
     def build():
         s0 = T.tsum(T.reshape(a, (3, 4)))
-        s1 = T.tsum(T.flatten(b))
-        return T.tsum(T.mul(T.stack([s0, s1]), T.stack([s0, s1])))
+        s1 = T.tsum(T.reshape(b, (-1,)))
+        return T.add(T.mul(s0, s0), T.mul(s1, s1))
     check_grads(build, {"a": a, "b": b})
 
 
@@ -129,7 +137,7 @@ def test_scale_and_mean():
 
 def test_conv2d_gradient():
     rng = np.random.default_rng(11)
-    x = leaf(rng, 2, 6, 6)
+    x = leaf(rng, 2, 2, 6, 6)
     k = leaf(rng, 3, 2, 3, 3)
     check_grads(lambda: T.tsum(T.conv2d(x, k, stride=2, padding=1)),
                 {"x": x, "k": k}, tol=3e-4)
@@ -137,16 +145,18 @@ def test_conv2d_gradient():
 
 def test_conv2d_rejects_even_kernel_and_empty_output():
     rng = np.random.default_rng(12)
-    x = leaf(rng, 1, 4, 4)
+    x = leaf(rng, 1, 1, 4, 4)
     with pytest.raises(ParameterError):
         T.conv2d(x, leaf(rng, 1, 1, 2, 2))
     with pytest.raises(ShapeError):
-        T.conv2d(leaf(rng, 1, 1, 1), leaf(rng, 1, 1, 5, 5), stride=1, padding=0)
+        T.conv2d(leaf(rng, 1, 1, 1, 1), leaf(rng, 1, 1, 5, 5), stride=1, padding=0)
+    with pytest.raises(ShapeError):  # one image is a batch of one
+        T.conv2d(leaf(rng, 1, 4, 4), leaf(rng, 1, 1, 3, 3))
 
 
 def test_conv2d_backward_computes_only_the_needed_gradients(monkeypatch):
     rng = np.random.default_rng(20)
-    image = rng.normal(size=(2, 5, 5))
+    image = rng.normal(size=(1, 2, 5, 5))
     k = leaf(rng, 3, 2, 3, 3)
     x = Tensor(image, requires_grad=True)
     T.tsum(T.conv2d(x, k, stride=2, padding=1)).backward()
@@ -168,31 +178,31 @@ def test_conv2d_backward_computes_only_the_needed_gradients(monkeypatch):
 
 def test_conv1d_channel_oracle_and_gradient():
     # correlate([1,2,3], [1,1,1], same) with zero ends -> [3, 6, 5]
-    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    x = Tensor(np.array([[1.0, 2.0, 3.0]]), requires_grad=True)
     k = Tensor(np.array([1.0, 1.0, 1.0]), requires_grad=True)
     y = T.conv1d_channel(x, k)
     assert np.allclose(y.data, [3.0, 6.0, 5.0])
     rng = np.random.default_rng(13)
     for c, kk in ((8, 3), (16, 5), (5, 5)):
-        x = leaf(rng, c)
+        x = leaf(rng, 2, c)
         k = leaf(rng, kk)
         check_grads(lambda: T.tsum(T.mul(T.conv1d_channel(x, k), x)),
                     {"x": x, "k": k})
     with pytest.raises(ParameterError):
-        T.conv1d_channel(leaf(rng, 3), leaf(rng, 5))
+        T.conv1d_channel(leaf(rng, 1, 3), leaf(rng, 5))
 
 
 def test_adaptive_pool_ramp_oracle():
     # blocks {0,1,4,5}, {2,3,6,7}, {8,9,12,13}, {10,11,14,15}
-    ramp = Tensor(np.arange(16, dtype=np.float64).reshape(1, 4, 4))
+    ramp = Tensor(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4))
     out = T.adaptive_avg_pool2d(ramp, (2, 2))
     assert np.allclose(out.data, [[[2.5, 4.5], [10.5, 12.5]]])
 
 
 def test_adaptive_and_global_pool_gradients():
     rng = np.random.default_rng(14)
-    x = leaf(rng, 3, 7, 5)
-    w = Tensor(rng.normal(size=(3, 2, 2)))
+    x = leaf(rng, 2, 3, 7, 5)
+    w = Tensor(rng.normal(size=(2, 3, 2, 2)))
     check_grads(lambda: T.tsum(T.mul(T.adaptive_avg_pool2d(x, (2, 2)), w)),
                 {"x": x})
     check_grads(lambda: T.tsum(T.global_avg_pool(x)), {"x": x})
@@ -200,8 +210,8 @@ def test_adaptive_and_global_pool_gradients():
 
 def test_scale_channels_gradient():
     rng = np.random.default_rng(15)
-    x = leaf(rng, 4, 3, 3)
-    s = leaf(rng, 4)
+    x = leaf(rng, 2, 4, 3, 3)
+    s = leaf(rng, 2, 4)
     check_grads(lambda: T.tsum(T.scale_channels(x, s)), {"x": x, "s": s})
 
 
@@ -280,11 +290,8 @@ def test_per_sample_gradients_match_seeded_backward():
         b = leaf(rng, 2)
         xs = rng.normal(size=(4, 3))
         def loss_vec():
-            rows = []
-            for i in range(4):
-                row = T.add_rowvec(T.matmul(Tensor(xs[i:i + 1]), w), b)
-                rows.append(T.tsum(T.mul(row, row)))
-            return T.stack(rows)
+            rows = T.add_rowvec(T.matmul(Tensor(xs), w), b)
+            return row_sums(T.mul(rows, rows))
         losses = loss_vec()
         per = T.per_sample_gradients(losses, {"w": w, "b": b})
         for i in range(4):
@@ -297,15 +304,15 @@ def test_per_sample_gradients_match_seeded_backward():
 
 
 def test_per_sample_gradients_ignore_a_stale_grad():
-    w = Tensor(np.array(2.0), requires_grad=True)
+    w = Tensor(np.array([[2.0]]), requires_grad=True)
 
-    def losses():
-        return T.stack([T.mul(w, w), T.mul(w, Tensor(np.array(3.0)))])
+    def losses():  # [4w, 3w]
+        return T.reshape(T.matmul(Tensor(np.array([[4.0], [3.0]])), w), (-1,))
 
     T.tmean(losses()).backward()
-    assert float(w.grad) == 3.5  # left over from the mean-loss backward
+    assert float(w.grad[0, 0]) == 3.5  # left over from the mean-loss backward
     per = T.per_sample_gradients(losses(), {"w": w})
-    assert [float(g["w"]) for g in per] == [4.0, 3.0]
+    assert [float(g["w"][0, 0]) for g in per] == [4.0, 3.0]
     assert w.grad is None
 
 
@@ -317,8 +324,7 @@ def test_per_sample_gradients_fill_rows_of_out():
     xs = rng.normal(size=(3, 2))
 
     def losses():
-        return T.stack([T.tsum(T.add_rowvec(T.matmul(Tensor(xs[i:i + 1]), w), b))
-                        for i in range(3)])
+        return row_sums(T.add_rowvec(T.matmul(Tensor(xs), w), b))
 
     fresh = T.per_sample_gradients(losses(), {"w": w, "b": b, "unused": unused})
     out = rng.normal(size=(3, 11)) * 1e6  # garbage from an earlier call
@@ -336,24 +342,22 @@ def test_per_sample_gradients_fill_rows_of_out():
 
 def test_per_sample_gradient_factors_rebuild_dense_kernel_gradients():
     # stride 1 and 2, pad 0 and 1, a kernel applied twice per sample, one
-    # reached by odd samples only and one reached by no sample
+    # whose term only odd samples' losses keep, and one reached by no sample
     rng = np.random.default_rng(21)
     kernels = {"down": leaf(rng, 3, 2, 3, 3), "twice": leaf(rng, 3, 3, 3, 3),
                "odd": leaf(rng, 2, 3, 1, 1), "unused": leaf(rng, 2, 2, 3, 3)}
     eca = leaf(rng, 3)
     images = rng.normal(size=(4, 2, 7, 7))
+    odd_samples = Tensor(np.arange(len(images)) % 2.0)
 
     def losses():
-        per = []
-        for i, image in enumerate(images):
-            x = T.relu(T.conv2d(Tensor(image), kernels["down"], stride=2, padding=1))
-            x = T.scale_channels(x, eca)
-            x = T.relu(T.conv2d(x, kernels["twice"], stride=1, padding=1))
-            x = T.conv2d(x, kernels["twice"], stride=1, padding=1)
-            if i % 2:
-                x = T.conv2d(x, kernels["odd"], stride=1, padding=0)
-            per.append(T.tsum(T.mul(x, x)))
-        return T.stack(per)
+        x = T.relu(T.conv2d(Tensor(images), kernels["down"], stride=2, padding=1))
+        x = T.scale_channels(x, T.sigmoid(T.conv1d_channel(T.global_avg_pool(x), eca)))
+        x = T.relu(T.conv2d(x, kernels["twice"], stride=1, padding=1))
+        x = T.conv2d(x, kernels["twice"], stride=1, padding=1)
+        odd = T.conv2d(x, kernels["odd"], stride=1, padding=0)
+        return T.add(row_sums(T.mul(x, x)),
+                     T.mul(odd_samples, row_sums(T.mul(odd, odd))))
 
     dense = T.per_sample_gradients(losses(), {**kernels, "eca": eca})
     records = {name: T.KernelFactors(k) for name, k in kernels.items()}
@@ -367,8 +371,10 @@ def test_per_sample_gradient_factors_rebuild_dense_kernel_gradients():
             rebuilt = (dy[:, mine] @ cols[:, mine].T).reshape(kernels[name].shape)
             np.testing.assert_allclose(rebuilt, dense[i][name], rtol=1e-12, atol=0)
         assert dy.shape[0] == cout and cols.shape[1] == dy.shape[1] == owner.size
-    assert records["twice"].owner == [0, 0, 1, 1, 2, 2, 3, 3]
-    assert records["odd"].owner == [1, 3]
+    # one record per image and application, the later application first
+    assert records["twice"].owner == [0, 1, 2, 3, 0, 1, 2, 3]
+    assert records["odd"].owner == [0, 1, 2, 3]
+    assert not dense[0]["odd"].any() and not dense[2]["odd"].any()
     assert records["unused"].owner == []
     for i in range(len(images)):
         np.testing.assert_array_equal(rowed[i]["eca"], dense[i]["eca"])
@@ -377,11 +383,12 @@ def test_per_sample_gradient_factors_rebuild_dense_kernel_gradients():
 def test_per_sample_gradient_factors_need_conv_only_kernels():
     rng = np.random.default_rng(22)
     k = leaf(rng, 2, 1, 3, 3)
-    image = Tensor(rng.normal(size=(1, 4, 4)))
+    image = Tensor(rng.normal(size=(2, 1, 4, 4)))
 
     def losses():
         y = T.conv2d(image, k, padding=1)
-        return T.stack([T.tsum(y), T.tsum(T.mul(k, k))])
+        # k also reaches the loss through reshape, which records nothing
+        return T.add(row_sums(y), row_sums(T.reshape(k, (2, 9))))
 
     with pytest.raises(TapeError):
         T.per_sample_gradients(losses(), {}, factored={"k": T.KernelFactors(k)})
@@ -399,11 +406,46 @@ def test_per_sample_gradients_reject_detached():
         T.per_sample_gradients(Tensor(np.ones(3)), {})
 
 
-def test_per_sample_gradients_require_stacked_scalars():
+def test_per_sample_gradients_from_one_batched_backward():
+    # a stride-2 stage, padding 1 and channel attention; the class loss
+    # never reaches head.reg.*, whose rows stay zero
     rng = np.random.default_rng(18)
-    w = leaf(rng, 3)
-    with pytest.raises(TapeError):
-        T.per_sample_gradients(T.mul(w, w), {"w": w})
+    net = AestheticNet(rng, stem_channels=4, stage_channels=(4, 6), head_width=8)
+    images = rng.normal(size=(5, 3, 8, 8))
+    labels = rng.integers(0, 10, size=5)
+    convs = [n for n, p in net.params.items() if p.data.ndim == 4]
+    rest = {n: p for n, p in net.params.items() if n not in convs}
+
+    def record(idx):
+        losses = T.cross_entropy_logits(net.forward(Tensor(images[idx])), labels[idx])
+        factors = {n: T.KernelFactors(net.params[n]) for n in convs}
+        rows = T.per_sample_gradients(losses, rest, factored=factors)
+        return rows, {n: f.stacked() for n, f in factors.items()}
+
+    rows, factors = record(np.arange(5))
+    for i in range(5):
+        one_rows, one_factors = record([i])
+        for n in rest:
+            np.testing.assert_allclose(rows[i][n], one_rows[0][n], rtol=1e-12, atol=0)
+        for n, (dy, cols, owner) in factors.items():
+            one_dy, one_cols, _ = one_factors[n]
+            np.testing.assert_allclose(dy[:, owner == i], one_dy, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(cols[:, owner == i], one_cols, rtol=1e-12, atol=0)
+    for n in ("head.reg.w", "head.reg.b"):
+        assert not any(g[n].any() for g in rows)
+
+    # a recorded parameter reaching the loss through any other op, or
+    # meeting a batch that is not the loss's samples, is refused
+    feats = net.features(Tensor(images))
+    w = net.params["head.class.w"]
+    for routed in (T.reshape(w, w.shape), T.add(w, w)):
+        losses = T.cross_entropy_logits(T.matmul(feats, routed), labels)
+        with pytest.raises(TapeError, match="head.class.w"):
+            T.per_sample_gradients(losses, {"head.class.w": w})
+        assert w.grad is None
+    one_row = T.reshape(T.matmul(Tensor(np.ones((1, 8))), w), (-1,))
+    with pytest.raises(TapeError, match="batch of 1 rows"):
+        T.per_sample_gradients(one_row, {"head.class.w": w})
 
 
 def test_toposort_handles_deep_chain():

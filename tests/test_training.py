@@ -18,11 +18,20 @@ from amcr.training import (TrainSettings, _Cycler, cache_features,
 from amcr.tensor import Tensor
 
 
+def line_losses(p, xs, ts):
+    """(a*x + b - t)^2 of each sample, as one graph over the batch; a is
+    (1, 1) and b (1,), so both reach the loss through ops that record
+    per-sample gradients."""
+    pred = T.add_rowvec(T.matmul(Tensor(np.reshape(xs, (-1, 1))), p["a"]), p["b"])
+    d = T.sub(T.reshape(pred, (-1,)), Tensor(np.asarray(ts, dtype=np.float64)))
+    return T.mul(d, d)
+
+
 class LineModel:
     """y = a*x + b; per-sample loss (y - t)^2. Fits in a handful of steps."""
 
     def __init__(self, a0=0.0, b0=0.0):
-        self.params = {"a": Tensor(np.array([a0]), requires_grad=True),
+        self.params = {"a": Tensor(np.array([[a0]]), requires_grad=True),
                        "b": Tensor(np.array([b0]), requires_grad=True)}
 
     def parameters(self):
@@ -31,14 +40,7 @@ class LineModel:
     def loss_fn(self):
         def fn(batch, override):
             p = self.params if override is None else {**self.params, **override}
-            a = T.reshape(p["a"], ())
-            b = T.reshape(p["b"], ())
-            out = []
-            for x, t in batch:
-                pred = T.add(T.mul(a, T.as_tensor(float(x))), b)
-                d = T.sub(pred, T.as_tensor(float(t)))
-                out.append(T.mul(d, d))
-            return T.stack(out)
+            return line_losses(p, [x for x, _ in batch], [t for _, t in batch])
         return fn
 
 
@@ -74,7 +76,7 @@ def test_plain_training_fits_a_line():
     valid = line_data(rng, 16)
 
     def valid_fn():
-        a = float(model.params["a"].data[0])
+        a = float(model.params["a"].data[0, 0])
         b = float(model.params["b"].data[0])
         return float(np.mean([(a * x + b - t) ** 2 for x, t in valid]))
 
@@ -82,7 +84,7 @@ def test_plain_training_fits_a_line():
                              betas=(0.9, 0.999))
     result = train_model(model, model.loss_fn(), data, valid_fn, settings, rng,
                          metric_mode="lower")
-    assert float(model.params["a"].data[0]) == pytest.approx(2.0, abs=0.05)
+    assert float(model.params["a"].data[0, 0]) == pytest.approx(2.0, abs=0.05)
     assert float(model.params["b"].data[0]) == pytest.approx(-1.0, abs=0.05)
     assert result.best_metric < 1e-3
     assert len(result.history) == 30
@@ -149,7 +151,7 @@ def test_trainable_subset_freezes_the_rest():
     settings = TrainSettings(epochs=4, batch_size=8, lr=0.05, weight_decay=0.0)
     train_model(model, model.loss_fn(), data, lambda: 0.0, settings, rng,
                 metric_mode="lower", trainable=["a"])
-    assert not np.array_equal(model.params["a"].data, np.array([0.5]))
+    assert not np.array_equal(model.params["a"].data, np.array([[0.5]]))
     np.testing.assert_array_equal(model.params["b"].data, b_before)
 
 
@@ -187,13 +189,7 @@ class Pt:
 def point_loss_fn(model):
     def fn(batch, override):
         p = model.params if override is None else {**model.params, **override}
-        a = T.reshape(p["a"], ())
-        b = T.reshape(p["b"], ())
-        out = []
-        for s in batch:
-            d = T.sub(T.add(T.mul(a, T.as_tensor(s.x)), b), T.as_tensor(s.t))
-            out.append(T.mul(d, d))
-        return T.stack(out)
+        return line_losses(p, [s.x for s in batch], [s.t for s in batch])
     return fn
 
 
@@ -355,6 +351,66 @@ def test_eval_class_accuracy_counts_argmax_hits():
     assert acc == hits / len(samples)
     with pytest.raises(DataError):
         eval_class_accuracy(net, [], images, binary_labels)
+
+
+def test_scoring_walks_a_long_list_in_fixed_chunks(monkeypatch):
+    # one chunk's activations at a time, whatever the list's length
+    rng = np.random.default_rng(13)
+    net = tiny_net(rng)
+    samples, images = fixture_samples(rng, n=training.SCORE_CHUNK + 5)
+    inputs = [images[s.id] for s in samples]
+    batches = []
+    features = net.features
+
+    def recording_features(x, params=None):
+        batches.append((x.shape[0], T.grad_enabled()))
+        return features(x, params)
+
+    monkeypatch.setattr(net, "features", recording_features)
+    classes = predict_class(net, inputs)
+    scores = predict_score(net, inputs)
+    feats = cache_features(net, samples, images)
+    chunks = [(training.SCORE_CHUNK, False), (5, False)]
+    assert batches == chunks * 3
+    whole = np.stack(inputs)
+    np.testing.assert_array_equal(
+        classes, np.argmax(features(whole).data @ net.params["head.class.w"].data
+                           + net.params["head.class.b"].data, axis=1))
+    np.testing.assert_allclose(scores, net.score(whole).data, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(np.stack([feats[s.id] for s in samples]),
+                               features(whole).data, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("loss", ["class", "reg"])
+def test_one_iteration_builds_as_many_nodes_at_any_batch(loss, monkeypatch):
+    # counts Tensor constructions as the benchmark's tensor.nodes does: a
+    # per-sample loop in loss building, the step or validation would make
+    # the count grow with the batch
+    def nodes_per_iteration(batch):
+        rng = np.random.default_rng(14)
+        net = tiny_net(rng)
+        samples, images = fixture_samples(rng, n=batch)
+        if loss == "class":
+            loss_fn = class_loss_fn(net, images, binary_labels)
+            valid_fn = lambda: eval_class_accuracy(net, samples, images, binary_labels)
+        else:
+            loss_fn = reg_loss_fn(net, images)
+            valid_fn = lambda: eval_reg_mse(net, samples, images)
+        settings = TrainSettings(epochs=1, batch_size=batch, lr=0.01)
+        count = [0]
+        init = Tensor.__init__
+
+        def counted(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counted)
+        result = train_model(net, loss_fn, samples, valid_fn, settings, rng)
+        monkeypatch.undo()
+        assert result.iterations == 1
+        return count[0]
+
+    assert nodes_per_iteration(4) == nodes_per_iteration(16)
 
 
 def test_eval_reg_mse_empty_rejected():
