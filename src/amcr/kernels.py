@@ -1,20 +1,51 @@
 """Hot numeric kernels: 2D convolution, adaptive average pooling, bilinear resize.
 
 Vectorized numpy: convolution goes through im2col and one matrix product,
-pooling and resizing are slicing and gather arithmetic. The conv kernels
-take one Python step per kernel tap (u, v), and each step moves all input
-channels in one slice, so a 3x3 conv costs nine steps whatever its width.
-`unfold` is that im2col; `tensor` also records it as one factor of a
-conv kernel's per-sample gradient. `tensor` and `image` look the kernels
-up on this module by attribute at call time.
+pooling and resizing are slicing and gather arithmetic. Each conv shape
+gets one cached tap-index map (`_tap_index`): the im2col gather is one
+integer-array index through it and the backward-input scatter one
+`bincount`, so a conv takes no Python step per kernel tap. `unfold` is
+that im2col; `tensor` also records it as one factor of a conv kernel's
+per-sample gradient. `tensor` and `image` look the kernels up on this
+module by attribute at call time.
 
 All arrays are float64 and C-contiguous. Channel-first layout (C, H, W).
 """
 
+import functools
+import mmap
+
 import numpy as np
+
+# conv shapes whose tap-index maps stay cached; a model has a handful
+TAP_INDEX_SHAPES = 64
 
 # ---------------------------------------------------------------------------
 # conv2d: x (Cin, H, W) * k (Cout, Cin, kh, kw) -> (Cout, Ho, Wo)
+
+
+@functools.lru_cache(maxsize=TAP_INDEX_SHAPES)
+def _tap_index(cin, h, w, kh, kw, stride, pad):
+    """The im2col map of one conv shape: an int64 (cin*kh*kw, Ho*Wo) array
+    whose entry is the flat (ci, y, x) index into a (cin, h, w) image of the
+    pixel that im2col entry reads. Taps landing in the padding read index
+    cin*h*w, one past the image, where the callers keep a zero. Read-only,
+    since every call for the shape shares it."""
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    # tap (u, v) of output cell (i, j) reads pixel (i*stride + u - pad, j*stride + v - pad)
+    y = (np.arange(kh) - pad)[:, None, None, None] + stride * np.arange(ho)[:, None]
+    x = (np.arange(kw) - pad)[:, None, None] + stride * np.arange(wo)
+    inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)  # (kh, kw, ho, wo)
+    pixel = (np.arange(cin) * (h * w))[:, None, None, None, None] + y * w + x
+    idx = np.where(inside, pixel, cin * h * w).reshape(cin * kh * kw, ho * wo)
+    # an anonymous mapping of its own, not heap memory: a long-lived block
+    # allocated midway through training, when the heap is at its largest,
+    # keeps every heap page below it resident after training frees them
+    out = np.frombuffer(mmap.mmap(-1, idx.size * 8), dtype=np.int64).reshape(idx.shape)
+    out[...] = idx
+    out.flags.writeable = False
+    return out
 
 
 def unfold(x, kh, kw, stride, pad):
@@ -22,15 +53,12 @@ def unfold(x, kh, kw, stride, pad):
     position, rows ordered (ci, u, v) as in k.reshape(cout, -1), so a
     conv is k.reshape(cout, -1) @ unfold(x, ...)."""
     cin, h, w = x.shape
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
-    xp = np.zeros((cin, h + 2 * pad, w + 2 * pad))
-    xp[:, pad:pad + h, pad:pad + w] = x
-    cols = np.empty((cin, kh, kw, ho, wo))
-    for u in range(kh):
-        for v in range(kw):
-            cols[:, u, v] = xp[:, u:u + ho * stride:stride, v:v + wo * stride:stride]
-    return cols.reshape(cin * kh * kw, ho * wo)
+    idx = _tap_index(cin, h, w, kh, kw, stride, pad)
+    flat = np.empty(cin * h * w + 1)
+    flat[:-1] = x.ravel()
+    flat[-1] = 0.0
+    # an index, not take: take copies a read-only index array on every call
+    return flat[idx]
 
 
 def conv2d_forward(x, k, stride, pad):
@@ -45,16 +73,13 @@ def conv2d_forward(x, k, stride, pad):
 def conv2d_backward_input(dy, k, stride, pad, h, w):
     cout, ho, wo = dy.shape
     _, cin, kh, kw = k.shape
-    # scatter k^T @ dy back through the im2col mapping, one kernel tap at a time
+    # scatter k^T @ dy back through the im2col map: bincount adds each
+    # pixel's taps in (u, v) order from zero, and the padding taps land in
+    # the one extra slot, which is dropped
     dcols = k.reshape(cout, -1).T @ dy.reshape(cout, -1)
-    dcols = dcols.reshape(cin, kh, kw, ho, wo)
-    dxp = np.zeros((cin, h + 2 * pad, w + 2 * pad))
-    for u in range(kh):
-        for v in range(kw):
-            dxp[:, u:u + ho * stride:stride, v:v + wo * stride:stride] += dcols[:, u, v]
-    if pad == 0:
-        return dxp
-    return np.ascontiguousarray(dxp[:, pad:pad + h, pad:pad + w])
+    idx = _tap_index(cin, h, w, kh, kw, stride, pad)
+    dx = np.bincount(idx.ravel(), weights=dcols.ravel(), minlength=cin * h * w + 1)
+    return dx[:-1].reshape(cin, h, w)
 
 
 def conv2d_backward_kernel(dy, x, stride, pad, kh, kw):

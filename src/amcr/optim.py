@@ -1,5 +1,6 @@
-"""Adam with decoupled-style L2 weight decay and a halve-on-plateau
-learning-rate rule driven by validation history."""
+"""Adam with coupled L2 weight decay (lambda * p joins the gradient before
+the moments) and a halve-on-plateau learning-rate rule driven by
+validation history."""
 
 import numpy as np
 
@@ -14,7 +15,7 @@ class Adam:
     The caller passes gradients rather than relying on .grad so the
     training loops can hand over analytically accumulated gradients.
     Weight decay is added to the gradient before the moment updates
-    (L2 style). Moments are exposed for checkpointing.
+    (L2 style).
     """
 
     def __init__(self, lr: float, betas=(0.98, 0.999), weight_decay: float = 0.0):

@@ -2,6 +2,8 @@
 forwards, and hand-checkable cases come out exact."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -159,6 +161,151 @@ def test_conv_zero_padding_contributes_zero():
     assert out[0, 1, 1] == 9.0   # center window fully inside
     assert out[0, 0, 0] == 4.0   # corner window covers a 2x2 of real pixels
     assert out[0, 0, 1] == 6.0
+
+
+# ---------------------------------------------------------------------------
+# the tap-index map: unfold and the backward-input scatter go through one
+# cached index map per conv shape, and must match, bit for bit, the per-tap
+# slicing they replaced, kept here as references
+
+# the conv shapes of the README quick-start config (24x24 crops, stem 8,
+# stages 8, 16, head 32) and of the default config (32x32 crops, stem 24,
+# stages 48, 96, 128, head 448): stem, stages, head.reduce
+BENCHMARK_CONV_SHAPES = [
+    (3, 24, 24, 8, 3, 3, 2, 1),
+    (8, 12, 12, 8, 3, 3, 2, 1),
+    (8, 6, 6, 16, 3, 3, 2, 1),
+    (16, 3, 3, 32, 3, 3, 1, 1),
+    (3, 32, 32, 24, 3, 3, 2, 1),
+    (24, 16, 16, 48, 3, 3, 2, 1),
+    (48, 8, 8, 96, 3, 3, 2, 1),
+    (96, 4, 4, 128, 3, 3, 2, 1),
+    (128, 2, 2, 448, 3, 3, 1, 1),
+]
+
+
+def unfold_per_tap(x, kh, kw, stride, pad):
+    cin, h, w = x.shape
+    ho, wo = conv_sizes(h, w, kh, kw, stride, pad)
+    xp = np.zeros((cin, h + 2 * pad, w + 2 * pad))
+    xp[:, pad:pad + h, pad:pad + w] = x
+    cols = np.empty((cin, kh, kw, ho, wo))
+    for u in range(kh):
+        for v in range(kw):
+            cols[:, u, v] = xp[:, u:u + ho * stride:stride, v:v + wo * stride:stride]
+    return cols.reshape(cin * kh * kw, ho * wo)
+
+
+def backward_input_per_tap(dy, k, stride, pad, h, w):
+    cout, ho, wo = dy.shape
+    _, cin, kh, kw = k.shape
+    dcols = (k.reshape(cout, -1).T @ dy.reshape(cout, -1)).reshape(cin, kh, kw, ho, wo)
+    dxp = np.zeros((cin, h + 2 * pad, w + 2 * pad))
+    for u in range(kh):
+        for v in range(kw):
+            dxp[:, u:u + ho * stride:stride, v:v + wo * stride:stride] += dcols[:, u, v]
+    return dxp[:, pad:pad + h, pad:pad + w]
+
+
+def conv_per_tap_results(x, k, dy, stride, pad):
+    """unfold, forward, backward-input and backward-kernel as the per-tap
+    kernels computed them."""
+    cout, _, kh, kw = k.shape
+    h, w = x.shape[1:]
+    cols = unfold_per_tap(x, kh, kw, stride, pad)
+    return (cols,
+            (k.reshape(cout, -1) @ cols).reshape(dy.shape),
+            backward_input_per_tap(dy, k, stride, pad, h, w),
+            (dy.reshape(cout, -1) @ cols.T).reshape(k.shape))
+
+
+def conv_map_results(x, k, dy, stride, pad):
+    kh, kw = k.shape[2:]
+    h, w = x.shape[1:]
+    return (K.unfold(x, kh, kw, stride, pad),
+            K.conv2d_forward(x, k, stride, pad),
+            K.conv2d_backward_input(dy, k, stride, pad, h, w),
+            K.conv2d_backward_kernel(dy, x, stride, pad, kh, kw))
+
+
+@pytest.mark.parametrize("cin,h,w,cout,kh,kw,stride,pad",
+                         CONV_CASES + BENCHMARK_CONV_SHAPES)
+def test_conv_kernels_bitwise_equal_per_tap(cin, h, w, cout, kh, kw, stride, pad):
+    x, k, dy = conv_backward_case(cin, h, w, cout, kh, kw, stride, pad)
+    for got, want in zip(conv_map_results(x, k, dy, stride, pad),
+                         conv_per_tap_results(x, k, dy, stride, pad)):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+@pytest.mark.parametrize("cin,h,w,cout,kh,kw,stride,pad", CONV_CASES)
+def test_tap_index_points_at_pixels_and_padding_at_zero_slot(
+        cin, h, w, cout, kh, kw, stride, pad):
+    # unfolding the pixel numbers gives each real tap's source, and
+    # unfolding ones marks the real taps; every other tap is padding
+    idx = K._tap_index(cin, h, w, kh, kw, stride, pad)
+    numbers = np.arange(cin * h * w, dtype=np.float64).reshape(cin, h, w)
+    real = unfold_per_tap(np.ones((cin, h, w)), kh, kw, stride, pad) == 1.0
+    want = np.where(real, unfold_per_tap(numbers, kh, kw, stride, pad), cin * h * w)
+    assert idx.dtype == np.int64
+    np.testing.assert_array_equal(idx, want.astype(np.int64))
+    # a padded image's border taps read the zero slot
+    assert (idx == cin * h * w).any() == (pad > 0)
+    assert not K.unfold(np.full((cin, h, w), 7.0), kh, kw, stride, pad)[~real].any()
+
+
+def test_tap_index_is_read_only():
+    idx = K._tap_index(2, 5, 5, 3, 3, 1, 1)
+    with pytest.raises(ValueError):
+        idx[0, 0] = 0
+    with pytest.raises(ValueError):
+        idx.ravel()[0] = 0
+
+
+def test_tap_index_second_call_is_a_cache_hit():
+    first = K._tap_index(3, 7, 6, 3, 3, 2, 1)
+    hits = K._tap_index.cache_info().hits
+    assert K._tap_index(3, 7, 6, 3, 3, 2, 1) is first
+    assert K._tap_index.cache_info().hits == hits + 1
+
+
+def test_tap_index_cache_is_bounded():
+    assert K._tap_index.cache_info().maxsize == K.TAP_INDEX_SHAPES
+    for side in range(1, K.TAP_INDEX_SHAPES + 6):
+        K._tap_index(1, side, 1, 1, 1, 1, 0)
+    assert K._tap_index.cache_info().currsize == K.TAP_INDEX_SHAPES
+
+
+def test_conv_kernels_on_two_threads_match_single_threaded():
+    # two threads fill the cache and run the kernels on different shapes at
+    # once; each must get what one thread alone computes
+    shapes = [BENCHMARK_CONV_SHAPES[1], BENCHMARK_CONV_SHAPES[5]]
+    cases = [conv_backward_case(*shape) + shape[6:] for shape in shapes]
+    want = [conv_map_results(*case) for case in cases]
+    K._tap_index.cache_clear()
+    start = threading.Barrier(2, timeout=10)
+    done = []
+
+    def run(i):
+        start.wait()
+        for _ in range(50):
+            got = conv_map_results(*cases[i])
+            if not all(np.array_equal(g, w) for g, w in zip(got, want[i])):
+                return
+        done.append(i)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [0, 1]
 
 
 # ---------------------------------------------------------------------------
