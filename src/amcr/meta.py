@@ -28,18 +28,17 @@ coefficients c_i on detached losses, with no meta set and no lookahead,
 and training.train_model takes one step on sum_i c_i L_i with them.
 
 The cached g_i all come from one backward of the batch's loss vector,
-and are never formed whole. A conv kernel's per-sample gradient is
-dy_i @ unfold(a_i).T, its output gradient times its unfolded input, so
-each trainable conv kernel keeps those factors, stacked over the batch:
-D (cout, M) and A (cin*kh*kw, M) over the M output positions of all
-samples, with owner[m] the sample of column m. Then
-    sum_i c_i g_i = (D * c[owner]) @ A.T                 (one GEMM)
-    d_i over the kernel = sum of the columns m of sample i of (G @ A) * D
-with G the kernel's meta-loss gradient at w_hat. The other trainable
-parameters (channel-attention kernels, heads: a few thousand entries)
-keep their g_i as the rows of one (n, P') matrix, allocated once per
-MetaState and overwritten every iteration, where the sums are
-`coeff @ rows` and `rows @ grad`.
+and are never formed whole: tensor.per_sample_gradients keeps every
+trainable parameter's as two factors stacked over the batch, left L
+(p_out, M) and right R (p_in, M), with owner[m] the sample of column m,
+so g_i is L @ R.T over sample i's columns. A conv kernel's L and R are
+its output gradients and unfolded inputs, one column per output
+position; a dense layer's or a vector's have one column per sample.
+Then, for every parameter alike,
+    sum_i c_i g_i = (L * c[owner]) @ R.T                 (one GEMM)
+    d_i = sum of the columns m of sample i of (G @ R) * L
+with G the parameter's meta-loss gradient at w_hat, reshaped to
+(p_out, p_in).
 
 The lookahead uses plain SGD while both outer updates use Adam; the
 analytic meta-gradient is exact only for the SGD form of the lookahead.
@@ -100,10 +99,9 @@ class MetaState:
     step size alpha, `mrn_lr` the reweighting network's step size beta,
     and `normalize_weights`, `betas` and `weight_decay` apply as named.
 
-    Every 4-d trainable parameter is taken for a conv kernel and keeps
-    its per-sample gradients as factors; it must reach the loss only
-    through conv2d. The cache holds those factors and the gradient rows
-    of the rest (see the module docstring).
+    Every trainable parameter must reach the loss only through the ops
+    that record per-sample gradients; the cache holds their factors (see
+    the module docstring).
     """
 
     def __init__(self, params: dict, mrn: Mrn, loss_fn, settings,
@@ -125,34 +123,13 @@ class MetaState:
         self.adam_mrn = Adam(settings.mrn_lr, settings.betas,
                              weight_decay=settings.weight_decay)
         self._cache = None
-        self._conv = [n for n in self.trainable if params[n].data.ndim == 4]
-        # column range of every other trainable parameter in a gradient row
-        self._bounds = {}
-        width = 0
-        for name in self.trainable:
-            if name in self._conv:
-                continue
-            size = params[name].data.size
-            self._bounds[name] = (width, width + size)
-            width += size
-        self._width = width
-        self._rows = None  # per-sample gradient buffer, grown to the largest batch
         self.last_losses = np.zeros(0)  # per-sample losses of the last lookahead
 
-    def _gradient_rows(self, n: int) -> np.ndarray:
-        if self._rows is None or self._rows.shape[0] < n:
-            self._rows = np.empty((n, self._width))
-        return self._rows[:n]
-
-    def _weighted_sum(self, coeff, rows, factors) -> dict:
-        """sum_i c_i g_i for every trainable parameter, from the gradient
-        rows and the conv kernels' stacked factors."""
-        flat = coeff @ rows
-        grads = {name: flat[lo:hi].reshape(self.params[name].shape)
-                 for name, (lo, hi) in self._bounds.items()}
-        for name, (dy, cols, owner) in factors.items():
-            grads[name] = ((dy * coeff[owner]) @ cols.T).reshape(self.params[name].shape)
-        return grads
+    def _weighted_sum(self, coeff, factors) -> dict:
+        """sum_i c_i g_i for every trainable parameter, from its factors."""
+        left, right, owner = factors
+        return {name: ((left[name] * coeff[owner[name]]) @ right[name].T
+                       ).reshape(self.params[name].shape) for name in left}
 
     # stage 1 -------------------------------------------------------------
 
@@ -165,25 +142,18 @@ class MetaState:
         if losses.data.ndim != 1 or losses.shape[0] != len(batch):
             raise ShapeError(
                 f"loss_fn returned {losses.shape} for a batch of {len(batch)}")
-        subset = {n: self.params[n] for n in self._bounds}
-        records = {n: T.KernelFactors(self.params[n]) for n in self._conv}
-        rows = self._gradient_rows(len(batch))
-        T.per_sample_gradients(losses, subset, out=rows, factored=records)
-        factors = {}
-        for name, record in records.items():
-            factors[name] = record.stacked()
-            record.clear()  # drop the per-sample copies before the next stack
+        factors = T.per_sample_gradients(
+            losses, {n: self.params[n] for n in self.trainable})
         loss_values = losses.data.copy()
         v = mrn_forward(loss_values, self.mrn)
         coeff, s = weight_coefficients(v.data, self.settings.normalize_weights)
-        step = self._weighted_sum(coeff, rows, factors)
+        step = self._weighted_sum(coeff, factors)
         w_hat = {name: Tensor(self.params[name].data - self.settings.lr * g,
                               requires_grad=True)
                  for name, g in step.items()}
         self._cache = {
             "stage": "lookahead",
             "loss_values": loss_values,
-            "rows": rows,
             "factors": factors,
             "v": v,
             "coeff": coeff,
@@ -214,16 +184,14 @@ class MetaState:
         meta_loss.backward()
 
         # d_i = g_i . grad_{w_hat}(meta loss); unreached parameters add 0
-        gw = np.zeros(self._width)
-        for name, (lo, hi) in self._bounds.items():
-            if w_hat[name].grad is not None:
-                gw[lo:hi] = w_hat[name].grad.reshape(-1)
-        d = cache["rows"] @ gw
-        for name, (dy, cols, owner) in cache["factors"].items():
+        left, right, owner = cache["factors"]
+        d = np.zeros(cache["loss_values"].size)
+        for name, lf in left.items():
             grad = w_hat[name].grad
             if grad is not None:
-                per_col = np.einsum("ij,ij->j", grad.reshape(dy.shape[0], -1) @ cols, dy)
-                d += np.bincount(owner, weights=per_col, minlength=d.size)
+                per_col = np.einsum("ij,ij->j",
+                                    grad.reshape(lf.shape[0], -1) @ right[name], lf)
+                d += np.bincount(owner[name], weights=per_col, minlength=d.size)
 
         # S is n in plain mode, where D drops out
         big_d = (float(np.sum(cache["coeff"] * d))
@@ -254,7 +222,7 @@ class MetaState:
             raise StateError("main_step needs meta_step to have run this iteration")
         v_new, coeff = fixed_weighting(cache["loss_values"], self.mrn,
                                        self.settings.normalize_weights)
-        grads = self._weighted_sum(coeff, cache["rows"], cache["factors"])
+        grads = self._weighted_sum(coeff, cache["factors"])
         self.adam_main.step(self.params, grads)
         self._cache = None
         return v_new

@@ -11,7 +11,9 @@ boundaries (every Tensor construction checks). Scalars are 0-d arrays.
 The network ops take a batch: images are (N, C, H, W), feature and logit
 rows (N, K), and row n of every op belongs to sample n, so one graph
 serves the whole batch and per_sample_gradients can split its one
-backward by sample.
+backward by sample. It keeps every sample's gradient as two factors,
+never formed whole: a conv kernel's as each image's output gradient and
+unfolded input, a matmul operand's or a vector's as rank-one columns.
 """
 
 from contextlib import contextmanager
@@ -25,8 +27,9 @@ from .errors import DataError, ParameterError, ShapeError, TapeError
 # per thread (and per asyncio task): one thread's no_grad() block cannot
 # detach the graphs another thread is building
 _grad_enabled = ContextVar("amcr_grad_enabled", default=True)
-# (samples, id(parameter) -> recorder) while per_sample_gradients runs:
-# the parameters whose gradients the parameter ops record by sample
+# (samples, id(parameter) -> records) while per_sample_gradients runs:
+# each op applying a recorded parameter appends one (left, right, owner)
+# record of its per-sample gradients instead of summing them over the batch
 _recording = ContextVar("amcr_recording", default=None)
 
 
@@ -209,10 +212,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dims {a.shape} x {b.shape}")
 
     def backward(g):
-        rec = _recorder(b, a.shape[0])
+        n = a.shape[0]
+        rec = _recorder(b, n)
         if rec is None:
             return ((a, g @ b.data.T), (b, a.data.T @ g))
-        rec.add(a.data[:, :, None] * g[:, None, :])  # row n: a_n outer g_n
+        rec.append((a.data.T, g.T, np.arange(n)))  # sample i: a_i outer g_i
         return ((a, g @ b.data.T),)
 
     return _make(a.data @ b.data, (a, b), backward, "matmul")
@@ -225,10 +229,11 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"add_rowvec: {m.shape} vs {v.shape}")
 
     def backward(g):
-        rec = _recorder(v, m.shape[0])
+        n = m.shape[0]
+        rec = _recorder(v, n)
         if rec is None:
             return ((m, g), (v, g.sum(axis=0)))
-        rec.add(g)
+        rec.append((g.T, np.ones((1, n)), np.arange(n)))
         return ((m, g),)
 
     return _make(m.data + v.data[None, :], (m, v), backward, "add_rowvec")
@@ -276,7 +281,9 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
             if dk is not None:
                 dk += kernels.conv2d_backward_kernel(g[i], xd[i], stride, padding, kh, kw)
             elif rec is not None:
-                rec.conv(i, g[i], xd[i], stride, padding)
+                rec.append((g[i].reshape(cout, -1),
+                            kernels.unfold(xd[i], kh, kw, stride, padding),
+                            np.full(ho * wo, i)))
         return [pair for pair in ((x, dx), (k, dk)) if pair[1] is not None]
 
     return _make(out, (x, k), backward, "conv2d")
@@ -319,7 +326,7 @@ def conv1d_channel(x: Tensor, kernel: Tensor) -> Tensor:
         rec = _recorder(kernel, n)
         if rec is None:
             return ((x, dx), (kernel, dk.sum(axis=0)))
-        rec.add(dk)
+        rec.append((dk.T, np.ones((1, n)), np.arange(n)))
         return ((x, dx),)
 
     return _make(_correlate_rows(x.data, kernel.data), (x, kernel), backward, "conv1d")
@@ -409,9 +416,10 @@ def cross_entropy_logits(z: Tensor, labels) -> Tensor:
 
 
 def _recorder(p, rows: int):
-    """The recorder of p's per-sample gradients while per_sample_gradients
-    records p, else None. `rows` is the leading extent of the batch the op
-    applies p to, which must be the loss vector's samples."""
+    """The list of p's per-sample gradient records while
+    per_sample_gradients records p, else None. `rows` is the leading
+    extent of the batch the op applies p to, which must be the loss
+    vector's samples."""
     recording = _recording.get()
     if recording is None:
         return None
@@ -423,71 +431,10 @@ def _recorder(p, rows: int):
     return rec
 
 
-class _GradientRows:
-    """One parameter's columns of the per-sample gradient matrix: row n
-    sums sample n's share of every application of the parameter."""
-
-    __slots__ = ("rows", "shape")
-
-    def __init__(self, rows: np.ndarray, shape):
-        self.rows, self.shape = rows, shape
-
-    def add(self, per_sample):
-        """Add an (N, *shape) stack of per-sample gradients."""
-        self.rows += per_sample.reshape(self.rows.shape)
-
-    def conv(self, n, dy, x, stride, pad):
-        """Add sample n's share of one conv2d application (see KernelFactors.conv)."""
-        kh, kw = self.shape[2:]
-        self.rows[n] += kernels.conv2d_backward_kernel(
-            dy, x, stride, pad, kh, kw).reshape(-1)
-
-
-class KernelFactors:
-    """One conv kernel's per-sample gradients in factored form.
-
-    Each application of the kernel to a sample's image adds one record:
-    the output gradient dy (cout, Ho*Wo) and the unfolded input cols
-    (cin*kh*kw, Ho*Wo), whose product dy @ cols.T is that application's
-    share of the kernel gradient, and in `owner` the sample. A sample's
-    gradient is the sum of its records' products: zero when the kernel
-    never reaches the sample, a sum when it is applied twice.
-    """
-
-    __slots__ = ("kernel", "dy", "cols", "owner")
-
-    def __init__(self, kernel: Tensor):
-        self.kernel = kernel
-        self.clear()
-
-    def clear(self):
-        self.dy, self.cols, self.owner = [], [], []
-
-    def conv(self, n, dy, x, stride, pad):
-        """Record sample n's share of one conv2d application: dy (cout, Ho, Wo)
-        the gradient of its output, x (cin, H, W) its input."""
-        cout, _, kh, kw = self.kernel.shape
-        self.dy.append(dy.reshape(cout, -1))
-        self.cols.append(kernels.unfold(x, kh, kw, stride, pad))
-        self.owner.append(n)
-
-    def stacked(self):
-        """(D, A, owner): the records side by side, D (cout, M) and
-        A (cin*kh*kw, M) over the M output positions of all of them, and
-        the sample owning each column."""
-        widths = [dy.shape[1] for dy in self.dy]
-        owner = np.repeat(np.asarray(self.owner, dtype=np.int64), widths)
-        if not widths:  # no sample reached the kernel
-            cout = self.kernel.shape[0]
-            return (np.zeros((cout, 0)),
-                    np.zeros((self.kernel.data.size // cout, 0)), owner)
-        return np.hstack(self.dy), np.hstack(self.cols), owner
-
-
-def per_sample_gradients(loss_vector: Tensor, params: dict, out=None,
-                         factored=None):
+def per_sample_gradients(loss_vector: Tensor, params: dict):
     """Gradient of each entry of the (N,) `loss_vector` w.r.t. every tensor
-    in the name -> Tensor dict `params`, from one backward of the batch.
+    in the name -> Tensor dict `params`, from one backward of the batch,
+    kept as two factors per parameter.
 
     Entry n must depend on row n of the batch alone, and every parameter
     must reach the loss only as the kernel of conv2d or conv1d_channel,
@@ -497,66 +444,51 @@ def per_sample_gradients(loss_vector: Tensor, params: dict, out=None,
     2015, arXiv:1510.01799). A parameter that reaches the loss through any
     other op, or meets a batch of other than N rows, raises TapeError.
 
-    Sample n's gradients go to row n of one (N, P) float64 matrix: the
-    parameters in dict order, each flattened, P their total size. `out` is
-    that matrix when given (a buffer reused across calls; every entry is
-    overwritten, so parameters a sample does not reach get zero rows
-    whatever the buffer held), else a new one. Every parameter's `.grad`
-    is cleared before the backward, so a gradient left from an earlier
-    backward does not leak into the rows, and is left cleared.
+    Every application adds one record, a left and a right block whose
+    columns belong to samples: conv2d one per image, the output gradient
+    (cout, Ho*Wo) and the unfolded input (cin*kh*kw, Ho*Wo); matmul the
+    input rows a.T and the output gradient g.T; add_rowvec and
+    conv1d_channel the per-sample gradient rows .T and ones (1, N).
 
-    `factored` names conv kernels to record instead, as a name ->
-    KernelFactors dict of containers the caller owns: each is cleared,
-    then receives every application's (dy, unfold(x)) pair with its
-    sample, and its kernel gets no `.grad`. A factored kernel must reach
-    the loss only through conv2d, and must not be in `params`.
-
-    Returns a list (one dict per sample) mapping each name in `params` to
-    its gradient, a view into the sample's row. The mean of the returned
-    gradients equals the gradient of the mean loss up to float summation
-    order.
+    Returns (left, right, owner), three name -> array dicts holding each
+    parameter's records side by side: left (p_out, M) and right (p_in, M)
+    over M columns, p_out the parameter's leading extent and p_in the
+    product of the rest, and owner (M,) the sample of each column. Sample
+    n's gradient is
+        (left[:, owner == n] @ right[:, owner == n].T).reshape(p.shape),
+    zero when no column is n's; a parameter that no sample reaches has
+    M = 0. Every parameter's `.grad` is cleared before the backward, so a
+    gradient left from an earlier backward is not taken for a leak, and is
+    left cleared.
     """
     if not isinstance(loss_vector, Tensor) or not loss_vector.requires_grad:
         raise TapeError("per_sample_gradients: loss vector is detached from the graph")
     if loss_vector.data.ndim != 1:
         raise ShapeError("per_sample_gradients expects a loss vector")
-    factored = {} if factored is None else factored
-    if any(f.kernel.data.ndim != 4 for f in factored.values()):
-        raise ParameterError("per_sample_gradients: only conv kernels can be factored")
-    recorded = [*params.items(), *((name, f.kernel) for name, f in factored.items())]
-    if len({id(p) for _, p in recorded}) != len(recorded):
-        raise ParameterError("per_sample_gradients: a parameter cannot be "
-                             "recorded twice, in rows and factored")
-    layout, width = [], 0  # (name, parameter, first column, end column)
-    for name, p in params.items():
-        layout.append((name, p, width, width + p.data.size))
-        width += p.data.size
-    samples = loss_vector.shape[0]
-    shape = (samples, width)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64:
-        raise ShapeError(f"per_sample_gradients: out is {out.dtype} {out.shape}, "
-                         f"needs float64 {shape}")
-
-    out[...] = 0.0
-    recorders = {id(p): _GradientRows(out[:, lo:hi], p.shape)
-                 for _, p, lo, hi in layout}
-    for f in factored.values():
-        f.clear()
-        recorders[id(f.kernel)] = f
-    for _, p in recorded:
+    if len({id(p) for p in params.values()}) != len(params):
+        raise ParameterError("per_sample_gradients: a parameter is named twice")
+    recorders = {}
+    for p in params.values():
+        p_out = p.shape[0] if p.shape else 1
+        # a zero-width first record, so an unreached parameter stacks too
+        recorders[id(p)] = [(np.zeros((p_out, 0)), np.zeros((p.data.size // p_out, 0)),
+                             np.zeros(0, dtype=np.int64))]
         p.grad = None
-    token = _recording.set((samples, recorders))
+    token = _recording.set((loss_vector.shape[0], recorders))
     try:
         loss_vector.backward()
     finally:
         _recording.reset(token)
-    leaked = [name for name, p in recorded if p.grad is not None]
-    for _, p in recorded:
+    leaked = [name for name, p in params.items() if p.grad is not None]
+    for p in params.values():
         p.grad = None
     if leaked:
         raise TapeError(f"per_sample_gradients: {', '.join(leaked)} reached the "
                         "loss outside the ops that record per-sample gradients")
-    return [{name: out[i, lo:hi].reshape(p.data.shape) for name, p, lo, hi in layout}
-            for i in range(samples)]
+    left, right, owner = {}, {}, {}
+    for name, p in params.items():
+        # one parameter at a time, dropping its records once stacked
+        lefts, rights, owners = zip(*recorders.pop(id(p)))
+        left[name], right[name] = np.hstack(lefts), np.hstack(rights)
+        owner[name] = np.concatenate(owners)
+    return left, right, owner

@@ -1,4 +1,5 @@
-"""Shared test utilities: central finite differences and error measures."""
+"""Shared test utilities: central finite differences, error measures and
+batch-of-one reference gradients."""
 
 import numpy as np
 
@@ -35,3 +36,31 @@ def rel_err(a, b):
     if a.size == 0:
         return 0.0
     return float(np.abs(a - b).max() / scale)
+
+
+def batch_of_one_gradients(loss_of, samples, params):
+    """Each sample's gradients taken the plain way, independent of
+    per_sample_gradients: a .backward() of loss_of([sample]), the sample's
+    loss vector as a batch of one. Returns one name -> array dict per
+    sample, zeros for a parameter its loss does not reach, and leaves
+    every parameter's .grad cleared."""
+    grads = []
+    for sample in samples:
+        for p in params.values():
+            p.zero_grad()
+        loss_of([sample]).backward()
+        grads.append({name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                      for name, p in params.items()})
+    for p in params.values():
+        p.zero_grad()
+    return grads
+
+
+def gradients_from_factors(factors, params, samples):
+    """One name -> array dict per sample, rebuilt from the (left, right,
+    owner) factors of per_sample_gradients: sample n's gradient is
+    left @ right.T over the columns that n owns."""
+    left, right, owner = factors
+    return [{name: (left[name][:, owner[name] == n] @ right[name][:, owner[name] == n].T
+                    ).reshape(params[name].shape) for name in left}
+            for n in range(samples)]

@@ -16,7 +16,8 @@ from amcr.optim import Adam
 from amcr.tensor import Tensor
 from amcr.training import TrainSettings, train_model
 
-from helpers import numerical_grad, rel_err
+from helpers import (batch_of_one_gradients, gradients_from_factors,
+                     numerical_grad, rel_err)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +210,7 @@ def test_meta_gradient_matches_fd_on_a_conv_net(normalize):
     analytic = state.meta_gradient(meta_batch)
 
     losses = loss_fn(batch, None)
-    g_list = T.per_sample_gradients(losses, net.params)
+    g_list = batch_of_one_gradients(lambda b: loss_fn(b, None), batch, net.params)
     arrs = {n: p.data.copy() for n, p in mrn.params.items()}
 
     def meta_loss_at():
@@ -279,7 +280,8 @@ def test_reduction_to_half_weighted_adam():
 
 
 # ---------------------------------------------------------------------------
-# the gradient-row matrix against per-sample dict loops on a small network
+# the factored per-sample gradients against per-sample dict loops on a
+# small network
 
 
 def tiny_net_setup(normalize, lr=0.05):
@@ -294,7 +296,7 @@ def tiny_net_setup(normalize, lr=0.05):
     labels = rng.integers(0, 10, size=8)
 
     def loss_fn(batch, override):
-        # the class loss never reaches head.reg.*: their rows stay zero
+        # the class loss never reaches head.reg.*: no sample's gradient does
         return T.cross_entropy_logits(
             net.forward(Tensor(images[batch]), override), labels[batch])
 
@@ -303,9 +305,10 @@ def tiny_net_setup(normalize, lr=0.05):
 
 
 def reference_lookahead(params, mrn, loss_fn, settings, batch):
-    """Stage 1 written with one gradient dict per sample."""
+    """Stage 1 written with one gradient dict per sample, each from a
+    backward of that sample alone."""
     losses = loss_fn(batch, None)
-    g_list = T.per_sample_gradients(losses, params)
+    g_list = batch_of_one_gradients(lambda b: loss_fn(b, None), batch, params)
     v = mrn_forward(losses.data, mrn)
     coeff, s = weight_coefficients(v.data, settings.normalize_weights)
     w_hat = {}
@@ -350,7 +353,6 @@ def test_meta_iteration_matches_per_sample_loops(normalize):
     batch, meta_batch = [0, 1, 2, 3, 4], [5, 6, 7]
     net, mrn, loss_fn, settings = tiny_net_setup(normalize)
     state = MetaState(net.params, mrn, loss_fn, settings)
-    state._gradient_rows(len(batch) + 2).fill(1e300)  # a dirty, larger buffer
     ref_net, ref_mrn, ref_loss_fn, _ = tiny_net_setup(normalize)
     ref_params = ref_net.params
 
@@ -360,19 +362,14 @@ def test_meta_iteration_matches_per_sample_loops(normalize):
     for name, p in cache[-1].items():
         np.testing.assert_allclose(w_hat[name].data, p.data, rtol=1e-12,
                                    atol=1e-15)
-    # the conv kernels keep factors; the reused, dirty buffer holds the
-    # rows a fresh per-sample call gives for every other parameter, and
-    # each sample's factors rebuild its conv kernel gradients
-    rows, factors = state._cache["rows"], state._cache["factors"]
-    assert list(factors) == ["stem.w", "stage0.w", "head.reduce.w"]
-    for i, grads in enumerate(cache[1]):
-        np.testing.assert_array_equal(rows[i], np.concatenate(
-            [g.ravel() for name, g in grads.items() if name not in factors]))
-        for name, (dy, cols, owner) in factors.items():
-            mine = owner == i
-            np.testing.assert_allclose(
-                (dy[:, mine] @ cols[:, mine].T).reshape(grads[name].shape),
-                grads[name], rtol=1e-12, atol=0)
+    # every parameter keeps factors, and each sample's factors rebuild
+    # its gradients
+    factors = state._cache["factors"]
+    assert list(factors[0]) == list(net.params)
+    rebuilt = gradients_from_factors(factors, net.params, len(batch))
+    for mine, grads in zip(rebuilt, cache[1]):
+        for name, g in grads.items():
+            np.testing.assert_allclose(mine[name], g, rtol=1e-12, atol=0)
 
     state.meta_step(meta_batch)
     ref_grads = reference_meta_gradient(ref_mrn, ref_loss_fn, settings,
@@ -413,9 +410,7 @@ def test_lookahead_cache_is_small_next_to_dense_rows():
     total = sum(p.data.size for p in net.params.values())
     conv = sum(p.data.size for p in net.params.values() if p.data.ndim == 4)
     assert conv > 0.9 * total
-    cache = state._cache
-    held = cache["rows"].size + sum(a.size for factors in cache["factors"].values()
-                                    for a in factors)
+    held = sum(a.size for part in state._cache["factors"] for a in part.values())
     assert held < n * total / 10, (held, n * total)
 
 
@@ -444,6 +439,74 @@ def test_main_step_gradient_is_one_backward_of_weighted_loss(normalize):
     for name, p in ref_net.params.items():
         want = np.zeros_like(p.data) if p.grad is None else p.grad
         np.testing.assert_allclose(steps[0][name], want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_meta_gradient_matches_fd_after_a_main_step(normalize):
+    # the second lookahead, on another batch: one full iteration has moved
+    # the main parameters and Theta, and consumed its own cache
+    net, mrn, loss_fn, settings = tiny_net_setup(normalize, lr=0.5)
+    state = MetaState(net.params, mrn, loss_fn, settings)
+    state.meta_iteration([0, 1, 2, 3], [4, 5, 6])
+    batch, meta_batch = [7, 2, 5, 0], [4, 5, 6]
+    state.lookahead_update(batch)
+    analytic = state.meta_gradient(meta_batch)
+
+    losses = loss_fn(batch, None)
+    g_list = batch_of_one_gradients(lambda b: loss_fn(b, None), batch, net.params)
+    arrs = {n: p.data.copy() for n, p in mrn.params.items()}
+
+    def meta_loss_at():
+        override = {n: Tensor(a) for n, a in arrs.items()}
+        v = mrn_forward(losses.data, mrn, override)
+        coeff, _ = weight_coefficients(v.data, normalize)
+        w_hat = {name: Tensor(p.data - settings.lr * sum(
+                     c * g[name] for c, g in zip(coeff, g_list)))
+                 for name, p in net.params.items()}
+        with T.no_grad():
+            return float(np.mean(loss_fn(meta_batch, w_hat).data))
+
+    nums = numerical_grad(meta_loss_at, arrs)
+    for n in arrs:
+        diff = float(np.abs(analytic[n] - nums[n]).max())
+        scale = float(np.abs(analytic[n]).max())
+        assert scale > 1e-6, n
+        assert diff < 1e-9 + 1e-6 * scale, (n, diff, scale)
+
+
+def test_unreached_parameter_moves_by_weight_decay_alone():
+    # the class loss never reaches head.reg.*: its factors have no
+    # columns, sum_i c_i g_i is exactly zero, and only decay moves it
+    net, mrn, loss_fn, _ = tiny_net_setup(False)
+    settings = TrainSettings(lr=0.05, mrn_lr=0.01, weight_decay=1e-2)
+    state = MetaState(net.params, mrn, loss_fn, settings)
+    unreached = ("head.reg.w", "head.reg.b")
+    before = {n: net.params[n].data.copy() for n in unreached}
+    steps = []
+    adam_step = state.adam_main.step
+
+    def recording_step(params, grads):
+        steps.append({n: g.copy() for n, g in grads.items()})
+        adam_step(params, grads)
+
+    state.adam_main.step = recording_step
+    w_hat = state.lookahead_update([0, 1, 2, 3])
+    left, right, owner = state._cache["factors"]
+    assert left["head.reg.w"].shape == (8, 0) and right["head.reg.w"].shape == (1, 0)
+    assert left["head.reg.b"].shape == (1, 0) and right["head.reg.b"].shape == (1, 0)
+    assert owner["head.reg.w"].shape == owner["head.reg.b"].shape == (0,)
+    for n in unreached:
+        np.testing.assert_array_equal(w_hat[n].data, before[n])
+    state.meta_step([4, 5, 6])
+    state.main_step()
+
+    decayed = {n: Tensor(a.copy()) for n, a in before.items()}
+    Adam(settings.lr, settings.betas, weight_decay=settings.weight_decay).step(
+        decayed, {n: np.zeros_like(a) for n, a in before.items()})
+    for n in unreached:
+        assert not steps[0][n].any()
+        assert not np.array_equal(decayed[n].data, before[n])
+        np.testing.assert_array_equal(net.params[n].data, decayed[n].data)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from amcr.blocks import AestheticNet
 from amcr.errors import DataError, ParameterError, ShapeError, TapeError
 from amcr.tensor import Tensor, no_grad
 
-from helpers import numerical_grad, rel_err
+from helpers import (batch_of_one_gradients, gradients_from_factors,
+                     numerical_grad, rel_err)
 
 
 def leaf(rng, *shape):
@@ -292,8 +293,9 @@ def test_per_sample_gradients_match_seeded_backward():
         def loss_vec():
             rows = T.add_rowvec(T.matmul(Tensor(xs), w), b)
             return row_sums(T.mul(rows, rows))
-        losses = loss_vec()
-        per = T.per_sample_gradients(losses, {"w": w, "b": b})
+        params = {"w": w, "b": b}
+        per = gradients_from_factors(T.per_sample_gradients(loss_vec(), params),
+                                     params, 4)
         for i in range(4):
             fresh = loss_vec()
             w.zero_grad(); b.zero_grad()
@@ -311,73 +313,56 @@ def test_per_sample_gradients_ignore_a_stale_grad():
 
     T.tmean(losses()).backward()
     assert float(w.grad[0, 0]) == 3.5  # left over from the mean-loss backward
-    per = T.per_sample_gradients(losses(), {"w": w})
+    factors = T.per_sample_gradients(losses(), {"w": w})
+    per = gradients_from_factors(factors, {"w": w}, 2)
     assert [float(g["w"][0, 0]) for g in per] == [4.0, 3.0]
     assert w.grad is None
 
 
-def test_per_sample_gradients_fill_rows_of_out():
-    rng = np.random.default_rng(19)
-    w = leaf(rng, 2, 3)
-    b = leaf(rng, 3)
-    unused = leaf(rng, 2)  # no sample reaches it
-    xs = rng.normal(size=(3, 2))
-
-    def losses():
-        return row_sums(T.add_rowvec(T.matmul(Tensor(xs), w), b))
-
-    fresh = T.per_sample_gradients(losses(), {"w": w, "b": b, "unused": unused})
-    out = rng.normal(size=(3, 11)) * 1e6  # garbage from an earlier call
-    per = T.per_sample_gradients(losses(), {"w": w, "b": b, "unused": unused},
-                                 out=out)
-    for i in range(3):
-        np.testing.assert_array_equal(out[i], np.concatenate(
-            [fresh[i]["w"].ravel(), fresh[i]["b"], np.zeros(2)]))
-        for name in ("w", "b", "unused"):
-            np.testing.assert_array_equal(per[i][name], fresh[i][name])
-            assert np.shares_memory(per[i][name], out)
-    with pytest.raises(ShapeError):
-        T.per_sample_gradients(losses(), {"w": w, "b": b}, out=out)
-
-
 def test_per_sample_gradient_factors_rebuild_dense_kernel_gradients():
     # stride 1 and 2, pad 0 and 1, a kernel applied twice per sample, one
-    # whose term only odd samples' losses keep, and one reached by no sample
+    # whose term only odd samples' losses keep, one reached by no sample,
+    # and channel attention's kernel
     rng = np.random.default_rng(21)
     kernels = {"down": leaf(rng, 3, 2, 3, 3), "twice": leaf(rng, 3, 3, 3, 3),
                "odd": leaf(rng, 2, 3, 1, 1), "unused": leaf(rng, 2, 2, 3, 3)}
-    eca = leaf(rng, 3)
+    params = {**kernels, "eca": leaf(rng, 3)}
     images = rng.normal(size=(4, 2, 7, 7))
-    odd_samples = Tensor(np.arange(len(images)) % 2.0)
+    odd_samples = np.arange(len(images)) % 2.0
 
-    def losses():
-        x = T.relu(T.conv2d(Tensor(images), kernels["down"], stride=2, padding=1))
-        x = T.scale_channels(x, T.sigmoid(T.conv1d_channel(T.global_avg_pool(x), eca)))
+    def losses(idx):
+        x = T.relu(T.conv2d(Tensor(images[idx]), kernels["down"], stride=2, padding=1))
+        x = T.scale_channels(x, T.sigmoid(T.conv1d_channel(T.global_avg_pool(x),
+                                                           params["eca"])))
         x = T.relu(T.conv2d(x, kernels["twice"], stride=1, padding=1))
         x = T.conv2d(x, kernels["twice"], stride=1, padding=1)
         odd = T.conv2d(x, kernels["odd"], stride=1, padding=0)
         return T.add(row_sums(T.mul(x, x)),
-                     T.mul(odd_samples, row_sums(T.mul(odd, odd))))
+                     T.mul(Tensor(odd_samples[idx]), row_sums(T.mul(odd, odd))))
 
-    dense = T.per_sample_gradients(losses(), {**kernels, "eca": eca})
-    records = {name: T.KernelFactors(k) for name, k in kernels.items()}
-    rowed = T.per_sample_gradients(losses(), {"eca": eca}, factored=records)
-    for name, record in records.items():
-        assert kernels[name].grad is None
-        dy, cols, owner = record.stacked()
-        cout = kernels[name].shape[0]
-        for i in range(len(images)):
-            mine = owner == i
-            rebuilt = (dy[:, mine] @ cols[:, mine].T).reshape(kernels[name].shape)
-            np.testing.assert_allclose(rebuilt, dense[i][name], rtol=1e-12, atol=0)
-        assert dy.shape[0] == cout and cols.shape[1] == dy.shape[1] == owner.size
-    # one record per image and application, the later application first
-    assert records["twice"].owner == [0, 1, 2, 3, 0, 1, 2, 3]
-    assert records["odd"].owner == [0, 1, 2, 3]
-    assert not dense[0]["odd"].any() and not dense[2]["odd"].any()
-    assert records["unused"].owner == []
-    for i in range(len(images)):
-        np.testing.assert_array_equal(rowed[i]["eca"], dense[i]["eca"])
+    everyone = list(range(len(images)))
+    want = batch_of_one_gradients(losses, everyone, params)
+    factors = T.per_sample_gradients(losses(everyone), params)
+    for i, grads in enumerate(gradients_from_factors(factors, params, len(images))):
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, want[i][name], rtol=1e-12, atol=0)
+    assert not want[0]["odd"].any() and not want[2]["odd"].any()
+    left, right, owner = factors
+    for name, k in params.items():
+        assert k.grad is None
+        assert left[name].shape[1] == right[name].shape[1] == owner[name].size
+    # a conv kernel: one record per image and application, the later
+    # application first, with a column per output position (4x4 here)
+    assert left["down"].shape == (3, 4 * 16) and right["down"].shape == (18, 4 * 16)
+    np.testing.assert_array_equal(owner["twice"], np.repeat([0, 1, 2, 3] * 2, 16))
+    np.testing.assert_array_equal(owner["odd"], np.repeat([0, 1, 2, 3], 16))
+    # conv1d_channel's kernel: the per-sample rows and ones, a column each
+    assert left["eca"].shape == (3, 4) and right["eca"].shape == (1, 4)
+    np.testing.assert_array_equal(right["eca"], 1.0)
+    np.testing.assert_array_equal(owner["eca"], [0, 1, 2, 3])
+    # no sample reaches it: zero-width factors
+    assert left["unused"].shape == (2, 0) and right["unused"].shape == (18, 0)
+    assert owner["unused"].shape == (0,) and owner["unused"].dtype == np.int64
 
 
 def test_per_sample_gradient_factors_need_conv_only_kernels():
@@ -391,10 +376,10 @@ def test_per_sample_gradient_factors_need_conv_only_kernels():
         return T.add(row_sums(y), row_sums(T.reshape(k, (2, 9))))
 
     with pytest.raises(TapeError):
-        T.per_sample_gradients(losses(), {}, factored={"k": T.KernelFactors(k)})
+        T.per_sample_gradients(losses(), {"k": k})
+    assert k.grad is None
     with pytest.raises(ParameterError):
-        T.per_sample_gradients(losses(), {"k": k},
-                               factored={"k": T.KernelFactors(k)})
+        T.per_sample_gradients(losses(), {"k": k, "again": k})
     # the recording ends with the call: a later backward fills .grad again
     k.zero_grad()
     T.tsum(T.conv2d(image, k, padding=1)).backward()
@@ -408,31 +393,27 @@ def test_per_sample_gradients_reject_detached():
 
 def test_per_sample_gradients_from_one_batched_backward():
     # a stride-2 stage, padding 1 and channel attention; the class loss
-    # never reaches head.reg.*, whose rows stay zero
+    # never reaches head.reg.*, whose factors have no columns
     rng = np.random.default_rng(18)
     net = AestheticNet(rng, stem_channels=4, stage_channels=(4, 6), head_width=8)
     images = rng.normal(size=(5, 3, 8, 8))
     labels = rng.integers(0, 10, size=5)
-    convs = [n for n, p in net.params.items() if p.data.ndim == 4]
-    rest = {n: p for n, p in net.params.items() if n not in convs}
 
-    def record(idx):
-        losses = T.cross_entropy_logits(net.forward(Tensor(images[idx])), labels[idx])
-        factors = {n: T.KernelFactors(net.params[n]) for n in convs}
-        rows = T.per_sample_gradients(losses, rest, factored=factors)
-        return rows, {n: f.stacked() for n, f in factors.items()}
+    def losses(idx):
+        return T.cross_entropy_logits(net.forward(Tensor(images[idx])), labels[idx])
 
-    rows, factors = record(np.arange(5))
-    for i in range(5):
-        one_rows, one_factors = record([i])
-        for n in rest:
-            np.testing.assert_allclose(rows[i][n], one_rows[0][n], rtol=1e-12, atol=0)
-        for n, (dy, cols, owner) in factors.items():
-            one_dy, one_cols, _ = one_factors[n]
-            np.testing.assert_allclose(dy[:, owner == i], one_dy, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(cols[:, owner == i], one_cols, rtol=1e-12, atol=0)
+    factors = T.per_sample_gradients(losses(np.arange(5)), net.params)
+    want = batch_of_one_gradients(losses, range(5), net.params)
+    for i, grads in enumerate(gradients_from_factors(factors, net.params, 5)):
+        for n, g in grads.items():
+            np.testing.assert_allclose(g, want[i][n], rtol=1e-12, atol=0)
+    left, right, owner = factors
+    # matmul's right operand: the input rows and output gradients, a
+    # column per sample
+    assert left["head.class.w"].shape == (8, 5) and right["head.class.w"].shape == (10, 5)
+    np.testing.assert_array_equal(owner["head.class.w"], np.arange(5))
     for n in ("head.reg.w", "head.reg.b"):
-        assert not any(g[n].any() for g in rows)
+        assert left[n].shape[1] == right[n].shape[1] == owner[n].size == 0
 
     # a recorded parameter reaching the loss through any other op, or
     # meeting a batch that is not the loss's samples, is refused

@@ -17,6 +17,8 @@ from amcr.training import (TrainSettings, _Cycler, cache_features,
                            reg_loss_fn, train_model)
 from amcr.tensor import Tensor
 
+from helpers import batch_of_one_gradients
+
 
 def line_losses(p, xs, ts):
     """(a*x + b - t)^2 of each sample, as one graph over the batch; a is
@@ -242,7 +244,7 @@ def test_frozen_step_gradient_is_weighted_per_sample_sum(normalize,
 
     # the reference at the starting parameters: sum_i c_i g_i
     losses = loss_fn(pts, None)
-    rows = T.per_sample_gradients(losses, model.params)
+    rows = batch_of_one_gradients(lambda b: loss_fn(b, None), pts, model.params)
     weights, _ = weight_coefficients(
         mrn_forward(losses.data, mrn).data, normalize)
     coeff = dict(zip((p.id for p in pts), weights))
