@@ -197,16 +197,14 @@ class AestheticNet:
         linear("head.reg", self.head_width, 1)
         return layout
 
-    def trainable_names(self, phase: str = "all"):
-        """Parameter names updated in a phase: classification trains
-        everything but the regression head; regression trains only it."""
-        if phase == "all":
-            return list(self.params)
-        if phase == "class":
-            return [n for n in self.params if not n.startswith("head.reg")]
-        if phase == "reg":
-            return [n for n in self.params if n.startswith("head.reg")]
-        raise ParameterError(f"unknown phase {phase!r}")
+    def trainable_names(self, loss: str):
+        """Parameter names that a loss reaches: the class loss ("class")
+        everything but the regression head, the regression loss ("reg")
+        everything but the class head."""
+        if loss not in ("class", "reg"):
+            raise ParameterError(f"unknown loss {loss!r}")
+        other = "head.reg." if loss == "class" else "head.class."
+        return [n for n in self.params if not n.startswith(other)]
 
     def features(self, images, params=None) -> Tensor:
         """Pooled feature rows (N, head_width) of an (N,C,H,W) batch."""
@@ -224,18 +222,12 @@ class AestheticNet:
         x = T.relu(T.conv2d(x, p["head.reduce.w"], stride=1, padding=1))
         return T.global_avg_pool(x)
 
-    def score(self, x, params=None) -> Tensor:
-        """Regression scores (N,) of an (N,C,H,W) batch or of cached
-        (N, head_width) feature rows; rows skip the backbone, and the
-        class head is not evaluated."""
+    def score(self, images, params=None) -> Tensor:
+        """Regression scores (N,) of an (N,C,H,W) batch; the class head is
+        not evaluated."""
         p = self.params if params is None else {**self.params, **params}
-        x = T.as_tensor(x)
-        if x.data.ndim != 2:
-            x = self.features(x, params)
-        elif x.shape[1] != self.head_width:
-            raise ShapeError(f"expected (N,{self.head_width}) features, got {x.shape}")
-        return T.reshape(T.add_rowvec(
-            T.matmul(x, p["head.reg.w"]), p["head.reg.b"]), (-1,))
+        x = T.matmul(self.features(images, params), p["head.reg.w"])
+        return T.reshape(T.add_rowvec(x, p["head.reg.b"]), (-1,))
 
     def forward(self, images, params=None) -> Tensor:
         """Class logits (N, num_classes) of an (N,C,H,W) batch; the

@@ -20,6 +20,15 @@ import numpy as np
 # conv shapes whose tap-index maps stay cached; a model has a handful
 TAP_INDEX_SHAPES = 64
 
+
+def off_heap(a: np.ndarray) -> np.ndarray:
+    """A copy of `a` in an anonymous mapping of its own, not heap memory:
+    a block that outlives training and sits on the heap above what
+    training freed keeps all of that resident."""
+    out = np.frombuffer(mmap.mmap(-1, a.nbytes), dtype=a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
+
 # ---------------------------------------------------------------------------
 # conv2d: x (Cin, H, W) * k (Cout, Cin, kh, kw) -> (Cout, Ho, Wo)
 
@@ -38,12 +47,8 @@ def _tap_index(cin, h, w, kh, kw, stride, pad):
     x = (np.arange(kw) - pad)[:, None, None] + stride * np.arange(wo)
     inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)  # (kh, kw, ho, wo)
     pixel = (np.arange(cin) * (h * w))[:, None, None, None, None] + y * w + x
-    idx = np.where(inside, pixel, cin * h * w).reshape(cin * kh * kw, ho * wo)
-    # an anonymous mapping of its own, not heap memory: a long-lived block
-    # allocated midway through training, when the heap is at its largest,
-    # keeps every heap page below it resident after training frees them
-    out = np.frombuffer(mmap.mmap(-1, idx.size * 8), dtype=np.int64).reshape(idx.shape)
-    out[...] = idx
+    # cached from midway through training, when the heap is at its largest
+    out = off_heap(np.where(inside, pixel, cin * h * w).reshape(cin * kh * kw, ho * wo))
     out.flags.writeable = False
     return out
 

@@ -22,11 +22,6 @@ batch:
      parameters take an Adam step on grad = sum_i c_i g_i, reusing the
      cached g_i (w has not moved since they were taken).
 
-A MetaState always learns Theta. A network that is no longer learned is
-a fixed map from loss to weight: `fixed_weighting` gives its
-coefficients c_i on detached losses, with no meta set and no lookahead,
-and training.train_model takes one step on sum_i c_i L_i with them.
-
 The cached g_i all come from one backward of the batch's loss vector,
 and are never formed whole: tensor.per_sample_gradients keeps every
 trainable parameter's as two factors stacked over the batch, left L
@@ -75,10 +70,10 @@ def weight_coefficients(values: np.ndarray, normalize: bool):
 
 
 def fixed_weighting(loss_values, mrn: Mrn, normalize: bool):
-    """Weights v_i of a reweighting network held fixed, evaluated on the
-    detached per-sample losses without building a graph, and their loss
-    coefficients c_i (see weight_coefficients). Returns (v, c) as arrays.
-    """
+    """Weights v_i of a reweighting network held fixed (main_step's, or
+    training.solve_reg_head's), evaluated on the detached per-sample
+    losses without a graph, and their loss coefficients c_i (see
+    weight_coefficients). Returns (v, c) as arrays."""
     with T.no_grad():
         v = mrn_forward(loss_values, mrn)
     coeff, _ = weight_coefficients(v.data, normalize)

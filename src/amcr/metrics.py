@@ -35,16 +35,9 @@ def mae(pred, truth) -> float:
 def ranks(values) -> np.ndarray:
     """1-based ranks with tied values sharing their average rank."""
     x = np.asarray(values, dtype=np.float64).reshape(-1)
-    order = np.argsort(x, kind="stable")
-    out = np.empty(x.size)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        out[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return out
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    # a group of k ties ending at rank r holds ranks r-k+1 .. r
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def srocc(pred, truth) -> float:

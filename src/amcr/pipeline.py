@@ -4,17 +4,16 @@ classification-then-regression training, and fused scoring.
 Three variants share one backbone architecture:
 
   r    one regressor trained end to end on raw scores.
-  cr   ten-class training first, then the regression head on the frozen
-       backbone's features.
+  cr   ten-class training first, then the regression head solved in
+       closed form on the frozen backbone's features.
   pcr  a binary classifier routes every sample to one of two branches by
        its own prediction (not the ground-truth label); each branch is a
        cr-style regressor, and scores fuse with the all-data regressor.
 
-Every stage is reweighted exactly when it is handed a meta set: then
-`train_model` draws and learns the loss-to-weight network. A branch
-learns it during the classification phase and reuses it frozen for the
-regression phase, where it is a fixed loss weighting that needs no meta
-set.
+Every trained stage is reweighted exactly when it is handed a meta set:
+then `train_model` draws and learns the loss-to-weight network. A branch
+learns it during the classification phase, and the regression solve
+reuses it as a fixed loss weighting that needs no meta set.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from . import training as TR
 from .data import drop_mid_scores, make_amdc, ten_class_label
 from .errors import ConfigError, DataError
 from .image import aab_prepare, preprocess_crop, preprocess_resize
+from .kernels import off_heap
 from .metrics import evaluate_scores
 from .training import TrainSettings, train_model
 
@@ -58,10 +58,12 @@ def prepare_image(img, prep: str, crop_side: int, square_side: int):
 
 def prepare_images(samples, base_dir, prep: str, *, crop_side: int = 32,
                    square_side: int = 64) -> dict:
-    """Load and preprocess every sample once; id -> (C,H,W) float array."""
-    return {s.id: prepare_image(pnm.load_pnm(os.path.join(base_dir, s.path)),
-                                prep, crop_side, square_side)
-            for s in samples}
+    """Load and preprocess every sample once; id -> (C,H,W) float array,
+    each off the heap (kernels.off_heap), which training's small blocks
+    would otherwise keep resident once the images are freed."""
+    return {s.id: off_heap(prepare_image(
+        pnm.load_pnm(os.path.join(base_dir, s.path)), prep, crop_side,
+        square_side)) for s in samples}
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +117,9 @@ class SplitAssignment:
 def pseudo_split(model, train, valid, images) -> SplitAssignment:
     """Route every sample by the classifier's own prediction.
 
-    Ground-truth scores play no part; a branch left empty only produces
-    a warning here, the fallback happens at fuse time.
+    Ground-truth scores play no part. A branch left empty only warns here;
+    run_pipeline trains no model (None) for a branch under one batch, and
+    fuse_score scores that branch's inputs with r_all alone.
     """
     routed = [*train, *valid]
     labels = TR.predict_class(model, [images[s.id] for s in routed]) >= 1
@@ -143,9 +146,10 @@ def train_branch(model, train, valid, images, class_settings: TrainSettings,
     on frozen features.
 
     Phase 1 keeps the regression head untouched and, given a meta set,
-    learns a loss-to-weight network; phase 2 trains only the regression
-    head, with the backbone, class head and phase 1's network all
-    frozen. Returns the phase results as a dict.
+    learns a loss-to-weight network. Phase 2 is one least-squares solve
+    of the regression head (training.solve_reg_head), weighted by phase
+    1's network if any; it draws nothing from `rng`. Returns the phase
+    results as a dict.
     """
     if len(train) < class_settings.batch_size or len(train) < reg_settings.batch_size:
         raise DataError(
@@ -161,11 +165,8 @@ def train_branch(model, train, valid, images, class_settings: TrainSettings,
 
     # the backbone is frozen now, so each image collapses to one feature row
     feats = TR.cache_features(model, [*train, *valid], images)
-    reg_loss = TR.reg_loss_fn(model, feats)
-    reg_valid = lambda: TR.eval_reg_feature_mse(model, valid, feats)
-    phase2 = train_model(model, reg_loss, train, reg_valid, reg_settings, rng,
-                         trainable=model.trainable_names("reg"),
-                         metric_mode="lower", frozen_mrn=phase1.mrn)
+    phase2 = TR.solve_reg_head(model, train, valid, feats, reg_settings,
+                               phase1.mrn)
     return {"class": phase1, "reg": phase2}
 
 
@@ -237,7 +238,8 @@ def run_pipeline(variant: str, train, valid, images, model_factory,
         valid_fn = lambda: TR.eval_reg_mse(model, valid, images)
         art.history["r"] = train_model(
             model, loss_fn, train, valid_fn, reg_settings, rng,
-            metric_mode="lower", meta_samples=meta_samples)
+            trainable=model.trainable_names("reg"), metric_mode="lower",
+            meta_samples=meta_samples)
         art.r_all = model
         return art
 

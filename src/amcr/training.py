@@ -1,7 +1,7 @@
-"""Training loop shared by every stage: one Adam step per batch on a
-weighted batch loss (uniform, or from a fixed reweighting network), or
-the three-stage iteration that learns the reweighting network, both with
-plateau learning rate halving and best-validation parameter tracking."""
+"""Training loop shared by every stage: one Adam step per batch on the
+mean batch loss, or the three-stage iteration that learns the reweighting
+network, both with plateau learning rate halving and best-validation
+parameter tracking; and the closed-form regression head on frozen features."""
 
 from dataclasses import dataclass, field
 
@@ -77,32 +77,27 @@ class _Cycler:
 
 
 def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings,
-                rng, *, trainable=None, metric_mode="lower", meta_samples=None,
-                frozen_mrn=None) -> TrainResult:
+                rng, *, trainable=None, metric_mode="lower",
+                meta_samples=None) -> TrainResult:
     """Fit `trainable` parameters of `model` and leave the best-validation
     values in place.
 
     loss_fn(batch, override) must return the per-sample loss vector;
     valid_fn() the validation metric (metric_mode says which direction
     improves). Without meta_samples every batch takes one backward and
-    one Adam step on sum_i c_i L_i: c_i = 1/n for plain training, or,
-    given frozen_mrn, the coefficients of that network's weights on the
-    detached losses (meta.fixed_weighting), which no step changes.
-    Given meta_samples instead, training is reweighted and learned: the
-    loss-to-weight network is drawn from `rng`, and every batch runs the
+    one Adam step on the mean loss. Given meta_samples, training is
+    reweighted and learned: the loss-to-weight network is drawn from
+    `rng`, returned on `TrainResult.mrn`, and every batch runs the
     three-stage meta.MetaState iteration against batches cycled from
-    meta_samples. `TrainResult.mrn` returns the network of either mode.
+    meta_samples.
     """
     settings.validate()
-    if meta_samples is not None and frozen_mrn is not None:
-        raise ParameterError(
-            "a frozen reweighting network takes no meta set; pass one or the other")
     train_samples = list(train_samples)
     if not train_samples:
         raise DataError("empty training set")
     params = model.params
     trainable = list(params) if trainable is None else list(trainable)
-    result = TrainResult(mrn=frozen_mrn)
+    result = TrainResult()
 
     state = None
     if meta_samples is not None:
@@ -129,27 +124,17 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
             if state is not None:
                 weights = state.meta_iteration(batch, meta_cycler.next())
                 losses = state.last_losses
+                result.sample_weights.update(zip([s.id for s in batch],
+                                                 weights.tolist()))
             else:
                 loss_vector = loss_fn(batch, None)
                 losses = loss_vector.data
-                if frozen_mrn is None:
-                    weights = None
-                    coeff = np.full(len(batch), 1.0 / len(batch))
-                else:
-                    weights, coeff = fixed_weighting(
-                        losses, frozen_mrn, settings.normalize_weights)
-                total = T.tsum(T.mul(loss_vector, Tensor(coeff)))
                 for name in trainable:
                     params[name].zero_grad()
-                total.backward()
-                grads = {}
-                for name in trainable:
-                    g = params[name].grad
-                    grads[name] = np.zeros_like(params[name].data) if g is None else g
-                optimizer.step(params, grads)
-            if weights is not None:
-                result.sample_weights.update(zip([s.id for s in batch],
-                                                 weights.tolist()))
+                T.tmean(loss_vector).backward()
+                optimizer.step(params, {
+                    n: np.zeros_like(params[n].data) if params[n].grad is None
+                    else params[n].grad for n in trainable})
             epoch_loss += float(np.sum(losses))
             seen += len(batch)
             result.iterations += 1
@@ -158,16 +143,58 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
             result.best_metric = value
             best_params = {n: params[n].data.copy() for n in trainable}
         scheduler.observe(value)
-        result.history.append({
-            "epoch": epoch,
-            "train_loss": epoch_loss / max(seen, 1),
-            "valid": value,
-            "lr": optimizer.lr,
-        })
+        result.history.append({"epoch": epoch, "valid": value, "lr": optimizer.lr,
+                               "train_loss": epoch_loss / max(seen, 1)})
     # leave the best-validation parameters on the model
     for name, value in best_params.items():
         params[name].data = value
     return result
+
+
+# ---------------------------------------------------------------------------
+# closed-form regression head
+
+
+# a reweighted solve stops once no coefficient moves by more than
+# SOLVE_TOL of the largest, or after SOLVE_ROUNDS solves
+SOLVE_ROUNDS, SOLVE_TOL = 50, 1e-12
+
+
+def solve_reg_head(model, train, valid, feats: dict, settings: TrainSettings,
+                   mrn=None) -> TrainResult:
+    """Set `head.reg.{w,b}` to the minimizer of the objective full-batch
+    Adam with coupled decay descends, sum_i c_i (x_i . theta - y_i)^2 +
+    (lambda/2)|theta|^2 with theta = [w; b], x_i = [feats[id_i]; 1] and
+    lambda = weight_decay: the min-norm least-squares solution of the
+    sqrt(c_i)-scaled rows over sqrt(lambda/2) I. c_i = 1/n; with a fixed
+    `mrn`, c_i come from its weights on the solved head's losses, solved
+    again until they settle. Returns no iterations, the valid MSE and one
+    history record (rounds, settled, valid)."""
+    x = np.array([np.append(feats[s.id], 1.0) for s in train])
+    y = np.array([s.score for s in train])
+    ridge = np.sqrt(settings.weight_decay / 2.0) * np.eye(x.shape[1])
+    weights, coeff = None, np.full(len(y), 1.0 / len(y))
+    for rounds in range(1, SOLVE_ROUNDS + 1):
+        root = np.sqrt(coeff)
+        theta = np.linalg.lstsq(np.vstack([x * root[:, None], ridge]), np.append(
+            y * root, np.zeros(len(ridge))), rcond=None)[0]
+        settled = mrn is None
+        if not settled:
+            residual = x @ theta - y
+            weights, new = fixed_weighting(residual * residual, mrn,
+                                           settings.normalize_weights)
+            settled = bool(np.max(np.abs(new - coeff)) <= SOLVE_TOL * np.max(new))
+            coeff = new
+        if settled:
+            break
+    w, b = model.params["head.reg.w"], model.params["head.reg.b"]
+    w.data, b.data = theta[:-1].reshape(w.shape), theta[-1:]
+    rows = np.array([np.append(feats[s.id], 1.0) for s in valid])
+    mse = metrics.mse(rows @ theta, [s.score for s in valid])
+    return TrainResult(best_metric=mse, mrn=mrn, history=[
+        {"rounds": rounds, "settled": settled, "valid": mse}],
+        sample_weights={} if mrn is None else dict(zip([s.id for s in train],
+                                                        weights.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +233,11 @@ def class_loss_fn(model, images: dict, labels_of):
     return fn
 
 
-def reg_loss_fn(model, inputs: dict):
+def reg_loss_fn(model, images: dict):
     """Per-sample squared error through the model's regression head, one
-    graph per batch; `inputs` maps sample id to an image or to its cached
-    feature vector."""
+    graph per batch; `images` maps sample id to an image."""
     def fn(batch, override):
-        d = T.sub(model.score(_stacked(inputs, batch), override),
+        d = T.sub(model.score(_stacked(images, batch), override),
                   Tensor(np.array([s.score for s in batch], dtype=np.float64)))
         return T.mul(d, d)
     return fn
@@ -229,27 +255,21 @@ def predict_class(model, inputs) -> np.ndarray:
 
 
 def predict_score(model, inputs) -> np.ndarray:
-    """Regression score of each image or cached feature vector in the
-    list `inputs`."""
+    """Regression score of each image in the list `inputs`."""
     return _no_grad_rows(model.score, inputs)
 
 
 def eval_class_accuracy(model, samples, images: dict, labels_of) -> float:
-    if not samples:
-        raise DataError("empty validation set")
     preds = predict_class(model, [images[s.id] for s in samples])
     hits = int(np.sum(preds == labels_of(samples)))
     return hits / len(samples)
 
 
-def eval_reg_mse(model, samples, inputs: dict) -> float:
-    """Mean squared score error over images or cached feature vectors."""
-    if not samples:
-        raise DataError("empty validation set")
-    preds = predict_score(model, [inputs[s.id] for s in samples])
+def eval_reg_mse(model, samples, images: dict) -> float:
+    """Mean squared score error over images."""
+    preds = predict_score(model, [images[s.id] for s in samples])
     return metrics.mse(preds, [s.score for s in samples])
 
 
-# phase 2 of pipeline.train_branch validates through this name, which
-# perfbench/tracing.py looks up to time feature-cache validation
+# nothing in amcr calls this name now; perfbench/tracing.py wraps it
 eval_reg_feature_mse = eval_reg_mse

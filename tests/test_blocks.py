@@ -249,16 +249,15 @@ def test_net_forward_shapes():
     assert net.features(img).shape == (2, 8)
 
 
-def test_net_feature_vector_skips_backbone():
+def test_net_heads_take_image_batches_only():
     net = small_net(np.random.default_rng(19))
     img = np.random.default_rng(20).standard_normal((2, 3, 16, 16))
-    feat = net.features(img)
-    np.testing.assert_array_equal(net.score(feat.data).data, net.score(img).data)
-    with pytest.raises(ShapeError):
-        net.score(np.zeros((2, 7)))
-    # the class head takes images only
-    with pytest.raises(ShapeError):
-        net.forward(feat.data)
+    feat = net.features(img).data
+    for head in (net.score, net.forward):
+        with pytest.raises(ShapeError):
+            head(feat)
+        with pytest.raises(ShapeError):
+            head(img[0])
 
 
 def test_net_score_is_forward_regression_output():
@@ -370,8 +369,7 @@ def test_batched_forward_equals_batch_of_one_forwards(kw):
     def outputs(batch):
         feats = net.features(batch).data
         return {"logits": net.forward(batch).data, "features": feats,
-                "scores": net.score(batch).data,
-                "cached scores": net.score(feats).data}
+                "scores": net.score(batch).data}
 
     batched = outputs(images)
     for i in range(len(images)):
@@ -385,12 +383,14 @@ def test_net_trainable_name_phases():
     names = set(net.params)
     cls = set(net.trainable_names("class"))
     reg = set(net.trainable_names("reg"))
-    assert reg == {"head.reg.w", "head.reg.b"}
-    assert cls | reg == names
-    assert cls & reg == set()
-    assert set(net.trainable_names("all")) == names
-    with pytest.raises(ParameterError):
-        net.trainable_names("warmup")
+    # each loss trains what it reaches: its own head and the backbone
+    assert names - cls == {"head.reg.w", "head.reg.b"}
+    assert names - reg == {"head.class.w", "head.class.b"}
+    assert cls & reg == names - {"head.reg.w", "head.reg.b",
+                                 "head.class.w", "head.class.b"}
+    for loss in ("all", "warmup"):
+        with pytest.raises(ParameterError):
+            net.trainable_names(loss)
 
 
 def test_net_forward_full_gradient_matches_fd():

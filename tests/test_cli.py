@@ -423,7 +423,7 @@ def test_train_binary_removes_what_the_previous_router_split(tmp_path, capsys):
     assert main(["evaluate"] + run) == 0
 
 
-# cr reuses its learned reweighting network frozen in the regression phase
+# cr weights its regression solve by its learned reweighting network
 @pytest.mark.parametrize("variant", ["r", "cr"])
 def test_train_with_reweighting_reruns_byte_identical(tmp_path, variant):
     checkpoints = []
@@ -436,6 +436,35 @@ def test_train_with_reweighting_reruns_byte_identical(tmp_path, variant):
         checkpoints.append({path.name: path.read_bytes()
                             for path in (out / "models").iterdir()})
     assert checkpoints[0] and checkpoints[0] == checkpoints[1]
+
+
+def readme_quick_start_config():
+    """The run.ini of the README's quick start, as written there."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("cat > run.ini <<'EOF'\n") + len("cat > run.ini <<'EOF'\n")
+    return text[start:text.index("\nEOF\n", start) + 1]
+
+
+@pytest.fixture(scope="module")
+def quick_start(tmp_path_factory):
+    return fresh_data(tmp_path_factory.mktemp("quick_start"),
+                      readme_quick_start_config())
+
+
+@pytest.mark.parametrize("variant", ["cr", "pcr"])
+def test_quick_start_predictions_spread(quick_start, variant, capsys):
+    # the README's own run must not end in a collapsed predictor
+    cfg, out = quick_start
+    run = ["--config", str(cfg), "--out", str(out), "--variant", variant]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # pcr's router may leave a branch empty
+        assert main(["train"] + run) == 0
+    assert main(["evaluate"] + run) == 0
+    warned = [line for line in capsys.readouterr().err.splitlines()
+              if "barely spread" in line]
+    assert warned == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 forwards, and hand-checkable cases come out exact."""
 
 import math
+import mmap
 import sys
 import threading
 
@@ -252,6 +253,17 @@ def test_tap_index_points_at_pixels_and_padding_at_zero_slot(
     # a padded image's border taps read the zero slot
     assert (idx == cin * h * w).any() == (pad > 0)
     assert not K.unfold(np.full((cin, h, w), 7.0), kh, kw, stride, pad)[~real].any()
+
+
+def test_off_heap_copies_into_a_mapping_of_its_own():
+    a = np.arange(24, dtype=np.int64).reshape(2, 3, 4)
+    out = K.off_heap(a)
+    assert out.dtype == a.dtype and out.shape == a.shape
+    np.testing.assert_array_equal(out, a)
+    base = out
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base.obj, mmap.mmap)  # frombuffer wraps a memoryview
 
 
 def test_tap_index_is_read_only():

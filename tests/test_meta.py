@@ -1,6 +1,7 @@
 """Bilevel reweighting: coefficient algebra, the three-stage state
-machine, exact meta-gradients against finite differences, the frozen-
-baseline reduction, and balanced meta-set construction."""
+machine, exact meta-gradients against finite differences, the zero-
+network reduction of the reweighted regression solve, and balanced
+meta-set construction."""
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from amcr import meta
 from amcr import tensor as T
 from amcr.blocks import AestheticNet, Mrn, mrn_forward
 from amcr.errors import DataError, ParameterError, StateError
-from amcr.data import segment_of
+from amcr.data import Sample, segment_of
 from amcr.meta import (EPS_NORMALIZE, MetaState, build_meta_set,
                        weight_coefficients)
 from amcr.optim import Adam
 from amcr.tensor import Tensor
-from amcr.training import TrainSettings, train_model
+from amcr.training import TrainSettings, cache_features, solve_reg_head
 
 from helpers import (batch_of_one_gradients, gradients_from_factors,
                      numerical_grad, rel_err)
@@ -242,41 +243,42 @@ def test_meta_iteration_returns_weights_and_counts():
 
 
 # ---------------------------------------------------------------------------
-# reduction: a frozen zero Theta in plain mode == plain training on the
-# half-scaled loss
+# reduction: a zero Theta weights every sample alike, so the reweighted
+# solve of the regression head is the uniform solve
 
 
-class Target:
-    def __init__(self, i, t):
-        self.id = f"t{i}"
-        self.t = float(t)
+def test_zero_mrn_solve_is_the_uniform_solve():
+    rng = np.random.default_rng(3)
+    net = AestheticNet(rng, stem_channels=4, stage_channels=(4,), head_width=8)
+    scores = rng.uniform(0.0, 10.0, 12)
+    samples = [Sample(f"z{i}", f"z{i}.ppm", float(t), int(t >= 5.0))
+               for i, t in enumerate(scores)]
+    images = {s.id: rng.uniform(0, 1, (3, 8, 8)) for s in samples}
+    feats = cache_features(net, samples, images)
+    head = ("head.reg.w", "head.reg.b")
+    start = {n: net.params[n].data.copy() for n in head}
 
+    def solve(settings, mrn):
+        for name, value in start.items():
+            net.params[name].data = value
+        result = solve_reg_head(net, samples, samples, feats, settings, mrn)
+        return result, np.concatenate([net.params[n].data.ravel() for n in head])
 
-def test_reduction_to_half_weighted_adam():
-    cfg = TrainSettings(epochs=5, batch_size=8, lr=0.03, weight_decay=1e-4,
-                        normalize_weights=False)
-    targets = np.random.default_rng(3).uniform(0.0, 6.0, 37)
-    samples = [Target(i, t) for i, t in enumerate(targets)]
-
-    def fit(scale, frozen_mrn):
-        model = ToyModel(3.0)
-        toy = toy_loss_fn(model)
-
-        def loss_fn(batch, override):
-            losses = toy([s.t for s in batch], override)
-            return T.mul(losses, Tensor(np.full(len(batch), scale)))
-
-        epochs = iter(range(cfg.epochs))  # every epoch improves: keep the last
-        train_model(model, loss_fn, samples, lambda: -next(epochs), cfg,
-                    np.random.default_rng(0), metric_mode="lower",
-                    frozen_mrn=frozen_mrn)
-        return model.params["w"].data
-
-    # v_i = 0.5 gives c_i = 0.5/n, which is 0.5 * (1/n) exactly
-    frozen = fit(1.0, Mrn(hidden=4))
-    plain = fit(0.5, None)
-    assert frozen[0] != 3.0
-    np.testing.assert_array_equal(frozen, plain)  # bitwise
+    # normalized: c_i = 0.5/(0.5 n + eps), a uniform scale that the
+    # undecayed solve does not see
+    settings = TrainSettings(weight_decay=0.0, normalize_weights=True)
+    zero, theta = solve(settings, Mrn(hidden=4))
+    _, uniform = solve(settings, None)
+    # the first solve is uniform, the second weighted, and then c is fixed
+    assert zero.history == [{"rounds": 2, "settled": True,
+                             "valid": zero.best_metric}]
+    assert set(zero.sample_weights.values()) == {0.5}
+    np.testing.assert_allclose(theta, uniform, rtol=1e-12, atol=1e-12)
+    # plain: c_i = 0.5/n halves the loss, which doubles the decay
+    _, half = solve(TrainSettings(weight_decay=1e-2, normalize_weights=False),
+                    Mrn(hidden=4))
+    _, doubled = solve(TrainSettings(weight_decay=2e-2), None)
+    np.testing.assert_allclose(half, doubled, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
+from amcr import pipeline
 from amcr.blocks import AestheticNet
 from amcr.data import Sample, binarize_label, ten_class_label
 from amcr.errors import ConfigError, DataError
-from amcr.pipeline import (PipelineArtifacts, fuse_score, prepare_images,
-                           pseudo_split, run_ablation, run_pipeline,
-                           train_binary, train_branch)
-from amcr.pnm import save_pnm
+from amcr.pipeline import (PipelineArtifacts, SplitAssignment, fuse_score,
+                           prepare_image, prepare_images, pseudo_split,
+                           run_ablation, run_pipeline, train_binary,
+                           train_branch)
+from amcr.pnm import load_pnm, save_pnm
 from amcr.tensor import Tensor
 from amcr.training import TrainSettings, predict_class, predict_score
 
@@ -119,6 +121,24 @@ def test_prepare_images_all_modes(tmp_path):
         prepare_images(samples, str(tmp_path), "mosaic")
 
 
+def test_prepare_images_copies_each_image_as_prepared(tmp_path):
+    # the off-heap copies keep every image's shape and values, a gray one
+    # among color ones included, so the caller's channel check still sees it
+    rng = np.random.default_rng(20)
+    samples, want = [], {}
+    for i, channels in enumerate((3, 1, 3)):
+        sid = f"g{i}"
+        path = f"{sid}.{'ppm' if channels == 3 else 'pgm'}"
+        save_pnm(tmp_path / path, rng.uniform(0, 1, (channels, 6, 6)))
+        samples.append(Sample(sid, path, 5.0, 1))
+    images = prepare_images(samples, str(tmp_path), "crop", crop_side=4)
+    assert [images[s.id].shape for s in samples] == [(3, 4, 4), (1, 4, 4),
+                                                     (3, 4, 4)]
+    for s in samples:
+        np.testing.assert_array_equal(images[s.id], prepare_image(
+            load_pnm(str(tmp_path / s.path)), "crop", 4, 64))
+
+
 # ---------------------------------------------------------------------------
 # binary stage and routing
 
@@ -207,7 +227,7 @@ def test_train_branch_two_phases_and_freeze():
     # phase 2 only moves the regression head; phase 1 never touches it.
     # with one epoch each, any backbone drift comes from phase 1 alone.
     assert out["class"].iterations == 2   # one epoch of 8 samples, batch 4
-    assert out["reg"].iterations == 2
+    assert out["reg"].iterations == 0     # phase 2 is one solve
     reg_names = {n for n in model.params if n.startswith("head.reg")}
     moved = {n for n in model.params
              if not np.array_equal(model.params[n].data, before[n])}
@@ -225,6 +245,27 @@ def test_train_branch_reuses_phase_one_mrn_frozen():
                        meta_samples=samples[:4])
     assert out["class"].mrn is not None
     assert out["reg"].mrn is out["class"].mrn
+
+
+def test_train_branch_draws_nothing_after_phase_one(monkeypatch):
+    # phase 2 is a solve: it shuffles nothing, so the run's RNG leaves
+    # train_branch where phase 1 left it
+    rng = np.random.default_rng(18)
+    samples, images = spread_samples(rng, n=12)
+    model = tiny_factory(rng, 10)
+    after_phase_one = []
+    train_model = pipeline.train_model
+
+    def recording_train_model(*args, **kwargs):
+        result = train_model(*args, **kwargs)
+        after_phase_one.append(rng.bit_generator.state)
+        return result
+
+    monkeypatch.setattr(pipeline, "train_model", recording_train_model)
+    settings = fast_settings(meta_batch=4, mrn_hidden=4)
+    train_branch(model, samples[:8], samples[8:], images, settings, settings,
+                 rng, meta_samples=samples[:4])
+    assert after_phase_one == [rng.bit_generator.state]
 
 
 def test_train_branch_rejects_small_branches():
@@ -349,15 +390,28 @@ def test_run_pipeline_pcr_variant():
         art.c2, art.r0, art.r1, art.r_all, [img])[0]))]
 
 
-def test_run_pipeline_pcr_branch_fallback():
+def test_run_pipeline_pcr_branch_fallback(monkeypatch):
     rng = np.random.default_rng(12)
     samples, images = spread_samples(rng, n=12)
-    # batch size bigger than any plausible branch forces the fallback path
-    with pytest.warns(UserWarning, match="falling back"):
-        art = run_pipeline("pcr", samples[:8], samples[8:], images,
-                           tiny_factory, fast_settings(batch_size=8),
+    train, valid = samples[:8], samples[8:]
+
+    def halving_split(model, train, valid, images):
+        # whatever the router predicts, each branch gets half of the
+        # 8 train samples: less than one batch of 8
+        pseudo = {s.id: int(i >= 4) for i, s in enumerate(train)}
+        return SplitAssignment(pseudo, train[:4], train[4:], valid, [])
+
+    monkeypatch.setattr(pipeline, "pseudo_split", halving_split)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        art = run_pipeline("pcr", train, valid, images, tiny_factory,
+                           fast_settings(batch_size=8),
                            fast_settings(batch_size=8), rng)
+    assert [str(w.message) for w in caught] == [
+        f"branch {name} has 4 samples, falling back to the all-data regressor"
+        for name in ("r0", "r1")]
     assert art.r0 is None and art.r1 is None
+    assert set(art.history) == {"r_all", "c2"}
     img = images[samples[0].id]
     assert art.predict([img]) == pytest.approx(
         [min(10.0, max(0.0, predict_score(art.r_all, [img])[0]))])

@@ -1,23 +1,21 @@
 """Shared training loop: convergence on toy problems, best-checkpoint
-restoration, reweighted mode, and the loss/eval helpers."""
+restoration, reweighted mode, the loss/eval helpers, and the closed-form
+regression head."""
 
 import numpy as np
 import pytest
 
 from amcr import tensor as T
 from amcr import training
-from amcr.blocks import AestheticNet, Mrn, mrn_forward
+from amcr.blocks import AestheticNet, Mrn
 from amcr.data import Sample
 from amcr.errors import DataError, ParameterError
-from amcr.meta import weight_coefficients
-from amcr.optim import Adam
+from amcr.meta import fixed_weighting
 from amcr.training import (TrainSettings, _Cycler, cache_features,
                            class_loss_fn, eval_class_accuracy, eval_reg_mse,
-                           eval_reg_feature_mse, predict_class, predict_score,
-                           reg_loss_fn, train_model)
+                           predict_class, predict_score, reg_loss_fn,
+                           solve_reg_head, train_model)
 from amcr.tensor import Tensor
-
-from helpers import batch_of_one_gradients
 
 
 def line_losses(p, xs, ts):
@@ -171,17 +169,6 @@ def test_mrn_mode_needs_meta_samples():
                     TrainSettings(), np.random.default_rng(0), meta_samples=[])
 
 
-def test_meta_samples_and_frozen_mrn_are_exclusive():
-    # a frozen network is a fixed weighting; a meta set would mean
-    # learning it, so asking for both is refused
-    rng = np.random.default_rng(0)
-    model = LineModel()
-    with pytest.raises(ParameterError, match="one or the other"):
-        train_model(model, model.loss_fn(), [(0.0, 0.0)], lambda: 0.0,
-                    TrainSettings(), rng, meta_samples=[(0.0, 0.0)],
-                    frozen_mrn=Mrn(hidden=4, rng=rng))
-
-
 class Pt:
     def __init__(self, i, x, t):
         self.id = f"pt{i}"
@@ -215,73 +202,6 @@ def test_mrn_mode_records_sample_weights():
     assert isinstance(result.mrn, Mrn)
     assert set(result.sample_weights) == {p.id for p in pts}
     assert all(0.0 < w < 1.0 for w in result.sample_weights.values())
-
-
-def test_mrn_frozen_mode_keeps_network_fixed():
-    rng = np.random.default_rng(6)
-    model = LineModel()
-    pts = [Pt(i, x, t) for i, (x, t) in enumerate(line_data(rng, 16))]
-    mrn = Mrn(hidden=8, rng=rng)
-    before = {n: p.data.copy() for n, p in mrn.params.items()}
-    settings = TrainSettings(epochs=2, batch_size=8, lr=0.05, weight_decay=0.0)
-    result = train_model(model, point_loss_fn(model), pts, lambda: 0.0,
-                         settings, rng, metric_mode="lower", frozen_mrn=mrn)
-    assert result.mrn is mrn
-    for n, v in before.items():
-        np.testing.assert_array_equal(mrn.params[n].data, v)
-    assert set(result.sample_weights) == {p.id for p in pts}
-    assert all(0.0 < w < 1.0 for w in result.sample_weights.values())
-
-
-@pytest.mark.parametrize("normalize", [False, True])
-def test_frozen_step_gradient_is_weighted_per_sample_sum(normalize,
-                                                         monkeypatch):
-    rng = np.random.default_rng(16)
-    model = LineModel(a0=0.3, b0=-0.2)
-    pts = [Pt(i, x, t) for i, (x, t) in enumerate(line_data(rng, 6, noise=0.5))]
-    mrn = skewed_mrn(rng)
-    loss_fn = point_loss_fn(model)
-
-    # the reference at the starting parameters: sum_i c_i g_i
-    losses = loss_fn(pts, None)
-    rows = batch_of_one_gradients(lambda b: loss_fn(b, None), pts, model.params)
-    weights, _ = weight_coefficients(
-        mrn_forward(losses.data, mrn).data, normalize)
-    coeff = dict(zip((p.id for p in pts), weights))
-    want = {n: sum(coeff[p.id] * g[n] for p, g in zip(pts, rows))
-            for n in model.params}
-
-    steps = []
-
-    class RecordingAdam(Adam):
-        def step(self, params, grads):
-            steps.append({n: g.copy() for n, g in grads.items()})
-            super().step(params, grads)
-
-    monkeypatch.setattr(training, "Adam", RecordingAdam)
-    settings = TrainSettings(epochs=1, batch_size=len(pts), lr=0.05,
-                             weight_decay=0.0, normalize_weights=normalize)
-    train_model(model, loss_fn, pts, lambda: 0.0, settings, rng,
-                metric_mode="lower", frozen_mrn=mrn)
-    assert len(steps) == 1
-    for n, g in want.items():
-        np.testing.assert_allclose(steps[0][n], g, rtol=1e-12, atol=0)
-
-
-def test_frozen_stage_draws_what_a_plain_stage_draws():
-    # a fixed weighting needs no meta batches, so the run's RNG moves
-    # exactly as in plain training
-    settings = TrainSettings(epochs=3, batch_size=4, lr=0.05, weight_decay=0.0)
-    pts = [Pt(i, x, t) for i, (x, t)
-           in enumerate(line_data(np.random.default_rng(17), 10))]
-    states = []
-    for frozen_mrn in (None, skewed_mrn(np.random.default_rng(18))):
-        model = LineModel()
-        rng = np.random.default_rng(19)
-        train_model(model, point_loss_fn(model), pts, lambda: 0.0, settings,
-                    rng, metric_mode="lower", frozen_mrn=frozen_mrn)
-        states.append(rng.bit_generator.state)
-    assert states[0] == states[1]
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +255,9 @@ def test_cached_features_match_live_forward():
     net = tiny_net(rng)
     samples, images = fixture_samples(rng)
     feats = cache_features(net, samples, images)
-    fn = reg_loss_fn(net, feats)
-    cached = fn(samples, None).data
-    live = reg_loss_fn(net, images)(samples, None).data
-    np.testing.assert_allclose(cached, live, rtol=0, atol=1e-12)
-    assert eval_reg_feature_mse(net, samples, feats) == \
-        pytest.approx(eval_reg_mse(net, samples, images), rel=1e-12)
+    live = net.features(np.stack([images[s.id] for s in samples])).data
+    np.testing.assert_allclose(np.stack([feats[s.id] for s in samples]), live,
+                               rtol=0, atol=1e-12)
 
 
 def test_eval_class_accuracy_counts_argmax_hits():
@@ -420,3 +337,92 @@ def test_eval_reg_mse_empty_rejected():
     net = tiny_net(rng)
     with pytest.raises(DataError):
         eval_reg_mse(net, [], {})
+
+
+# ---------------------------------------------------------------------------
+# closed-form regression head
+
+REG_HEAD = ("head.reg.w", "head.reg.b")
+
+
+def solve_fixture(seed=20, n=16):
+    """A tiny net, its samples, images and cached feature rows (a quarter
+    of their entries are ReLU zeros)."""
+    rng = np.random.default_rng(seed)
+    net = tiny_net(rng)
+    samples, images = fixture_samples(rng, n=n)
+    return net, samples, images, cache_features(net, samples, images)
+
+
+def reg_head(net):
+    return np.append(net.params["head.reg.w"].data, net.params["head.reg.b"].data)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "skewed-mrn"])
+def test_solved_head_zeroes_the_weighted_gradient(weighted):
+    # the solve is the stationary point of sum_i c_i L_i + (lambda/2)|theta|^2,
+    # with L_i taken through the live network on the images
+    lam = 1e-2
+    net, samples, images, feats = solve_fixture()
+    mrn = skewed_mrn(np.random.default_rng(21)) if weighted else None
+    settings = TrainSettings(weight_decay=lam)
+    result = solve_reg_head(net, samples, samples, feats, settings, mrn)
+    assert result.iterations == 0 and result.history[0]["settled"]
+    losses = reg_loss_fn(net, images)(samples, None)
+    if mrn is None:
+        coeff = np.full(len(samples), 1.0 / len(samples))
+    else:
+        weights, coeff = fixed_weighting(losses.data, mrn, settings.normalize_weights)
+        assert np.ptp(weights) > 0.1  # the weighting is far from uniform
+    for name in REG_HEAD:
+        net.params[name].zero_grad()
+    T.tsum(T.mul(losses, Tensor(coeff))).backward()
+    for name in REG_HEAD:
+        p = net.params[name]
+        assert np.abs(p.grad + lam * p.data).max() <= 1e-9, name
+
+
+def test_full_batch_adam_never_beats_the_solve():
+    lam = 1e-2
+    net, samples, images, feats = solve_fixture()
+    x = np.hstack([np.stack([feats[s.id] for s in samples]),
+                   np.ones((len(samples), 1))])
+    y = np.array([s.score for s in samples])
+
+    def objective():
+        theta = reg_head(net)
+        r = x @ theta - y
+        return float(np.mean(r * r) + 0.5 * lam * theta @ theta)
+
+    start = {n: net.params[n].data.copy() for n in REG_HEAD}
+    solve_reg_head(net, samples, samples, feats, TrainSettings(weight_decay=lam))
+    solved = objective()
+    for name, value in start.items():
+        net.params[name].data = value
+    seen = []
+    settings = TrainSettings(epochs=400, batch_size=len(samples), lr=0.1,
+                             weight_decay=lam, betas=(0.9, 0.999),
+                             plateau_patience=400)
+    train_model(net, reg_loss_fn(net, images), samples,
+                lambda: seen.append(objective()) or seen[-1], settings,
+                np.random.default_rng(0), trainable=list(REG_HEAD))
+    assert min(seen) >= solved - 1e-12 * solved
+    # and Adam gets there: both minimize the same objective
+    assert min(seen) <= solved + 1e-9 * solved
+
+
+def test_mrn_fixed_point_reproduces_its_weights():
+    net, samples, images, feats = solve_fixture()
+    mrn = skewed_mrn(np.random.default_rng(21))
+    settings = TrainSettings(weight_decay=1e-2)
+    result = solve_reg_head(net, samples, samples, feats, settings, mrn)
+    record = result.history[0]
+    assert record["settled"] and 1 < record["rounds"] < training.SOLVE_ROUNDS
+    assert result.mrn is mrn
+    assert list(result.sample_weights) == [s.id for s in samples]
+    losses = reg_loss_fn(net, images)(samples, None).data
+    weights, _ = fixed_weighting(losses, mrn, settings.normalize_weights)
+    np.testing.assert_allclose(
+        weights, [result.sample_weights[s.id] for s in samples], rtol=1e-12, atol=0)
+    assert record["valid"] == result.best_metric == pytest.approx(
+        eval_reg_mse(net, samples, images), rel=1e-12)
