@@ -329,25 +329,6 @@ def _warn_collapse(found, label=""):
         print(f"warning: {label}{message}", file=sys.stderr)
 
 
-def _train_branch_counts(args, samples) -> list:
-    """Train samples per router branch, read from the split.csv that
-    `train` or `pseudo-split` wrote; empty when there is none."""
-    path = os.path.join(args.out, "split.csv")
-    if not os.path.exists(path):
-        return []
-    train_ids = {s.id for s in D.split_of(samples, "train")}
-    counts = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["id", "pseudo_label"]:
-            raise FormatError(f"{path}: expected columns id,pseudo_label")
-        for row in reader:
-            if row["id"] in train_ids:
-                label = row["pseudo_label"]
-                counts[label] = counts.get(label, 0) + 1
-    return list(counts.values())
-
-
 def cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
     samples, images = _load_split_images(cfg, args)
@@ -368,9 +349,7 @@ def cmd_evaluate(args) -> int:
     print(f"test n={report.n} mse={report.mse:.4f} mae={report.mae:.4f} "
           f"srocc={report.srocc:.4f} acc={report.accuracy:.4f} "
           f"acc<=1={report.accuracy_err_le_1:.4f}")
-    branches = (_train_branch_counts(args, samples)
-                if cfg.pipeline_variant == "pcr" else [])
-    _warn_collapse(collapse_warnings(preds, truth, branches))
+    _warn_collapse(collapse_warnings(preds, truth))
     return 0
 
 
@@ -440,11 +419,8 @@ def cmd_ablate(args) -> int:
         print(f"{cell['variant']:>3} prep={cfg.model_prep} eca={eca} "
               f"mrn={'on' if cell['mrn'] else 'off'} "
               f"srocc={rep.srocc:.4f} mse={rep.mse:.4f}")
-        split = cell["artifacts"].split
-        branches = [] if split is None else [len(split.train0),
-                                             len(split.train1)]
         _warn_collapse(collapse_warnings(cell["predictions"],
-                                         [s.score for s in test], branches),
+                                         [s.score for s in test]),
                        label=f"{cell['variant']} mrn="
                              f"{'on' if cell['mrn'] else 'off'}: ")
     _write_csv(os.path.join(args.out, "ablation.csv"),

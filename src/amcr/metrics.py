@@ -126,18 +126,13 @@ def evaluate_scores(pred, truth) -> MetricsReport:
 
 
 # a predictor spreading its scores less than this fraction of the truth's
-# spread, or a router sending more than this share of train to one branch,
-# has collapsed: its metrics score a near-constant, not a model
+# spread has collapsed: its metrics score a near-constant, not a model
 MIN_SPREAD_RATIO = 0.2
-MAX_BRANCH_SHARE = 0.95
 
 
-def collapse_warnings(pred, truth, branch_counts=()) -> list:
-    """One message per sign that a run collapsed, empty when none shows.
-
-    `branch_counts` holds the number of train samples the router sent to
-    each branch; leave it empty for a run without a router.
-    """
+def collapse_warnings(pred, truth) -> list:
+    """One message per sign that a predictor collapsed, empty when none
+    shows."""
     p, t = _pair(pred, truth)
     found = []
     pred_std, truth_std = float(np.std(p)), float(np.std(t))
@@ -145,8 +140,4 @@ def collapse_warnings(pred, truth, branch_counts=()) -> list:
         found.append(f"predictions barely spread: std {pred_std:.4g} is "
                      f"{pred_std / truth_std:.3f} of the truth std "
                      f"{truth_std:.4g}")
-    total = sum(branch_counts)
-    if total and max(branch_counts) > MAX_BRANCH_SHARE * total:
-        found.append(f"router sent {max(branch_counts)} of {total} train "
-                     "samples to one branch")
     return found

@@ -94,6 +94,7 @@ def train_binary(model, train, valid, images, settings: TrainSettings, rng, *,
     loss_fn = TR.class_loss_fn(model, images, labels_of)
     valid_fn = lambda: TR.eval_class_accuracy(model, valid, images, labels_of)
     return train_model(model, loss_fn, train, valid_fn, settings, rng,
+                       trainable=model.trainable_names("class"),
                        metric_mode="higher", meta_samples=meta_samples)
 
 
@@ -114,12 +115,19 @@ class SplitAssignment:
         }
 
 
+# a router sending more than this share of the train set to one branch
+# has collapsed: its branches split nothing
+MAX_BRANCH_SHARE = 0.95
+
+
 def pseudo_split(model, train, valid, images) -> SplitAssignment:
     """Route every sample by the classifier's own prediction.
 
-    Ground-truth scores play no part. A branch left empty only warns here;
-    run_pipeline trains no model (None) for a branch under one batch, and
-    fuse_score scores that branch's inputs with r_all alone.
+    Ground-truth scores play no part. A router that sends more than
+    MAX_BRANCH_SHARE of `train` to one branch (an empty branch included)
+    only warns here; run_pipeline trains no model (None) for a branch
+    under one batch, and fuse_score scores that branch's inputs with
+    r_all alone.
     """
     routed = [*train, *valid]
     labels = TR.predict_class(model, [images[s.id] for s in routed]) >= 1
@@ -130,9 +138,10 @@ def pseudo_split(model, train, valid, images) -> SplitAssignment:
             buckets[(tag, pseudo[s.id])].append(s)
     split = SplitAssignment(pseudo, buckets[("t", 0)], buckets[("t", 1)],
                             buckets[("v", 0)], buckets[("v", 1)])
-    for name in ("train0", "train1"):
-        if not getattr(split, name):
-            warnings.warn(f"pseudo split left {name} empty", stacklevel=2)
+    larger = max(len(split.train0), len(split.train1))
+    if larger > MAX_BRANCH_SHARE * len(train):
+        warnings.warn(f"router sent {larger} of {len(train)} train samples "
+                      "to one branch", stacklevel=2)
     return split
 
 
@@ -140,32 +149,29 @@ def pseudo_split(model, train, valid, images) -> SplitAssignment:
 # branch training
 
 
-def train_branch(model, train, valid, images, class_settings: TrainSettings,
-                 reg_settings: TrainSettings, rng, *, meta_samples=None):
+def train_branch(model, train, valid, images, settings: TrainSettings, rng,
+                 *, meta_samples=None):
     """Two-phase fit: ten-class backbone training, then the regression head
     on frozen features.
 
     Phase 1 keeps the regression head untouched and, given a meta set,
     learns a loss-to-weight network. Phase 2 is one least-squares solve
-    of the regression head (training.solve_reg_head), weighted by phase
-    1's network if any; it draws nothing from `rng`. Returns the phase
-    results as a dict.
+    of the regression head (training.solve_reg_head) with the same
+    weight decay, weighted by phase 1's network if any; it draws nothing
+    from `rng`. Returns the phase results as a dict.
     """
-    if len(train) < class_settings.batch_size or len(train) < reg_settings.batch_size:
-        raise DataError(
-            f"branch of {len(train)} samples is smaller than one batch")
     if not valid:
         raise DataError("empty validation split")
     labels_of = lambda batch: ten_class_label([s.score for s in batch])
     loss_fn = TR.class_loss_fn(model, images, labels_of)
     valid_fn = lambda: TR.eval_class_accuracy(model, valid, images, labels_of)
-    phase1 = train_model(model, loss_fn, train, valid_fn, class_settings, rng,
+    phase1 = train_model(model, loss_fn, train, valid_fn, settings, rng,
                          trainable=model.trainable_names("class"),
                          metric_mode="higher", meta_samples=meta_samples)
 
     # the backbone is frozen now, so each image collapses to one feature row
     feats = TR.cache_features(model, [*train, *valid], images)
-    phase2 = TR.solve_reg_head(model, train, valid, feats, reg_settings,
+    phase2 = TR.solve_reg_head(model, train, valid, feats, settings,
                                phase1.mrn)
     return {"class": phase1, "reg": phase2}
 
@@ -224,8 +230,9 @@ def run_pipeline(variant: str, train, valid, images, model_factory,
     """Train one variant end to end and return every produced model.
 
     `model_factory(rng, num_classes)` builds a fresh backbone; all models
-    of a run share the architecture it encodes. The binary stage trains
-    on `router_sets(train, valid)`. Every stage is reweighted when
+    of a run share the architecture it encodes. `reg_settings` trains
+    variant r only, `class_settings` every other stage. The binary stage
+    trains on `router_sets(train, valid)`. Every stage is reweighted when
     `meta_samples` is given.
     """
     if variant not in ("r", "cr", "pcr"):
@@ -246,7 +253,7 @@ def run_pipeline(variant: str, train, valid, images, model_factory,
     # cr and pcr both need the all-data branch model
     r_all = model_factory(rng, 10)
     art.history["r_all"] = train_branch(
-        r_all, train, valid, images, class_settings, reg_settings, rng,
+        r_all, train, valid, images, class_settings, rng,
         meta_samples=meta_samples)
     art.r_all = r_all
     if variant == "cr":
@@ -263,15 +270,15 @@ def run_pipeline(variant: str, train, valid, images, model_factory,
     art.split = split
     for name, btrain, bvalid in (("r0", split.train0, split.valid0),
                                  ("r1", split.train1, split.valid1)):
-        if len(btrain) < max(class_settings.batch_size, reg_settings.batch_size):
+        if len(btrain) < class_settings.batch_size:
             warnings.warn(
                 f"branch {name} has {len(btrain)} samples, falling back to "
                 "the all-data regressor", stacklevel=2)
             continue
         model = model_factory(rng, 10)
         art.history[name] = train_branch(
-            model, btrain, bvalid or valid, images, class_settings,
-            reg_settings, rng, meta_samples=meta_samples)
+            model, btrain, bvalid or valid, images, class_settings, rng,
+            meta_samples=meta_samples)
         setattr(art, name, model)
     return art
 

@@ -50,9 +50,9 @@ def grad_enabled() -> bool:
 class Tensor:
     """n-d float64 value, optionally participating in the gradient graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
 
-    def __init__(self, data, requires_grad=False, _prev=(), _backward=None, _op=""):
+    def __init__(self, data, requires_grad=False, _prev=(), _backward=None):
         arr = np.asarray(data, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise DataError("non-finite element entering tensor op")
@@ -61,7 +61,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._prev = _prev
         self._backward = _backward
-        self._op = _op
 
     @property
     def shape(self):
@@ -125,11 +124,11 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data, parents, backward, op):
+def _make(data, parents, backward):
     track = _grad_enabled.get() and any(p.requires_grad for p in parents)
     if track:
         return Tensor(data, requires_grad=True, _prev=tuple(parents),
-                      _backward=backward, _op=op)
+                      _backward=backward)
     return Tensor(data)
 
 
@@ -141,14 +140,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"add: {a.shape} vs {b.shape}")
-    return _make(a.data + b.data, (a, b), lambda g: ((a, g), (b, g)), "add")
+    return _make(a.data + b.data, (a, b), lambda g: ((a, g), (b, g)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"sub: {a.shape} vs {b.shape}")
-    return _make(a.data - b.data, (a, b), lambda g: ((a, g), (b, -g)), "sub")
+    return _make(a.data - b.data, (a, b), lambda g: ((a, g), (b, -g)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -156,14 +155,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}")
     return _make(a.data * b.data, (a, b),
-                 lambda g: ((a, g * b.data), (b, g * a.data)), "mul")
+                 lambda g: ((a, g * b.data), (b, g * a.data)))
 
 
 def relu(a: Tensor) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0.0  # subgradient at 0 is 0
     return _make(np.where(mask, a.data, 0.0), (a,),
-                 lambda g: ((a, g * mask),), "relu")
+                 lambda g: ((a, g * mask),))
 
 
 def _sigmoid(x):
@@ -178,26 +177,26 @@ def _sigmoid(x):
 def sigmoid(a: Tensor) -> Tensor:
     a = as_tensor(a)
     s = _sigmoid(np.atleast_1d(a.data)).reshape(a.shape)
-    return _make(s, (a,), lambda g: ((a, g * s * (1.0 - s)),), "sigmoid")
+    return _make(s, (a,), lambda g: ((a, g * s * (1.0 - s)),))
 
 
 def tsum(a: Tensor) -> Tensor:
     a = as_tensor(a)
     return _make(a.data.sum(), (a,),
-                 lambda g: ((a, np.broadcast_to(g, a.shape).copy()),), "sum")
+                 lambda g: ((a, np.broadcast_to(g, a.shape).copy()),))
 
 
 def tmean(a: Tensor) -> Tensor:
     a = as_tensor(a)
     n = a.data.size
     return _make(a.data.sum() / n, (a,),
-                 lambda g: ((a, np.broadcast_to(g / n, a.shape).copy()),), "mean")
+                 lambda g: ((a, np.broadcast_to(g / n, a.shape).copy()),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     a = as_tensor(a)
     return _make(a.data.reshape(shape), (a,),
-                 lambda g: ((a, g.reshape(a.shape)),), "reshape")
+                 lambda g: ((a, g.reshape(a.shape)),))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +218,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         rec.append((a.data.T, g.T, np.arange(n)))  # sample i: a_i outer g_i
         return ((a, g @ b.data.T),)
 
-    return _make(a.data @ b.data, (a, b), backward, "matmul")
+    return _make(a.data @ b.data, (a, b), backward)
 
 
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
@@ -236,7 +235,7 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
         rec.append((g.T, np.ones((1, n)), np.arange(n)))
         return ((m, g),)
 
-    return _make(m.data + v.data[None, :], (m, v), backward, "add_rowvec")
+    return _make(m.data + v.data[None, :], (m, v), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +285,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
                             np.full(ho * wo, i)))
         return [pair for pair in ((x, dx), (k, dk)) if pair[1] is not None]
 
-    return _make(out, (x, k), backward, "conv2d")
+    return _make(out, (x, k), backward)
 
 
 def _correlate_rows(rows, taps):
@@ -329,7 +328,7 @@ def conv1d_channel(x: Tensor, kernel: Tensor) -> Tensor:
         rec.append((dk.T, np.ones((1, n)), np.arange(n)))
         return ((x, dx),)
 
-    return _make(_correlate_rows(x.data, kernel.data), (x, kernel), backward, "conv1d")
+    return _make(_correlate_rows(x.data, kernel.data), (x, kernel), backward)
 
 
 def adaptive_avg_pool2d(x: Tensor, target) -> Tensor:
@@ -349,7 +348,7 @@ def adaptive_avg_pool2d(x: Tensor, target) -> Tensor:
             np.ascontiguousarray(g).reshape(n * c, th, tw), h, w)
         return ((x, dx.reshape(x.shape)),)
 
-    return _make(out.reshape(n, c, th, tw), (x,), backward, "adaptive_avg_pool2d")
+    return _make(out.reshape(n, c, th, tw), (x,), backward)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -362,7 +361,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     def backward(g):
         return ((x, np.repeat(g / area, area).reshape(x.shape)),)
 
-    return _make(x.data.sum(axis=(2, 3)) / area, (x,), backward, "global_avg_pool")
+    return _make(x.data.sum(axis=(2, 3)) / area, (x,), backward)
 
 
 def scale_channels(x: Tensor, s: Tensor) -> Tensor:
@@ -376,7 +375,7 @@ def scale_channels(x: Tensor, s: Tensor) -> Tensor:
         return ((x, g * s.data[:, :, None, None]),
                 (s, (g * x.data).sum(axis=(2, 3))))
 
-    return _make(x.data * s.data[:, :, None, None], (x, s), backward, "scale_channels")
+    return _make(x.data * s.data[:, :, None, None], (x, s), backward)
 
 
 def cross_entropy_logits(z: Tensor, labels) -> Tensor:
@@ -407,8 +406,7 @@ def cross_entropy_logits(z: Tensor, labels) -> Tensor:
         dz[rows, labels] -= 1.0
         return ((z, dz * g[:, None]),)
 
-    return _make(m + np.log(total) - z.data[rows, labels], (z,), backward,
-                 "cross_entropy")
+    return _make(m + np.log(total) - z.data[rows, labels], (z,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Config parsing, strict key validation, batch scaling, and the
 architecture hash."""
 
+import glob
+import os
+import re
+
 import pytest
 
-from amcr.config import (RunConfig, config_hash, default_config,
+import amcr
+from amcr.config import (_SCHEMA, RunConfig, config_hash, default_config,
                          effective_batch, load_config)
 from amcr.errors import ConfigError
 
@@ -143,3 +148,17 @@ def test_getattr_raises_for_unknown():
     cfg = default_config()
     with pytest.raises(AttributeError):
         cfg.no_such_key
+
+
+def test_every_config_key_is_read_outside_config():
+    # a key that no module reads is a knob that does nothing
+    package = os.path.dirname(amcr.__file__)
+    source = ""
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        if os.path.basename(path) != "config.py":
+            with open(path, encoding="utf-8") as fh:
+                source += fh.read()
+    unread = [f"{section}.{key}" for section, keys in _SCHEMA.items()
+              for key in keys
+              if not re.search(rf"\bcfg\.{section}_{key}\b", source)]
+    assert unread == []

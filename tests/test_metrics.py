@@ -211,7 +211,7 @@ def test_evaluate_scores_fields_consistent():
     assert rep.mse >= 0.0 and rep.mae >= 0.0
 
 
-def test_collapse_warnings_flag_constant_predictor_and_lopsided_router():
+def test_collapse_warnings_flag_constant_predictor():
     truth = np.linspace(1.0, 9.0, 40)
     constant = collapse_warnings(np.full(40, 5.0), truth)
     assert len(constant) == 1 and "barely spread" in constant[0]
@@ -220,7 +220,3 @@ def test_collapse_warnings_flag_constant_predictor_and_lopsided_router():
     assert collapse_warnings(5.0 + 0.19 * centred, truth)
     assert collapse_warnings(5.0 + 0.21 * centred, truth) == []
     assert collapse_warnings(truth[::-1], truth) == []
-    lopsided = collapse_warnings(truth, truth, [96, 4])
-    assert lopsided == ["router sent 96 of 100 train samples to one branch"]
-    assert collapse_warnings(truth, truth, [95, 5]) == []
-    assert len(collapse_warnings(np.full(40, 5.0), truth, [0, 50])) == 2

@@ -177,6 +177,23 @@ def test_train_binary_learns_the_manifest_binary_label():
     assert result.best_metric == 1.0
 
 
+@pytest.mark.parametrize("mrn", [False, True])
+def test_train_binary_leaves_the_regression_head_as_drawn(mrn):
+    # the router's loss never reaches head.reg, so weight decay must not
+    # move it either
+    rng = np.random.default_rng(23)
+    samples, images = spread_samples(rng, n=8)
+    model = tiny_factory(rng, 2)
+    drawn = {n: p.data.copy() for n, p in model.params.items()
+             if n.startswith("head.reg.")}
+    settings = fast_settings(weight_decay=0.1, meta_batch=4, mrn_hidden=4)
+    train_binary(model, samples, samples, images, settings, rng,
+                 meta_samples=samples[:4] if mrn else None)
+    assert set(drawn) == {"head.reg.w", "head.reg.b"}
+    for name, value in drawn.items():
+        np.testing.assert_array_equal(model.params[name].data, value)
+
+
 def test_pseudo_split_partitions_by_prediction_only():
     rng = np.random.default_rng(3)
     samples, images = spread_samples(rng, n=16)
@@ -206,9 +223,32 @@ def test_pseudo_split_warns_on_empty_branch():
     samples, images = spread_samples(rng, n=8)
     model = tiny_factory(rng, 2)
     set_constant_head(model, None, classes=1)  # every prediction is class 1
-    with pytest.warns(UserWarning, match="train0"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         split = pseudo_split(model, samples, samples, images)
+    assert [str(w.message) for w in caught] == [
+        "router sent 8 of 8 train samples to one branch"]
     assert split.train0 == [] and len(split.train1) == 8
+
+
+# of 40 train samples, 38 in one branch is exactly the 95% share that is
+# still a split; the 4 valid samples all go to branch 0 and count for nothing
+@pytest.mark.parametrize("ones, larger", [(40, 40), (39, 39), (38, None),
+                                          (2, None), (1, 39), (0, 40)])
+def test_pseudo_split_warns_once_above_the_branch_share(monkeypatch, ones,
+                                                        larger):
+    rng = np.random.default_rng(21)
+    samples, images = spread_samples(rng, n=44)
+    label_of = {id(images[s.id]): int(i < ones) for i, s in enumerate(samples)}
+    monkeypatch.setattr(pipeline.TR, "predict_class", lambda model, inputs:
+                        np.array([label_of[id(x)] for x in inputs]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        split = pseudo_split(None, samples[:40], samples[40:], images)
+    assert len(split.train1) == ones and len(split.valid0) == 4
+    assert [str(w.message) for w in caught] == (
+        [] if larger is None
+        else [f"router sent {larger} of 40 train samples to one branch"])
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +262,7 @@ def test_train_branch_two_phases_and_freeze():
     class_names = set(model.trainable_names("class"))
     before = {n: p.data.copy() for n, p in model.params.items()}
     out = train_branch(model, samples[:8], samples[8:], images,
-                       fast_settings(), fast_settings(), rng)
+                       fast_settings(), rng)
     assert set(out) == {"class", "reg"}
     # phase 2 only moves the regression head; phase 1 never touches it.
     # with one epoch each, any backbone drift comes from phase 1 alone.
@@ -240,7 +280,6 @@ def test_train_branch_reuses_phase_one_mrn_frozen():
     samples, images = spread_samples(rng, n=12)
     model = tiny_factory(rng, 10)
     out = train_branch(model, samples[:8], samples[8:], images,
-                       fast_settings(meta_batch=4, mrn_hidden=4),
                        fast_settings(meta_batch=4, mrn_hidden=4), rng,
                        meta_samples=samples[:4])
     assert out["class"].mrn is not None
@@ -263,20 +302,17 @@ def test_train_branch_draws_nothing_after_phase_one(monkeypatch):
 
     monkeypatch.setattr(pipeline, "train_model", recording_train_model)
     settings = fast_settings(meta_batch=4, mrn_hidden=4)
-    train_branch(model, samples[:8], samples[8:], images, settings, settings,
-                 rng, meta_samples=samples[:4])
+    train_branch(model, samples[:8], samples[8:], images, settings, rng,
+                 meta_samples=samples[:4])
     assert after_phase_one == [rng.bit_generator.state]
 
 
-def test_train_branch_rejects_small_branches():
+def test_train_branch_rejects_an_empty_validation_split():
     rng = np.random.default_rng(6)
     samples, images = spread_samples(rng, n=8)
-    with pytest.raises(DataError):
-        train_branch(tiny_factory(rng, 10), samples[:2], samples[2:], images,
-                     fast_settings(batch_size=4), fast_settings(), rng)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="empty validation split"):
         train_branch(tiny_factory(rng, 10), samples, [], images,
-                     fast_settings(), fast_settings(), rng)
+                     fast_settings(), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +426,18 @@ def test_run_pipeline_pcr_variant():
         art.c2, art.r0, art.r1, art.r_all, [img])[0]))]
 
 
+def halving_split(model, train, valid, images):
+    # whatever the router predicts, each branch gets half of the train set
+    half = len(train) // 2
+    pseudo = {s.id: int(i >= half) for i, s in enumerate(train)}
+    return SplitAssignment(pseudo, train[:half], train[half:], valid, [])
+
+
 def test_run_pipeline_pcr_branch_fallback(monkeypatch):
     rng = np.random.default_rng(12)
     samples, images = spread_samples(rng, n=12)
     train, valid = samples[:8], samples[8:]
-
-    def halving_split(model, train, valid, images):
-        # whatever the router predicts, each branch gets half of the
-        # 8 train samples: less than one batch of 8
-        pseudo = {s.id: int(i >= 4) for i, s in enumerate(train)}
-        return SplitAssignment(pseudo, train[:4], train[4:], valid, [])
-
+    # each branch gets 4 of the 8 train samples: less than one batch of 8
     monkeypatch.setattr(pipeline, "pseudo_split", halving_split)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -415,6 +452,22 @@ def test_run_pipeline_pcr_branch_fallback(monkeypatch):
     img = images[samples[0].id]
     assert art.predict([img]) == pytest.approx(
         [min(10.0, max(0.0, predict_score(art.r_all, [img])[0]))])
+
+
+def test_run_pipeline_pcr_trains_a_branch_of_one_class_batch(monkeypatch):
+    # the regression solve takes no batches, so a branch of exactly one
+    # class batch trains even when it holds less than one reg batch
+    rng = np.random.default_rng(22)
+    samples, images = spread_samples(rng, n=12)
+    monkeypatch.setattr(pipeline, "pseudo_split", halving_split)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        art = run_pipeline("pcr", samples[:8], samples[8:], images,
+                           tiny_factory, fast_settings(batch_size=4),
+                           fast_settings(batch_size=8), rng)
+    assert [str(w.message) for w in caught] == []
+    assert art.r0 is not None and art.r1 is not None
+    assert set(art.history) == {"r_all", "c2", "r0", "r1"}
 
 
 # ---------------------------------------------------------------------------
