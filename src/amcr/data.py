@@ -115,27 +115,25 @@ def true_score(brightness, contrast, offset, noise) -> float:
 
 
 def render_image(brightness, contrast, offset, noise, rng,
-                 height: int, width: int) -> np.ndarray:
-    """Draw one (3,H,W) uint8 image exhibiting the four attributes.
+                 yy, xx, pattern) -> np.ndarray:
+    """Draw one (3,H,W) uint8 image exhibiting the four attributes, on
+    the (H,W) coordinates yy, xx in [-1, 1] and the zero-mean wave
+    `pattern` over them, which generate_dataset builds once per size.
 
-    brightness sets the mean level; contrast scales a zero-mean wave
-    pattern; offset slides a zero-mean blob from the center toward the
-    bottom-right corner; noise adds per-pixel jitter. Pattern and blob
-    are mean-free so the attributes stay separately recoverable.
+    brightness sets the mean level; contrast scales the pattern; offset
+    slides a zero-mean blob from the center toward the bottom-right
+    corner; noise adds per-pixel jitter. Pattern and blob are mean-free
+    so the attributes stay separately recoverable.
     """
-    yy, xx = np.meshgrid(np.linspace(-1.0, 1.0, height),
-                         np.linspace(-1.0, 1.0, width), indexing="ij")
-    pattern = np.sin(2.5 * math.pi * xx) * np.sin(2.5 * math.pi * yy)
-    pattern -= pattern.mean()
     cy = cx = 0.55 * offset
     blob = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * 0.18 ** 2))
     blob -= blob.mean()
     base = (brightness
             + 0.35 * contrast * pattern
             + 0.30 * blob
-            + 0.25 * noise * rng.uniform(-1.0, 1.0, size=(height, width)))
-    tints = (1.0, 0.97, 0.94)
-    img = np.stack([np.clip(base * t + (1 - t) * 0.5, 0.0, 1.0) for t in tints])
+            + 0.25 * noise * rng.uniform(-1.0, 1.0, size=yy.shape))
+    tints = np.array([1.0, 0.97, 0.94]).reshape(3, 1, 1)
+    img = np.clip(base * tints + (1 - tints) * 0.5, 0.0, 1.0)
     return np.floor(img * 255.0 + 0.5).astype(np.uint8)
 
 
@@ -155,6 +153,10 @@ def generate_dataset(spec: SynthSpec, n: int, seed: int, out_dir) -> list:
     os.makedirs(image_dir, exist_ok=True)
     extension = ".ppm" if spec.channels == 3 else ".pgm"
 
+    yy, xx = np.meshgrid(np.linspace(-1.0, 1.0, spec.image_height),
+                         np.linspace(-1.0, 1.0, spec.image_width), indexing="ij")
+    pattern = np.sin(2.5 * math.pi * xx) * np.sin(2.5 * math.pi * yy)
+    pattern -= pattern.mean()
     samples = []
     for i in range(n):
         z = float(np.clip(rng.normal(5.0, spec.sigma_pop), 0.5, 9.5))
@@ -166,7 +168,7 @@ def generate_dataset(spec: SynthSpec, n: int, seed: int, out_dir) -> list:
         brightness, contrast = contrib[0], contrib[1]
         offset, noise = 1.0 - contrib[2], 1.0 - contrib[3]
         img = render_image(brightness, contrast, offset, noise, rng,
-                           spec.image_height, spec.image_width)
+                           yy, xx, pattern)
         label_noise = rng.normal(0.0, spec.sigma_label)
         score = float(np.clip(true_score(brightness, contrast, offset, noise)
                               + label_noise, 0.0, 10.0))

@@ -37,6 +37,9 @@ with G the parameter's meta-loss gradient at w_hat, reshaped to
 
 The lookahead uses plain SGD while both outer updates use Adam; the
 analytic meta-gradient is exact only for the SGD form of the lookahead.
+
+The network weights only the loss it is learned on: the regression head
+that training.solve_reg_head fits after a ten-class phase is unweighted.
 """
 
 import warnings
@@ -67,17 +70,6 @@ def weight_coefficients(values: np.ndarray, normalize: bool):
             warnings.warn("all sample weights are zero; weighted loss collapses to 0")
         return values / s, s
     return values / n, float(n)
-
-
-def fixed_weighting(loss_values, mrn: Mrn, normalize: bool):
-    """Weights v_i of a reweighting network held fixed (main_step's, or
-    training.solve_reg_head's), evaluated on the detached per-sample
-    losses without a graph, and their loss coefficients c_i (see
-    weight_coefficients). Returns (v, c) as arrays."""
-    with T.no_grad():
-        v = mrn_forward(loss_values, mrn)
-    coeff, _ = weight_coefficients(v.data, normalize)
-    return v.data, coeff
 
 
 class MetaState:
@@ -215,8 +207,9 @@ class MetaState:
         cache = self._cache
         if cache is None or cache["stage"] != "meta":
             raise StateError("main_step needs meta_step to have run this iteration")
-        v_new, coeff = fixed_weighting(cache["loss_values"], self.mrn,
-                                       self.settings.normalize_weights)
+        with T.no_grad():
+            v_new = mrn_forward(cache["loss_values"], self.mrn).data
+        coeff, _ = weight_coefficients(v_new, self.settings.normalize_weights)
         grads = self._weighted_sum(coeff, cache["factors"])
         self.adam_main.step(self.params, grads)
         self._cache = None

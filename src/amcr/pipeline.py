@@ -11,9 +11,9 @@ Three variants share one backbone architecture:
        cr-style regressor, and scores fuse with the all-data regressor.
 
 Every trained stage is reweighted exactly when it is handed a meta set:
-then `train_model` draws and learns the loss-to-weight network. A branch
-learns it during the classification phase, and the regression solve
-reuses it as a fixed loss weighting that needs no meta set.
+then `train_model` draws and learns the loss-to-weight network on that
+stage's own loss. A branch learns it during the classification phase
+only; the regression solve that follows weighs every sample alike.
 """
 
 from __future__ import annotations
@@ -155,10 +155,11 @@ def train_branch(model, train, valid, images, settings: TrainSettings, rng,
     on frozen features.
 
     Phase 1 keeps the regression head untouched and, given a meta set,
-    learns a loss-to-weight network. Phase 2 is one least-squares solve
-    of the regression head (training.solve_reg_head) with the same
-    weight decay, weighted by phase 1's network if any; it draws nothing
-    from `rng`. Returns the phase results as a dict.
+    learns a loss-to-weight network on the ten-class loss. Phase 2 is
+    one unweighted least-squares solve of the regression head
+    (training.solve_reg_head) with the same weight decay; it uses no
+    network and draws nothing from `rng`. Returns the phase results as a
+    dict.
     """
     if not valid:
         raise DataError("empty validation split")
@@ -171,8 +172,8 @@ def train_branch(model, train, valid, images, settings: TrainSettings, rng,
 
     # the backbone is frozen now, so each image collapses to one feature row
     feats = TR.cache_features(model, [*train, *valid], images)
-    phase2 = TR.solve_reg_head(model, train, valid, feats, settings,
-                               phase1.mrn)
+    phase2 = TR.solve_reg_head(model, train, valid, feats,
+                               settings.weight_decay)
     return {"class": phase1, "reg": phase2}
 
 

@@ -11,7 +11,7 @@ from . import metrics
 from . import tensor as T
 from .blocks import Mrn
 from .errors import DataError, ParameterError
-from .meta import MetaState, fixed_weighting
+from .meta import MetaState
 from .optim import Adam, PlateauScheduler
 from .tensor import Tensor
 
@@ -155,46 +155,27 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
 # closed-form regression head
 
 
-# a reweighted solve stops once no coefficient moves by more than
-# SOLVE_TOL of the largest, or after SOLVE_ROUNDS solves
-SOLVE_ROUNDS, SOLVE_TOL = 50, 1e-12
-
-
-def solve_reg_head(model, train, valid, feats: dict, settings: TrainSettings,
-                   mrn=None) -> TrainResult:
+def solve_reg_head(model, train, valid, feats: dict,
+                   weight_decay: float) -> TrainResult:
     """Set `head.reg.{w,b}` to the minimizer of the objective full-batch
-    Adam with coupled decay descends, sum_i c_i (x_i . theta - y_i)^2 +
+    Adam with coupled decay descends, (1/n) sum_i (x_i . theta - y_i)^2 +
     (lambda/2)|theta|^2 with theta = [w; b], x_i = [feats[id_i]; 1] and
     lambda = weight_decay: the min-norm least-squares solution of the
-    sqrt(c_i)-scaled rows over sqrt(lambda/2) I. c_i = 1/n; with a fixed
-    `mrn`, c_i come from its weights on the solved head's losses, solved
-    again until they settle. Returns no iterations, the valid MSE and one
-    history record (rounds, settled, valid)."""
+    sqrt(1/n)-scaled rows over sqrt(lambda/2) I. Every sample weighs the
+    same: the reweighting network of a reweighted run is learned on its
+    own training loss, not on these residuals. Returns no iterations,
+    the valid MSE and one history record."""
     x = np.array([np.append(feats[s.id], 1.0) for s in train])
     y = np.array([s.score for s in train])
-    ridge = np.sqrt(settings.weight_decay / 2.0) * np.eye(x.shape[1])
-    weights, coeff = None, np.full(len(y), 1.0 / len(y))
-    for rounds in range(1, SOLVE_ROUNDS + 1):
-        root = np.sqrt(coeff)
-        theta = np.linalg.lstsq(np.vstack([x * root[:, None], ridge]), np.append(
-            y * root, np.zeros(len(ridge))), rcond=None)[0]
-        settled = mrn is None
-        if not settled:
-            residual = x @ theta - y
-            weights, new = fixed_weighting(residual * residual, mrn,
-                                           settings.normalize_weights)
-            settled = bool(np.max(np.abs(new - coeff)) <= SOLVE_TOL * np.max(new))
-            coeff = new
-        if settled:
-            break
+    root = np.sqrt(1.0 / len(y))
+    ridge = np.sqrt(weight_decay / 2.0) * np.eye(x.shape[1])
+    theta = np.linalg.lstsq(np.vstack([x * root, ridge]), np.append(
+        y * root, np.zeros(len(ridge))), rcond=None)[0]
     w, b = model.params["head.reg.w"], model.params["head.reg.b"]
     w.data, b.data = theta[:-1].reshape(w.shape), theta[-1:]
     rows = np.array([np.append(feats[s.id], 1.0) for s in valid])
     mse = metrics.mse(rows @ theta, [s.score for s in valid])
-    return TrainResult(best_metric=mse, mrn=mrn, history=[
-        {"rounds": rounds, "settled": settled, "valid": mse}],
-        sample_weights={} if mrn is None else dict(zip([s.id for s in train],
-                                                        weights.tolist())))
+    return TrainResult(best_metric=mse, history=[{"valid": mse}])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 and the split rule."""
 
 import ast
+import hashlib
 import math
 import os
 import re
@@ -61,6 +62,62 @@ def test_generate_different_seeds_differ(tmp_path):
     a, _ = gen(tmp_path, n=15, seed=1, sub="a")
     b, _ = gen(tmp_path, n=15, seed=2, sub="b")
     assert [s.score for s in a] != [s.score for s in b]
+
+
+# sha256 of every file of a 12-sample 8x8 dataset at seed 0 with a quarter
+# corrupted: a change that moves the generated data fails here on purpose,
+# and must update these digests knowingly. Corruption comes after
+# rendering, so both kinds share their images.
+PINNED_IMAGES = {
+    3: ["c4e7fa92b70da819d329f1a76af6b99032330bc01e1fd526ba87fa46c38cdf1f",
+        "f144f67862801f85dce19ff8ce4b96e158f7be810b768ec183d94222903318a8",
+        "81aac8950ff31084dcb28b80bc109565f0e031efbf66d1e9c27fed07d04acb24",
+        "c73fc3b218f64dadfde8462abac0b07d67daa1fad2e3219d529dee49b5fae21f",
+        "fc8f702cf618018fa30f96b78ad02251ed5c9953a1bc26b82da7feff823c5fcc",
+        "310d74f62ce4da3fbf8036cd3f7ef5fce9ac835eaab5c27418d4cfe805ce2c08",
+        "29a9022949bc2ad0d064eac2cd59ea2d16909768c687ada3734835814820ce5b",
+        "6a14521c23c4bca6fcee5f86a5047e8e22b7f4194032dd3d76cae3a9b74d7114",
+        "9089d7fa566502b95cc9d61198c5702eeefbbf80d1b05e7e5082c9ac7da42e57",
+        "91eaee626e12a6f81bf138eb7d665788837ab01c1cf9ba1b101b03ad5b53fb62",
+        "8917c3c23f6b99f0dfaa0c3bf5ec8f08e882e79bbaa19af3ea62413a2c72ee8e",
+        "92ff3b20957bb3caaf9b2153e2cf378323be39c3ccba124c5a7e22ea7f04cf98"],
+    1: ["a5db54c67bddb3ab92e5a8ca4103ad404e686448b5f81edf2e57ceadfb5c55cc",
+        "545b4bd46daf3d0c24546e84989d6720f91904d5b92d361d3c31281c86fdfae8",
+        "799f98fd529d94754717fe96666c64f3a8ea3507c28f7e0625caa8167e0c8ca2",
+        "1f1526fc6a8b0fd6501b455290b15ab4a6037dec4c409db3e04eabd08b56e587",
+        "89add3caac29f35293001d3a2d0fd4487b162b56761692993e874093aacf3d1e",
+        "5c63e8f83c4a733d31a683615415b71ed88c4d5c23bd6d7aa97ae336243568c0",
+        "14948af7ba3e3f656e33015a5c0ac2429d98579431665953980cbca4cda2d96b",
+        "beba78274999a87f35b0c467e39f09fe1b696ae20b4bcf990788970c3dac7645",
+        "9e72ce0d189bbef959cdafb13ab702cbe5355d178dde03aed7b566ca0557e940",
+        "423f59f730793b388f94e3cb655a89a1f91f517fe1250dc49641bb9107332000",
+        "bcb51560d368b1a6b2504120830af0f6bcb8fa042072e44c047dc7c39b0beb6a",
+        "f74ddf2b6697605508aabd0d70baaabb51ce966327f51992e35d8c28ae8ffe3d"],
+}
+PINNED_MANIFESTS = {
+    (3, "score-shift"):
+        "25f3ef15a4c2cc7da49ecade4828dda5e7d606ba4327f017757d036e266c7563",
+    (3, "label-flip"):
+        "9c84e4255cc34410b94b62e8faaef5df3902f035d519f085523f69bcbabc260b",
+    (1, "score-shift"):
+        "ea42a8f7a39a734dcc22d36bd33b29fa46e748b96d5b34089c1f5f0c968503f6",
+    (1, "label-flip"):
+        "d1bfe72175753e516719e36492e6e4282d23f3bc631067cbeba6699b5f7c0ea0",
+}
+
+
+@pytest.mark.parametrize("channels, kind", sorted(PINNED_MANIFESTS))
+def test_generated_bytes_are_pinned(tmp_path, channels, kind):
+    spec = SynthSpec(image_height=8, image_width=8, corrupt_fraction=0.25,
+                     corrupt_kind=kind, channels=channels)
+    samples, out = gen(tmp_path, n=12, spec=spec)
+
+    def digest(rel):
+        with open(os.path.join(out, rel), "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+    assert digest("manifest.csv") == PINNED_MANIFESTS[(channels, kind)]
+    assert [digest(s.path) for s in samples] == PINNED_IMAGES[channels]
 
 
 def test_generate_minimum_size(tmp_path):

@@ -1,21 +1,19 @@
 """Bilevel reweighting: coefficient algebra, the three-stage state
-machine, exact meta-gradients against finite differences, the zero-
-network reduction of the reweighted regression solve, and balanced
+machine, exact meta-gradients against finite differences, and balanced
 meta-set construction."""
 
 import numpy as np
 import pytest
 
-from amcr import meta
 from amcr import tensor as T
 from amcr.blocks import AestheticNet, Mrn, mrn_forward
 from amcr.errors import DataError, ParameterError, StateError
-from amcr.data import Sample, segment_of
+from amcr.data import segment_of
 from amcr.meta import (EPS_NORMALIZE, MetaState, build_meta_set,
                        weight_coefficients)
 from amcr.optim import Adam
 from amcr.tensor import Tensor
-from amcr.training import TrainSettings, cache_features, solve_reg_head
+from amcr.training import TrainSettings
 
 from helpers import (batch_of_one_gradients, gradients_from_factors,
                      numerical_grad, rel_err)
@@ -243,45 +241,6 @@ def test_meta_iteration_returns_weights_and_counts():
 
 
 # ---------------------------------------------------------------------------
-# reduction: a zero Theta weights every sample alike, so the reweighted
-# solve of the regression head is the uniform solve
-
-
-def test_zero_mrn_solve_is_the_uniform_solve():
-    rng = np.random.default_rng(3)
-    net = AestheticNet(rng, stem_channels=4, stage_channels=(4,), head_width=8)
-    scores = rng.uniform(0.0, 10.0, 12)
-    samples = [Sample(f"z{i}", f"z{i}.ppm", float(t), int(t >= 5.0))
-               for i, t in enumerate(scores)]
-    images = {s.id: rng.uniform(0, 1, (3, 8, 8)) for s in samples}
-    feats = cache_features(net, samples, images)
-    head = ("head.reg.w", "head.reg.b")
-    start = {n: net.params[n].data.copy() for n in head}
-
-    def solve(settings, mrn):
-        for name, value in start.items():
-            net.params[name].data = value
-        result = solve_reg_head(net, samples, samples, feats, settings, mrn)
-        return result, np.concatenate([net.params[n].data.ravel() for n in head])
-
-    # normalized: c_i = 0.5/(0.5 n + eps), a uniform scale that the
-    # undecayed solve does not see
-    settings = TrainSettings(weight_decay=0.0, normalize_weights=True)
-    zero, theta = solve(settings, Mrn(hidden=4))
-    _, uniform = solve(settings, None)
-    # the first solve is uniform, the second weighted, and then c is fixed
-    assert zero.history == [{"rounds": 2, "settled": True,
-                             "valid": zero.best_metric}]
-    assert set(zero.sample_weights.values()) == {0.5}
-    np.testing.assert_allclose(theta, uniform, rtol=1e-12, atol=1e-12)
-    # plain: c_i = 0.5/n halves the loss, which doubles the decay
-    _, half = solve(TrainSettings(weight_decay=1e-2, normalize_weights=False),
-                    Mrn(hidden=4))
-    _, doubled = solve(TrainSettings(weight_decay=2e-2), None)
-    np.testing.assert_allclose(half, doubled, rtol=1e-12, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # the factored per-sample gradients against per-sample dict loops on a
 # small network
 
@@ -433,7 +392,9 @@ def test_main_step_gradient_is_one_backward_of_weighted_loss(normalize):
     state.meta_step(meta_batch)
     # the oracle: one backward of sum_i c_i L_i at the unmoved main
     # parameters, c_i from the updated network on the cached losses
-    _, coeff = meta.fixed_weighting(state.last_losses, mrn, normalize)
+    with T.no_grad():
+        v = mrn_forward(state.last_losses, mrn).data
+    coeff, _ = weight_coefficients(v, normalize)
     ref_net, _, ref_loss_fn, _ = tiny_net_setup(normalize)
     T.tsum(T.mul(ref_loss_fn(batch, None), Tensor(coeff))).backward()
     state.main_step()

@@ -17,7 +17,8 @@ from amcr.pipeline import (PipelineArtifacts, SplitAssignment, fuse_score,
                            train_branch)
 from amcr.pnm import load_pnm, save_pnm
 from amcr.tensor import Tensor
-from amcr.training import TrainSettings, predict_class, predict_score
+from amcr.training import (TrainSettings, cache_features, predict_class,
+                           predict_score, solve_reg_head)
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +276,24 @@ def test_train_branch_two_phases_and_freeze():
     assert moved - reg_names <= class_names
 
 
-def test_train_branch_reuses_phase_one_mrn_frozen():
+def test_train_branch_solve_ignores_the_mrn():
+    # phase 1 learns an MRN on the ten-class loss; the regression solve
+    # is the uniform one on the frozen backbone's features all the same
     rng = np.random.default_rng(15)
     samples, images = spread_samples(rng, n=12)
     model = tiny_factory(rng, 10)
-    out = train_branch(model, samples[:8], samples[8:], images,
-                       fast_settings(meta_batch=4, mrn_hidden=4), rng,
+    train, valid = samples[:8], samples[8:]
+    settings = fast_settings(meta_batch=4, mrn_hidden=4, weight_decay=1e-2)
+    out = train_branch(model, train, valid, images, settings, rng,
                        meta_samples=samples[:4])
     assert out["class"].mrn is not None
-    assert out["reg"].mrn is out["class"].mrn
+    assert out["reg"].mrn is None and out["reg"].sample_weights == {}
+    head = ("head.reg.w", "head.reg.b")
+    solved = [model.params[n].data.copy() for n in head]
+    feats = cache_features(model, [*train, *valid], images)
+    solve_reg_head(model, train, valid, feats, settings.weight_decay)
+    for name, value in zip(head, solved):
+        assert np.array_equal(model.params[name].data, value), name
 
 
 def test_train_branch_draws_nothing_after_phase_one(monkeypatch):
@@ -528,7 +538,9 @@ def test_run_ablation_hands_the_meta_set_to_mrn_on_cells_only():
     off, on = run_ablation(requests, train, valid, test, images, tiny_factory,
                            settings, settings, meta_samples=train[:4])
     assert all(res.mrn is None for res in _stage_results(off["artifacts"]))
-    assert all(res.mrn is not None for res in _stage_results(on["artifacts"]))
+    # the MRN lives where it is learned: the trained phases, not the solves
+    assert all((res.mrn is not None) == (res.iterations > 0)
+               for res in _stage_results(on["artifacts"]))
     # an MRN-on cell without a meta set is refused
     with pytest.raises(DataError, match="needs a meta set"):
         run_ablation(requests[1:], train, valid, test, images, tiny_factory,

@@ -10,7 +10,6 @@ from amcr import training
 from amcr.blocks import AestheticNet, Mrn
 from amcr.data import Sample
 from amcr.errors import DataError, ParameterError
-from amcr.meta import fixed_weighting
 from amcr.training import (TrainSettings, _Cycler, cache_features,
                            class_loss_fn, eval_class_accuracy, eval_reg_mse,
                            predict_class, predict_score, reg_loss_fn,
@@ -182,14 +181,6 @@ def point_loss_fn(model):
     return fn
 
 
-def skewed_mrn(rng):
-    """A reweighting network whose weights vary with the loss."""
-    mrn = Mrn(hidden=8, rng=rng)
-    mrn.params["mrn.w2"].data = rng.normal(size=(8, 1))
-    mrn.params["mrn.b2"].data = rng.normal(size=(1,))
-    return mrn
-
-
 def test_mrn_mode_records_sample_weights():
     rng = np.random.default_rng(5)
     model = LineModel()
@@ -358,25 +349,20 @@ def reg_head(net):
     return np.append(net.params["head.reg.w"].data, net.params["head.reg.b"].data)
 
 
-@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "skewed-mrn"])
-def test_solved_head_zeroes_the_weighted_gradient(weighted):
-    # the solve is the stationary point of sum_i c_i L_i + (lambda/2)|theta|^2,
+def test_solved_head_zeroes_the_mean_loss_gradient():
+    # the solve is the stationary point of mean_i L_i + (lambda/2)|theta|^2,
     # with L_i taken through the live network on the images
     lam = 1e-2
     net, samples, images, feats = solve_fixture()
-    mrn = skewed_mrn(np.random.default_rng(21)) if weighted else None
-    settings = TrainSettings(weight_decay=lam)
-    result = solve_reg_head(net, samples, samples, feats, settings, mrn)
-    assert result.iterations == 0 and result.history[0]["settled"]
+    result = solve_reg_head(net, samples, samples, feats, lam)
+    assert result.iterations == 0
+    assert result.history == [{"valid": result.best_metric}]
+    assert result.best_metric == pytest.approx(
+        eval_reg_mse(net, samples, images), rel=1e-12)
     losses = reg_loss_fn(net, images)(samples, None)
-    if mrn is None:
-        coeff = np.full(len(samples), 1.0 / len(samples))
-    else:
-        weights, coeff = fixed_weighting(losses.data, mrn, settings.normalize_weights)
-        assert np.ptp(weights) > 0.1  # the weighting is far from uniform
     for name in REG_HEAD:
         net.params[name].zero_grad()
-    T.tsum(T.mul(losses, Tensor(coeff))).backward()
+    T.tmean(losses).backward()
     for name in REG_HEAD:
         p = net.params[name]
         assert np.abs(p.grad + lam * p.data).max() <= 1e-9, name
@@ -395,7 +381,7 @@ def test_full_batch_adam_never_beats_the_solve():
         return float(np.mean(r * r) + 0.5 * lam * theta @ theta)
 
     start = {n: net.params[n].data.copy() for n in REG_HEAD}
-    solve_reg_head(net, samples, samples, feats, TrainSettings(weight_decay=lam))
+    solve_reg_head(net, samples, samples, feats, lam)
     solved = objective()
     for name, value in start.items():
         net.params[name].data = value
@@ -409,20 +395,3 @@ def test_full_batch_adam_never_beats_the_solve():
     assert min(seen) >= solved - 1e-12 * solved
     # and Adam gets there: both minimize the same objective
     assert min(seen) <= solved + 1e-9 * solved
-
-
-def test_mrn_fixed_point_reproduces_its_weights():
-    net, samples, images, feats = solve_fixture()
-    mrn = skewed_mrn(np.random.default_rng(21))
-    settings = TrainSettings(weight_decay=1e-2)
-    result = solve_reg_head(net, samples, samples, feats, settings, mrn)
-    record = result.history[0]
-    assert record["settled"] and 1 < record["rounds"] < training.SOLVE_ROUNDS
-    assert result.mrn is mrn
-    assert list(result.sample_weights) == [s.id for s in samples]
-    losses = reg_loss_fn(net, images)(samples, None).data
-    weights, _ = fixed_weighting(losses, mrn, settings.normalize_weights)
-    np.testing.assert_allclose(
-        weights, [result.sample_weights[s.id] for s in samples], rtol=1e-12, atol=0)
-    assert record["valid"] == result.best_metric == pytest.approx(
-        eval_reg_mse(net, samples, images), rel=1e-12)
