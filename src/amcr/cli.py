@@ -105,7 +105,6 @@ def _settings(cfg: RunConfig, batch: int) -> TR.TrainSettings:
         mrn_lr=cfg.meta_mrn_lr,
         mrn_hidden=cfg.meta_mrn_hidden,
         meta_batch=effective_batch(cfg.meta_meta_batch, cfg.train_batch_scale),
-        normalize_weights=cfg.meta_normalize_weights,
         plateau_patience=cfg.train_plateau_patience,
         plateau_factor=cfg.train_plateau_factor,
     )
@@ -232,13 +231,9 @@ def cmd_gen_data(args) -> int:
     out = _data_dir(cfg, args)
     samples = D.generate_dataset(spec, cfg.data_dataset_size,
                                  cfg.train_seed, out)
-    samples = D.split_811(samples, np.random.default_rng(cfg.train_seed))
-    D.save_manifest(os.path.join(out, "manifest.csv"), samples)
-    counts = {name: len(D.split_of(samples, name))
-              for name in ("train", "valid", "test")}
-    print(f"wrote {len(samples)} samples to {out} "
-          f"(train {counts['train']}, valid {counts['valid']}, "
-          f"test {counts['test']})")
+    counts = ", ".join(f"{name} {len(D.split_of(samples, name))}"
+                       for name in ("train", "valid", "test"))
+    print(f"wrote {len(samples)} samples to {out} ({counts})")
     return 0
 
 

@@ -80,7 +80,6 @@ _SCHEMA = {
         "mrn_hidden": ("int", 100),
         "meta_batch": ("int", 32),
         "meta_quota": ("int", 20),
-        "normalize_weights": ("bool", True),
     },
     "pipeline": {
         "variant": ("str", "pcr"),

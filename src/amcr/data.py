@@ -141,7 +141,8 @@ def generate_dataset(spec: SynthSpec, n: int, seed: int, out_dir) -> list:
     """Write n images plus a manifest under out_dir; return the samples.
 
     Deterministic in (spec, n, seed): same inputs give bit-identical
-    files. Corruption hits round(corrupt_fraction * n) samples. A
+    files. Corruption hits round(corrupt_fraction * n) samples, and then
+    split_811 tags the samples with its own generator seeded by `seed`. A
     1-channel dataset holds the first, untinted channel of the same
     renders, so its scores and splits equal the 3-channel dataset's.
     """
@@ -192,6 +193,7 @@ def generate_dataset(spec: SynthSpec, n: int, seed: int, out_dir) -> list:
         flip = s.corrupted and spec.corrupt_kind == "label-flip"
         s.binary_label = 1 - label if flip else label
 
+    samples = split_811(samples, np.random.default_rng(seed))
     save_manifest(os.path.join(out_dir, "manifest.csv"), samples)
     return samples
 

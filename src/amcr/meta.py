@@ -8,16 +8,15 @@ batch:
   1. lookahead_update: per-sample losses L_i and gradients g_i under the
      current parameters w; weights v_i from the reweighting network;
      hypothetical parameters w_hat = w - alpha * sum_i c_i g_i, where
-     c_i is v_i/n (plain mode) or v_i/(sum v + eps) (normalized mode).
+     c_i = v_i/S, S = sum v + eps: the weights are normalised per batch,
+     so a network that weighs every sample alike gives plain training.
   2. meta_step: mean loss of a clean meta batch evaluated at w_hat;
      because w_hat is linear in the weights and the cached g_i do not
      depend on Theta, the exact gradient w.r.t. Theta is
          sum_i coef_i * dv_i/dTheta,
-     with coef_i = -alpha/n * d_i (plain) or
-     coef_i = -alpha/S * (d_i - D) (normalized, S = sum v + eps,
-     D = sum_i (v_i/S) d_i), where d_i = g_i . grad_{w_hat}(meta loss).
-     One backward pass over sum_i coef_i * v_i yields it; Theta then
-     takes an Adam step.
+     with coef_i = -alpha/S * (d_i - D), D = sum_i c_i d_i, where
+     d_i = g_i . grad_{w_hat}(meta loss). One backward pass over
+     sum_i coef_i * v_i yields it; Theta then takes an Adam step.
   3. main_step: weights recomputed under the updated Theta, main
      parameters take an Adam step on grad = sum_i c_i g_i, reusing the
      cached g_i (w has not moved since they were taken).
@@ -56,20 +55,15 @@ from .tensor import Tensor
 EPS_NORMALIZE = 1e-8
 
 
-def weight_coefficients(values: np.ndarray, normalize: bool):
-    """Per-sample loss coefficients c_i and the normalizer S.
-
-    Plain mode: c_i = v_i / n. Normalized mode: c_i = v_i / (sum v + eps),
-    which keeps the effective step size stable when the weights saturate.
-    """
+def weight_coefficients(values: np.ndarray):
+    """Per-sample loss coefficients c_i = v_i / S and the normalizer
+    S = sum v + eps, which keeps the effective step size stable when the
+    weights saturate."""
     values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
-    if normalize:
-        s = values.sum() + EPS_NORMALIZE
-        if values.sum() == 0.0:
-            warnings.warn("all sample weights are zero; weighted loss collapses to 0")
-        return values / s, s
-    return values / n, float(n)
+    s = values.sum() + EPS_NORMALIZE
+    if values.sum() == 0.0:
+        warnings.warn("all sample weights are zero; weighted loss collapses to 0")
+    return values / s, s
 
 
 class MetaState:
@@ -84,7 +78,7 @@ class MetaState:
 
     `settings` is the phase's training.TrainSettings: `lr` is the main
     step size alpha, `mrn_lr` the reweighting network's step size beta,
-    and `normalize_weights`, `betas` and `weight_decay` apply as named.
+    and `betas` and `weight_decay` apply as named.
 
     Every trainable parameter must reach the loss only through the ops
     that record per-sample gradients; the cache holds their factors (see
@@ -133,7 +127,7 @@ class MetaState:
             losses, {n: self.params[n] for n in self.trainable})
         loss_values = losses.data.copy()
         v = mrn_forward(loss_values, self.mrn)
-        coeff, s = weight_coefficients(v.data, self.settings.normalize_weights)
+        coeff, s = weight_coefficients(v.data)
         step = self._weighted_sum(coeff, factors)
         w_hat = {name: Tensor(self.params[name].data - self.settings.lr * g,
                               requires_grad=True)
@@ -180,9 +174,7 @@ class MetaState:
                                     grad.reshape(lf.shape[0], -1) @ right[name], lf)
                 d += np.bincount(owner[name], weights=per_col, minlength=d.size)
 
-        # S is n in plain mode, where D drops out
-        big_d = (float(np.sum(cache["coeff"] * d))
-                 if self.settings.normalize_weights else 0.0)
+        big_d = float(np.sum(cache["coeff"] * d))
         coef = -(self.settings.lr / cache["s"]) * (d - big_d)
         surrogate = T.tsum(T.mul(cache["v"], Tensor(coef)))
         theta = self.mrn.params
@@ -209,7 +201,7 @@ class MetaState:
             raise StateError("main_step needs meta_step to have run this iteration")
         with T.no_grad():
             v_new = mrn_forward(cache["loss_values"], self.mrn).data
-        coeff, _ = weight_coefficients(v_new, self.settings.normalize_weights)
+        coeff, _ = weight_coefficients(v_new)
         grads = self._weighted_sum(coeff, cache["factors"])
         self.adam_main.step(self.params, grads)
         self._cache = None

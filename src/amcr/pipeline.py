@@ -79,23 +79,29 @@ def router_sets(train, valid):
             drop_mid_scores(valid) or list(valid))
 
 
-def train_binary(model, train, valid, images, settings: TrainSettings, rng, *,
-                 meta_samples=None) -> TR.TrainResult:
-    """Fit a 2-way classifier on the manifest's `binary_label` (the AMD-CR
-    class label: `data.binarize_label` of the score unless the data flipped
-    it), tracking best validation accuracy; the best parameters are left
-    on the model."""
-    if model.num_classes != 2:
-        raise ConfigError(
-            f"binary stage needs a 2-class head, got {model.num_classes}")
+def _fit_classifier(model, train, valid, images, settings: TrainSettings, rng,
+                    labels_of, meta_samples) -> TR.TrainResult:
+    """Fit what the class loss reaches to the labels `labels_of(samples)`,
+    tracking best validation accuracy; the best parameters stay on the model."""
     if not valid:
         raise DataError("empty validation split")
-    labels_of = lambda batch: [s.binary_label for s in batch]
     loss_fn = TR.class_loss_fn(model, images, labels_of)
     valid_fn = lambda: TR.eval_class_accuracy(model, valid, images, labels_of)
     return train_model(model, loss_fn, train, valid_fn, settings, rng,
                        trainable=model.trainable_names("class"),
                        metric_mode="higher", meta_samples=meta_samples)
+
+
+def train_binary(model, train, valid, images, settings: TrainSettings, rng, *,
+                 meta_samples=None) -> TR.TrainResult:
+    """Fit a 2-way classifier on the manifest's `binary_label` (the AMD-CR
+    class label: the score's `data.binarize_label` unless the data flipped it)."""
+    if model.num_classes != 2:
+        raise ConfigError(
+            f"binary stage needs a 2-class head, got {model.num_classes}")
+    return _fit_classifier(model, train, valid, images, settings, rng,
+                           lambda batch: [s.binary_label for s in batch],
+                           meta_samples)
 
 
 @dataclasses.dataclass
@@ -161,14 +167,9 @@ def train_branch(model, train, valid, images, settings: TrainSettings, rng,
     network and draws nothing from `rng`. Returns the phase results as a
     dict.
     """
-    if not valid:
-        raise DataError("empty validation split")
-    labels_of = lambda batch: ten_class_label([s.score for s in batch])
-    loss_fn = TR.class_loss_fn(model, images, labels_of)
-    valid_fn = lambda: TR.eval_class_accuracy(model, valid, images, labels_of)
-    phase1 = train_model(model, loss_fn, train, valid_fn, settings, rng,
-                         trainable=model.trainable_names("class"),
-                         metric_mode="higher", meta_samples=meta_samples)
+    phase1 = _fit_classifier(
+        model, train, valid, images, settings, rng,
+        lambda batch: ten_class_label([s.score for s in batch]), meta_samples)
 
     # the backbone is frozen now, so each image collapses to one feature row
     feats = TR.cache_features(model, [*train, *valid], images)

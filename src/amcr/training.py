@@ -35,7 +35,6 @@ class TrainSettings:
     mrn_lr: float = 1e-4
     mrn_hidden: int = 100
     meta_batch: int = 32
-    normalize_weights: bool = True
     plateau_patience: int = 2
     plateau_factor: float = 0.5
 

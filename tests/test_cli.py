@@ -96,6 +96,24 @@ def test_gen_data_reruns_byte_identical(tmp_path):
     assert manifest.read_bytes() != before[0]
 
 
+def test_gen_data_writes_the_manifest_once(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG)
+    out = tmp_path / "out"
+    out.mkdir()
+    calls = []
+    save = amcr.data.save_manifest
+
+    def recording(path, samples):
+        calls.append([s.split for s in samples])
+        save(path, samples)
+
+    monkeypatch.setattr(amcr.data, "save_manifest", recording)
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert sorted(set(calls[0])) == ["test", "train", "valid"]
+
+
 def test_train_saves_regressor_checkpoint(workdir):
     cfg, out = workdir
     assert (out / "models" / "r_all.ckpt").exists()

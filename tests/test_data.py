@@ -38,7 +38,8 @@ def test_generate_writes_images_and_manifest(tmp_path):
         assert 0.0 <= s.score <= 10.0
         assert s.binary_label == int(s.score >= 5.0)
         assert not s.corrupted
-        assert s.split == ""
+    assert sorted(s.split for s in samples) == ["test"] + ["train"] * 10 + ["valid"]
+    assert load_manifest(os.path.join(out, "manifest.csv")) == samples
 
 
 def test_generate_deterministic_bitwise(tmp_path):
@@ -96,13 +97,13 @@ PINNED_IMAGES = {
 }
 PINNED_MANIFESTS = {
     (3, "score-shift"):
-        "25f3ef15a4c2cc7da49ecade4828dda5e7d606ba4327f017757d036e266c7563",
+        "18041f95b2c4442f5e2334366bdd45c95c810ad2a6a6c44908ab0f28666b6126",
     (3, "label-flip"):
-        "9c84e4255cc34410b94b62e8faaef5df3902f035d519f085523f69bcbabc260b",
+        "392be59807ed4f2902f90d50066fb36526b60b3424c82b62fe0848a0720ad816",
     (1, "score-shift"):
-        "ea42a8f7a39a734dcc22d36bd33b29fa46e748b96d5b34089c1f5f0c968503f6",
+        "97a8e30445d87a9beb86c609abd9049eb0346e483dd0de8b90898ee18d231737",
     (1, "label-flip"):
-        "d1bfe72175753e516719e36492e6e4282d23f3bc631067cbeba6699b5f7c0ea0",
+        "f6026dfc6e34b78015328e0bf7e0e47f65020a817124427ac1c8b3e71de47237",
 }
 
 

@@ -42,15 +42,9 @@ def toy_loss_fn(model: ToyModel):
 # coefficient algebra
 
 
-def test_weight_coefficients_plain():
-    c, s = weight_coefficients(np.array([1.0, 3.0]), normalize=False)
-    np.testing.assert_allclose(c, [0.5, 1.5])
-    assert s == 2.0
-
-
 def test_weight_coefficients_normalized():
     v = np.array([1.0, 3.0])
-    c, s = weight_coefficients(v, normalize=True)
+    c, s = weight_coefficients(v)
     assert s == pytest.approx(4.0 + EPS_NORMALIZE)
     np.testing.assert_allclose(c, v / s)
     assert c.sum() == pytest.approx(1.0, abs=1e-8)
@@ -58,7 +52,7 @@ def test_weight_coefficients_normalized():
 
 def test_weight_coefficients_zero_weights_warn():
     with pytest.warns(UserWarning):
-        c, _ = weight_coefficients(np.zeros(3), normalize=True)
+        c, _ = weight_coefficients(np.zeros(3))
     np.testing.assert_array_equal(c, 0.0)
 
 
@@ -75,32 +69,18 @@ def test_meta_config_validation():
 # stage 1: lookahead closed form
 
 
-def test_lookahead_matches_closed_form():
-    model = ToyModel(2.0)
-    mrn = Mrn(hidden=4)  # all zero: every weight 0.5
-    cfg = TrainSettings(lr=0.1, mrn_lr=0.01, normalize_weights=False,
-                     weight_decay=0.0)
-    state = MetaState(model.params, mrn, toy_loss_fn(model), cfg)
-    batch = [0.0, 1.0, 5.0]
-    w_hat = state.lookahead_update(batch)
-    # g_i = 2(2 - t_i) = [4, 2, -6]; c_i = 0.5/3; step = sum c_i g_i = 0
-    g = [2.0 * (2.0 - t) for t in batch]
-    want = 2.0 - 0.1 * sum(0.5 / 3.0 * gi for gi in g)
-    assert float(w_hat["w"].data[0]) == pytest.approx(want, abs=1e-15)
-    # the live parameter is untouched
-    assert float(model.params["w"].data[0]) == 2.0
-
-
 def test_lookahead_normalized_coefficients():
     model = ToyModel(1.0)
-    mrn = Mrn(hidden=4)
-    cfg = TrainSettings(lr=0.2, normalize_weights=True, weight_decay=0.0)
+    mrn = Mrn(hidden=4)  # all zero: every weight 0.5
+    cfg = TrainSettings(lr=0.2, weight_decay=0.0)
     state = MetaState(model.params, mrn, toy_loss_fn(model), cfg)
     w_hat = state.lookahead_update([0.0, 3.0])
     # v = (0.5, 0.5): normalized c_i = 0.5/(1+eps); g = [2, -4]
     s = 1.0 + EPS_NORMALIZE
     want = 1.0 - 0.2 * (0.5 / s * 2.0 + 0.5 / s * -4.0)
     assert float(w_hat["w"].data[0]) == pytest.approx(want, abs=1e-12)
+    # the live parameter is untouched
+    assert float(model.params["w"].data[0]) == 1.0
 
 
 def test_lookahead_records_last_losses():
@@ -148,17 +128,15 @@ def test_unknown_trainable_names_rejected():
 # stage 2: exact meta-gradient vs finite differences
 
 
-@pytest.mark.parametrize("normalize", [False, True])
-def test_meta_gradient_matches_fd(normalize):
-    rng = np.random.default_rng(42 if normalize else 24)
+def test_meta_gradient_matches_fd():
+    rng = np.random.default_rng(42)
     model = ToyModel(1.5)
     mrn = Mrn(hidden=8, rng=rng)
     # nonzero output layer so dv/dTheta is nontrivial everywhere; the large
     # alpha keeps gradient entries well above finite-difference roundoff
     mrn.params["mrn.w2"].data = rng.normal(scale=1.0, size=(8, 1))
     mrn.params["mrn.b2"].data = rng.normal(scale=1.0, size=(1,))
-    cfg = TrainSettings(lr=0.5, mrn_lr=0.01, normalize_weights=normalize,
-                     weight_decay=0.0)
+    cfg = TrainSettings(lr=0.5, mrn_lr=0.01, weight_decay=0.0)
     loss_fn = toy_loss_fn(model)
     state = MetaState(model.params, mrn, loss_fn, cfg)
     batch = [0.0, 1.0, 2.5, 4.0]
@@ -174,7 +152,7 @@ def test_meta_gradient_matches_fd(normalize):
         with T.no_grad():
             losses = loss_fn(batch, None)
         v = mrn_forward(losses.data, mrn, override)
-        coeff, _ = weight_coefficients(v.data, normalize)
+        coeff, _ = weight_coefficients(v.data)
         g = [2.0 * (float(model.params["w"].data[0]) - t) for t in batch]
         step = sum(c * gi for c, gi in zip(coeff, g))
         w_hat = {"w": Tensor(model.params["w"].data - cfg.lr * step)}
@@ -191,16 +169,15 @@ def test_meta_gradient_matches_fd(normalize):
         assert diff < 1e-9 + 1e-6 * scale, (n, diff, scale)
 
 
-@pytest.mark.parametrize("normalize", [False, True])
-def test_meta_gradient_matches_fd_on_a_conv_net(normalize):
+def test_meta_gradient_matches_fd_on_a_conv_net():
     # stride-2 stage, padding 1, channel attention: the meta-gradient's
     # d_i come from the conv kernels' factors
-    net, mrn, loss_fn, settings = tiny_net_setup(normalize, lr=0.5)
+    net, mrn, loss_fn, settings = tiny_net_setup(lr=0.5)
     state = MetaState(net.params, mrn, loss_fn, settings)
     batch, meta_batch = [0, 1, 2, 3], [4, 5, 6]
 
     w_hat = state.lookahead_update(batch)
-    ref_net, ref_mrn, ref_loss_fn, _ = tiny_net_setup(normalize, lr=0.5)
+    ref_net, ref_mrn, ref_loss_fn, _ = tiny_net_setup(lr=0.5)
     ref_w_hat = reference_lookahead(ref_net.params, ref_mrn, ref_loss_fn,
                                     settings, batch)[-1]
     for name, p in ref_w_hat.items():
@@ -215,7 +192,7 @@ def test_meta_gradient_matches_fd_on_a_conv_net(normalize):
     def meta_loss_at():
         override = {n: Tensor(a) for n, a in arrs.items()}
         v = mrn_forward(losses.data, mrn, override)
-        coeff, _ = weight_coefficients(v.data, normalize)
+        coeff, _ = weight_coefficients(v.data)
         w_hat = {name: Tensor(p.data - settings.lr * sum(
                      c * g[name] for c, g in zip(coeff, g_list)))
                  for name, p in net.params.items()}
@@ -245,7 +222,7 @@ def test_meta_iteration_returns_weights_and_counts():
 # small network
 
 
-def tiny_net_setup(normalize, lr=0.05):
+def tiny_net_setup(lr=0.05):
     """A small AestheticNet and reweighting network, built fresh from
     fixed seeds so two calls give bitwise-equal starting points."""
     rng = np.random.default_rng(31)
@@ -261,7 +238,7 @@ def tiny_net_setup(normalize, lr=0.05):
         return T.cross_entropy_logits(
             net.forward(Tensor(images[batch]), override), labels[batch])
 
-    settings = TrainSettings(lr=lr, mrn_lr=0.01, normalize_weights=normalize)
+    settings = TrainSettings(lr=lr, mrn_lr=0.01)
     return net, mrn, loss_fn, settings
 
 
@@ -271,7 +248,7 @@ def reference_lookahead(params, mrn, loss_fn, settings, batch):
     losses = loss_fn(batch, None)
     g_list = batch_of_one_gradients(lambda b: loss_fn(b, None), batch, params)
     v = mrn_forward(losses.data, mrn)
-    coeff, s = weight_coefficients(v.data, settings.normalize_weights)
+    coeff, s = weight_coefficients(v.data)
     w_hat = {}
     for name in params:
         step = np.zeros_like(params[name].data)
@@ -290,7 +267,7 @@ def reference_meta_gradient(mrn, loss_fn, settings, meta_batch, cache):
         if p.grad is not None:
             for i in range(len(g_list)):
                 d[i] += float(np.sum(g_list[i][name] * p.grad))
-    big_d = float(np.sum(coeff * d)) if settings.normalize_weights else 0.0
+    big_d = float(np.sum(coeff * d))
     T.tsum(T.mul(v, Tensor(-(settings.lr / s) * (d - big_d)))).backward()
     return {n: p.grad for n, p in mrn.params.items()}
 
@@ -299,7 +276,7 @@ def reference_main_grads(params, mrn, settings, cache):
     loss_values, g_list = cache[:2]
     with T.no_grad():
         v_new = mrn_forward(loss_values, mrn)
-    coeff, _ = weight_coefficients(v_new.data, settings.normalize_weights)
+    coeff, _ = weight_coefficients(v_new.data)
     grads = {}
     for name in params:
         acc = np.zeros_like(params[name].data)
@@ -309,12 +286,11 @@ def reference_main_grads(params, mrn, settings, cache):
     return grads
 
 
-@pytest.mark.parametrize("normalize", [False, True])
-def test_meta_iteration_matches_per_sample_loops(normalize):
+def test_meta_iteration_matches_per_sample_loops():
     batch, meta_batch = [0, 1, 2, 3, 4], [5, 6, 7]
-    net, mrn, loss_fn, settings = tiny_net_setup(normalize)
+    net, mrn, loss_fn, settings = tiny_net_setup()
     state = MetaState(net.params, mrn, loss_fn, settings)
-    ref_net, ref_mrn, ref_loss_fn, _ = tiny_net_setup(normalize)
+    ref_net, ref_mrn, ref_loss_fn, _ = tiny_net_setup()
     ref_params = ref_net.params
 
     w_hat = state.lookahead_update(batch)
@@ -353,6 +329,37 @@ def test_meta_iteration_matches_per_sample_loops(normalize):
                                    atol=1e-15)
 
 
+@pytest.mark.parametrize("decay", [0.0, 1e-2])
+def test_neutral_mrn_is_plain_training(decay):
+    # an all-zero network weighs every sample 0.5, so c_i = 1/n up to eps
+    # and each iteration's main step is Adam on the mean loss; relu'(0) = 0
+    # leaves w1 and b1 no gradient, so the weights stay equal throughout
+    net, _, loss_fn, _ = tiny_net_setup()
+    ref_net, _, ref_loss_fn, _ = tiny_net_setup()
+    mrn = Mrn(hidden=6)
+    settings = TrainSettings(lr=0.05, mrn_lr=0.01, weight_decay=decay)
+    trainable = net.trainable_names("class")
+    state = MetaState(net.params, mrn, loss_fn, settings, trainable)
+    adam = Adam(settings.lr, settings.betas, weight_decay=settings.weight_decay)
+    rng = np.random.default_rng(8)
+    for k in range(8):
+        batch = list(rng.choice(8, size=5 if k % 2 else 2, replace=False))
+        weights = state.meta_iteration(batch, list(rng.choice(8, size=3)))
+        assert np.all(weights == weights[0])
+        for name in trainable:
+            ref_net.params[name].zero_grad()
+        T.tmean(ref_loss_fn(batch, None)).backward()
+        adam.step(ref_net.params, {n: ref_net.params[n].grad for n in trainable})
+    for name in trainable:
+        # against the parameter's scale too: an entry that crosses zero
+        # has no relative error of its own
+        want = ref_net.params[name].data
+        np.testing.assert_allclose(net.params[name].data, want, rtol=1e-6,
+                                   atol=1e-6 * np.abs(want).max())
+    for name in ("mrn.w1", "mrn.b1"):
+        assert not mrn.params[name].data.any()
+
+
 def test_lookahead_cache_is_small_next_to_dense_rows():
     # conv kernels hold most of P; their factors scale with the output
     # positions instead, so the cache is far below n dense rows
@@ -375,10 +382,9 @@ def test_lookahead_cache_is_small_next_to_dense_rows():
     assert held < n * total / 10, (held, n * total)
 
 
-@pytest.mark.parametrize("normalize", [False, True])
-def test_main_step_gradient_is_one_backward_of_weighted_loss(normalize):
+def test_main_step_gradient_is_one_backward_of_weighted_loss():
     batch, meta_batch = [0, 1, 2, 3, 4], [5, 6, 7]
-    net, mrn, loss_fn, settings = tiny_net_setup(normalize)
+    net, mrn, loss_fn, settings = tiny_net_setup()
     state = MetaState(net.params, mrn, loss_fn, settings)
     steps = []
     adam_step = state.adam_main.step
@@ -394,8 +400,8 @@ def test_main_step_gradient_is_one_backward_of_weighted_loss(normalize):
     # parameters, c_i from the updated network on the cached losses
     with T.no_grad():
         v = mrn_forward(state.last_losses, mrn).data
-    coeff, _ = weight_coefficients(v, normalize)
-    ref_net, _, ref_loss_fn, _ = tiny_net_setup(normalize)
+    coeff, _ = weight_coefficients(v)
+    ref_net, _, ref_loss_fn, _ = tiny_net_setup()
     T.tsum(T.mul(ref_loss_fn(batch, None), Tensor(coeff))).backward()
     state.main_step()
     assert len(steps) == 1
@@ -404,11 +410,10 @@ def test_main_step_gradient_is_one_backward_of_weighted_loss(normalize):
         np.testing.assert_allclose(steps[0][name], want, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("normalize", [False, True])
-def test_meta_gradient_matches_fd_after_a_main_step(normalize):
+def test_meta_gradient_matches_fd_after_a_main_step():
     # the second lookahead, on another batch: one full iteration has moved
     # the main parameters and Theta, and consumed its own cache
-    net, mrn, loss_fn, settings = tiny_net_setup(normalize, lr=0.5)
+    net, mrn, loss_fn, settings = tiny_net_setup(lr=0.5)
     state = MetaState(net.params, mrn, loss_fn, settings)
     state.meta_iteration([0, 1, 2, 3], [4, 5, 6])
     batch, meta_batch = [7, 2, 5, 0], [4, 5, 6]
@@ -422,7 +427,7 @@ def test_meta_gradient_matches_fd_after_a_main_step(normalize):
     def meta_loss_at():
         override = {n: Tensor(a) for n, a in arrs.items()}
         v = mrn_forward(losses.data, mrn, override)
-        coeff, _ = weight_coefficients(v.data, normalize)
+        coeff, _ = weight_coefficients(v.data)
         w_hat = {name: Tensor(p.data - settings.lr * sum(
                      c * g[name] for c, g in zip(coeff, g_list)))
                  for name, p in net.params.items()}
@@ -440,7 +445,7 @@ def test_meta_gradient_matches_fd_after_a_main_step(normalize):
 def test_unreached_parameter_moves_by_weight_decay_alone():
     # the class loss never reaches head.reg.*: its factors have no
     # columns, sum_i c_i g_i is exactly zero, and only decay moves it
-    net, mrn, loss_fn, _ = tiny_net_setup(False)
+    net, mrn, loss_fn, _ = tiny_net_setup()
     settings = TrainSettings(lr=0.05, mrn_lr=0.01, weight_decay=1e-2)
     state = MetaState(net.params, mrn, loss_fn, settings)
     unreached = ("head.reg.w", "head.reg.b")
