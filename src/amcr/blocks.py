@@ -20,29 +20,21 @@ ECA_GAMMA = 2.0
 ECA_B = 1.0
 
 
-def eca_kernel_size(channels: int, mode: str = "ceil_odd") -> int:
-    """Odd 1D kernel extent derived from the channel count.
+def eca_kernel_size(channels: int) -> int:
+    """Odd 1D kernel extent derived from the channel count: the smallest
+    odd integer at or above t = log2(C)/gamma + b/gamma, at least 1.
 
-    t = log2(C)/gamma + b/gamma. ceil_odd takes the smallest odd integer
-    at or above t; nearest_odd takes the odd integer closest to t with
-    ties resolved upward. Both floor at 1.
+    ECA (Wang et al. 2020, arXiv:1910.03151) writes the odd integer
+    nearest t; this net keeps the ceiling, since changing the rule would
+    change every stage's kernel sizes.
     """
     c = int(channels)
     if c < 2:
         raise ParameterError(f"channel attention needs >= 2 channels, got {c}")
     t = math.log2(c) / ECA_GAMMA + ECA_B / ECA_GAMMA
-    if mode == "ceil_odd":
-        k = int(math.ceil(t))
-        if k % 2 == 0:
-            k += 1
-    elif mode == "nearest_odd":
-        lo = int(math.floor(t))
-        if lo % 2 == 0:
-            lo -= 1
-        hi = lo + 2
-        k = lo if (t - lo) < (hi - t) else hi
-    else:
-        raise ParameterError(f"unknown kernel mode {mode!r}")
+    k = int(math.ceil(t))
+    if k % 2 == 0:
+        k += 1
     return max(k, 1)
 
 
@@ -139,8 +131,7 @@ class AestheticNet:
     def __init__(self, rng=None, in_channels: int = 3, stem_channels: int = 24,
                  stage_channels=(48, 96, 128), head_width: int = 448,
                  num_classes: int = 10, eca: bool = True,
-                 eca_mode: str = "ceil_odd", pool_target: int = None,
-                 params: dict = None):
+                 pool_target: int = None, params: dict = None):
         if stem_channels < 2 or any(c < 2 for c in stage_channels):
             raise ParameterError("channel counts must be >= 2")
         if head_width < 1:
@@ -153,7 +144,6 @@ class AestheticNet:
         self.head_width = int(head_width)
         self.num_classes = int(num_classes)
         self.eca = bool(eca)
-        self.eca_mode = eca_mode
         self.pool_target = None if pool_target is None else int(pool_target)
         layout = self._layout()
         if params is not None:
@@ -189,22 +179,13 @@ class AestheticNet:
         for i, c in enumerate(self.stage_channels):
             conv(f"stage{i}.w", c, prev)
             if self.eca:
-                k = eca_kernel_size(c, self.eca_mode)
+                k = eca_kernel_size(c)
                 layout[f"stage{i}.eca"] = ((k,), 1.0 / math.sqrt(k))
             prev = c
         conv("head.reduce.w", self.head_width, prev)
         linear("head.class", self.head_width, self.num_classes)
         linear("head.reg", self.head_width, 1)
         return layout
-
-    def trainable_names(self, loss: str):
-        """Parameter names that a loss reaches: the class loss ("class")
-        everything but the regression head, the regression loss ("reg")
-        everything but the class head."""
-        if loss not in ("class", "reg"):
-            raise ParameterError(f"unknown loss {loss!r}")
-        other = "head.reg." if loss == "class" else "head.class."
-        return [n for n in self.params if not n.startswith(other)]
 
     def features(self, images, params=None) -> Tensor:
         """Pooled feature rows (N, head_width) of an (N,C,H,W) batch."""

@@ -89,7 +89,6 @@ def _build_model(cfg: RunConfig, rng, num_classes: int,
         head_width=cfg.model_head_width,
         num_classes=num_classes,
         eca=cfg.model_eca,
-        eca_mode=cfg.model_eca_mode,
         pool_target=pool_target,
         params=params,
     )

@@ -55,7 +55,6 @@ _SCHEMA = {
         "stage_channels": ("ints", (48, 96, 128)),
         "head_width": ("int", 448),
         "eca": ("bool", True),
-        "eca_mode": ("str", "ceil_odd"),
         "prep": ("str", "crop"),
         "crop_side": ("int", 32),
         "square_side": ("int", 64),
@@ -88,16 +87,15 @@ _SCHEMA = {
 
 _CHOICES = {
     ("data", "corrupt_kind"): ("score-shift", "label-flip"),
-    ("model", "eca_mode"): ("ceil_odd", "nearest_odd"),
     # gen-data writes PNM images, which hold 1 or 3 channels
     ("model", "in_channels"): (1, 3),
     ("model", "prep"): ("crop", "resize", "aab"),
     ("pipeline", "variant"): ("r", "cr", "pcr"),
 }
 
-# Keys that determine parameter shapes and the forward graph; their canonical
-# rendering feeds config_hash so checkpoints refuse to load into a different
-# architecture.
+# Keys that determine the shapes and forward graph of what a checkpoint holds
+# (the nets, never the reweighting network); their canonical rendering feeds
+# config_hash so checkpoints refuse to load into a different architecture.
 _HASH_KEYS = (
     ("data", "image_height"),
     ("data", "image_width"),
@@ -106,12 +104,10 @@ _HASH_KEYS = (
     ("model", "stage_channels"),
     ("model", "head_width"),
     ("model", "eca"),
-    ("model", "eca_mode"),
     ("model", "prep"),
     ("model", "crop_side"),
     ("model", "square_side"),
     ("model", "pool_target"),
-    ("meta", "mrn_hidden"),
 )
 
 

@@ -1,13 +1,13 @@
 """Hot numeric kernels: 2D convolution, adaptive average pooling, bilinear resize.
 
 Vectorized numpy: convolution goes through im2col and one matrix product,
-pooling and resizing are slicing and gather arithmetic. Each conv shape
-gets one cached tap-index map (`_tap_index`): the im2col gather is one
-integer-array index through it and the backward-input scatter one
-`bincount`, so a conv takes no Python step per kernel tap. `unfold` is
-that im2col; `tensor` also records it as one factor of a conv kernel's
-per-sample gradient. `tensor` and `image` look the kernels up on this
-module by attribute at call time.
+pooling through two products with window-averaging matrices, and resizing
+is gather arithmetic. Each conv shape gets one cached tap-index map
+(`_tap_index`): the im2col gather is one integer-array index through it
+and the backward-input scatter one `bincount`, so a conv takes no Python
+step per kernel tap. `unfold` is that im2col; `tensor` also records it as
+one factor of a conv kernel's per-sample gradient. `tensor` and `image`
+look the kernels up on this module by attribute at call time.
 
 All arrays are float64 and C-contiguous. Channel-first layout (C, H, W).
 """
@@ -99,26 +99,23 @@ def conv2d_backward_kernel(dy, x, stride, pad, kh, kw):
 # window for output cell (i, j): rows [floor(i*H/Th), ceil((i+1)*H/Th))
 
 
+def _pool_matrix(target, size):
+    """The (target, size) averaging matrix: row i is 1/width over cell i's
+    window [floor(i*size/target), ceil((i+1)*size/target)), 0 elsewhere."""
+    i = np.arange(target)[:, None]
+    lo, hi = (i * size) // target, -((-(i + 1) * size) // target)
+    cols = np.arange(size)
+    return ((cols >= lo) & (cols < hi)) / (hi - lo)
+
+
 def adaptive_avg_pool_forward(x, th, tw):
-    c, h, w = x.shape
-    out = np.empty((c, th, tw))
-    for i in range(th):
-        r0, r1 = (i * h) // th, -((-(i + 1) * h) // th)
-        for j in range(tw):
-            c0, c1 = (j * w) // tw, -((-(j + 1) * w) // tw)
-            out[:, i, j] = x[:, r0:r1, c0:c1].sum(axis=(1, 2)) / ((r1 - r0) * (c1 - c0))
-    return out
+    _, h, w = x.shape
+    return _pool_matrix(th, h) @ x @ _pool_matrix(tw, w).T
 
 
 def adaptive_avg_pool_backward(dy, h, w):
-    c, th, tw = dy.shape
-    dx = np.zeros((c, h, w))
-    for i in range(th):
-        r0, r1 = (i * h) // th, -((-(i + 1) * h) // th)
-        for j in range(tw):
-            c0, c1 = (j * w) // tw, -((-(j + 1) * w) // tw)
-            dx[:, r0:r1, c0:c1] += (dy[:, i, j] / ((r1 - r0) * (c1 - c0)))[:, None, None]
-    return dx
+    _, th, tw = dy.shape
+    return _pool_matrix(th, h).T @ dy @ _pool_matrix(tw, w)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,14 @@ batch:
      cached g_i (w has not moved since they were taken).
 
 The cached g_i all come from one backward of the batch's loss vector,
-and are never formed whole: tensor.per_sample_gradients keeps every
-trainable parameter's as two factors stacked over the batch, left L
-(p_out, M) and right R (p_in, M), with owner[m] the sample of column m,
-so g_i is L @ R.T over sample i's columns. A conv kernel's L and R are
-its output gradients and unfolded inputs, one column per output
-position; a dense layer's or a vector's have one column per sample.
-Then, for every parameter alike,
+and are never formed whole: tensor.per_sample_gradients keeps those of
+every parameter the loss reaches as two factors stacked over the batch,
+left L (p_out, M) and right R (p_in, M), with owner[m] the sample of
+column m, so g_i is L @ R.T over sample i's columns. Both updates move
+only those parameters: one the loss does not reach keeps its value. A
+conv kernel's L and R are its output gradients and unfolded inputs, one
+column per output position; a dense layer's or a vector's have one
+column per sample. Then, for every parameter alike,
     sum_i c_i g_i = (L * c[owner]) @ R.T                 (one GEMM)
     d_i = sum of the columns m of sample i of (G @ R) * L
 with G the parameter's meta-loss gradient at w_hat, reshaped to
@@ -80,21 +81,16 @@ class MetaState:
     step size alpha, `mrn_lr` the reweighting network's step size beta,
     and `betas` and `weight_decay` apply as named.
 
-    Every trainable parameter must reach the loss only through the ops
+    Every parameter the loss reaches must reach it only through the ops
     that record per-sample gradients; the cache holds their factors (see
-    the module docstring).
+    the module docstring), and only they take steps.
     """
 
-    def __init__(self, params: dict, mrn: Mrn, loss_fn, settings,
-                 trainable=None):
+    def __init__(self, params: dict, mrn: Mrn, loss_fn, settings):
         self.params = params
         self.mrn = mrn
         self.loss_fn = loss_fn
         self.settings = settings
-        self.trainable = list(params) if trainable is None else list(trainable)
-        unknown = [n for n in self.trainable if n not in params]
-        if unknown:
-            raise ParameterError(f"unknown trainable parameters {unknown}")
         # One weight-decay setting serves both optimizers. On Theta the
         # decay doubles as a restoring force: a saturated sigmoid emits
         # near-zero gradients, and without decay Adam's normalized steps
@@ -107,7 +103,8 @@ class MetaState:
         self.last_losses = np.zeros(0)  # per-sample losses of the last lookahead
 
     def _weighted_sum(self, coeff, factors) -> dict:
-        """sum_i c_i g_i for every trainable parameter, from its factors."""
+        """sum_i c_i g_i for every parameter the loss reaches, from its
+        factors."""
         left, right, owner = factors
         return {name: ((left[name] * coeff[owner[name]]) @ right[name].T
                        ).reshape(self.params[name].shape) for name in left}
@@ -123,8 +120,7 @@ class MetaState:
         if losses.data.ndim != 1 or losses.shape[0] != len(batch):
             raise ShapeError(
                 f"loss_fn returned {losses.shape} for a batch of {len(batch)}")
-        factors = T.per_sample_gradients(
-            losses, {n: self.params[n] for n in self.trainable})
+        factors = T.per_sample_gradients(losses, self.params)
         loss_values = losses.data.copy()
         v = mrn_forward(loss_values, self.mrn)
         coeff, s = weight_coefficients(v.data)
@@ -164,15 +160,14 @@ class MetaState:
             p.zero_grad()
         meta_loss.backward()
 
-        # d_i = g_i . grad_{w_hat}(meta loss); unreached parameters add 0
+        # d_i = g_i . grad_{w_hat}(meta loss); the same loss_fn reaches
+        # every parameter of w_hat
         left, right, owner = cache["factors"]
         d = np.zeros(cache["loss_values"].size)
         for name, lf in left.items():
-            grad = w_hat[name].grad
-            if grad is not None:
-                per_col = np.einsum("ij,ij->j",
-                                    grad.reshape(lf.shape[0], -1) @ right[name], lf)
-                d += np.bincount(owner[name], weights=per_col, minlength=d.size)
+            grad = w_hat[name].grad.reshape(lf.shape[0], -1)
+            per_col = np.einsum("ij,ij->j", grad @ right[name], lf)
+            d += np.bincount(owner[name], weights=per_col, minlength=d.size)
 
         big_d = float(np.sum(cache["coeff"] * d))
         coef = -(self.settings.lr / cache["s"]) * (d - big_d)

@@ -88,7 +88,6 @@ def _fit_classifier(model, train, valid, images, settings: TrainSettings, rng,
     loss_fn = TR.class_loss_fn(model, images, labels_of)
     valid_fn = lambda: TR.eval_class_accuracy(model, valid, images, labels_of)
     return train_model(model, loss_fn, train, valid_fn, settings, rng,
-                       trainable=model.trainable_names("class"),
                        metric_mode="higher", meta_samples=meta_samples)
 
 
@@ -247,8 +246,7 @@ def run_pipeline(variant: str, train, valid, images, model_factory,
         valid_fn = lambda: TR.eval_reg_mse(model, valid, images)
         art.history["r"] = train_model(
             model, loss_fn, train, valid_fn, reg_settings, rng,
-            trainable=model.trainable_names("reg"), metric_mode="lower",
-            meta_samples=meta_samples)
+            metric_mode="lower", meta_samples=meta_samples)
         art.r_all = model
         return art
 

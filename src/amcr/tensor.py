@@ -454,10 +454,10 @@ def per_sample_gradients(loss_vector: Tensor, params: dict):
     product of the rest, and owner (M,) the sample of each column. Sample
     n's gradient is
         (left[:, owner == n] @ right[:, owner == n].T).reshape(p.shape),
-    zero when no column is n's; a parameter that no sample reaches has
-    M = 0. Every parameter's `.grad` is cleared before the backward, so a
-    gradient left from an earlier backward is not taken for a leak, and is
-    left cleared.
+    zero when no column is n's. A parameter that no sample reaches has no
+    records and is absent from all three. Every parameter's `.grad` is
+    cleared before the backward, so a gradient left from an earlier
+    backward is not taken for a leak, and is left cleared.
     """
     if not isinstance(loss_vector, Tensor) or not loss_vector.requires_grad:
         raise TapeError("per_sample_gradients: loss vector is detached from the graph")
@@ -467,10 +467,7 @@ def per_sample_gradients(loss_vector: Tensor, params: dict):
         raise ParameterError("per_sample_gradients: a parameter is named twice")
     recorders = {}
     for p in params.values():
-        p_out = p.shape[0] if p.shape else 1
-        # a zero-width first record, so an unreached parameter stacks too
-        recorders[id(p)] = [(np.zeros((p_out, 0)), np.zeros((p.data.size // p_out, 0)),
-                             np.zeros(0, dtype=np.int64))]
+        recorders[id(p)] = []
         p.grad = None
     token = _recording.set((loss_vector.shape[0], recorders))
     try:
@@ -485,8 +482,12 @@ def per_sample_gradients(loss_vector: Tensor, params: dict):
                         "loss outside the ops that record per-sample gradients")
     left, right, owner = {}, {}, {}
     for name, p in params.items():
-        # one parameter at a time, dropping its records once stacked
-        lefts, rights, owners = zip(*recorders.pop(id(p)))
-        left[name], right[name] = np.hstack(lefts), np.hstack(rights)
-        owner[name] = np.concatenate(owners)
+        # one parameter at a time, dropping its records once stacked; C
+        # order, since a lone matmul record (a.data.T) is a transposed view
+        records = recorders.pop(id(p))
+        if records:
+            lefts, rights, owners = zip(*records)
+            left[name] = np.ascontiguousarray(np.hstack(lefts))
+            right[name] = np.ascontiguousarray(np.hstack(rights))
+            owner[name] = np.concatenate(owners)
     return left, right, owner

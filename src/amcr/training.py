@@ -1,7 +1,11 @@
 """Training loop shared by every stage: one Adam step per batch on the
 mean batch loss, or the three-stage iteration that learns the reweighting
 network, both with plateau learning rate halving and best-validation
-parameter tracking; and the closed-form regression head on frozen features."""
+parameter tracking; and the closed-form regression head on frozen features.
+
+A stage trains what its loss reaches: the backward pass decides which
+parameters take steps, and a parameter the loss does not reach keeps its
+value bitwise, weight decay or not."""
 
 from dataclasses import dataclass, field
 
@@ -76,10 +80,9 @@ class _Cycler:
 
 
 def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings,
-                rng, *, trainable=None, metric_mode="lower",
-                meta_samples=None) -> TrainResult:
-    """Fit `trainable` parameters of `model` and leave the best-validation
-    values in place.
+                rng, *, metric_mode="lower", meta_samples=None) -> TrainResult:
+    """Fit the parameters of `model` that the loss reaches and leave the
+    best-validation values in place.
 
     loss_fn(batch, override) must return the per-sample loss vector;
     valid_fn() the validation metric (metric_mode says which direction
@@ -95,7 +98,6 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
     if not train_samples:
         raise DataError("empty training set")
     params = model.params
-    trainable = list(params) if trainable is None else list(trainable)
     result = TrainResult()
 
     state = None
@@ -103,7 +105,7 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
         if not meta_samples:
             raise DataError("reweighted training needs a meta set")
         result.mrn = Mrn(hidden=settings.mrn_hidden, rng=rng)
-        state = MetaState(params, result.mrn, loss_fn, settings, trainable)
+        state = MetaState(params, result.mrn, loss_fn, settings)
         optimizer = state.adam_main
         meta_cycler = _Cycler(meta_samples, settings.meta_batch, rng)
     else:
@@ -128,19 +130,18 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
             else:
                 loss_vector = loss_fn(batch, None)
                 losses = loss_vector.data
-                for name in trainable:
-                    params[name].zero_grad()
+                for p in params.values():
+                    p.zero_grad()
                 T.tmean(loss_vector).backward()
-                optimizer.step(params, {
-                    n: np.zeros_like(params[n].data) if params[n].grad is None
-                    else params[n].grad for n in trainable})
+                optimizer.step(params, {n: p.grad for n, p in params.items()
+                                        if p.grad is not None})
             epoch_loss += float(np.sum(losses))
             seen += len(batch)
             result.iterations += 1
         value = float(valid_fn())
         if scheduler.improved(value):
             result.best_metric = value
-            best_params = {n: params[n].data.copy() for n in trainable}
+            best_params = {n: p.data.copy() for n, p in params.items()}
         scheduler.observe(value)
         result.history.append({"epoch": epoch, "valid": value, "lr": optimizer.lr,
                                "train_loss": epoch_loss / max(seen, 1)})

@@ -21,35 +21,28 @@ from helpers import numerical_grad, rel_err
 
 
 def test_kernel_size_anchor_values():
-    # log2(1792)/2 + 1/2 = 5.9036...: the two modes disagree here by design
-    assert eca_kernel_size(1792, "ceil_odd") == 7
-    assert eca_kernel_size(1792, "nearest_odd") == 5
-    assert eca_kernel_size(448, "ceil_odd") == 5
-    assert eca_kernel_size(448, "nearest_odd") == 5
+    # log2(1792)/2 + 1/2 = 5.9036...: the ceiling, not ECA's nearest odd 5
+    assert eca_kernel_size(1792) == 7
+    assert eca_kernel_size(448) == 5
 
 
 def test_kernel_size_small_channels():
-    # C=2: t = 1.0 is already odd, both modes return it
-    assert eca_kernel_size(2, "ceil_odd") == 1
-    assert eca_kernel_size(2, "nearest_odd") == 1
-    # C=4: t = 1.5 is 0.5 from 1 and 1.5 from 3
-    assert eca_kernel_size(4, "ceil_odd") == 3
-    assert eca_kernel_size(4, "nearest_odd") == 1
-    # C=8: t = 2.0 sits exactly between 1 and 3; the tie resolves upward
-    assert eca_kernel_size(8, "nearest_odd") == 3
+    # C=2: t = 1.0 is already odd
+    assert eca_kernel_size(2) == 1
+    # C=4: t = 1.5 rounds up to 3
+    assert eca_kernel_size(4) == 3
 
 
 def test_kernel_size_always_odd_and_positive():
     for c in range(2, 3000, 37):
-        for mode in ("ceil_odd", "nearest_odd"):
-            k = eca_kernel_size(c, mode)
-            assert k >= 1 and k % 2 == 1
+        k = eca_kernel_size(c)
+        assert k >= 1 and k % 2 == 1
 
 
 def test_kernel_size_monotone_in_channels():
     prev = 0
     for c in (2, 8, 64, 448, 1792, 4096):
-        k = eca_kernel_size(c, "ceil_odd")
+        k = eca_kernel_size(c)
         assert k >= prev
         prev = k
 
@@ -57,8 +50,6 @@ def test_kernel_size_monotone_in_channels():
 def test_kernel_size_validation():
     with pytest.raises(ParameterError):
         eca_kernel_size(1)
-    with pytest.raises(ParameterError):
-        eca_kernel_size(64, "floor_odd")
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +57,7 @@ def test_kernel_size_validation():
 
 
 def eca_kernel(channels, rng):
-    """A trainable attention kernel drawn as the backbone draws it."""
+    """An attention kernel that tracks gradients, drawn as the backbone draws it."""
     k = eca_kernel_size(channels)
     return Tensor(rng.normal(scale=1.0 / np.sqrt(k), size=k), requires_grad=True)
 
@@ -376,21 +367,6 @@ def test_batched_forward_equals_batch_of_one_forwards(kw):
         for name, value in outputs(images[i:i + 1]).items():
             np.testing.assert_allclose(batched[name][i], value[0], rtol=1e-12,
                                        atol=0, err_msg=name)
-
-
-def test_net_trainable_name_phases():
-    net = small_net(np.random.default_rng(13))
-    names = set(net.params)
-    cls = set(net.trainable_names("class"))
-    reg = set(net.trainable_names("reg"))
-    # each loss trains what it reaches: its own head and the backbone
-    assert names - cls == {"head.reg.w", "head.reg.b"}
-    assert names - reg == {"head.class.w", "head.class.b"}
-    assert cls & reg == names - {"head.reg.w", "head.reg.b",
-                                 "head.class.w", "head.class.b"}
-    for loss in ("all", "warmup"):
-        with pytest.raises(ParameterError):
-            net.trainable_names(loss)
 
 
 def test_net_forward_full_gradient_matches_fd():

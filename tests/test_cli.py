@@ -356,6 +356,18 @@ def fresh_data(tmp_path, config=CONFIG):
     return cfg, out
 
 
+def test_evaluate_ignores_the_mrn_width(tmp_path):
+    # no checkpoint holds the reweighting network, so its width is not
+    # part of the architecture a checkpoint is checked against
+    cfg, out = fresh_data(tmp_path)
+    assert main(["train", "--config", str(cfg), "--out", str(out),
+                 "--variant", "cr", "--mrn", "on"]) == 0
+    wider = tmp_path / "wider.ini"
+    wider.write_text(CONFIG.replace("meta_quota = 2", "meta_quota = 2\nmrn_hidden = 50"))
+    assert main(["evaluate", "--config", str(wider), "--out", str(out),
+                 "--variant", "cr"]) == 0
+
+
 def test_train_binary_keeps_validation_of_mid_scores(tmp_path, capsys):
     # every validation score sits in the (4, 6) band the router leaves
     # out; like train, train-binary then validates on the whole split

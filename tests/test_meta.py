@@ -117,13 +117,6 @@ def test_state_machine_order_enforced():
         state.main_step()  # cache consumed
 
 
-def test_unknown_trainable_names_rejected():
-    model = ToyModel(0.0)
-    with pytest.raises(ParameterError):
-        MetaState(model.params, Mrn(hidden=2), toy_loss_fn(model),
-                  TrainSettings(), trainable=["w", "ghost"])
-
-
 # ---------------------------------------------------------------------------
 # stage 2: exact meta-gradient vs finite differences
 
@@ -242,6 +235,12 @@ def tiny_net_setup(lr=0.05):
     return net, mrn, loss_fn, settings
 
 
+def reached(params):
+    """The parameters tiny_net_setup's class loss reaches: all but the
+    regression head."""
+    return {n: p for n, p in params.items() if not n.startswith("head.reg.")}
+
+
 def reference_lookahead(params, mrn, loss_fn, settings, batch):
     """Stage 1 written with one gradient dict per sample, each from a
     backward of that sample alone."""
@@ -250,7 +249,7 @@ def reference_lookahead(params, mrn, loss_fn, settings, batch):
     v = mrn_forward(losses.data, mrn)
     coeff, s = weight_coefficients(v.data)
     w_hat = {}
-    for name in params:
+    for name in reached(params):
         step = np.zeros_like(params[name].data)
         for i in range(len(batch)):
             step += coeff[i] * g_list[i][name]
@@ -278,7 +277,7 @@ def reference_main_grads(params, mrn, settings, cache):
         v_new = mrn_forward(loss_values, mrn)
     coeff, _ = weight_coefficients(v_new.data)
     grads = {}
-    for name in params:
+    for name in reached(params):
         acc = np.zeros_like(params[name].data)
         for i in range(len(g_list)):
             acc += coeff[i] * g_list[i][name]
@@ -299,14 +298,14 @@ def test_meta_iteration_matches_per_sample_loops():
     for name, p in cache[-1].items():
         np.testing.assert_allclose(w_hat[name].data, p.data, rtol=1e-12,
                                    atol=1e-15)
-    # every parameter keeps factors, and each sample's factors rebuild
-    # its gradients
+    # every parameter the loss reaches keeps factors, and each sample's
+    # factors rebuild its gradients
     factors = state._cache["factors"]
-    assert list(factors[0]) == list(net.params)
+    assert list(factors[0]) == list(reached(net.params))
     rebuilt = gradients_from_factors(factors, net.params, len(batch))
     for mine, grads in zip(rebuilt, cache[1]):
-        for name, g in grads.items():
-            np.testing.assert_allclose(mine[name], g, rtol=1e-12, atol=0)
+        for name in reached(grads):
+            np.testing.assert_allclose(mine[name], grads[name], rtol=1e-12, atol=0)
 
     state.meta_step(meta_batch)
     ref_grads = reference_meta_gradient(ref_mrn, ref_loss_fn, settings,
@@ -338,19 +337,19 @@ def test_neutral_mrn_is_plain_training(decay):
     ref_net, _, ref_loss_fn, _ = tiny_net_setup()
     mrn = Mrn(hidden=6)
     settings = TrainSettings(lr=0.05, mrn_lr=0.01, weight_decay=decay)
-    trainable = net.trainable_names("class")
-    state = MetaState(net.params, mrn, loss_fn, settings, trainable)
+    state = MetaState(net.params, mrn, loss_fn, settings)
     adam = Adam(settings.lr, settings.betas, weight_decay=settings.weight_decay)
     rng = np.random.default_rng(8)
     for k in range(8):
         batch = list(rng.choice(8, size=5 if k % 2 else 2, replace=False))
         weights = state.meta_iteration(batch, list(rng.choice(8, size=3)))
         assert np.all(weights == weights[0])
-        for name in trainable:
-            ref_net.params[name].zero_grad()
+        for p in ref_net.params.values():
+            p.zero_grad()
         T.tmean(ref_loss_fn(batch, None)).backward()
-        adam.step(ref_net.params, {n: ref_net.params[n].grad for n in trainable})
-    for name in trainable:
+        adam.step(ref_net.params, {n: p.grad for n, p in ref_net.params.items()
+                                   if p.grad is not None})
+    for name in ref_net.params:
         # against the parameter's scale too: an entry that crosses zero
         # has no relative error of its own
         want = ref_net.params[name].data
@@ -405,9 +404,9 @@ def test_main_step_gradient_is_one_backward_of_weighted_loss():
     T.tsum(T.mul(ref_loss_fn(batch, None), Tensor(coeff))).backward()
     state.main_step()
     assert len(steps) == 1
-    for name, p in ref_net.params.items():
-        want = np.zeros_like(p.data) if p.grad is None else p.grad
-        np.testing.assert_allclose(steps[0][name], want, rtol=1e-12, atol=0)
+    assert list(steps[0]) == list(reached(ref_net.params))
+    for name, p in reached(ref_net.params).items():
+        np.testing.assert_allclose(steps[0][name], p.grad, rtol=1e-12, atol=0)
 
 
 def test_meta_gradient_matches_fd_after_a_main_step():
@@ -442,39 +441,33 @@ def test_meta_gradient_matches_fd_after_a_main_step():
         assert diff < 1e-9 + 1e-6 * scale, (n, diff, scale)
 
 
-def test_unreached_parameter_moves_by_weight_decay_alone():
-    # the class loss never reaches head.reg.*: its factors have no
-    # columns, sum_i c_i g_i is exactly zero, and only decay moves it
+def test_unreached_parameter_keeps_its_value():
+    # the class loss never reaches head.reg.*: it has no factors, no
+    # lookahead or main step, and weight decay does not move it either
     net, mrn, loss_fn, _ = tiny_net_setup()
     settings = TrainSettings(lr=0.05, mrn_lr=0.01, weight_decay=1e-2)
     state = MetaState(net.params, mrn, loss_fn, settings)
     unreached = ("head.reg.w", "head.reg.b")
-    before = {n: net.params[n].data.copy() for n in unreached}
+    before = {n: p.data.copy() for n, p in net.params.items()}
     steps = []
     adam_step = state.adam_main.step
 
     def recording_step(params, grads):
-        steps.append({n: g.copy() for n, g in grads.items()})
+        steps.append(set(grads))
         adam_step(params, grads)
 
     state.adam_main.step = recording_step
-    w_hat = state.lookahead_update([0, 1, 2, 3])
-    left, right, owner = state._cache["factors"]
-    assert left["head.reg.w"].shape == (8, 0) and right["head.reg.w"].shape == (1, 0)
-    assert left["head.reg.b"].shape == (1, 0) and right["head.reg.b"].shape == (1, 0)
-    assert owner["head.reg.w"].shape == owner["head.reg.b"].shape == (0,)
-    for n in unreached:
-        np.testing.assert_array_equal(w_hat[n].data, before[n])
-    state.meta_step([4, 5, 6])
-    state.main_step()
-
-    decayed = {n: Tensor(a.copy()) for n, a in before.items()}
-    Adam(settings.lr, settings.betas, weight_decay=settings.weight_decay).step(
-        decayed, {n: np.zeros_like(a) for n, a in before.items()})
-    for n in unreached:
-        assert not steps[0][n].any()
-        assert not np.array_equal(decayed[n].data, before[n])
-        np.testing.assert_array_equal(net.params[n].data, decayed[n].data)
+    for batch in ([0, 1, 2, 3], [7, 2, 5]):
+        w_hat = state.lookahead_update(batch)
+        for part in state._cache["factors"]:
+            assert not set(part) & set(unreached)
+        assert set(w_hat) == set(reached(net.params))
+        state.meta_step([4, 5, 6])
+        state.main_step()
+    assert steps == [set(reached(net.params))] * 2
+    for n, p in net.params.items():
+        # everything the loss reaches moved; the rest is bitwise as drawn
+        assert np.array_equal(p.data, before[n]) == (n in unreached), n
 
 
 # ---------------------------------------------------------------------------

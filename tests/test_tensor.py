@@ -350,6 +350,7 @@ def test_per_sample_gradient_factors_rebuild_dense_kernel_gradients():
     left, right, owner = factors
     for name, k in params.items():
         assert k.grad is None
+    for name in left:
         assert left[name].shape[1] == right[name].shape[1] == owner[name].size
     # a conv kernel: one record per image and application, the later
     # application first, with a column per output position (4x4 here)
@@ -360,9 +361,9 @@ def test_per_sample_gradient_factors_rebuild_dense_kernel_gradients():
     assert left["eca"].shape == (3, 4) and right["eca"].shape == (1, 4)
     np.testing.assert_array_equal(right["eca"], 1.0)
     np.testing.assert_array_equal(owner["eca"], [0, 1, 2, 3])
-    # no sample reaches it: zero-width factors
-    assert left["unused"].shape == (2, 0) and right["unused"].shape == (18, 0)
-    assert owner["unused"].shape == (0,) and owner["unused"].dtype == np.int64
+    # no sample reaches it: no factors at all
+    assert list(left) == list(right) == list(owner) == ["down", "twice", "odd", "eca"]
+    assert owner["odd"].dtype == np.int64
 
 
 def test_per_sample_gradient_factors_need_conv_only_kernels():
@@ -393,7 +394,7 @@ def test_per_sample_gradients_reject_detached():
 
 def test_per_sample_gradients_from_one_batched_backward():
     # a stride-2 stage, padding 1 and channel attention; the class loss
-    # never reaches head.reg.*, whose factors have no columns
+    # never reaches head.reg.*, which has no factors
     rng = np.random.default_rng(18)
     net = AestheticNet(rng, stem_channels=4, stage_channels=(4, 6), head_width=8)
     images = rng.normal(size=(5, 3, 8, 8))
@@ -413,7 +414,10 @@ def test_per_sample_gradients_from_one_batched_backward():
     assert left["head.class.w"].shape == (8, 5) and right["head.class.w"].shape == (10, 5)
     np.testing.assert_array_equal(owner["head.class.w"], np.arange(5))
     for n in ("head.reg.w", "head.reg.b"):
-        assert left[n].shape[1] == right[n].shape[1] == owner[n].size == 0
+        assert n not in left and n not in right and n not in owner
+    assert len(left) == len(net.params) - 2
+    # stacked in C order, a lone matmul record (a transposed view) too
+    assert all(a.flags.c_contiguous for part in (left, right) for a in part.values())
 
     # a recorded parameter reaching the loss through any other op, or
     # meeting a batch that is not the loss's samples, is refused

@@ -142,18 +142,6 @@ def test_history_records_lr_halving():
     assert lrs[4] == 0.01   # and again two epochs later
 
 
-def test_trainable_subset_freezes_the_rest():
-    rng = np.random.default_rng(4)
-    model = LineModel(a0=0.5, b0=0.25)
-    data = line_data(rng, 32)
-    b_before = model.params["b"].data.copy()
-    settings = TrainSettings(epochs=4, batch_size=8, lr=0.05, weight_decay=0.0)
-    train_model(model, model.loss_fn(), data, lambda: 0.0, settings, rng,
-                metric_mode="lower", trainable=["a"])
-    assert not np.array_equal(model.params["a"].data, np.array([[0.5]]))
-    np.testing.assert_array_equal(model.params["b"].data, b_before)
-
-
 def test_empty_training_set_rejected():
     model = LineModel()
     with pytest.raises(DataError):
@@ -179,6 +167,24 @@ def point_loss_fn(model):
         p = model.params if override is None else {**model.params, **override}
         return line_losses(p, [s.x for s in batch], [s.t for s in batch])
     return fn
+
+
+@pytest.mark.parametrize("mode", ["plain", "meta"])
+def test_unreached_parameter_keeps_its_value(mode):
+    # a stage trains what its loss reaches: "c" takes no step, so weight
+    # decay leaves it bitwise as it was
+    rng = np.random.default_rng(4)
+    model = LineModel(a0=0.5, b0=0.25)
+    model.params["c"] = Tensor(np.array([0.75, -1.5]), requires_grad=True)
+    pts = [Pt(i, x, t) for i, (x, t) in enumerate(line_data(rng, 32))]
+    meta = pts[:8] if mode == "meta" else None
+    settings = TrainSettings(epochs=4, batch_size=8, lr=0.05, meta_batch=4,
+                             weight_decay=0.1)
+    train_model(model, point_loss_fn(model), pts, lambda: 0.0, settings, rng,
+                metric_mode="lower", meta_samples=meta)
+    assert not np.array_equal(model.params["a"].data, np.array([[0.5]]))
+    assert not np.array_equal(model.params["b"].data, np.array([0.25]))
+    np.testing.assert_array_equal(model.params["c"].data, [0.75, -1.5])
 
 
 def test_mrn_mode_records_sample_weights():
@@ -368,6 +374,23 @@ def test_solved_head_zeroes_the_mean_loss_gradient():
         assert np.abs(p.grad + lam * p.data).max() <= 1e-9, name
 
 
+class HeadModel:
+    """The regression head alone, on cached feature rows: its parameters
+    are the net's own head.reg tensors."""
+
+    def __init__(self, net, feats):
+        self.params = {n: net.params[n] for n in REG_HEAD}
+        self.feats = feats
+
+    def loss_fn(self, batch, override):
+        p = self.params if override is None else {**self.params, **override}
+        rows = Tensor(np.stack([self.feats[s.id] for s in batch]))
+        pred = T.reshape(T.add_rowvec(T.matmul(rows, p["head.reg.w"]),
+                                      p["head.reg.b"]), (-1,))
+        d = T.sub(pred, Tensor(np.array([s.score for s in batch])))
+        return T.mul(d, d)
+
+
 def test_full_batch_adam_never_beats_the_solve():
     lam = 1e-2
     net, samples, images, feats = solve_fixture()
@@ -389,9 +412,10 @@ def test_full_batch_adam_never_beats_the_solve():
     settings = TrainSettings(epochs=400, batch_size=len(samples), lr=0.1,
                              weight_decay=lam, betas=(0.9, 0.999),
                              plateau_patience=400)
-    train_model(net, reg_loss_fn(net, images), samples,
+    head = HeadModel(net, feats)
+    train_model(head, head.loss_fn, samples,
                 lambda: seen.append(objective()) or seen[-1], settings,
-                np.random.default_rng(0), trainable=list(REG_HEAD))
+                np.random.default_rng(0))
     assert min(seen) >= solved - 1e-12 * solved
     # and Adam gets there: both minimize the same objective
     assert min(seen) <= solved + 1e-9 * solved
