@@ -170,15 +170,17 @@ def _save_model(args, name: str, model, cfg, iteration: int) -> None:
     save_checkpoint(path, arrays, iteration, config_hash(cfg))
 
 
-def _load_model(args, name: str, cfg, num_classes: int) -> AestheticNet:
+def _load_model(args, name: str, cfg, num_classes: int,
+                expect_hash: bytes = None) -> AestheticNet:
     """The model whose parameters are the checkpoint's `p.` records, each
     array taken as it was read and checked for finiteness once, by its
-    Tensor."""
+    Tensor. `expect_hash` is config_hash(cfg), when the caller has it."""
     path = _model_path(args, name)
     if not os.path.exists(path):
         raise DependencyError(f"missing checkpoint {path}; train first")
-    arrays, _iteration, _hash = load_checkpoint(path,
-                                                expect_hash=config_hash(cfg))
+    if expect_hash is None:
+        expect_hash = config_hash(cfg)
+    arrays, _iteration, _hash = load_checkpoint(path, expect_hash=expect_hash)
     params = {}
     for key, value in arrays.items():
         if key.startswith("p."):
@@ -306,15 +308,19 @@ def cmd_train(args) -> int:
 
 
 def _load_artifacts(cfg, args) -> PipelineArtifacts:
+    """The run's models; a pcr branch is a loader, called only when some
+    input is routed to it."""
     variant = cfg.pipeline_variant
+    expected = config_hash(cfg)
     art = PipelineArtifacts(variant=variant,
-                            r_all=_load_model(args, "r_all", cfg, 10))
+                            r_all=_load_model(args, "r_all", cfg, 10, expected))
     if variant != "pcr":
         return art
-    art.c2 = _load_model(args, "c2", cfg, 2)
+    art.c2 = _load_model(args, "c2", cfg, 2, expected)
     for name in ("r0", "r1"):
         if os.path.exists(_model_path(args, name)):
-            setattr(art, name, _load_model(args, name, cfg, 10))
+            setattr(art, name, functools.partial(_load_model, args, name, cfg,
+                                                 10, expected))
     return art
 
 

@@ -1,15 +1,17 @@
 """Hot numeric kernels: 2D convolution, adaptive average pooling, bilinear resize.
 
-Vectorized numpy: convolution goes through im2col and one matrix product,
-pooling through two products with window-averaging matrices, and resizing
-is gather arithmetic. Each conv shape gets one cached tap-index map
-(`_tap_index`): the im2col gather is one integer-array index through it
-and the backward-input scatter one `bincount`, so a conv takes no Python
-step per kernel tap. `unfold` is that im2col; `tensor` also records it as
-one factor of a conv kernel's per-sample gradient. `tensor` and `image`
+Vectorized numpy: each conv pass is one im2col gather or scatter and one
+matrix product over the whole (N, C, H, W) batch, pooling is two products
+with window-averaging matrices, and resizing is gather arithmetic. Each
+conv shape gets one cached tap-index map (`_tap_index`): the im2col
+gather is one integer-array index through it, and the backward-input
+scatter adds one slice per kernel tap, so no conv takes a Python step per
+image. `unfold` is that im2col, image by image; `tensor` also records it
+as one factor of a conv kernel's per-sample gradient. `tensor` and `image`
 look the kernels up on this module by attribute at call time.
 
-All arrays are float64 and C-contiguous. Channel-first layout (C, H, W).
+All arrays are float64 and C-contiguous. Conv batches are (N, C, H, W);
+pooling and resizing take channel-first (C, H, W) maps.
 """
 
 import functools
@@ -30,7 +32,11 @@ def off_heap(a: np.ndarray) -> np.ndarray:
     return out
 
 # ---------------------------------------------------------------------------
-# conv2d: x (Cin, H, W) * k (Cout, Cin, kh, kw) -> (Cout, Ho, Wo)
+# conv2d: x (N, Cin, H, W) * k (Cout, Cin, kh, kw) -> (N, Cout, Ho, Wo)
+#
+# The batch kernels work on im2col columns with the image index innermost,
+# (Cin*kh*kw, Ho*Wo*N): the layout one integer-array index through the
+# tap-index map gives, and one GEMM's operand for the whole batch.
 
 
 @functools.lru_cache(maxsize=TAP_INDEX_SHAPES)
@@ -53,45 +59,87 @@ def _tap_index(cin, h, w, kh, kw, stride, pad):
     return out
 
 
-def unfold(x, kh, kw, stride, pad):
-    """im2col of x (Cin, H, W): (Cin*kh*kw, Ho*Wo), one column per output
-    position, rows ordered (ci, u, v) as in k.reshape(cout, -1), so a
-    conv is k.reshape(cout, -1) @ unfold(x, ...)."""
-    cin, h, w = x.shape
+def _columns(x, kh, kw, stride, pad):
+    """im2col of a batch x (N, Cin, H, W) with the image index innermost:
+    (Cin*kh*kw, Ho*Wo*N), rows ordered (ci, u, v) as in k.reshape(cout, -1)."""
+    n, cin, h, w = x.shape
     idx = _tap_index(cin, h, w, kh, kw, stride, pad)
-    flat = np.empty(cin * h * w + 1)
-    flat[:-1] = x.ravel()
-    flat[-1] = 0.0
-    # an index, not take: take copies a read-only index array on every call
-    return flat[idx]
+    pixels = np.empty((cin * h * w + 1, n))
+    pixels[:-1] = x.reshape(n, -1).T
+    pixels[-1] = 0.0
+    # each pixel's n values as one opaque item, so the gather is numpy's
+    # fast one-axis index: an index, not take, since take copies a
+    # read-only index array on every call
+    items = pixels.view(np.dtype((np.void, pixels.itemsize * n))).ravel()
+    return items[idx].view(np.float64).reshape(idx.shape[0], -1)
 
 
-def conv2d_forward(x, k, stride, pad):
-    _, h, w = x.shape
+def unfold(x, kh, kw, stride, pad):
+    """im2col of a batch x (N, Cin, H, W): (Cin*kh*kw, N*Ho*Wo), image by
+    image, one column per output position, rows ordered (ci, u, v) as in
+    k.reshape(cout, -1), so image i's conv is
+    k.reshape(cout, -1) @ unfold(x, ...)[:, i*Ho*Wo:(i+1)*Ho*Wo]."""
+    n = x.shape[0]
+    cols = _columns(x, kh, kw, stride, pad)
+    return np.ascontiguousarray(
+        cols.reshape(cols.shape[0], -1, n).transpose(0, 2, 1)).reshape(cols.shape[0], -1)
+
+
+def _image_last(a):
+    """(N, C, H, W) -> (C, H*W*N), the layout of `_columns`' columns."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).reshape(a.shape[1], -1)
+
+
+def _image_first(a, c, h, w):
+    """(C, H*W*N) -> (N, C, H, W), the inverse of `_image_last`."""
+    return np.ascontiguousarray(a.reshape(c, h, w, -1).transpose(3, 0, 1, 2))
+
+
+def conv2d_forward_batch(x, k, stride, pad):
+    _, _, h, w = x.shape
     cout, _, kh, kw = k.shape
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
-    out = k.reshape(cout, -1) @ unfold(x, kh, kw, stride, pad)
-    return np.ascontiguousarray(out.reshape(cout, ho, wo))
+    out = k.reshape(cout, -1) @ _columns(x, kh, kw, stride, pad)
+    return _image_first(out, cout, ho, wo)
+
+
+def conv2d_backward_input_batch(dy, k, stride, pad, h, w):
+    n, cout, ho, wo = dy.shape
+    _, cin, kh, kw = k.shape
+    # scatter k^T @ dy back one kernel tap at a time into the padded
+    # input: each pixel adds its taps in (u, v) order from zero
+    dcols = (k.reshape(cout, -1).T @ _image_last(dy)).reshape(cin, kh, kw, ho, wo, n)
+    dxp = np.zeros((cin, h + 2 * pad, w + 2 * pad, n))
+    for u in range(kh):
+        for v in range(kw):
+            dxp[:, u:u + stride * (ho - 1) + 1:stride,
+                v:v + stride * (wo - 1) + 1:stride] += dcols[:, u, v]
+    del dcols  # before the copy below
+    return np.ascontiguousarray(dxp[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2))
+
+
+def conv2d_backward_kernel_batch(dy, x, stride, pad, kh, kw):
+    cout = dy.shape[1]
+    cin = x.shape[1]
+    dk = _image_last(dy) @ _columns(x, kh, kw, stride, pad).T
+    return dk.reshape(cout, cin, kh, kw)
+
+
+# the (C, H, W) kernels of one image: nothing in amcr calls these names
+# now; perfbench/tracing.py wraps them
+
+
+def conv2d_forward(x, k, stride, pad):
+    return conv2d_forward_batch(x[None], k, stride, pad)[0]
 
 
 def conv2d_backward_input(dy, k, stride, pad, h, w):
-    cout, ho, wo = dy.shape
-    _, cin, kh, kw = k.shape
-    # scatter k^T @ dy back through the im2col map: bincount adds each
-    # pixel's taps in (u, v) order from zero, and the padding taps land in
-    # the one extra slot, which is dropped
-    dcols = k.reshape(cout, -1).T @ dy.reshape(cout, -1)
-    idx = _tap_index(cin, h, w, kh, kw, stride, pad)
-    dx = np.bincount(idx.ravel(), weights=dcols.ravel(), minlength=cin * h * w + 1)
-    return dx[:-1].reshape(cin, h, w)
+    return conv2d_backward_input_batch(dy[None], k, stride, pad, h, w)[0]
 
 
 def conv2d_backward_kernel(dy, x, stride, pad, kh, kw):
-    cout = dy.shape[0]
-    cin = x.shape[0]
-    dk = dy.reshape(cout, -1) @ unfold(x, kh, kw, stride, pad).T
-    return np.ascontiguousarray(dk.reshape(cout, cin, kh, kw))
+    return conv2d_backward_kernel_batch(dy[None], x[None], stride, pad, kh, kw)
 
 
 # ---------------------------------------------------------------------------

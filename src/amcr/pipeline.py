@@ -186,13 +186,17 @@ def fuse_score(c2, r0, r1, r_all, inputs) -> np.ndarray:
     each branch regressor with the all-data regressor on the inputs routed
     to it; the result is not clamped.
 
-    A missing branch model (None) degrades to the all-data regressor.
+    A missing branch model (None) degrades to the all-data regressor. A
+    branch may also be a function of no arguments that returns its model,
+    called only when some input is routed to the branch.
     """
     inputs = list(inputs)
     side = TR.predict_class(c2, inputs) >= 1
     fused = TR.predict_score(r_all, inputs)
     for branch, routed in ((r0, ~side), (r1, side)):
         idx = np.flatnonzero(routed)
+        if callable(branch) and idx.size:
+            branch = branch()
         if branch is not None and idx.size:
             own = TR.predict_score(branch, [inputs[i] for i in idx])
             fused[idx] = 0.5 * (own + fused[idx])
@@ -205,7 +209,9 @@ def fuse_score(c2, r0, r1, r_all, inputs) -> np.ndarray:
 
 @dataclasses.dataclass
 class PipelineArtifacts:
-    """Trained models plus the records needed to audit a run."""
+    """Trained models plus the records needed to audit a run. A pcr
+    branch, r0 or r1, is its model, None, or a loader of its model (see
+    fuse_score)."""
 
     variant: str
     r_all: object

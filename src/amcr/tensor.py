@@ -244,7 +244,8 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
 
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Convolve every image of an (N, Cin, H, W) batch with the kernels
-    (Cout, Cin, kh, kw): an (N, Cout, Ho, Wo) batch."""
+    (Cout, Cin, kh, kw): an (N, Cout, Ho, Wo) batch. Each pass is one
+    call of a batch kernel, whatever N."""
     x, k = as_tensor(x), as_tensor(k)
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise ShapeError("conv2d expects x (N,C,H,W) and kernels (Co,Ci,kh,kw)")
@@ -258,32 +259,30 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     wo = (w + 2 * padding - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d: output extent {ho}x{wo} < 1")
+    if n < 1:
+        raise ShapeError("conv2d: empty batch")
     xd = np.ascontiguousarray(x.data)
     kd = np.ascontiguousarray(k.data)
-    # The conv kernels take one (C,H,W) image per call, and the benchmark's
-    # conv counters read their operands that way, so forward and backward
-    # call them once per image; with a batched kernel this loop becomes
-    # one GEMM over the N images.
-    out = np.empty((n, cout, ho, wo))
-    for i in range(n):
-        out[i] = kernels.conv2d_forward(xd[i], kd, stride, padding)
+    out = kernels.conv2d_forward_batch(xd, kd, stride, padding)
 
     def backward(g):
         # skip the gradient no parent needs (the stem's input is the image)
         g = np.ascontiguousarray(g)
-        rec = _recorder(k, n) if k.requires_grad else None
-        dx = np.empty(x.shape) if x.requires_grad else None
-        dk = np.zeros(k.shape) if k.requires_grad and rec is None else None
-        for i in range(n):  # one kernel call per image, as in the forward
-            if dx is not None:
-                dx[i] = kernels.conv2d_backward_input(g[i], kd, stride, padding, h, w)
-            if dk is not None:
-                dk += kernels.conv2d_backward_kernel(g[i], xd[i], stride, padding, kh, kw)
-            elif rec is not None:
-                rec.append((g[i].reshape(cout, -1),
-                            kernels.unfold(xd[i], kh, kw, stride, padding),
-                            np.full(ho * wo, i)))
-        return [pair for pair in ((x, dx), (k, dk)) if pair[1] is not None]
+        # the kernel's pass first: its columns are freed before dx exists
+        grads = []
+        if k.requires_grad:
+            rec = _recorder(k, n)
+            if rec is None:
+                grads.append((k, kernels.conv2d_backward_kernel_batch(
+                    g, xd, stride, padding, kh, kw)))
+            else:
+                rec.append((g.transpose(1, 0, 2, 3).reshape(cout, -1),
+                            kernels.unfold(xd, kh, kw, stride, padding),
+                            np.repeat(np.arange(n), ho * wo)))
+        if x.requires_grad:
+            grads.append((x, kernels.conv2d_backward_input_batch(
+                g, kd, stride, padding, h, w)))
+        return grads
 
     return _make(out, (x, k), backward)
 
@@ -443,8 +442,8 @@ def per_sample_gradients(loss_vector: Tensor, params: dict):
     other op, or meets a batch of other than N rows, raises TapeError.
 
     Every application adds one record, a left and a right block whose
-    columns belong to samples: conv2d one per image, the output gradient
-    (cout, Ho*Wo) and the unfolded input (cin*kh*kw, Ho*Wo); matmul the
+    columns belong to samples: conv2d the output gradients (cout, N*Ho*Wo)
+    and the unfolded inputs (cin*kh*kw, N*Ho*Wo), image by image; matmul the
     input rows a.T and the output gradient g.T; add_rowvec and
     conv1d_channel the per-sample gradient rows .T and ones (1, N).
 

@@ -212,6 +212,35 @@ def test_predict_prints_what_evaluate_scored(tmp_path, capsys):
         assert capsys.readouterr().out == f"{float(pred):.4f}\n"
 
 
+def test_pcr_predict_loads_only_the_branch_it_routes_to(tmp_path, capsys,
+                                                      monkeypatch):
+    cfg, out = fresh_data(tmp_path)
+    run = ["--config", str(cfg), "--out", str(out), "--variant", "pcr"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small branches may fall back
+        assert main(["train"] + run) == 0
+    models = out / "models"
+    branches = [models / "r0.ckpt", models / "r1.ckpt"]
+    trained = [path for path in branches if path.exists()]
+    assert trained
+    for path in branches:  # both branches on disk, whichever trained
+        if not path.exists():
+            shutil.copyfile(trained[0], path)
+    loaded = []
+
+    def recording(path, *args, **kwargs):
+        loaded.append(os.path.basename(path))
+        return load_checkpoint(path, *args, **kwargs)
+
+    monkeypatch.setattr(amcr.cli, "load_checkpoint", recording)
+    image = next((out / "data").rglob("*.ppm"))
+    capsys.readouterr()
+    assert main(["predict"] + run + [str(image)]) == 0
+    assert len(loaded) == 3
+    assert loaded[:2] == ["r_all.ckpt", "c2.ckpt"]
+    assert loaded[2] in ("r0.ckpt", "r1.ckpt")
+
+
 GRAY_CONFIG = CONFIG.replace("[model]\n", "[model]\nin_channels = 1\n")
 
 
@@ -453,19 +482,30 @@ def test_train_binary_removes_what_the_previous_router_split(tmp_path, capsys):
     assert main(["evaluate"] + run) == 0
 
 
-# cr weights its regression solve by its learned reweighting network
-@pytest.mark.parametrize("variant", ["r", "cr"])
-def test_train_with_reweighting_reruns_byte_identical(tmp_path, variant):
-    checkpoints = []
+def out_tree(out):
+    """Relative path -> bytes of every file under `out`."""
+    return {str(path.relative_to(out)): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("mrn", ["off", "on"])
+@pytest.mark.parametrize("variant", ["r", "cr", "pcr"])
+def test_train_with_reweighting_reruns_byte_identical(tmp_path, variant, mrn):
+    trees = []
     for name in ("a", "b"):
         root = tmp_path / name
         root.mkdir()
         cfg, out = fresh_data(root)
-        assert main(["train", "--config", str(cfg), "--out", str(out),
-                     "--variant", variant, "--mrn", "on"]) == 0
-        checkpoints.append({path.name: path.read_bytes()
-                            for path in (out / "models").iterdir()})
-    assert checkpoints[0] and checkpoints[0] == checkpoints[1]
+        run = ["--config", str(cfg), "--out", str(out), "--variant", variant,
+               "--mrn", mrn]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # small branches may fall back
+            assert main(["train"] + run) == 0
+        assert main(["evaluate"] + run) == 0
+        trees.append(out_tree(out))
+    assert any(path.startswith("models") for path in trees[0])
+    assert "metrics.csv" in trees[0]
+    assert trees[0] == trees[1]
 
 
 def readme_quick_start_config():

@@ -144,7 +144,7 @@ def test_conv_passes_are_gemms_of_unfold(cin, h, w, cout, kh, kw, stride, pad):
     # the factored per-sample gradients rely on the kernel gradient being
     # exactly this product of the output gradient and the unfolded input
     x, k, dy = conv_backward_case(cin, h, w, cout, kh, kw, stride, pad)
-    cols = K.unfold(x, kh, kw, stride, pad)
+    cols = K.unfold(x[None], kh, kw, stride, pad)
     assert cols.shape == (cin * kh * kw, dy.shape[1] * dy.shape[2])
     np.testing.assert_array_equal(
         K.conv2d_backward_kernel(dy, x, stride, pad, kh, kw),
@@ -152,6 +152,48 @@ def test_conv_passes_are_gemms_of_unfold(cin, h, w, cout, kh, kw, stride, pad):
     np.testing.assert_array_equal(
         K.conv2d_forward(x, k, stride, pad),
         (k.reshape(cout, -1) @ cols).reshape(dy.shape))
+
+
+# the batched kernels: N images in one call, against the per-image
+# references stacked (the kernel gradient summed over the images)
+BATCH_CASES = [
+    # (cin, h, w, cout, kh, kw, stride, pad): non-square images, kh != kw
+    (2, 7, 5, 3, 3, 1, 1, 0),
+    (3, 6, 9, 2, 1, 3, 1, 1),
+    (2, 9, 6, 4, 3, 5, 2, 0),
+    (3, 8, 7, 2, 5, 3, 2, 1),
+]
+
+
+def assert_close_relative(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=rtol * max(1.0, np.abs(want).max()))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("cin,h,w,cout,kh,kw,stride,pad", BATCH_CASES)
+def test_batched_conv_kernels_match_stacked_references(cin, h, w, cout, kh, kw,
+                                                       stride, pad, n):
+    rng = rng_for(hash((3, n, cin, h, w, cout, kh, kw, stride, pad)) % 2**32)
+    x = rng.standard_normal((n, cin, h, w))
+    k = rng.standard_normal((cout, cin, kh, kw))
+    dy = rng.standard_normal((n, cout) + conv_sizes(h, w, kh, kw, stride, pad))
+    assert_close_relative(
+        K.conv2d_forward_batch(x, k, stride, pad),
+        np.stack([conv_reference(xi, k, stride, pad) for xi in x]))
+    assert_close_relative(
+        K.conv2d_backward_input_batch(dy, k, stride, pad, h, w),
+        np.stack([conv_backward_input_reference(g, k, stride, pad, h, w)
+                  for g in dy]))
+    assert_close_relative(
+        K.conv2d_backward_kernel_batch(dy, x, stride, pad, kh, kw),
+        sum(conv_backward_kernel_reference(g, xi, stride, pad, kh, kw)
+            for g, xi in zip(dy, x)))
+    # unfold keeps the images side by side, each as the per-tap im2col
+    np.testing.assert_array_equal(
+        K.unfold(x, kh, kw, stride, pad),
+        np.hstack([unfold_per_tap(xi, kh, kw, stride, pad) for xi in x]))
 
 
 def test_conv_zero_padding_contributes_zero():
@@ -223,7 +265,7 @@ def conv_per_tap_results(x, k, dy, stride, pad):
 def conv_map_results(x, k, dy, stride, pad):
     kh, kw = k.shape[2:]
     h, w = x.shape[1:]
-    return (K.unfold(x, kh, kw, stride, pad),
+    return (K.unfold(x[None], kh, kw, stride, pad),
             K.conv2d_forward(x, k, stride, pad),
             K.conv2d_backward_input(dy, k, stride, pad, h, w),
             K.conv2d_backward_kernel(dy, x, stride, pad, kh, kw))
@@ -252,7 +294,7 @@ def test_tap_index_points_at_pixels_and_padding_at_zero_slot(
     np.testing.assert_array_equal(idx, want.astype(np.int64))
     # a padded image's border taps read the zero slot
     assert (idx == cin * h * w).any() == (pad > 0)
-    assert not K.unfold(np.full((cin, h, w), 7.0), kh, kw, stride, pad)[~real].any()
+    assert not K.unfold(np.full((1, cin, h, w), 7.0), kh, kw, stride, pad)[~real].any()
 
 
 def test_off_heap_copies_into_a_mapping_of_its_own():

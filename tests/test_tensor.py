@@ -153,16 +153,21 @@ def test_conv2d_rejects_even_kernel_and_empty_output():
         T.conv2d(leaf(rng, 1, 1, 1, 1), leaf(rng, 1, 1, 5, 5), stride=1, padding=0)
     with pytest.raises(ShapeError):  # one image is a batch of one
         T.conv2d(leaf(rng, 1, 4, 4), leaf(rng, 1, 1, 3, 3))
+    with pytest.raises(ShapeError):
+        T.conv2d(Tensor(np.zeros((0, 1, 4, 4))), leaf(rng, 1, 1, 3, 3))
 
 
 def test_conv2d_backward_computes_only_the_needed_gradients(monkeypatch):
+    # one batched kernel call per pass over the whole batch of three, and
+    # none for a gradient no parent needs
     rng = np.random.default_rng(20)
-    image = rng.normal(size=(1, 2, 5, 5))
+    image = rng.normal(size=(3, 2, 5, 5))
     k = leaf(rng, 3, 2, 3, 3)
     x = Tensor(image, requires_grad=True)
     T.tsum(T.conv2d(x, k, stride=2, padding=1)).backward()
     want = k.grad
-    calls = {"conv2d_backward_input": 0, "conv2d_backward_kernel": 0}
+    calls = {"conv2d_forward_batch": 0, "conv2d_backward_input_batch": 0,
+             "conv2d_backward_kernel_batch": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(T.kernels, name)):
             calls[_name] += 1
@@ -170,11 +175,13 @@ def test_conv2d_backward_computes_only_the_needed_gradients(monkeypatch):
         monkeypatch.setattr(T.kernels, name, counted)
     k.zero_grad()
     T.tsum(T.conv2d(Tensor(image), k, stride=2, padding=1)).backward()
-    assert calls == {"conv2d_backward_input": 0, "conv2d_backward_kernel": 1}
+    assert calls == {"conv2d_forward_batch": 1, "conv2d_backward_input_batch": 0,
+                     "conv2d_backward_kernel_batch": 1}
     np.testing.assert_array_equal(k.grad, want)
     frozen = Tensor(k.data)
     T.tsum(T.conv2d(Tensor(image, requires_grad=True), frozen, padding=1)).backward()
-    assert calls == {"conv2d_backward_input": 1, "conv2d_backward_kernel": 1}
+    assert calls == {"conv2d_forward_batch": 2, "conv2d_backward_input_batch": 1,
+                     "conv2d_backward_kernel_batch": 1}
 
 
 def test_conv1d_channel_oracle_and_gradient():
@@ -352,8 +359,8 @@ def test_per_sample_gradient_factors_rebuild_dense_kernel_gradients():
         assert k.grad is None
     for name in left:
         assert left[name].shape[1] == right[name].shape[1] == owner[name].size
-    # a conv kernel: one record per image and application, the later
-    # application first, with a column per output position (4x4 here)
+    # a conv kernel: one record per application, its images in order and
+    # the later application first, with a column per output position (4x4)
     assert left["down"].shape == (3, 4 * 16) and right["down"].shape == (18, 4 * 16)
     np.testing.assert_array_equal(owner["twice"], np.repeat([0, 1, 2, 3] * 2, 16))
     np.testing.assert_array_equal(owner["odd"], np.repeat([0, 1, 2, 3], 16))
@@ -364,6 +371,25 @@ def test_per_sample_gradient_factors_rebuild_dense_kernel_gradients():
     # no sample reaches it: no factors at all
     assert list(left) == list(right) == list(owner) == ["down", "twice", "odd", "eca"]
     assert owner["odd"].dtype == np.int64
+
+
+@pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
+def test_conv_factors_are_the_per_image_records_side_by_side(stride, padding):
+    # one record per conv application, laid out as the per-image records
+    # (output gradient, unfolded input) side by side in image order
+    rng = np.random.default_rng(23)
+    k = leaf(rng, 4, 2, 3, 1)
+    images = rng.normal(size=(3, 2, 7, 6))
+    y = T.conv2d(Tensor(images), k, stride=stride, padding=padding)
+    weights = rng.normal(size=y.shape)
+    left, right, owner = T.per_sample_gradients(
+        row_sums(T.mul(y, Tensor(weights))), {"k": k})
+    cols = [T.kernels.unfold(image[None], 3, 1, stride, padding) for image in images]
+    np.testing.assert_array_equal(
+        left["k"], np.hstack([g.reshape(4, -1) for g in weights]))
+    np.testing.assert_array_equal(right["k"], np.hstack(cols))
+    np.testing.assert_array_equal(
+        owner["k"], np.concatenate([np.full(c.shape[1], i) for i, c in enumerate(cols)]))
 
 
 def test_per_sample_gradient_factors_need_conv_only_kernels():
