@@ -6,12 +6,13 @@ with window-averaging matrices, and resizing is gather arithmetic. Each
 conv shape gets one cached tap-index map (`_tap_index`): the im2col
 gather is one integer-array index through it, and the backward-input
 scatter adds one slice per kernel tap, so no conv takes a Python step per
-image. `unfold` is that im2col, image by image; `tensor` also records it
-as one factor of a conv kernel's per-sample gradient. `tensor` and `image`
-look the kernels up on this module by attribute at call time.
+image. `unfold` is that im2col; `tensor` also records it as one factor
+of a conv kernel's per-sample gradient. `tensor` and `image` look the
+kernels up on this module by attribute at call time.
 
-All arrays are float64 and C-contiguous. Conv batches are (N, C, H, W);
-pooling and resizing take channel-first (C, H, W) maps.
+All arrays are float64. Conv batches are (N, C, H, W), fastest batch-last
+(over (C, H, W, N) memory, as `tensor` passes and the kernels return
+them); pooling takes (C, H, W, ...) maps and resizing (C, H, W) maps.
 """
 
 import functools
@@ -36,7 +37,8 @@ def off_heap(a: np.ndarray) -> np.ndarray:
 #
 # The batch kernels work on im2col columns with the image index innermost,
 # (Cin*kh*kw, Ho*Wo*N): the layout one integer-array index through the
-# tap-index map gives, and one GEMM's operand for the whole batch.
+# tap-index map gives, one GEMM's operand for the whole batch, and the
+# memory order of a batch-last (N, C, H, W) batch, so no pass transposes.
 
 
 @functools.lru_cache(maxsize=TAP_INDEX_SHAPES)
@@ -59,13 +61,14 @@ def _tap_index(cin, h, w, kh, kw, stride, pad):
     return out
 
 
-def _columns(x, kh, kw, stride, pad):
+def unfold(x, kh, kw, stride, pad):
     """im2col of a batch x (N, Cin, H, W) with the image index innermost:
-    (Cin*kh*kw, Ho*Wo*N), rows ordered (ci, u, v) as in k.reshape(cout, -1)."""
+    (Cin*kh*kw, Ho*Wo*N), rows ordered (ci, u, v) as in k.reshape(cout, -1),
+    column m reading image m mod N."""
     n, cin, h, w = x.shape
     idx = _tap_index(cin, h, w, kh, kw, stride, pad)
     pixels = np.empty((cin * h * w + 1, n))
-    pixels[:-1] = x.reshape(n, -1).T
+    pixels[:-1].reshape(cin, h, w, n)[...] = x.transpose(1, 2, 3, 0)
     pixels[-1] = 0.0
     # each pixel's n values as one opaque item, so the gather is numpy's
     # fast one-axis index: an index, not take, since take copies a
@@ -74,34 +77,19 @@ def _columns(x, kh, kw, stride, pad):
     return items[idx].view(np.float64).reshape(idx.shape[0], -1)
 
 
-def unfold(x, kh, kw, stride, pad):
-    """im2col of a batch x (N, Cin, H, W): (Cin*kh*kw, N*Ho*Wo), image by
-    image, one column per output position, rows ordered (ci, u, v) as in
-    k.reshape(cout, -1), so image i's conv is
-    k.reshape(cout, -1) @ unfold(x, ...)[:, i*Ho*Wo:(i+1)*Ho*Wo]."""
-    n = x.shape[0]
-    cols = _columns(x, kh, kw, stride, pad)
-    return np.ascontiguousarray(
-        cols.reshape(cols.shape[0], -1, n).transpose(0, 2, 1)).reshape(cols.shape[0], -1)
-
-
 def _image_last(a):
-    """(N, C, H, W) -> (C, H*W*N), the layout of `_columns`' columns."""
-    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).reshape(a.shape[1], -1)
-
-
-def _image_first(a, c, h, w):
-    """(C, H*W*N) -> (N, C, H, W), the inverse of `_image_last`."""
-    return np.ascontiguousarray(a.reshape(c, h, w, -1).transpose(3, 0, 1, 2))
+    """(N, C, H, W) -> (C, H*W*N), the layout of `unfold`'s columns: a
+    view of a batch-last a, a copy of any other."""
+    return a.transpose(1, 2, 3, 0).reshape(a.shape[1], -1)
 
 
 def conv2d_forward_batch(x, k, stride, pad):
-    _, _, h, w = x.shape
+    n, _, h, w = x.shape
     cout, _, kh, kw = k.shape
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
-    out = k.reshape(cout, -1) @ _columns(x, kh, kw, stride, pad)
-    return _image_first(out, cout, ho, wo)
+    out = k.reshape(cout, -1) @ unfold(x, kh, kw, stride, pad)
+    return out.reshape(cout, ho, wo, n).transpose(3, 0, 1, 2)
 
 
 def conv2d_backward_input_batch(dy, k, stride, pad, h, w):
@@ -115,19 +103,18 @@ def conv2d_backward_input_batch(dy, k, stride, pad, h, w):
         for v in range(kw):
             dxp[:, u:u + stride * (ho - 1) + 1:stride,
                 v:v + stride * (wo - 1) + 1:stride] += dcols[:, u, v]
-    del dcols  # before the copy below
-    return np.ascontiguousarray(dxp[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2))
+    return dxp[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
 
 
 def conv2d_backward_kernel_batch(dy, x, stride, pad, kh, kw):
     cout = dy.shape[1]
     cin = x.shape[1]
-    dk = _image_last(dy) @ _columns(x, kh, kw, stride, pad).T
+    dk = _image_last(dy) @ unfold(x, kh, kw, stride, pad).T
     return dk.reshape(cout, cin, kh, kw)
 
 
 # the (C, H, W) kernels of one image: nothing in amcr calls these names
-# now; perfbench/tracing.py wraps them
+# now; they stay, since perfbench/tracing.py wraps them
 
 
 def conv2d_forward(x, k, stride, pad):
@@ -143,7 +130,9 @@ def conv2d_backward_kernel(dy, x, stride, pad, kh, kw):
 
 
 # ---------------------------------------------------------------------------
-# adaptive average pooling: (C, H, W) -> (C, Th, Tw)
+# adaptive average pooling: (C, H, W, ...) -> (C, Th, Tw, ...), any trailing
+# axes (a batch-last batch's images) riding along; both names stay, since
+# perfbench/tracing.py wraps them
 # window for output cell (i, j): rows [floor(i*H/Th), ceil((i+1)*H/Th))
 
 
@@ -156,14 +145,20 @@ def _pool_matrix(target, size):
     return ((cols >= lo) & (cols < hi)) / (hi - lo)
 
 
+def _pool_rows_cols(x, rows, cols):
+    """rows @ x @ cols.T over axes 1 and 2 of x (C, H, W, ...)."""
+    c, h, w = x.shape[:3]
+    out = cols @ (rows @ x.reshape(c, h, -1)).reshape(c * len(rows), w, -1)
+    return out.reshape((c, len(rows), len(cols)) + x.shape[3:])
+
+
 def adaptive_avg_pool_forward(x, th, tw):
-    _, h, w = x.shape
-    return _pool_matrix(th, h) @ x @ _pool_matrix(tw, w).T
+    return _pool_rows_cols(x, _pool_matrix(th, x.shape[1]), _pool_matrix(tw, x.shape[2]))
 
 
 def adaptive_avg_pool_backward(dy, h, w):
-    _, th, tw = dy.shape
-    return _pool_matrix(th, h).T @ dy @ _pool_matrix(tw, w)
+    return _pool_rows_cols(dy, _pool_matrix(dy.shape[1], h).T,
+                           _pool_matrix(dy.shape[2], w).T)
 
 
 # ---------------------------------------------------------------------------

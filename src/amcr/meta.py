@@ -23,15 +23,16 @@ batch:
 
 The cached g_i all come from one backward of the batch's loss vector,
 and are never formed whole: tensor.per_sample_gradients keeps those of
-every parameter the loss reaches as two factors stacked over the batch,
-left L (p_out, M) and right R (p_in, M), with owner[m] the sample of
-column m, so g_i is L @ R.T over sample i's columns. Both updates move
-only those parameters: one the loss does not reach keeps its value. A
-conv kernel's L and R are its output gradients and unfolded inputs, one
-column per output position; a dense layer's or a vector's have one
-column per sample. Then, for every parameter alike,
-    sum_i c_i g_i = (L * c[owner]) @ R.T                 (one GEMM)
-    d_i = sum of the columns m of sample i of (G @ R) * L
+every parameter the loss reaches as two factors stacked over the batch
+of n, left L (p_out, M) and right R (p_in, M), column m belonging to
+sample m mod n, so g_i is L @ R.T over the columns i, i + n, ... Both
+updates move only those parameters: one the loss does not reach keeps
+its value. A conv kernel's L and R are its output gradients and
+unfolded inputs, one column per output position and sample; a dense
+layer's or a vector's have one column per sample. Then, for every
+parameter alike, with L's rows viewed as blocks of n columns,
+    sum_i c_i g_i = (L * c, block by block) @ R.T        (one GEMM)
+    d_i = sum of entries i, i + n, ... of the column sums of (G @ R) * L
 with G the parameter's meta-loss gradient at w_hat, reshaped to
 (p_out, p_in).
 
@@ -105,9 +106,10 @@ class MetaState:
     def _weighted_sum(self, coeff, factors) -> dict:
         """sum_i c_i g_i for every parameter the loss reaches, from its
         factors."""
-        left, right, owner = factors
-        return {name: ((left[name] * coeff[owner[name]]) @ right[name].T
-                       ).reshape(self.params[name].shape) for name in left}
+        left, right = factors
+        return {name: ((lf.reshape(-1, coeff.size) * coeff).reshape(lf.shape)
+                       @ right[name].T).reshape(self.params[name].shape)
+                for name, lf in left.items()}
 
     # stage 1 -------------------------------------------------------------
 
@@ -162,12 +164,12 @@ class MetaState:
 
         # d_i = g_i . grad_{w_hat}(meta loss); the same loss_fn reaches
         # every parameter of w_hat
-        left, right, owner = cache["factors"]
+        left, right = cache["factors"]
         d = np.zeros(cache["loss_values"].size)
         for name, lf in left.items():
             grad = w_hat[name].grad.reshape(lf.shape[0], -1)
             per_col = np.einsum("ij,ij->j", grad @ right[name], lf)
-            d += np.bincount(owner[name], weights=per_col, minlength=d.size)
+            d += per_col.reshape(-1, d.size).sum(axis=0)
 
         big_d = float(np.sum(cache["coeff"] * d))
         coef = -(self.settings.lr / cache["s"]) * (d - big_d)

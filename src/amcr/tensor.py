@@ -12,8 +12,10 @@ The network ops take a batch: images are (N, C, H, W), feature and logit
 rows (N, K), and row n of every op belongs to sample n, so one graph
 serves the whole batch and per_sample_gradients can split its one
 backward by sample. It keeps every sample's gradient as two factors,
-never formed whole: a conv kernel's as each image's output gradient and
-unfolded input, a matmul operand's or a vector's as rank-one columns.
+never formed whole: a conv kernel's as its output gradients and unfolded
+inputs, a matmul operand's or a vector's as rank-one columns. Image
+batches are batch-last, (N, C, H, W) views of (C, H, W, N) memory, and
+the image ops keep them so: no conv pass transposes a batch.
 """
 
 from contextlib import contextmanager
@@ -28,8 +30,8 @@ from .errors import DataError, ParameterError, ShapeError, TapeError
 # detach the graphs another thread is building
 _grad_enabled = ContextVar("amcr_grad_enabled", default=True)
 # (samples, id(parameter) -> records) while per_sample_gradients runs:
-# each op applying a recorded parameter appends one (left, right, owner)
-# record of its per-sample gradients instead of summing them over the batch
+# each op applying a recorded parameter appends one (left, right) record
+# of its per-sample gradients instead of summing them over the batch
 _recording = ContextVar("amcr_recording", default=None)
 
 
@@ -215,7 +217,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         rec = _recorder(b, n)
         if rec is None:
             return ((a, g @ b.data.T), (b, a.data.T @ g))
-        rec.append((a.data.T, g.T, np.arange(n)))  # sample i: a_i outer g_i
+        rec.append((a.data.T, g.T))  # sample i: a_i outer g_i
         return ((a, g @ b.data.T),)
 
     return _make(a.data @ b.data, (a, b), backward)
@@ -232,7 +234,7 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
         rec = _recorder(v, n)
         if rec is None:
             return ((m, g), (v, g.sum(axis=0)))
-        rec.append((g.T, np.ones((1, n)), np.arange(n)))
+        rec.append((g.T, np.ones((1, n))))
         return ((m, g),)
 
     return _make(m.data + v.data[None, :], (m, v), backward)
@@ -244,8 +246,8 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
 
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Convolve every image of an (N, Cin, H, W) batch with the kernels
-    (Cout, Cin, kh, kw): an (N, Cout, Ho, Wo) batch. Each pass is one
-    call of a batch kernel, whatever N."""
+    (Cout, Cin, kh, kw): a batch-last (N, Cout, Ho, Wo) batch. Each pass
+    is one call of a batch kernel, whatever N."""
     x, k = as_tensor(x), as_tensor(k)
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise ShapeError("conv2d expects x (N,C,H,W) and kernels (Co,Ci,kh,kw)")
@@ -261,13 +263,11 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeError(f"conv2d: output extent {ho}x{wo} < 1")
     if n < 1:
         raise ShapeError("conv2d: empty batch")
-    xd = np.ascontiguousarray(x.data)
-    kd = np.ascontiguousarray(k.data)
+    xd, kd = x.data, k.data  # batch-last x: no kernel copies it to transpose
     out = kernels.conv2d_forward_batch(xd, kd, stride, padding)
 
     def backward(g):
         # skip the gradient no parent needs (the stem's input is the image)
-        g = np.ascontiguousarray(g)
         # the kernel's pass first: its columns are freed before dx exists
         grads = []
         if k.requires_grad:
@@ -276,9 +276,8 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
                 grads.append((k, kernels.conv2d_backward_kernel_batch(
                     g, xd, stride, padding, kh, kw)))
             else:
-                rec.append((g.transpose(1, 0, 2, 3).reshape(cout, -1),
-                            kernels.unfold(xd, kh, kw, stride, padding),
-                            np.repeat(np.arange(n), ho * wo)))
+                rec.append((g.transpose(1, 2, 3, 0).reshape(cout, -1),
+                            kernels.unfold(xd, kh, kw, stride, padding)))
         if x.requires_grad:
             grads.append((x, kernels.conv2d_backward_input_batch(
                 g, kd, stride, padding, h, w)))
@@ -324,7 +323,7 @@ def conv1d_channel(x: Tensor, kernel: Tensor) -> Tensor:
         rec = _recorder(kernel, n)
         if rec is None:
             return ((x, dx), (kernel, dk.sum(axis=0)))
-        rec.append((dk.T, np.ones((1, n)), np.arange(n)))
+        rec.append((dk.T, np.ones((1, n))))
         return ((x, dx),)
 
     return _make(_correlate_rows(x.data, kernel.data), (x, kernel), backward)
@@ -338,16 +337,14 @@ def adaptive_avg_pool2d(x: Tensor, target) -> Tensor:
     n, c, h, w = x.shape
     if th > h or tw > w or th < 1 or tw < 1:
         raise ShapeError(f"adaptive_avg_pool2d: target {th}x{tw} vs input {h}x{w}")
-    # the pooling kernels see channels only, so one call pools all N*C maps
-    out = kernels.adaptive_avg_pool_forward(
-        np.ascontiguousarray(x.data).reshape(n * c, h, w), th, tw)
+    # the pooling kernels take (C, H, W, N) maps: one call pools the batch
+    out = kernels.adaptive_avg_pool_forward(x.data.transpose(1, 2, 3, 0), th, tw)
 
     def backward(g):
-        dx = kernels.adaptive_avg_pool_backward(
-            np.ascontiguousarray(g).reshape(n * c, th, tw), h, w)
-        return ((x, dx.reshape(x.shape)),)
+        dx = kernels.adaptive_avg_pool_backward(g.transpose(1, 2, 3, 0), h, w)
+        return ((x, dx.transpose(3, 0, 1, 2)),)
 
-    return _make(out.reshape(n, c, th, tw), (x,), backward)
+    return _make(out.transpose(3, 0, 1, 2), (x,), backward)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -355,26 +352,30 @@ def global_avg_pool(x: Tensor) -> Tensor:
     x = as_tensor(x)
     if x.data.ndim != 4:
         raise ShapeError("global_avg_pool expects (N,C,H,W)")
-    area = x.shape[2] * x.shape[3]
+    n, c, h, w = x.shape
 
     def backward(g):
-        return ((x, np.repeat(g / area, area).reshape(x.shape)),)
+        dx = np.broadcast_to((g.T / (h * w))[:, None, None], (c, h, w, n))
+        return ((x, dx.copy().transpose(3, 0, 1, 2)),)
 
-    return _make(x.data.sum(axis=(2, 3)) / area, (x,), backward)
+    return _make(x.data.transpose(1, 2, 3, 0).sum(axis=(1, 2)).T / (h * w), (x,), backward)
 
 
 def scale_channels(x: Tensor, s: Tensor) -> Tensor:
     """Multiply each channel map of (N, C, H, W) by the matching entry of
-    s (N, C)."""
+    s (N, C), on the (C, H, W, N) views: there numpy keeps x batch-last."""
     x, s = as_tensor(x), as_tensor(s)
     if x.data.ndim != 4 or s.data.ndim != 2 or x.shape[:2] != s.shape:
         raise ShapeError(f"scale_channels: {x.shape} vs {s.shape}")
+    xl = x.data.transpose(1, 2, 3, 0)
+    sl = s.data.T[:, None, None]
 
     def backward(g):
-        return ((x, g * s.data[:, :, None, None]),
-                (s, (g * x.data).sum(axis=(2, 3))))
+        gl = g.transpose(1, 2, 3, 0)
+        return ((x, (gl * sl).transpose(3, 0, 1, 2)),
+                (s, (gl * xl).sum(axis=(1, 2)).T))
 
-    return _make(x.data * s.data[:, :, None, None], (x, s), backward)
+    return _make((xl * sl).transpose(3, 0, 1, 2), (x, s), backward)
 
 
 def cross_entropy_logits(z: Tensor, labels) -> Tensor:
@@ -442,21 +443,21 @@ def per_sample_gradients(loss_vector: Tensor, params: dict):
     other op, or meets a batch of other than N rows, raises TapeError.
 
     Every application adds one record, a left and a right block whose
-    columns belong to samples: conv2d the output gradients (cout, N*Ho*Wo)
-    and the unfolded inputs (cin*kh*kw, N*Ho*Wo), image by image; matmul the
-    input rows a.T and the output gradient g.T; add_rowvec and
+    columns belong to samples, sample index innermost: conv2d the output
+    gradients (cout, Ho*Wo*N) and the unfolded inputs (cin*kh*kw, Ho*Wo*N);
+    matmul the input rows a.T and the output gradient g.T; add_rowvec and
     conv1d_channel the per-sample gradient rows .T and ones (1, N).
 
-    Returns (left, right, owner), three name -> array dicts holding each
-    parameter's records side by side: left (p_out, M) and right (p_in, M)
-    over M columns, p_out the parameter's leading extent and p_in the
-    product of the rest, and owner (M,) the sample of each column. Sample
-    n's gradient is
-        (left[:, owner == n] @ right[:, owner == n].T).reshape(p.shape),
-    zero when no column is n's. A parameter that no sample reaches has no
-    records and is absent from all three. Every parameter's `.grad` is
-    cleared before the backward, so a gradient left from an earlier
-    backward is not taken for a leak, and is left cleared.
+    Returns (left, right), two name -> array dicts holding each
+    parameter's records side by side in C order: left (p_out, M) and
+    right (p_in, M) over M columns, a multiple of N, p_out the parameter's
+    leading extent and p_in the product of the rest. Column m belongs to
+    sample m mod N, so sample n's gradient is
+        (left[:, n::N] @ right[:, n::N].T).reshape(p.shape).
+    A parameter that no sample reaches has no records and is absent from
+    both. Every parameter's `.grad` is cleared before the backward, so a
+    gradient left from an earlier backward is not taken for a leak, and
+    is left cleared.
     """
     if not isinstance(loss_vector, Tensor) or not loss_vector.requires_grad:
         raise TapeError("per_sample_gradients: loss vector is detached from the graph")
@@ -479,14 +480,13 @@ def per_sample_gradients(loss_vector: Tensor, params: dict):
     if leaked:
         raise TapeError(f"per_sample_gradients: {', '.join(leaked)} reached the "
                         "loss outside the ops that record per-sample gradients")
-    left, right, owner = {}, {}, {}
+    left, right = {}, {}
     for name, p in params.items():
-        # one parameter at a time, dropping its records once stacked; C
-        # order, since a lone matmul record (a.data.T) is a transposed view
+        # one parameter at a time, dropping its records once stacked in C
+        # order; a lone one already in it (a batch-last conv's) is not copied
         records = recorders.pop(id(p))
         if records:
-            lefts, rights, owners = zip(*records)
-            left[name] = np.ascontiguousarray(np.hstack(lefts))
-            right[name] = np.ascontiguousarray(np.hstack(rights))
-            owner[name] = np.concatenate(owners)
-    return left, right, owner
+            left[name], right[name] = (
+                np.hstack(side) if len(side) > 1 else np.ascontiguousarray(side[0])
+                for side in zip(*records))
+    return left, right

@@ -188,9 +188,9 @@ def solve_reg_head(model, train, valid, feats: dict,
 SCORE_CHUNK = 64
 
 
-def _stacked(inputs: dict, batch) -> Tensor:
-    """The inputs of the samples in `batch`, stacked along a leading axis."""
-    return Tensor(np.array([inputs[s.id] for s in batch]))
+def _stacked(images) -> Tensor:
+    """The (C, H, W) `images` as one batch-last (N, C, H, W) batch."""
+    return Tensor(np.stack(images, axis=-1).transpose(3, 0, 1, 2))
 
 
 def _no_grad_rows(fn, inputs) -> np.ndarray:
@@ -201,7 +201,7 @@ def _no_grad_rows(fn, inputs) -> np.ndarray:
         raise DataError("nothing to score")
     with T.no_grad():
         return np.concatenate([
-            fn(Tensor(np.array(inputs[i:i + SCORE_CHUNK]))).data
+            fn(_stacked(inputs[i:i + SCORE_CHUNK])).data
             for i in range(0, len(inputs), SCORE_CHUNK)])
 
 
@@ -209,7 +209,7 @@ def class_loss_fn(model, images: dict, labels_of):
     """Per-sample cross-entropy through the model's class head, one graph
     per batch; `labels_of` maps a list of samples to their class labels."""
     def fn(batch, override):
-        logits = model.forward(_stacked(images, batch), override)
+        logits = model.forward(_stacked([images[s.id] for s in batch]), override)
         return T.cross_entropy_logits(logits, labels_of(batch))
     return fn
 
@@ -218,7 +218,7 @@ def reg_loss_fn(model, images: dict):
     """Per-sample squared error through the model's regression head, one
     graph per batch; `images` maps sample id to an image."""
     def fn(batch, override):
-        d = T.sub(model.score(_stacked(images, batch), override),
+        d = T.sub(model.score(_stacked([images[s.id] for s in batch]), override),
                   Tensor(np.array([s.score for s in batch], dtype=np.float64)))
         return T.mul(d, d)
     return fn

@@ -57,10 +57,10 @@ def batch_of_one_gradients(loss_of, samples, params):
 
 
 def gradients_from_factors(factors, params, samples):
-    """One name -> array dict per sample, rebuilt from the (left, right,
-    owner) factors of per_sample_gradients: sample n's gradient is
-    left @ right.T over the columns that n owns."""
-    left, right, owner = factors
-    return [{name: (left[name][:, owner[name] == n] @ right[name][:, owner[name] == n].T
+    """One name -> array dict per sample, rebuilt from the (left, right)
+    factors of per_sample_gradients: sample n's gradient is left @ right.T
+    over the columns n, n + samples, n + 2 * samples, ..."""
+    left, right = factors
+    return [{name: (left[name][:, n::samples] @ right[name][:, n::samples].T
                     ).reshape(params[name].shape) for name in left}
             for n in range(samples)]

@@ -6,12 +6,14 @@ import hashlib
 import numpy as np
 import pytest
 
+from amcr import kernels as K
 from amcr import tensor as T
 from amcr.blocks import (AestheticNet, Mrn, eca_forward, eca_kernel_size,
                          mrn_forward)
 from amcr.errors import DataError, ParameterError, ShapeError
 from amcr.image import aab_prepare
 from amcr.tensor import Tensor
+from amcr.training import _stacked
 
 from helpers import numerical_grad, rel_err
 
@@ -367,6 +369,38 @@ def test_batched_forward_equals_batch_of_one_forwards(kw):
         for name, value in outputs(images[i:i + 1]).items():
             np.testing.assert_allclose(batched[name][i], value[0], rtol=1e-12,
                                        atol=0, err_msg=name)
+
+
+# the batch operands (x, dy) each conv batch kernel takes first; unfold
+# also gathers a recorded conv's inputs
+CONV_BATCH_OPERANDS = {"conv2d_forward_batch": 1, "conv2d_backward_input_batch": 1,
+                       "conv2d_backward_kernel_batch": 2, "unfold": 1}
+
+
+@pytest.mark.parametrize("kw", [{}, {"pool_target": 6}], ids=["eca", "aab-pool-target"])
+def test_conv_kernels_see_batch_last_operands(monkeypatch, kw):
+    # every batch and gradient that reaches a conv batch kernel, in a plain
+    # backward and under per_sample_gradients, has (C, H, W, N) memory, so
+    # no conv pass makes a transposing copy
+    rng = np.random.default_rng(31)
+    net = small_net(rng, **kw)
+    operands = []
+    for name, count in CONV_BATCH_OPERANDS.items():
+        def spy(*args, kernel=getattr(K, name), name=name, count=count):
+            operands.extend((name, a) for a in args[:count])
+            return kernel(*args)
+        monkeypatch.setattr(K, name, spy)
+    batch = _stacked(list(rng.standard_normal((4, 3, 16, 16))))
+
+    def losses():
+        d = T.sub(net.score(batch), Tensor(rng.uniform(0, 10, 4)))
+        return T.mul(d, d)
+
+    T.tmean(losses()).backward()
+    T.per_sample_gradients(losses(), net.params)
+    assert {name for name, _ in operands} == set(CONV_BATCH_OPERANDS)
+    for name, a in operands:
+        assert a.shape[0] == 4 and a.transpose(1, 2, 3, 0).flags.c_contiguous, name
 
 
 def test_net_forward_full_gradient_matches_fd():

@@ -179,21 +179,38 @@ def test_batched_conv_kernels_match_stacked_references(cin, h, w, cout, kh, kw,
     x = rng.standard_normal((n, cin, h, w))
     k = rng.standard_normal((cout, cin, kh, kw))
     dy = rng.standard_normal((n, cout) + conv_sizes(h, w, kh, kw, stride, pad))
+
+    def run(x, dy):
+        return (K.conv2d_forward_batch(x, k, stride, pad),
+                K.conv2d_backward_input_batch(dy, k, stride, pad, h, w),
+                K.conv2d_backward_kernel_batch(dy, x, stride, pad, kh, kw),
+                K.unfold(x, kh, kw, stride, pad))
+
+    out, dx, dk, cols = run(x, dy)
     assert_close_relative(
-        K.conv2d_forward_batch(x, k, stride, pad),
-        np.stack([conv_reference(xi, k, stride, pad) for xi in x]))
+        out, np.stack([conv_reference(xi, k, stride, pad) for xi in x]))
     assert_close_relative(
-        K.conv2d_backward_input_batch(dy, k, stride, pad, h, w),
-        np.stack([conv_backward_input_reference(g, k, stride, pad, h, w)
-                  for g in dy]))
+        dx, np.stack([conv_backward_input_reference(g, k, stride, pad, h, w)
+                      for g in dy]))
     assert_close_relative(
-        K.conv2d_backward_kernel_batch(dy, x, stride, pad, kh, kw),
-        sum(conv_backward_kernel_reference(g, xi, stride, pad, kh, kw)
-            for g, xi in zip(dy, x)))
-    # unfold keeps the images side by side, each as the per-tap im2col
+        dk, sum(conv_backward_kernel_reference(g, xi, stride, pad, kh, kw)
+                for g, xi in zip(dy, x)))
+    # unfold interleaves the images' per-tap im2col columns, the image
+    # index innermost
     np.testing.assert_array_equal(
-        K.unfold(x, kh, kw, stride, pad),
-        np.hstack([unfold_per_tap(xi, kh, kw, stride, pad) for xi in x]))
+        cols, np.stack([unfold_per_tap(xi, kh, kw, stride, pad) for xi in x],
+                       axis=-1).reshape(cols.shape))
+    # batch-last operands, as tensor passes them: the same bits; the
+    # batches out are batch-last, dx as a crop of its padded buffer
+    for got, want in zip(run(batch_last(x), batch_last(dy)), (out, dx, dk, cols)):
+        np.testing.assert_array_equal(got, want, strict=True)
+    assert out.transpose(1, 2, 3, 0).flags.c_contiguous
+    assert dx.strides[0] == dx.itemsize
+
+
+def batch_last(a):
+    """A copy of the (N, C, H, W) batch `a` over (C, H, W, N) memory."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
 
 
 def test_conv_zero_padding_contributes_zero():

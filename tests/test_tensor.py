@@ -354,42 +354,44 @@ def test_per_sample_gradient_factors_rebuild_dense_kernel_gradients():
         for name, g in grads.items():
             np.testing.assert_allclose(g, want[i][name], rtol=1e-12, atol=0)
     assert not want[0]["odd"].any() and not want[2]["odd"].any()
-    left, right, owner = factors
+    left, right = factors
     for name, k in params.items():
         assert k.grad is None
-    for name in left:
-        assert left[name].shape[1] == right[name].shape[1] == owner[name].size
-    # a conv kernel: one record per application, its images in order and
-    # the later application first, with a column per output position (4x4)
-    assert left["down"].shape == (3, 4 * 16) and right["down"].shape == (18, 4 * 16)
-    np.testing.assert_array_equal(owner["twice"], np.repeat([0, 1, 2, 3] * 2, 16))
-    np.testing.assert_array_equal(owner["odd"], np.repeat([0, 1, 2, 3], 16))
+    # a conv kernel: one record per application, the later application
+    # first, with a column per output position (4x4) and image, the image
+    # index innermost, so column m is sample m mod 4's
+    assert left["down"].shape == (3, 16 * 4) and right["down"].shape == (18, 16 * 4)
+    assert left["twice"].shape == (3, 2 * 16 * 4) and right["twice"].shape == (27, 2 * 16 * 4)
+    assert left["odd"].shape == (2, 16 * 4) and right["odd"].shape == (3, 16 * 4)
     # conv1d_channel's kernel: the per-sample rows and ones, a column each
     assert left["eca"].shape == (3, 4) and right["eca"].shape == (1, 4)
     np.testing.assert_array_equal(right["eca"], 1.0)
-    np.testing.assert_array_equal(owner["eca"], [0, 1, 2, 3])
     # no sample reaches it: no factors at all
-    assert list(left) == list(right) == list(owner) == ["down", "twice", "odd", "eca"]
-    assert owner["odd"].dtype == np.int64
+    assert list(left) == list(right) == ["down", "twice", "odd", "eca"]
+
+
+def interleaved(blocks):
+    """Equal-shape blocks' columns interleaved, block index innermost:
+    column j of block i lands at column j * len(blocks) + i."""
+    return np.stack(blocks, axis=-1).reshape(blocks[0].shape[0], -1)
 
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
-def test_conv_factors_are_the_per_image_records_side_by_side(stride, padding):
-    # one record per conv application, laid out as the per-image records
-    # (output gradient, unfolded input) side by side in image order
+def test_conv_factors_interleave_the_per_image_records(stride, padding):
+    # one record per conv application: the per-image records (output
+    # gradient, unfolded input) with their columns interleaved, the image
+    # index innermost
     rng = np.random.default_rng(23)
     k = leaf(rng, 4, 2, 3, 1)
     images = rng.normal(size=(3, 2, 7, 6))
     y = T.conv2d(Tensor(images), k, stride=stride, padding=padding)
     weights = rng.normal(size=y.shape)
-    left, right, owner = T.per_sample_gradients(
+    left, right = T.per_sample_gradients(
         row_sums(T.mul(y, Tensor(weights))), {"k": k})
     cols = [T.kernels.unfold(image[None], 3, 1, stride, padding) for image in images]
     np.testing.assert_array_equal(
-        left["k"], np.hstack([g.reshape(4, -1) for g in weights]))
-    np.testing.assert_array_equal(right["k"], np.hstack(cols))
-    np.testing.assert_array_equal(
-        owner["k"], np.concatenate([np.full(c.shape[1], i) for i, c in enumerate(cols)]))
+        left["k"], interleaved([g.reshape(4, -1) for g in weights]))
+    np.testing.assert_array_equal(right["k"], interleaved(cols))
 
 
 def test_per_sample_gradient_factors_need_conv_only_kernels():
@@ -434,13 +436,12 @@ def test_per_sample_gradients_from_one_batched_backward():
     for i, grads in enumerate(gradients_from_factors(factors, net.params, 5)):
         for n, g in grads.items():
             np.testing.assert_allclose(g, want[i][n], rtol=1e-12, atol=0)
-    left, right, owner = factors
+    left, right = factors
     # matmul's right operand: the input rows and output gradients, a
     # column per sample
     assert left["head.class.w"].shape == (8, 5) and right["head.class.w"].shape == (10, 5)
-    np.testing.assert_array_equal(owner["head.class.w"], np.arange(5))
     for n in ("head.reg.w", "head.reg.b"):
-        assert n not in left and n not in right and n not in owner
+        assert n not in left and n not in right
     assert len(left) == len(net.params) - 2
     # stacked in C order, a lone matmul record (a transposed view) too
     assert all(a.flags.c_contiguous for part in (left, right) for a in part.values())
