@@ -11,10 +11,13 @@ Layout (all integers little-endian):
             u8 ndim, ndim * u32 extents,
             extent-product * f64 values
 
-Float64 bytes round-trip bit-exactly. The loader reads the header fields
-with small reads and each record's values with one `readinto` straight
-into a fresh aligned, native float64 array of the record's shape, so no
-whole-file buffer is kept and no two records share memory. A record's byte
+Float64 bytes round-trip bit-exactly. The writer checks every record
+before it opens the file, so a rejected one leaves no file, and then
+writes each contiguous float64 array's own buffer, with no copy. The
+loader reads the header fields with small reads and each record's values
+with one `readinto` straight into a fresh aligned, native float64 array
+of the record's shape, so no whole-file buffer is kept and no two
+records share memory. A record's byte
 count is checked against the bytes left in the file before its array is
 allocated, so a corrupted extent is a FormatError, not an allocation
 failure. The format itself is just named arrays; the CLI writes one
@@ -38,11 +41,11 @@ _HASH_BYTES = 32
 
 
 def save_checkpoint(path, arrays: dict, iteration: int, config_hash: bytes):
-    """Write named float arrays plus the iteration counter and config hash."""
+    """Write named float arrays plus the iteration counter and config hash,
+    checking every record before the file is opened."""
     if len(config_hash) != _HASH_BYTES:
         raise FormatError(f"config hash must be {_HASH_BYTES} bytes")
-    parts = [MAGIC, struct.pack("<I", VERSION), bytes(config_hash),
-             struct.pack("<Q", int(iteration)), struct.pack("<I", len(arrays))]
+    records = []
     for name, value in arrays.items():
         arr = np.asarray(value, dtype=np.float64)
         if arr.ndim > 0:  # ascontiguousarray would widen 0-d to (1,)
@@ -52,15 +55,16 @@ def save_checkpoint(path, arrays: dict, iteration: int, config_hash: bytes):
             raise FormatError(f"record name too long: {name[:40]}...")
         if arr.ndim > 0xFF:
             raise FormatError(f"record rank {arr.ndim} too large")
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<B", arr.ndim))
-        for extent in arr.shape:
-            parts.append(struct.pack("<I", extent))
-        parts.append(arr.tobytes())
-    blob = b"".join(parts)
+        if max(arr.shape, default=0) > 0xFFFFFFFF:
+            raise FormatError(f"record extent in {arr.shape} too large")
+        records.append((encoded, arr))
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.write(MAGIC + struct.pack("<I", VERSION) + bytes(config_hash)
+                 + struct.pack("<QI", int(iteration), len(records)))
+        for encoded, arr in records:
+            fh.write(struct.pack("<H", len(encoded)) + encoded
+                     + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+            fh.write(arr)
 
 
 def _read(fh, count: int, what: str) -> bytes:

@@ -36,6 +36,13 @@ parameter alike, with L's rows viewed as blocks of n columns,
 with G the parameter's meta-loss gradient at w_hat, reshaped to
 (p_out, p_in).
 
+Each cache entry lives only while a stage still reads it. The factors,
+losses and weights stay until main_step; w_hat, and with it the G on its
+tensors, stays until meta_step, which drops it once meta_gradient
+returns. lookahead_update builds each w_hat tensor in the buffer of its
+own weighted sum, one parameter at a time, so the whole step and the
+alpha * g temporaries never exist together.
+
 The lookahead uses plain SGD while both outer updates use Adam; the
 analytic meta-gradient is exact only for the SGD form of the lookahead.
 
@@ -103,13 +110,14 @@ class MetaState:
         self._cache = None
         self.last_losses = np.zeros(0)  # per-sample losses of the last lookahead
 
-    def _weighted_sum(self, coeff, factors) -> dict:
-        """sum_i c_i g_i for every parameter the loss reaches, from its
-        factors."""
+    def _weighted_sums(self, coeff, factors):
+        """(name, sum_i c_i g_i) for every parameter the loss reaches,
+        from its factors, one parameter at a time; each sum is a fresh
+        array the caller may write into."""
         left, right = factors
-        return {name: ((lf.reshape(-1, coeff.size) * coeff).reshape(lf.shape)
-                       @ right[name].T).reshape(self.params[name].shape)
-                for name, lf in left.items()}
+        for name, lf in left.items():
+            yield name, ((lf.reshape(-1, coeff.size) * coeff).reshape(lf.shape)
+                         @ right[name].T).reshape(self.params[name].shape)
 
     # stage 1 -------------------------------------------------------------
 
@@ -126,10 +134,11 @@ class MetaState:
         loss_values = losses.data.copy()
         v = mrn_forward(loss_values, self.mrn)
         coeff, s = weight_coefficients(v.data)
-        step = self._weighted_sum(coeff, factors)
-        w_hat = {name: Tensor(self.params[name].data - self.settings.lr * g,
-                              requires_grad=True)
-                 for name, g in step.items()}
+        w_hat = {}
+        for name, g in self._weighted_sums(coeff, factors):
+            g *= self.settings.lr  # w - alpha * g, built in the sum's buffer
+            w_hat[name] = Tensor(np.subtract(self.params[name].data, g, out=g),
+                                 requires_grad=True)
         self._cache = {
             "stage": "lookahead",
             "loss_values": loss_values,
@@ -185,6 +194,8 @@ class MetaState:
         """Adam-update Theta from the exact meta-gradient (which checks
         that the lookahead cache of this iteration exists)."""
         grads = self.meta_gradient(meta_batch)
+        # nothing reads w_hat again, nor the meta-loss gradients on its tensors
+        del self._cache["w_hat"]
         self.adam_mrn.step(self.mrn.params, grads)
         self._cache["stage"] = "meta"
 
@@ -199,7 +210,7 @@ class MetaState:
         with T.no_grad():
             v_new = mrn_forward(cache["loss_values"], self.mrn).data
         coeff, _ = weight_coefficients(v_new)
-        grads = self._weighted_sum(coeff, cache["factors"])
+        grads = dict(self._weighted_sums(coeff, cache["factors"]))
         self.adam_main.step(self.params, grads)
         self._cache = None
         return v_new

@@ -33,27 +33,50 @@ class Adam:
         self.t = 0
 
     def step(self, params: dict, grads: dict):
-        """Update every parameter named in `grads` in place."""
-        self.t += 1
+        """Take one Adam step on every parameter named in `grads`.
+
+        Every gradient's shape is checked before anything moves, so a
+        rejected step changes nothing: not `t`, the moments or any
+        parameter. The moments `m` and `v` are updated in place; each
+        parameter's `p.data` is replaced by a new array, never written
+        into. The rest of the update runs through one scratch pair sized
+        to the largest gradient and allocated once per step, with the
+        operations of the textbook form in its order, so the results are
+        bitwise those of `p - lr * mhat / (sqrt(vhat) + eps)`.
+        """
+        work = []
         for name, g in grads.items():
             p = params[name]
             g = np.asarray(g, dtype=np.float64)
             if g.shape != p.data.shape:
                 raise ParameterError(
                     f"gradient shape {g.shape} vs parameter {p.data.shape} for {name}")
+            work.append((name, p, g))
+        self.t += 1
+        bias1 = 1.0 - self.b1 ** self.t
+        bias2 = 1.0 - self.b2 ** self.t
+        size = max((g.size for _, _, g in work), default=0)
+        scratch_a, scratch_b = np.empty(size), np.empty(size)
+        for name, p, g in work:
+            a = scratch_a[:g.size].reshape(g.shape)
+            b = scratch_b[:g.size].reshape(g.shape)
             if self.weight_decay != 0.0:
-                g = g + self.weight_decay * p.data
+                g = np.add(g, np.multiply(self.weight_decay, p.data, out=a), out=a)
             m = self.m.get(name)
             if m is None:
-                m = np.zeros_like(p.data)
+                m = self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
-            m = self.b1 * m + (1.0 - self.b1) * g
-            v = self.b2 * self.v[name] + (1.0 - self.b2) * g * g
-            self.m[name] = m
-            self.v[name] = v
-            mhat = m / (1.0 - self.b1 ** self.t)
-            vhat = v / (1.0 - self.b2 ** self.t)
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + EPS)
+            v = self.v[name]
+            m *= self.b1  # m = b1 * m + (1 - b1) * g
+            m += np.multiply(1.0 - self.b1, g, out=b)
+            v *= self.b2  # v = b2 * v + (1 - b2) * g * g
+            v += np.multiply(np.multiply(1.0 - self.b2, g, out=b), g, out=b)
+            step = np.divide(m, bias1, out=a)  # lr * mhat / (sqrt(vhat) + eps)
+            step *= self.lr
+            denom = np.sqrt(np.divide(v, bias2, out=b), out=b)
+            denom += EPS
+            step /= denom
+            p.data = p.data - step
 
 
 class PlateauScheduler:

@@ -3,6 +3,7 @@ truncation/corruption contract."""
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,28 @@ def test_trailing_garbage_rejected(tmp_path):
 def test_bad_hash_length_rejected_on_save(tmp_path):
     with pytest.raises(FormatError):
         save_checkpoint(tmp_path / "x.ckpt", {}, 0, b"short")
+
+
+@pytest.mark.parametrize("bad", [
+    {"n" * 0x10000: np.zeros(1)},
+    {"p.wide": np.zeros((0, 0x100000000))},
+])
+def test_rejected_record_leaves_no_file(tmp_path, bad):
+    path = tmp_path / "r.ckpt"
+    with pytest.raises(FormatError):
+        save_checkpoint(path, {"p.ok": np.zeros(3), **bad}, 0, fake_hash())
+    assert not path.exists()
+
+
+def test_save_writes_records_without_copying_them(tmp_path):
+    arrays = {"p.big": np.ones((1000, 1000)), "p.small": np.ones(7)}
+    tracemalloc.start()
+    try:
+        save_checkpoint(tmp_path / "big.ckpt", arrays, 0, fake_hash())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < arrays["p.big"].nbytes / 10, peak
 
 
 def test_scalar_and_empty_name_records(tmp_path):

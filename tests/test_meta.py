@@ -2,6 +2,8 @@
 machine, exact meta-gradients against finite differences, and balanced
 meta-set construction."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -379,6 +381,28 @@ def test_lookahead_cache_is_small_next_to_dense_rows():
     assert conv > 0.9 * total
     held = sum(a.size for part in state._cache["factors"] for a in part.values())
     assert held < n * total / 10, (held, n * total)
+
+
+def test_lookahead_parameters_die_with_the_meta_step():
+    # w_hat and the meta-loss gradients on its tensors are read by
+    # meta_gradient alone, so the cache lets go of them at meta_step
+    rng = np.random.default_rng(34)
+    net = AestheticNet(rng, stem_channels=4, stage_channels=(8,),
+                       head_width=16)
+    images = rng.normal(size=(6, 3, 8, 8))
+
+    def loss_fn(batch, override):
+        return T.cross_entropy_logits(
+            net.forward(Tensor(images[batch]), override), batch)
+
+    state = MetaState(net.params, Mrn(hidden=4), loss_fn, TrainSettings())
+    w_hat = state.lookahead_update([0, 1, 2, 3])
+    refs = [weakref.ref(p.data) for p in w_hat.values()]
+    assert len(refs) > 1
+    del w_hat
+    state.meta_step([4, 5])
+    assert [ref() is None for ref in refs] == [True] * len(refs)
+    state.main_step()
 
 
 def test_main_step_gradient_is_one_backward_of_weighted_loss():

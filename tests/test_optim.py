@@ -1,5 +1,7 @@
 """Optimizer and plateau-schedule behavior pinned against hand traces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ def test_adam_matches_reference_trace(wd):
     for g in grads:
         opt.step({"p": p}, {"p": g})
     want = adam_reference(x0, grads, 1e-2, 0.9, 0.999, 1e-8, wd)
-    np.testing.assert_allclose(p.data, want, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(p.data, want)
 
 
 def test_adam_first_step_size_is_lr():
@@ -75,6 +77,35 @@ def test_adam_rejects_gradient_shape_mismatch():
     p = Tensor(np.zeros((2, 2)))
     with pytest.raises(ParameterError):
         Adam(1e-3).step({"p": p}, {"p": np.zeros(3)})
+
+
+def test_rejected_adam_step_changes_nothing():
+    a, b = Tensor(np.array([1.0, 2.0])), Tensor(np.zeros((2, 2)))
+    opt = Adam(0.1, weight_decay=0.01)
+    opt.step({"a": a, "b": b}, {"a": np.array([1.0, -1.0])})
+    before = a.data.copy(), b.data.copy(), opt.m["a"].copy(), opt.v["a"].copy()
+    with pytest.raises(ParameterError):
+        opt.step({"a": a, "b": b}, {"a": np.array([0.5, 0.5]), "b": np.zeros(3)})
+    assert opt.t == 1
+    assert set(opt.m) == set(opt.v) == {"a"}
+    for got, want in zip((a.data, b.data, opt.m["a"], opt.v["a"]), before):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_adam_step_memory_is_a_scratch_pair_and_the_new_parameter():
+    # the moments exist after the first step; the second allocates two
+    # scratch arrays and the replacing parameter array, nothing more
+    p = Tensor(np.ones((1000, 1000)))
+    grad = np.full((1000, 1000), 0.5)
+    opt = Adam(1e-3, weight_decay=1e-4)
+    opt.step({"p": p}, {"p": grad})
+    tracemalloc.start()
+    try:
+        opt.step({"p": p}, {"p": grad})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * p.data.nbytes, peak / p.data.nbytes
 
 
 # ---------------------------------------------------------------------------
