@@ -23,7 +23,6 @@ import warnings
 import numpy as np
 
 from . import data as D
-from . import pnm
 from . import training as TR
 from .blocks import AestheticNet
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -34,9 +33,9 @@ from .errors import (AmcrError, ConfigError, DataError, DependencyError,
 from .image import aab_prepare, preprocess_crop, preprocess_resize
 from .meta import build_meta_set
 from .metrics import collapse_warnings, evaluate_scores, segment_report
-from .pipeline import (PipelineArtifacts, prepare_image, prepare_images,
-                       pseudo_split, router_sets, run_ablation, run_pipeline,
-                       train_binary)
+from .pipeline import (PipelineArtifacts, load_image, prepare_image,
+                       prepare_images, pseudo_split, router_sets, run_ablation,
+                       run_pipeline, train_binary)
 from .tensor import Tensor
 
 # every ParameterError a command can raise comes from a config value
@@ -145,21 +144,15 @@ def _require_manifest(cfg, args):
     return D.load_manifest(path)
 
 
-def _check_channels(cfg, path, image) -> None:
-    """An image whose channel count the network does not take is bad data."""
-    if image.shape[0] != cfg.model_in_channels:
-        raise DataError(f"{path}: a {image.shape[0]}-channel image, but the "
-                        f"model takes {cfg.model_in_channels} channels")
-
-
-def _load_split_images(cfg, args):
+def _load_split_images(cfg, args, splits):
+    """The manifest's samples, and the prepared images of those in the
+    named `splits`; no other image is read."""
     samples = _require_manifest(cfg, args)
-    data_dir = _data_dir(cfg, args)
-    images = prepare_images(samples, data_dir, cfg.model_prep,
+    images = prepare_images([s for s in samples if s.split in splits],
+                            _data_dir(cfg, args), cfg.model_prep,
                             crop_side=cfg.model_crop_side,
-                            square_side=cfg.model_square_side)
-    for s in samples:
-        _check_channels(cfg, os.path.join(data_dir, s.path), images[s.id])
+                            square_side=cfg.model_square_side,
+                            in_channels=cfg.model_in_channels)
     return samples, images
 
 
@@ -240,7 +233,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train_binary(args) -> int:
     cfg = _load_run_config(args)
-    samples, images = _load_split_images(cfg, args)
+    samples, images = _load_split_images(cfg, args, ("train", "valid"))
     rng = np.random.default_rng(cfg.train_seed)
     train = D.split_of(samples, "train")
     valid = D.split_of(samples, "valid")
@@ -265,7 +258,7 @@ def cmd_train_binary(args) -> int:
 
 def cmd_pseudo_split(args) -> int:
     cfg = _load_run_config(args)
-    samples, images = _load_split_images(cfg, args)
+    samples, images = _load_split_images(cfg, args, ("train", "valid"))
     model = _load_model(args, "c2", cfg, 2)
     split = pseudo_split(model, D.split_of(samples, "train"),
                          D.split_of(samples, "valid"), images)
@@ -277,7 +270,7 @@ def cmd_pseudo_split(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
-    samples, images = _load_split_images(cfg, args)
+    samples, images = _load_split_images(cfg, args, ("train", "valid"))
     rng = np.random.default_rng(cfg.train_seed)
     train = D.split_of(samples, "train")
     valid = D.split_of(samples, "valid")
@@ -331,7 +324,7 @@ def _warn_collapse(found, label=""):
 
 def cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
-    samples, images = _load_split_images(cfg, args)
+    samples, images = _load_split_images(cfg, args, ("test",))
     test = D.split_of(samples, "test")
     if not test:
         raise DataError("manifest has no test split")
@@ -359,8 +352,7 @@ def cmd_predict(args) -> int:
     cfg = _load_run_config(args)
     prepared = []
     for path in args.image:
-        image = pnm.load_pnm(path)
-        _check_channels(cfg, path, image)
+        image = load_image(path, cfg.model_in_channels)
         prepared.append(prepare_image(image, cfg.model_prep,
                                       cfg.model_crop_side,
                                       cfg.model_square_side))
@@ -371,7 +363,7 @@ def cmd_predict(args) -> int:
 
 def cmd_report_segments(args) -> int:
     cfg = _load_run_config(args)
-    samples, images = _load_split_images(cfg, args)
+    samples, images = _load_split_images(cfg, args, ("valid",))
     valid = D.split_of(samples, "valid")
     if not valid:
         raise DataError("manifest has no validation split")
@@ -392,7 +384,7 @@ def cmd_report_segments(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_run_config(args)
-    samples, images = _load_split_images(cfg, args)
+    samples, images = _load_split_images(cfg, args, ("train", "valid", "test"))
     train = D.split_of(samples, "train")
     valid = D.split_of(samples, "valid")
     test = D.split_of(samples, "test")

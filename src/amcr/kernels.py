@@ -1,14 +1,18 @@
 """Hot numeric kernels: 2D convolution, adaptive average pooling, bilinear resize.
 
-Vectorized numpy: each conv pass is one im2col gather or scatter and one
-matrix product over the whole (N, C, H, W) batch, pooling is two products
-with window-averaging matrices, and resizing is gather arithmetic. Each
-conv shape gets one cached tap-index map (`_tap_index`): the im2col
-gather is one integer-array index through it, and the backward-input
-scatter adds one slice per kernel tap, so no conv takes a Python step per
-image. `unfold` is that im2col; `tensor` also records it as one factor
-of a conv kernel's per-sample gradient. `tensor` and `image` look the
-kernels up on this module by attribute at call time.
+Vectorized numpy: each conv pass is one im2col gather and one matrix
+product over the whole (N, C, H, W) batch, pooling is two products with
+window-averaging matrices, and resizing is gather arithmetic. Each conv
+shape gets two cached index maps: `_tap_index`, the pixel each im2col
+entry reads, and its inverse `_fold_index`, the entries that read each
+pixel. `unfold`, the im2col, is one integer-array index through the
+first; backward-input writes k^T dy as im2col entries and folds them onto
+the pixels with one gather and one add per slot of the second, so no
+conv takes a Python step per image or per kernel tap. The forward and
+kernel-gradient products take `unfold`'s columns, so `tensor` unfolds a
+batch once for both, and also records them as one factor of a conv
+kernel's per-sample gradient. `tensor` and `image` look the kernels up on
+this module by attribute at call time.
 
 All arrays are float64. Conv batches are (N, C, H, W), fastest batch-last
 (over (C, H, W, N) memory, as `tensor` passes and the kernels return
@@ -16,11 +20,12 @@ them); pooling takes (C, H, W, ...) maps and resizing (C, H, W) maps.
 """
 
 import functools
+import math
 import mmap
 
 import numpy as np
 
-# conv shapes whose tap-index maps stay cached; a model has a handful
+# conv shapes whose index maps stay cached, per map; a model has a handful
 TAP_INDEX_SHAPES = 64
 
 
@@ -28,9 +33,15 @@ def off_heap(a: np.ndarray) -> np.ndarray:
     """A copy of `a` in an anonymous mapping of its own, not heap memory:
     a block that outlives training and sits on the heap above what
     training freed keeps all of that resident."""
-    out = np.frombuffer(mmap.mmap(-1, a.nbytes), dtype=a.dtype).reshape(a.shape)
+    out = off_heap_zeros(a.shape, a.dtype)
     out[...] = a
     return out
+
+
+def off_heap_zeros(shape, dtype=np.float64) -> np.ndarray:
+    """A zero array in an anonymous mapping of its own (see off_heap)."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
 
 # ---------------------------------------------------------------------------
 # conv2d: x (N, Cin, H, W) * k (Cout, Cin, kh, kw) -> (N, Cout, Ho, Wo)
@@ -61,6 +72,38 @@ def _tap_index(cin, h, w, kh, kw, stride, pad):
     return out
 
 
+@functools.lru_cache(maxsize=TAP_INDEX_SHAPES)
+def _fold_index(cin, h, w, kh, kw, stride, pad):
+    """The inverse of `_tap_index` for one conv shape: an int64
+    (T, cin*h*w) array whose column p lists, in increasing order, the flat
+    indices into the (cin*kh*kw, Ho*Wo) im2col matrix of the entries that
+    read pixel p, T being the most entries any pixel has. A pixel's slots
+    past its own entries hold cin*kh*kw*Ho*Wo, one past the matrix, where
+    the caller keeps a zero; so does every slot of a pixel no entry reads.
+    Entries of one pixel ascend in (u, v) tap order. Read-only, since every
+    call for the shape shares it."""
+    taps = _tap_index(cin, h, w, kh, kw, stride, pad).ravel()
+    pixels = cin * h * w
+    entries = np.flatnonzero(taps < pixels)
+    entries = entries[np.argsort(taps[entries], kind="stable")]
+    owner = taps[entries]
+    counts = np.bincount(owner, minlength=pixels)
+    # an entry's slot is its rank among its pixel's entries
+    slot = np.arange(entries.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    fold = np.full((max(int(counts.max()), 1), pixels), taps.size)
+    fold[slot, owner] = entries
+    out = off_heap(fold)
+    out.flags.writeable = False
+    return out
+
+
+def _items(a):
+    """The rows of the C-contiguous 2-d `a` as one opaque item each, so a
+    gather of whole rows is numpy's fast one-axis index: an index, not
+    take, since take copies a read-only index array on every call."""
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+
+
 def unfold(x, kh, kw, stride, pad):
     """im2col of a batch x (N, Cin, H, W) with the image index innermost:
     (Cin*kh*kw, Ho*Wo*N), rows ordered (ci, u, v) as in k.reshape(cout, -1),
@@ -70,11 +113,7 @@ def unfold(x, kh, kw, stride, pad):
     pixels = np.empty((cin * h * w + 1, n))
     pixels[:-1].reshape(cin, h, w, n)[...] = x.transpose(1, 2, 3, 0)
     pixels[-1] = 0.0
-    # each pixel's n values as one opaque item, so the gather is numpy's
-    # fast one-axis index: an index, not take, since take copies a
-    # read-only index array on every call
-    items = pixels.view(np.dtype((np.void, pixels.itemsize * n))).ravel()
-    return items[idx].view(np.float64).reshape(idx.shape[0], -1)
+    return _items(pixels)[idx].view(np.float64).reshape(idx.shape[0], -1)
 
 
 def _image_last(a):
@@ -83,34 +122,36 @@ def _image_last(a):
     return a.transpose(1, 2, 3, 0).reshape(a.shape[1], -1)
 
 
-def conv2d_forward_batch(x, k, stride, pad):
-    n, _, h, w = x.shape
-    cout, _, kh, kw = k.shape
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
-    out = k.reshape(cout, -1) @ unfold(x, kh, kw, stride, pad)
-    return out.reshape(cout, ho, wo, n).transpose(3, 0, 1, 2)
+def conv2d_forward_cols(cols, k, ho, wo):
+    """The kernels k applied to a batch's `unfold` columns: the batch-last
+    (N, Cout, Ho, Wo) output."""
+    cout = k.shape[0]
+    out = k.reshape(cout, -1) @ cols
+    return out.reshape(cout, ho, wo, -1).transpose(3, 0, 1, 2)
 
 
 def conv2d_backward_input_batch(dy, k, stride, pad, h, w):
+    """dx of a conv from its output gradient dy: k^T dy as im2col entries,
+    each pixel then summing the entries that read it (`_fold_index`) in
+    (u, v) tap order from the first, one gather and one add per slot."""
     n, cout, ho, wo = dy.shape
     _, cin, kh, kw = k.shape
-    # scatter k^T @ dy back one kernel tap at a time into the padded
-    # input: each pixel adds its taps in (u, v) order from zero
-    dcols = (k.reshape(cout, -1).T @ _image_last(dy)).reshape(cin, kh, kw, ho, wo, n)
-    dxp = np.zeros((cin, h + 2 * pad, w + 2 * pad, n))
-    for u in range(kh):
-        for v in range(kw):
-            dxp[:, u:u + stride * (ho - 1) + 1:stride,
-                v:v + stride * (wo - 1) + 1:stride] += dcols[:, u, v]
-    return dxp[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
+    fold = _fold_index(cin, h, w, kh, kw, stride, pad)
+    dcols = np.empty((cin * kh * kw * ho * wo + 1, n))
+    np.matmul(k.reshape(cout, -1).T, _image_last(dy),
+              out=dcols[:-1].reshape(cin * kh * kw, -1))
+    dcols[-1] = 0.0
+    items = _items(dcols)
+    dx = items[fold[0]].view(np.float64)
+    for slot in fold[1:]:
+        dx += items[slot].view(np.float64)
+    return dx.reshape(cin, h, w, n).transpose(3, 0, 1, 2)
 
 
-def conv2d_backward_kernel_batch(dy, x, stride, pad, kh, kw):
-    cout = dy.shape[1]
-    cin = x.shape[1]
-    dk = _image_last(dy) @ unfold(x, kh, kw, stride, pad).T
-    return dk.reshape(cout, cin, kh, kw)
+def conv2d_backward_kernel_cols(dy, cols, kshape):
+    """dk of a conv from its output gradient dy and its input's `unfold`
+    columns, shaped `kshape`, the kernels' (Cout, Cin, kh, kw)."""
+    return (_image_last(dy) @ cols.T).reshape(kshape)
 
 
 # the (C, H, W) kernels of one image: nothing in amcr calls these names
@@ -118,7 +159,11 @@ def conv2d_backward_kernel_batch(dy, x, stride, pad, kh, kw):
 
 
 def conv2d_forward(x, k, stride, pad):
-    return conv2d_forward_batch(x[None], k, stride, pad)[0]
+    _, h, w = x.shape
+    _, _, kh, kw = k.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    return conv2d_forward_cols(unfold(x[None], kh, kw, stride, pad), k, ho, wo)[0]
 
 
 def conv2d_backward_input(dy, k, stride, pad, h, w):
@@ -126,7 +171,8 @@ def conv2d_backward_input(dy, k, stride, pad, h, w):
 
 
 def conv2d_backward_kernel(dy, x, stride, pad, kh, kw):
-    return conv2d_backward_kernel_batch(dy[None], x[None], stride, pad, kh, kw)
+    return conv2d_backward_kernel_cols(dy[None], unfold(x[None], kh, kw, stride, pad),
+                                       (dy.shape[0], x.shape[0], kh, kw))
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,17 @@ parameter alike, with L's rows viewed as blocks of n columns,
 with G the parameter's meta-loss gradient at w_hat, reshaped to
 (p_out, p_in).
 
-Each cache entry lives only while a stage still reads it. The factors,
-losses and weights stay until main_step; w_hat, and with it the G on its
-tensors, stays until meta_step, which drops it once meta_gradient
-returns. lookahead_update builds each w_hat tensor in the buffer of its
-own weighted sum, one parameter at a time, so the whole step and the
-alpha * g temporaries never exist together.
+Each graph and cache entry lives only while a stage still reads it. The
+train batch's graph lives from its forward to the end of
+per_sample_gradients, whose factors keep all it gave: lookahead_update
+drops it before the first weighted sum. The meta batch's graph lives
+until its backward has left G on w_hat's tensors: meta_gradient drops it
+before the contraction that forms the d_i. The factors, losses and
+weights stay until main_step; w_hat, and with it G, stays until
+meta_step, which drops it once meta_gradient returns. lookahead_update
+builds each w_hat tensor in the buffer of its own weighted sum, one
+parameter at a time, so the whole step and the alpha * g temporaries
+never exist together.
 
 The lookahead uses plain SGD while both outer updates use Adam; the
 analytic meta-gradient is exact only for the SGD form of the lookahead.
@@ -119,6 +124,19 @@ class MetaState:
             yield name, ((lf.reshape(-1, coeff.size) * coeff).reshape(lf.shape)
                          @ right[name].T).reshape(self.params[name].shape)
 
+    @staticmethod
+    def _gradient_dots(factors, w_hat, n):
+        """d_i = g_i . G for each of the n samples, G being the meta-loss
+        gradients on the tensors of w_hat; the same loss_fn reaches every
+        parameter of w_hat."""
+        left, right = factors
+        d = np.zeros(n)
+        for name, lf in left.items():
+            grad = w_hat[name].grad.reshape(lf.shape[0], -1)
+            per_col = np.einsum("ij,ij->j", grad @ right[name], lf)
+            d += per_col.reshape(-1, n).sum(axis=0)
+        return d
+
     # stage 1 -------------------------------------------------------------
 
     def lookahead_update(self, batch):
@@ -132,6 +150,8 @@ class MetaState:
                 f"loss_fn returned {losses.shape} for a batch of {len(batch)}")
         factors = T.per_sample_gradients(losses, self.params)
         loss_values = losses.data.copy()
+        # the factors hold all the batch graph gave: let its activations go
+        del losses
         v = mrn_forward(loss_values, self.mrn)
         coeff, s = weight_coefficients(v.data)
         w_hat = {}
@@ -165,20 +185,13 @@ class MetaState:
         if len(meta_batch) == 0:
             raise DataError("empty meta batch")
         w_hat = cache["w_hat"]
-        meta_losses = self.loss_fn(meta_batch, w_hat)
-        meta_loss = T.tmean(meta_losses)
+        meta_loss = T.tmean(self.loss_fn(meta_batch, w_hat))
         for p in w_hat.values():
             p.zero_grad()
         meta_loss.backward()
-
-        # d_i = g_i . grad_{w_hat}(meta loss); the same loss_fn reaches
-        # every parameter of w_hat
-        left, right = cache["factors"]
-        d = np.zeros(cache["loss_values"].size)
-        for name, lf in left.items():
-            grad = w_hat[name].grad.reshape(lf.shape[0], -1)
-            per_col = np.einsum("ij,ij->j", grad @ right[name], lf)
-            d += per_col.reshape(-1, d.size).sum(axis=0)
+        # G stays on w_hat's tensors: let the meta graph's activations go
+        del meta_loss
+        d = self._gradient_dots(cache["factors"], w_hat, cache["loss_values"].size)
 
         big_d = float(np.sum(cache["coeff"] * d))
         coef = -(self.settings.lr / cache["s"]) * (d - big_d)

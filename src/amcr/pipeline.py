@@ -29,14 +29,14 @@ from . import training as TR
 from .data import drop_mid_scores, make_amdc, ten_class_label
 from .errors import ConfigError, DataError
 from .image import aab_prepare, preprocess_crop, preprocess_resize
-from .kernels import off_heap
+from .kernels import off_heap_zeros
 from .metrics import evaluate_scores
 from .training import TrainSettings, train_model
 
 __all__ = [
     "router_sets", "train_binary", "pseudo_split", "train_branch",
     "fuse_score", "run_pipeline", "run_ablation", "SplitAssignment",
-    "PipelineArtifacts", "prepare_image", "prepare_images",
+    "PipelineArtifacts", "load_image", "prepare_image", "prepare_images",
 ]
 
 
@@ -56,14 +56,34 @@ def prepare_image(img, prep: str, crop_side: int, square_side: int):
     raise ConfigError(f"unknown preprocessing {prep!r}")
 
 
+def load_image(path, in_channels: int):
+    """The (C,H,W) image at `path`; one with other than `in_channels`
+    channels, the count the model takes, is bad data."""
+    image = pnm.load_pnm(path)
+    if image.shape[0] != in_channels:
+        raise DataError(f"{path}: a {image.shape[0]}-channel image, but the "
+                        f"model takes {in_channels} channels")
+    return image
+
+
 def prepare_images(samples, base_dir, prep: str, *, crop_side: int = 32,
-                   square_side: int = 64) -> dict:
-    """Load and preprocess every sample once; id -> (C,H,W) float array,
-    each off the heap (kernels.off_heap), which training's small blocks
-    would otherwise keep resident once the images are freed."""
-    return {s.id: off_heap(prepare_image(
-        pnm.load_pnm(os.path.join(base_dir, s.path)), prep, crop_side,
-        square_side)) for s in samples}
+                   square_side: int = 64, in_channels: int = 3) -> dict:
+    """Load and preprocess every sample once; id -> (C,H,W) float array.
+
+    The arrays are the rows of one block off the heap
+    (kernels.off_heap_zeros), which training's small blocks would
+    otherwise keep resident once the images are freed. Each image's
+    channel count is checked (load_image) before its row is written."""
+    samples = list(samples)
+    images, block = {}, None
+    for i, s in enumerate(samples):
+        image = prepare_image(load_image(os.path.join(base_dir, s.path), in_channels),
+                              prep, crop_side, square_side)
+        if block is None:  # every prepared image has the first one's shape
+            block = off_heap_zeros((len(samples),) + image.shape)
+        block[i] = image
+        images[s.id] = block[i]
+    return images
 
 
 # ---------------------------------------------------------------------------

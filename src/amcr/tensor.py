@@ -15,7 +15,9 @@ backward by sample. It keeps every sample's gradient as two factors,
 never formed whole: a conv kernel's as its output gradients and unfolded
 inputs, a matmul operand's or a vector's as rank-one columns. Image
 batches are batch-last, (N, C, H, W) views of (C, H, W, N) memory, and
-the image ops keep them so: no conv pass transposes a batch.
+the image ops keep them so: no conv pass transposes a batch. A conv
+whose kernel may take a gradient keeps its unfolded input from its
+forward until its backward, so neither pass unfolds the batch again.
 """
 
 from contextlib import contextmanager
@@ -247,7 +249,14 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Convolve every image of an (N, Cin, H, W) batch with the kernels
     (Cout, Cin, kh, kw): a batch-last (N, Cout, Ho, Wo) batch. Each pass
-    is one call of a batch kernel, whatever N."""
+    is one product over the whole batch, whatever N.
+
+    The forward unfolds x once (kernels.unfold). When the kernel may take
+    a gradient (it requires one and grad mode is on), the result keeps
+    those columns until its first backward, which multiplies them into
+    the kernel gradient, or hands them to per_sample_gradients as the
+    gradient's right factor, and lets them go; a later backward through
+    the same graph unfolds again, to the same bits."""
     x, k = as_tensor(x), as_tensor(k)
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise ShapeError("conv2d expects x (N,C,H,W) and kernels (Co,Ci,kh,kw)")
@@ -264,20 +273,23 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     if n < 1:
         raise ShapeError("conv2d: empty batch")
     xd, kd = x.data, k.data  # batch-last x: no kernel copies it to transpose
-    out = kernels.conv2d_forward_batch(xd, kd, stride, padding)
+    cols = kernels.unfold(xd, kh, kw, stride, padding)
+    out = kernels.conv2d_forward_cols(cols, kd, ho, wo)
+    # the kernel gradient's right factor, for the first backward only
+    kept = [cols] if k.requires_grad and _grad_enabled.get() else []
 
     def backward(g):
         # skip the gradient no parent needs (the stem's input is the image)
         # the kernel's pass first: its columns are freed before dx exists
         grads = []
         if k.requires_grad:
+            cols = kept.pop() if kept else kernels.unfold(xd, kh, kw, stride, padding)
             rec = _recorder(k, n)
             if rec is None:
-                grads.append((k, kernels.conv2d_backward_kernel_batch(
-                    g, xd, stride, padding, kh, kw)))
+                grads.append((k, kernels.conv2d_backward_kernel_cols(g, cols, k.shape)))
             else:
-                rec.append((g.transpose(1, 2, 3, 0).reshape(cout, -1),
-                            kernels.unfold(xd, kh, kw, stride, padding)))
+                rec.append((g.transpose(1, 2, 3, 0).reshape(cout, -1), cols))
+            del cols
         if x.requires_grad:
             grads.append((x, kernels.conv2d_backward_input_batch(
                 g, kd, stride, padding, h, w)))

@@ -1,5 +1,7 @@
-"""Shared test utilities: central finite differences, error measures and
-batch-of-one reference gradients."""
+"""Shared test utilities: central finite differences, error measures,
+batch-of-one reference gradients and a call spy."""
+
+import collections
 
 import numpy as np
 
@@ -64,3 +66,21 @@ def gradients_from_factors(factors, params, samples):
     return [{name: (left[name][:, n::samples] @ right[name][:, n::samples].T
                     ).reshape(params[name].shape) for name in left}
             for n in range(samples)]
+
+
+def spy_calls(monkeypatch, module, names):
+    """Wrap each function in `names` on `module`, for the test's duration,
+    so that every call first appends (name, args) to the returned list.
+    The callers look the functions up on the module at call time."""
+    calls = []
+    for name in names:
+        def spy(*args, _fn=getattr(module, name), _name=name):
+            calls.append((_name, args))
+            return _fn(*args)
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def call_counts(calls):
+    """name -> number of calls in a spy_calls list."""
+    return collections.Counter(name for name, _ in calls)

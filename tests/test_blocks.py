@@ -15,7 +15,7 @@ from amcr.image import aab_prepare
 from amcr.tensor import Tensor
 from amcr.training import _stacked
 
-from helpers import numerical_grad, rel_err
+from helpers import call_counts, numerical_grad, rel_err, spy_calls
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +371,10 @@ def test_batched_forward_equals_batch_of_one_forwards(kw):
                                        atol=0, err_msg=name)
 
 
-# the batch operands (x, dy) each conv batch kernel takes first; unfold
-# also gathers a recorded conv's inputs
-CONV_BATCH_OPERANDS = {"conv2d_forward_batch": 1, "conv2d_backward_input_batch": 1,
-                       "conv2d_backward_kernel_batch": 2, "unfold": 1}
+# the batch operands (x, dy) each conv kernel takes first; the forward
+# product takes the columns unfold made of its batch
+CONV_BATCH_OPERANDS = {"unfold": 1, "conv2d_backward_input_batch": 1,
+                       "conv2d_backward_kernel_cols": 1}
 
 
 @pytest.mark.parametrize("kw", [{}, {"pool_target": 6}], ids=["eca", "aab-pool-target"])
@@ -384,12 +384,7 @@ def test_conv_kernels_see_batch_last_operands(monkeypatch, kw):
     # no conv pass makes a transposing copy
     rng = np.random.default_rng(31)
     net = small_net(rng, **kw)
-    operands = []
-    for name, count in CONV_BATCH_OPERANDS.items():
-        def spy(*args, kernel=getattr(K, name), name=name, count=count):
-            operands.extend((name, a) for a in args[:count])
-            return kernel(*args)
-        monkeypatch.setattr(K, name, spy)
+    calls = spy_calls(monkeypatch, K, CONV_BATCH_OPERANDS)
     batch = _stacked(list(rng.standard_normal((4, 3, 16, 16))))
 
     def losses():
@@ -398,9 +393,10 @@ def test_conv_kernels_see_batch_last_operands(monkeypatch, kw):
 
     T.tmean(losses()).backward()
     T.per_sample_gradients(losses(), net.params)
-    assert {name for name, _ in operands} == set(CONV_BATCH_OPERANDS)
-    for name, a in operands:
-        assert a.shape[0] == 4 and a.transpose(1, 2, 3, 0).flags.c_contiguous, name
+    assert set(call_counts(calls)) == set(CONV_BATCH_OPERANDS)
+    for name, args in calls:
+        for a in args[:CONV_BATCH_OPERANDS[name]]:
+            assert a.shape[0] == 4 and a.transpose(1, 2, 3, 0).flags.c_contiguous, name
 
 
 def test_net_forward_full_gradient_matches_fd():

@@ -317,6 +317,25 @@ def test_evaluate_rejects_manifest_image_of_other_channel_count(
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command,unread", [
+    ("train", "test"), ("train-binary", "test"), ("pseudo-split", "test"),
+    ("evaluate", "train"), ("evaluate", "valid"), ("report-segments", "train"),
+    ("report-segments", "test")])
+def test_command_reads_only_the_splits_it_uses(workdir, tmp_path, command,
+                                               unread):
+    # an image of a split the command does not use may be missing
+    cfg, out = workdir
+    run = tmp_path / "out"
+    for sub in ("data", "models"):
+        shutil.copytree(out / sub, run / sub)
+    row = next(r for r in read_rows(run / "data" / "manifest.csv")[1:]
+               if r[5] == unread)
+    os.remove(run / "data" / row[1])
+    with warnings.catch_warnings(record=True):  # the tiny router collapses
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg), "--out", str(run)]) == 0
+
+
 def test_pseudo_split_writes_assignment(workdir, capsys):
     cfg, out = workdir
     with warnings.catch_warnings(record=True) as caught:

@@ -82,6 +82,12 @@ CONV_CASES = [
     (3, 9, 10, 2, 3, 5, 2, 1),  # kh != kw
     (4, 8, 8, 6, 3, 3, 2, 1),  # the model's stages: even input, stride 2
 ]
+# shapes where no tap reads some pixels
+UNREAD_CASES = [
+    (2, 7, 8, 3, 1, 1, 2, 0),  # the odd rows and columns
+    (3, 10, 11, 2, 3, 3, 3, 0),  # the last row and the last two columns
+]
+CONV_CASES += UNREAD_CASES
 
 
 @pytest.mark.parametrize("cin,h,w,cout,kh,kw,stride,pad", CONV_CASES)
@@ -181,10 +187,12 @@ def test_batched_conv_kernels_match_stacked_references(cin, h, w, cout, kh, kw,
     dy = rng.standard_normal((n, cout) + conv_sizes(h, w, kh, kw, stride, pad))
 
     def run(x, dy):
-        return (K.conv2d_forward_batch(x, k, stride, pad),
+        # one unfold feeds both products, as tensor.conv2d passes it
+        cols = K.unfold(x, kh, kw, stride, pad)
+        return (K.conv2d_forward_cols(cols, k, *dy.shape[2:]),
                 K.conv2d_backward_input_batch(dy, k, stride, pad, h, w),
-                K.conv2d_backward_kernel_batch(dy, x, stride, pad, kh, kw),
-                K.unfold(x, kh, kw, stride, pad))
+                K.conv2d_backward_kernel_cols(dy, cols, k.shape),
+                cols)
 
     out, dx, dk, cols = run(x, dy)
     assert_close_relative(
@@ -201,7 +209,7 @@ def test_batched_conv_kernels_match_stacked_references(cin, h, w, cout, kh, kw,
         cols, np.stack([unfold_per_tap(xi, kh, kw, stride, pad) for xi in x],
                        axis=-1).reshape(cols.shape))
     # batch-last operands, as tensor passes them: the same bits; the
-    # batches out are batch-last, dx as a crop of its padded buffer
+    # batches out are batch-last
     for got, want in zip(run(batch_last(x), batch_last(dy)), (out, dx, dk, cols)):
         np.testing.assert_array_equal(got, want, strict=True)
     assert out.transpose(1, 2, 3, 0).flags.c_contiguous
@@ -314,6 +322,49 @@ def test_tap_index_points_at_pixels_and_padding_at_zero_slot(
     assert not K.unfold(np.full((1, cin, h, w), 7.0), kh, kw, stride, pad)[~real].any()
 
 
+@pytest.mark.parametrize("cin,h,w,cout,kh,kw,stride,pad", CONV_CASES)
+def test_fold_index_is_the_inverse_of_tap_index(cin, h, w, cout, kh, kw,
+                                                stride, pad):
+    # column p lists every im2col entry that reads pixel p, each once and
+    # in increasing order, then the one-past-the-end slot up to the end
+    taps = K._tap_index(cin, h, w, kh, kw, stride, pad).ravel()
+    fold = K._fold_index(cin, h, w, kh, kw, stride, pad)
+    assert fold.dtype == np.int64 and fold.shape[1] == cin * h * w
+    for p in range(cin * h * w):
+        column = fold[:, p]
+        real = np.flatnonzero(taps == p)
+        np.testing.assert_array_equal(column[:real.size], real)
+        assert (column[real.size:] == taps.size).all()
+    # T is the most entries any pixel has
+    assert fold.shape[0] == np.bincount(taps, minlength=cin * h * w + 1)[:-1].max()
+
+
+@pytest.mark.parametrize("cin,h,w,cout,kh,kw,stride,pad", UNREAD_CASES)
+def test_pixels_no_tap_reads_take_zero_gradient(cin, h, w, cout, kh, kw,
+                                                stride, pad):
+    taps = K._tap_index(cin, h, w, kh, kw, stride, pad)
+    unread = np.ones(cin * h * w + 1, dtype=bool)
+    unread[taps] = False
+    unread = unread[:-1].reshape(cin, h, w)
+    assert unread.any()
+    _, k, dy = conv_backward_case(cin, h, w, cout, kh, kw, stride, pad)
+    dx = K.conv2d_backward_input(dy, k, stride, pad, h, w)
+    assert (dx[unread] == 0.0).all() and (dx[~unread] != 0.0).all()
+
+
+def test_fold_index_is_read_only_cached_and_bounded():
+    fold = K._fold_index(2, 5, 5, 3, 3, 1, 1)
+    with pytest.raises(ValueError):
+        fold[0, 0] = 0
+    hits = K._fold_index.cache_info().hits
+    assert K._fold_index(2, 5, 5, 3, 3, 1, 1) is fold
+    assert K._fold_index.cache_info().hits == hits + 1
+    assert K._fold_index.cache_info().maxsize == K.TAP_INDEX_SHAPES
+    for side in range(1, K.TAP_INDEX_SHAPES + 6):
+        K._fold_index(1, side, 1, 1, 1, 1, 0)
+    assert K._fold_index.cache_info().currsize == K.TAP_INDEX_SHAPES
+
+
 def test_off_heap_copies_into_a_mapping_of_its_own():
     a = np.arange(24, dtype=np.int64).reshape(2, 3, 4)
     out = K.off_heap(a)
@@ -354,6 +405,7 @@ def test_conv_kernels_on_two_threads_match_single_threaded():
     cases = [conv_backward_case(*shape) + shape[6:] for shape in shapes]
     want = [conv_map_results(*case) for case in cases]
     K._tap_index.cache_clear()
+    K._fold_index.cache_clear()
     start = threading.Barrier(2, timeout=10)
     done = []
 

@@ -405,6 +405,46 @@ def test_lookahead_parameters_die_with_the_meta_step():
     state.main_step()
 
 
+def test_each_batch_graph_dies_before_its_gradients_are_contracted(monkeypatch):
+    # the train batch's graph is gone by the time lookahead_update forms
+    # its first weighted sum, and the meta batch's by the time
+    # meta_gradient contracts the gradients its backward left on w_hat
+    rng = np.random.default_rng(35)
+    net = AestheticNet(rng, stem_channels=4, stage_channels=(8,),
+                       head_width=16)
+    images = rng.normal(size=(6, 3, 8, 8))
+    stems = []  # per forward, a weakref to the stem conv's output
+
+    def conv2d(x, k, *args, _conv=T.conv2d, **kw):
+        y = _conv(x, k, *args, **kw)
+        if x.shape[1] == 3:  # only the stem takes the 3-channel images
+            stems.append(weakref.ref(y.data))
+        return y
+
+    def loss_fn(batch, override):
+        return T.cross_entropy_logits(
+            net.forward(Tensor(images[batch]), override), batch)
+
+    monkeypatch.setattr(T, "conv2d", conv2d)
+    alive = []
+    sums, dots = MetaState._weighted_sums, MetaState._gradient_dots
+
+    def weighted_sums(self, coeff, factors):
+        alive.append(("sums", stems[-1]() is not None))
+        yield from sums(self, coeff, factors)
+
+    def gradient_dots(factors, w_hat, n):
+        alive.append(("dots", stems[-1]() is not None))
+        return dots(factors, w_hat, n)
+
+    monkeypatch.setattr(MetaState, "_weighted_sums", weighted_sums)
+    monkeypatch.setattr(MetaState, "_gradient_dots", staticmethod(gradient_dots))
+    state = MetaState(net.params, Mrn(hidden=4), loss_fn, TrainSettings())
+    state.meta_iteration([0, 1, 2, 3], [4, 5])
+    assert len(stems) == 2
+    assert alive == [("sums", False), ("dots", False), ("sums", False)]
+
+
 def test_main_step_gradient_is_one_backward_of_weighted_loss():
     batch, meta_batch = [0, 1, 2, 3, 4], [5, 6, 7]
     net, mrn, loss_fn, settings = tiny_net_setup()

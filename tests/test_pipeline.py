@@ -2,6 +2,7 @@
 and the ablation harness, all at toy scale."""
 
 import os
+import re
 import warnings
 
 import numpy as np
@@ -123,21 +124,26 @@ def test_prepare_images_all_modes(tmp_path):
 
 
 def test_prepare_images_copies_each_image_as_prepared(tmp_path):
-    # the off-heap copies keep every image's shape and values, a gray one
-    # among color ones included, so the caller's channel check still sees it
+    # every image keeps its prepared values in its row of the block; a gray
+    # image among color ones is bad data, named by its path
     rng = np.random.default_rng(20)
-    samples, want = [], {}
-    for i, channels in enumerate((3, 1, 3)):
+    samples = []
+    for i, channels in enumerate((3, 3, 1)):
         sid = f"g{i}"
         path = f"{sid}.{'ppm' if channels == 3 else 'pgm'}"
         save_pnm(tmp_path / path, rng.uniform(0, 1, (channels, 6, 6)))
         samples.append(Sample(sid, path, 5.0, 1))
-    images = prepare_images(samples, str(tmp_path), "crop", crop_side=4)
-    assert [images[s.id].shape for s in samples] == [(3, 4, 4), (1, 4, 4),
-                                                     (3, 4, 4)]
-    for s in samples:
-        np.testing.assert_array_equal(images[s.id], prepare_image(
-            load_pnm(str(tmp_path / s.path)), "crop", 4, 64))
+    color = prepare_images(samples[:2], str(tmp_path), "crop", crop_side=4)
+    for s in samples[:2]:
+        np.testing.assert_array_equal(color[s.id], prepare_image(
+            load_pnm(str(tmp_path / s.path)), "crop", 4, 64), strict=True)
+    path = os.path.join(str(tmp_path), samples[2].path)
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}: a 1-channel image, but the model takes 3 channels")):
+        prepare_images(samples, str(tmp_path), "crop", crop_side=4)
+    gray = prepare_images(samples[2:], str(tmp_path), "crop", crop_side=4,
+                          in_channels=1)
+    assert gray["g2"].shape == (1, 4, 4)
 
 
 # ---------------------------------------------------------------------------

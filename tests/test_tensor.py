@@ -1,6 +1,7 @@
 """Gradient and contract checks for the tensor engine."""
 
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from amcr.blocks import AestheticNet
 from amcr.errors import DataError, ParameterError, ShapeError, TapeError
 from amcr.tensor import Tensor, no_grad
 
-from helpers import (batch_of_one_gradients, gradients_from_factors,
-                     numerical_grad, rel_err)
+from helpers import (batch_of_one_gradients, call_counts, gradients_from_factors,
+                     numerical_grad, rel_err, spy_calls)
 
 
 def leaf(rng, *shape):
@@ -157,31 +158,78 @@ def test_conv2d_rejects_even_kernel_and_empty_output():
         T.conv2d(Tensor(np.zeros((0, 1, 4, 4))), leaf(rng, 1, 1, 3, 3))
 
 
+# the conv kernels tensor.conv2d calls
+CONV_KERNELS = ("unfold", "conv2d_forward_cols", "conv2d_backward_input_batch",
+                "conv2d_backward_kernel_cols")
+
+
 def test_conv2d_backward_computes_only_the_needed_gradients(monkeypatch):
-    # one batched kernel call per pass over the whole batch of three, and
-    # none for a gradient no parent needs
+    # one batched kernel call per pass over the whole batch of three, none
+    # for a gradient no parent needs, and one unfold, the forward's: the
+    # first backward multiplies the columns the forward kept
     rng = np.random.default_rng(20)
     image = rng.normal(size=(3, 2, 5, 5))
     k = leaf(rng, 3, 2, 3, 3)
     x = Tensor(image, requires_grad=True)
     T.tsum(T.conv2d(x, k, stride=2, padding=1)).backward()
     want = k.grad
-    calls = {"conv2d_forward_batch": 0, "conv2d_backward_input_batch": 0,
-             "conv2d_backward_kernel_batch": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(T.kernels, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(T.kernels, name, counted)
+    calls = spy_calls(monkeypatch, T.kernels, CONV_KERNELS)
     k.zero_grad()
     T.tsum(T.conv2d(Tensor(image), k, stride=2, padding=1)).backward()
-    assert calls == {"conv2d_forward_batch": 1, "conv2d_backward_input_batch": 0,
-                     "conv2d_backward_kernel_batch": 1}
+    assert call_counts(calls) == {"unfold": 1, "conv2d_forward_cols": 1,
+                                  "conv2d_backward_kernel_cols": 1}
     np.testing.assert_array_equal(k.grad, want)
+    calls.clear()
     frozen = Tensor(k.data)
     T.tsum(T.conv2d(Tensor(image, requires_grad=True), frozen, padding=1)).backward()
-    assert calls == {"conv2d_forward_batch": 2, "conv2d_backward_input_batch": 1,
-                     "conv2d_backward_kernel_batch": 1}
+    assert call_counts(calls) == {"unfold": 1, "conv2d_forward_cols": 1,
+                                  "conv2d_backward_input_batch": 1}
+
+
+def test_conv2d_second_backward_unfolds_again_to_the_same_bits(monkeypatch):
+    rng = np.random.default_rng(24)
+    x = leaf(rng, 3, 2, 6, 5)
+    k = leaf(rng, 4, 2, 3, 3)
+    y = T.conv2d(x, k, stride=2, padding=1)
+    loss = T.tsum(T.mul(y, y))
+    loss.backward()
+    first = (x.grad.copy(), k.grad.copy())
+    x.zero_grad()
+    k.zero_grad()
+    calls = spy_calls(monkeypatch, T.kernels, CONV_KERNELS)
+    loss.backward()
+    assert call_counts(calls) == {"unfold": 1, "conv2d_backward_input_batch": 1,
+                                  "conv2d_backward_kernel_cols": 1}
+    for got, want in zip((x.grad, k.grad), first):
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+def test_conv2d_keeps_its_columns_only_while_a_kernel_gradient_needs_them(
+        monkeypatch):
+    rng = np.random.default_rng(25)
+    x = leaf(rng, 2, 2, 5, 5)
+    k = leaf(rng, 3, 2, 3, 3)
+    made = []
+
+    def unfold(*args, _fn=T.kernels.unfold):
+        cols = _fn(*args)
+        made.append(weakref.ref(cols))
+        return cols
+
+    monkeypatch.setattr(T.kernels, "unfold", unfold)
+    # a frozen kernel or no grad mode: the live results keep no columns
+    results = [T.conv2d(x, Tensor(k.data), padding=1), _no_grad_conv(x, k)]
+    assert len(results) == len(made) and all(ref() is None for ref in made)
+    # a kernel that may take a gradient: kept until the first backward
+    y = T.conv2d(x, k, padding=1)
+    assert made[-1]() is not None
+    T.tsum(y).backward()
+    assert made[-1]() is None
+
+
+def _no_grad_conv(x, k):
+    with no_grad():
+        return T.conv2d(x, k, padding=1)
 
 
 def test_conv1d_channel_oracle_and_gradient():
@@ -392,6 +440,20 @@ def test_conv_factors_interleave_the_per_image_records(stride, padding):
     np.testing.assert_array_equal(
         left["k"], interleaved([g.reshape(4, -1) for g in weights]))
     np.testing.assert_array_equal(right["k"], interleaved(cols))
+
+
+def test_recorded_conv_backward_takes_the_forward_columns(monkeypatch):
+    # the right factor is the columns the forward unfolded: the recorded
+    # backward unfolds nothing
+    rng = np.random.default_rng(26)
+    k = leaf(rng, 3, 2, 3, 3)
+    images = rng.normal(size=(4, 2, 6, 6))
+    losses = row_sums(T.conv2d(Tensor(images), k, stride=2, padding=1))
+    calls = spy_calls(monkeypatch, T.kernels, ["unfold"])
+    _, right = T.per_sample_gradients(losses, {"k": k})
+    assert calls == []
+    np.testing.assert_array_equal(
+        right["k"], T.kernels.unfold(images, 3, 3, 2, 1), strict=True)
 
 
 def test_per_sample_gradient_factors_need_conv_only_kernels():
