@@ -18,6 +18,7 @@ import csv
 import functools
 import os
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -73,7 +74,10 @@ def _load_run_config(args) -> RunConfig:
 def _build_model(cfg: RunConfig, rng, num_classes: int,
                  params: dict = None) -> AestheticNet:
     pool_target = None
-    if cfg.model_prep == "aab" and cfg.model_pool_target > 0:
+    if cfg.model_pool_target > 0:
+        if cfg.model_prep != "aab":
+            raise ParameterError(f"pool_target {cfg.model_pool_target} needs "
+                                 f"prep = aab, not prep = {cfg.model_prep}")
         pool_target = cfg.model_pool_target
         stem_side = (cfg.model_square_side - 1) // AestheticNet.STEM_STRIDE + 1
         if pool_target > stem_side:
@@ -93,10 +97,12 @@ def _build_model(cfg: RunConfig, rng, num_classes: int,
     )
 
 
-def _settings(cfg: RunConfig, batch: int) -> TR.TrainSettings:
+def _settings(cfg: RunConfig, base_batch: int) -> TR.TrainSettings:
+    """A stage's settings; its batch is `base_batch` (`[train] class_batch`
+    or `reg_batch`) times `batch_scale`."""
     return TR.TrainSettings(
         epochs=cfg.train_epochs,
-        batch_size=batch,
+        batch_size=effective_batch(base_batch, cfg.train_batch_scale),
         lr=cfg.train_lr,
         weight_decay=cfg.train_weight_decay,
         betas=(cfg.train_beta1, cfg.train_beta2),
@@ -106,16 +112,6 @@ def _settings(cfg: RunConfig, batch: int) -> TR.TrainSettings:
         plateau_patience=cfg.train_plateau_patience,
         plateau_factor=cfg.train_plateau_factor,
     )
-
-
-def _class_settings(cfg: RunConfig) -> TR.TrainSettings:
-    return _settings(cfg, effective_batch(cfg.train_class_batch,
-                                          cfg.train_batch_scale))
-
-
-def _reg_settings(cfg: RunConfig) -> TR.TrainSettings:
-    return _settings(cfg, effective_batch(cfg.train_reg_batch,
-                                          cfg.train_batch_scale))
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +140,17 @@ def _require_manifest(cfg, args):
     return D.load_manifest(path)
 
 
-def _load_split_images(cfg, args, splits):
-    """The manifest's samples, and the prepared images of those in the
-    named `splits`; no other image is read."""
+def _load_splits(cfg, args, *splits):
+    """The prepared images of the manifest's samples in the named
+    `splits`, then each split's samples in that order; no other image is
+    read."""
     samples = _require_manifest(cfg, args)
     images = prepare_images([s for s in samples if s.split in splits],
                             _data_dir(cfg, args), cfg.model_prep,
                             crop_side=cfg.model_crop_side,
                             square_side=cfg.model_square_side,
                             in_channels=cfg.model_in_channels)
-    return samples, images
+    return (images, *(D.split_of(samples, name) for name in splits))
 
 
 def _save_model(args, name: str, model, cfg, iteration: int) -> None:
@@ -197,10 +194,10 @@ def _write_csv(path: str, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_split(args, split) -> None:
-    """split.csv: every routed sample's pseudo label, by id."""
+def _write_split(args, split: dict) -> None:
+    """split.csv: every routed sample's pseudo label (its branch), by id."""
     _write_csv(os.path.join(args.out, "split.csv"), ["id", "pseudo_label"],
-               sorted(split.pseudo.items()))
+               sorted(split.items()))
 
 
 def _meta_set(cfg, train, rng, reweighted: bool):
@@ -233,14 +230,13 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train_binary(args) -> int:
     cfg = _load_run_config(args)
-    samples, images = _load_split_images(cfg, args, ("train", "valid"))
+    images, train, valid = _load_splits(cfg, args, "train", "valid")
     rng = np.random.default_rng(cfg.train_seed)
-    train = D.split_of(samples, "train")
-    valid = D.split_of(samples, "valid")
     meta = _meta_set(cfg, train, rng, cfg.meta_mrn)
     model = _build_model(cfg, rng, 2)
     result = train_binary(model, *router_sets(train, valid), images,
-                          _class_settings(cfg), rng, meta_samples=meta)
+                          _settings(cfg, cfg.train_class_batch), rng,
+                          meta_samples=meta)
     _save_model(args, "c2", model, cfg, result.iterations)
     # branches split by an earlier router must not be scored through this one
     stale = [path for path in (_model_path(args, "r0"), _model_path(args, "r1"),
@@ -258,26 +254,25 @@ def cmd_train_binary(args) -> int:
 
 def cmd_pseudo_split(args) -> int:
     cfg = _load_run_config(args)
-    samples, images = _load_split_images(cfg, args, ("train", "valid"))
-    model = _load_model(args, "c2", cfg, 2)
-    split = pseudo_split(model, D.split_of(samples, "train"),
-                         D.split_of(samples, "valid"), images)
+    images, train, valid = _load_splits(cfg, args, "train", "valid")
+    split = pseudo_split(_load_model(args, "c2", cfg, 2), train, valid, images)
     _write_split(args, split)
-    print("pseudo split:", " ".join(f"{k}={v}"
-                                    for k, v in sorted(split.counts().items())))
+    print("pseudo split:", " ".join(
+        f"{name}{b}={sum(split[s.id] == b for s in group)}"
+        for name, group in (("train", train), ("valid", valid))
+        for b in (0, 1)))
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
-    samples, images = _load_split_images(cfg, args, ("train", "valid"))
+    images, train, valid = _load_splits(cfg, args, "train", "valid")
     rng = np.random.default_rng(cfg.train_seed)
-    train = D.split_of(samples, "train")
-    valid = D.split_of(samples, "valid")
     meta = _meta_set(cfg, train, rng, cfg.meta_mrn)
     factory = lambda r, k: _build_model(cfg, r, k)
     art = run_pipeline(cfg.pipeline_variant, train, valid, images, factory,
-                       _class_settings(cfg), _reg_settings(cfg), rng,
+                       _settings(cfg, cfg.train_class_batch),
+                       _settings(cfg, cfg.train_reg_batch), rng,
                        meta_samples=meta)
     iterations = sum(
         res.iterations
@@ -324,8 +319,7 @@ def _warn_collapse(found, label=""):
 
 def cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
-    samples, images = _load_split_images(cfg, args, ("test",))
-    test = D.split_of(samples, "test")
+    images, test = _load_splits(cfg, args, "test")
     if not test:
         raise DataError("manifest has no test split")
     preds = _load_artifacts(cfg, args).predict([images[s.id] for s in test])
@@ -363,8 +357,7 @@ def cmd_predict(args) -> int:
 
 def cmd_report_segments(args) -> int:
     cfg = _load_run_config(args)
-    samples, images = _load_split_images(cfg, args, ("valid",))
-    valid = D.split_of(samples, "valid")
+    images, valid = _load_splits(cfg, args, "valid")
     if not valid:
         raise DataError("manifest has no validation split")
     model = _load_model(args, "c2", cfg, 2)
@@ -384,10 +377,8 @@ def cmd_report_segments(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_run_config(args)
-    samples, images = _load_split_images(cfg, args, ("train", "valid", "test"))
-    train = D.split_of(samples, "train")
-    valid = D.split_of(samples, "valid")
-    test = D.split_of(samples, "test")
+    images, train, valid, test = _load_splits(cfg, args, "train", "valid",
+                                              "test")
     if not (train and valid and test):
         raise DataError("ablation needs train, valid, and test splits")
 
@@ -398,7 +389,8 @@ def cmd_ablate(args) -> int:
     meta = _meta_set(cfg, train, rng, any(mrns))
     factory = lambda r, k: _build_model(cfg, r, k)
     results = run_ablation(requests, train, valid, test, images, factory,
-                           _class_settings(cfg), _reg_settings(cfg),
+                           _settings(cfg, cfg.train_class_batch),
+                           _settings(cfg, cfg.train_reg_batch),
                            meta_samples=meta, base_seed=cfg.train_seed)
     eca = "on" if cfg.model_eca else "off"
     rows = []
@@ -499,10 +491,17 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
     return f"warning: {message}\n"
 
 
+# the warning format each running main call found, the first call's first
+_found_formats, _format_lock = [], threading.Lock()
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    # a warning reads like the collapse warnings, without a source location
-    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
+    # a warning reads like the collapse warnings, without a source location,
+    # until the last of any overlapping calls restores the format it found
+    with _format_lock:
+        _found_formats.append(warnings.formatwarning)
+        warnings.formatwarning = _format_warning
     try:
         return args.fn(args)
     except AmcrError as exc:
@@ -516,7 +515,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        warnings.formatwarning = formatwarning
+        with _format_lock:
+            found = _found_formats.pop()
+            if not _found_formats:
+                warnings.formatwarning = found
 
 
 if __name__ == "__main__":

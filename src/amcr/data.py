@@ -7,7 +7,7 @@ and its true score is a fixed linear function of them:
     score = 10 * (0.25*brightness + 0.25*contrast
                   + 0.25*(1 - offset) + 0.25*(1 - noise))
 
-A latent quality z ~ N(5, sigma_pop) clamped to [0.5, 9.5] drives the
+A latent quality z ~ N(5, SIGMA_POP) clamped to [0.5, 9.5] drives the
 attributes; a zero-sum jitter decorrelates them without moving the
 score, and the recorded label adds Gaussian noise. The corruption mask
 (score shifts of 2..4 points, or flipped binary labels) is stored in
@@ -28,6 +28,9 @@ from .errors import ConfigError, DataError, FormatError
 ATTRIBUTE_WEIGHTS = (0.25, 0.25, 0.25, 0.25)  # brightness, contrast, 1-offset, 1-noise
 MANIFEST_HEADER = ["id", "path", "score", "binary_label", "corrupted", "split"]
 SPLITS = ("train", "valid", "test", "")
+SIGMA_POP = 1.8     # latent quality spread around 5
+SIGMA_LABEL = 0.25  # honest labeling noise
+JITTER = 0.06       # zero-sum attribute jitter scale
 
 
 @dataclass
@@ -44,9 +47,6 @@ class Sample:
 class SynthSpec:
     image_height: int = 32
     image_width: int = 32
-    sigma_pop: float = 1.8      # latent quality spread around 5
-    sigma_label: float = 0.25   # honest labeling noise
-    jitter: float = 0.06        # zero-sum attribute jitter scale
     corrupt_fraction: float = 0.0
     corrupt_kind: str = "score-shift"   # or "label-flip"
     channels: int = 3           # 3 writes color PPM, 1 gray PGM
@@ -54,8 +54,6 @@ class SynthSpec:
     def validate(self):
         if self.image_height < 4 or self.image_width < 4:
             raise ConfigError(f"image size {self.image_height}x{self.image_width} too small")
-        if self.sigma_pop <= 0 or self.sigma_label < 0 or self.jitter < 0:
-            raise ConfigError("spread parameters must be positive")
         if not 0.0 <= self.corrupt_fraction <= 1.0:
             raise ConfigError(f"corrupt fraction {self.corrupt_fraction} outside [0,1]")
         if self.corrupt_kind not in ("score-shift", "label-flip"):
@@ -160,17 +158,17 @@ def generate_dataset(spec: SynthSpec, n: int, seed: int, out_dir) -> list:
     pattern -= pattern.mean()
     samples = []
     for i in range(n):
-        z = float(np.clip(rng.normal(5.0, spec.sigma_pop), 0.5, 9.5))
+        z = float(np.clip(rng.normal(5.0, SIGMA_POP), 0.5, 9.5))
         d = (z - 5.0) / 10.0
         contrib = np.array([0.5 + d, 0.5 + d, 0.5 + d, 0.5 + d])
-        j = rng.normal(scale=spec.jitter, size=4)
+        j = rng.normal(scale=JITTER, size=4)
         contrib += j - j.mean()
         contrib = np.clip(contrib, 0.02, 0.98)
         brightness, contrast = contrib[0], contrib[1]
         offset, noise = 1.0 - contrib[2], 1.0 - contrib[3]
         img = render_image(brightness, contrast, offset, noise, rng,
                            yy, xx, pattern)
-        label_noise = rng.normal(0.0, spec.sigma_label)
+        label_noise = rng.normal(0.0, SIGMA_LABEL)
         score = float(np.clip(true_score(brightness, contrast, offset, noise)
                               + label_noise, 0.0, 10.0))
         sid = f"syn{i:05d}"

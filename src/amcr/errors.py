@@ -1,7 +1,11 @@
 """Exception taxonomy shared across the package.
 
-Every category maps to a stable CLI exit code (see cli._EXIT_CODES).
+Every category maps to a stable CLI exit code (see cli._EXIT_CODES), and
+`warn` raises the run-state warnings.
 """
+
+import sys
+import warnings
 
 
 class AmcrError(Exception):
@@ -42,3 +46,12 @@ class VersionError(FormatError):
 
 class DependencyError(AmcrError):
     """A CLI command is missing a prior artifact it depends on."""
+
+
+def warn(message: str) -> None:
+    """Raise `message` as a UserWarning at the caller's line, through the
+    warning filters but with no once-per-line registry, so that under the
+    default filter every raise prints."""
+    caller = sys._getframe(1)
+    warnings.warn_explicit(message, UserWarning, caller.f_code.co_filename,
+                           caller.f_lineno, caller.f_globals["__name__"])

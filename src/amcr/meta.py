@@ -55,14 +55,12 @@ The network weights only the loss it is learned on: the regression head
 that training.solve_reg_head fits after a ten-class phase is unweighted.
 """
 
-import warnings
-
 import numpy as np
 
 from . import tensor as T
 from .blocks import Mrn, mrn_forward
 from .data import segment_of
-from .errors import DataError, ParameterError, ShapeError, StateError
+from .errors import DataError, ParameterError, ShapeError, StateError, warn
 from .optim import Adam
 from .tensor import Tensor
 
@@ -76,7 +74,7 @@ def weight_coefficients(values: np.ndarray):
     values = np.asarray(values, dtype=np.float64)
     s = values.sum() + EPS_NORMALIZE
     if values.sum() == 0.0:
-        warnings.warn("all sample weights are zero; weighted loss collapses to 0")
+        warn("all sample weights are zero; weighted loss collapses to 0")
     return values / s, s
 
 
@@ -253,8 +251,8 @@ def build_meta_set(samples, quota: int, rng):
         raise ParameterError(f"quota must be >= 1, got {quota}")
     samples = list(samples)
     if len(samples) < 10 * quota:
-        warnings.warn(
-            f"dataset of {len(samples)} cannot fill 10 segments of {quota}; using all")
+        warn(f"dataset of {len(samples)} cannot fill 10 segments of {quota}; "
+             "using all")
         return samples
 
     segments = segment_of([s.score for s in samples])

@@ -1,13 +1,12 @@
 """Evaluation metrics: mse, mae, rank correlation, threshold accuracy,
 within-one-point accuracy, and the per-segment correctness table."""
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import THRESHOLD, segment_of
-from .errors import DataError
+from .errors import DataError, warn
 
 
 def _pair(pred, truth):
@@ -49,7 +48,7 @@ def srocc(pred, truth) -> float:
     if p.size < 2:
         raise DataError("rank correlation needs at least two samples")
     if np.all(p == p[0]) or np.all(t == t[0]):
-        warnings.warn("rank correlation undefined for a constant vector; reporting 0")
+        warn("rank correlation undefined for a constant vector; reporting 0")
         return 0.0
     rp, rt = ranks(p), ranks(t)
     rp = rp - rp.mean()

@@ -20,23 +20,22 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
 
 import numpy as np
 
 from . import pnm
 from . import training as TR
 from .data import drop_mid_scores, make_amdc, ten_class_label
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, warn
 from .image import aab_prepare, preprocess_crop, preprocess_resize
 from .kernels import off_heap_zeros
 from .metrics import evaluate_scores
 from .training import TrainSettings, train_model
 
 __all__ = [
-    "router_sets", "train_binary", "pseudo_split", "train_branch",
-    "fuse_score", "run_pipeline", "run_ablation", "SplitAssignment",
-    "PipelineArtifacts", "load_image", "prepare_image", "prepare_images",
+    "router_sets", "train_binary", "route", "pseudo_split", "train_branch",
+    "fuse_score", "run_pipeline", "run_ablation", "PipelineArtifacts",
+    "load_image", "prepare_image", "prepare_images",
 ]
 
 
@@ -123,21 +122,11 @@ def train_binary(model, train, valid, images, settings: TrainSettings, rng, *,
                            meta_samples)
 
 
-@dataclasses.dataclass
-class SplitAssignment:
-    """Pseudo-label routing of the train and validation sets."""
-
-    pseudo: dict
-    train0: list
-    train1: list
-    valid0: list
-    valid1: list
-
-    def counts(self):
-        return {
-            "train0": len(self.train0), "train1": len(self.train1),
-            "valid0": len(self.valid0), "valid1": len(self.valid1),
-        }
+def route(c2, inputs) -> np.ndarray:
+    """The branch, 0 or 1, of each image in the list `inputs`: the binary
+    router c2's predicted class. The one routing rule of pcr, by which
+    pseudo_split splits and fuse_score scores."""
+    return TR.predict_class(c2, inputs)
 
 
 # a router sending more than this share of the train set to one branch
@@ -145,8 +134,9 @@ class SplitAssignment:
 MAX_BRANCH_SHARE = 0.95
 
 
-def pseudo_split(model, train, valid, images) -> SplitAssignment:
-    """Route every sample by the classifier's own prediction.
+def pseudo_split(model, train, valid, images) -> dict:
+    """The id -> branch map of every train and valid sample, each routed
+    by the router's own prediction (route).
 
     Ground-truth scores play no part. A router that sends more than
     MAX_BRANCH_SHARE of `train` to one branch (an empty branch included)
@@ -155,19 +145,13 @@ def pseudo_split(model, train, valid, images) -> SplitAssignment:
     r_all alone.
     """
     routed = [*train, *valid]
-    labels = TR.predict_class(model, [images[s.id] for s in routed]) >= 1
-    pseudo = {s.id: int(label) for s, label in zip(routed, labels)}
-    buckets = {("t", 0): [], ("t", 1): [], ("v", 0): [], ("v", 1): []}
-    for tag, group in (("t", train), ("v", valid)):
-        for s in group:
-            buckets[(tag, pseudo[s.id])].append(s)
-    split = SplitAssignment(pseudo, buckets[("t", 0)], buckets[("t", 1)],
-                            buckets[("v", 0)], buckets[("v", 1)])
-    larger = max(len(split.train0), len(split.train1))
+    branches = route(model, [images[s.id] for s in routed]).tolist()
+    ones = sum(branches[:len(train)])
+    larger = max(ones, len(train) - ones)
     if larger > MAX_BRANCH_SHARE * len(train):
-        warnings.warn(f"router sent {larger} of {len(train)} train samples "
-                      "to one branch", stacklevel=2)
-    return split
+        warn(f"router sent {larger} of {len(train)} train samples to one "
+             "branch")
+    return dict(zip([s.id for s in routed], branches))
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +175,10 @@ def train_branch(model, train, valid, images, settings: TrainSettings, rng,
         lambda batch: ten_class_label([s.score for s in batch]), meta_samples)
 
     # the backbone is frozen now, so each image collapses to one feature row
-    feats = TR.cache_features(model, [*train, *valid], images)
-    phase2 = TR.solve_reg_head(model, train, valid, feats,
+    rows = TR.cache_features(model, [*train, *valid], images)
+    n = len(train)
+    phase2 = TR.solve_reg_head(model, rows[:n], [s.score for s in train],
+                               rows[n:], [s.score for s in valid],
                                settings.weight_decay)
     return {"class": phase1, "reg": phase2}
 
@@ -202,19 +188,20 @@ def train_branch(model, train, valid, images, settings: TrainSettings, rng,
 
 
 def fuse_score(c2, r0, r1, r_all, inputs) -> np.ndarray:
-    """Route the list `inputs` by one binary prediction each, and average
-    each branch regressor with the all-data regressor on the inputs routed
-    to it; the result is not clamped.
+    """Route the list `inputs` with one route call, and average each
+    branch regressor with the all-data regressor on the inputs routed to
+    it: branch b scores the inputs with route(...) == b. The result is
+    not clamped.
 
     A missing branch model (None) degrades to the all-data regressor. A
     branch may also be a function of no arguments that returns its model,
     called only when some input is routed to the branch.
     """
     inputs = list(inputs)
-    side = TR.predict_class(c2, inputs) >= 1
+    branch_of = route(c2, inputs)
     fused = TR.predict_score(r_all, inputs)
-    for branch, routed in ((r0, ~side), (r1, side)):
-        idx = np.flatnonzero(routed)
+    for b, branch in enumerate((r0, r1)):
+        idx = np.flatnonzero(branch_of == b)
         if callable(branch) and idx.size:
             branch = branch()
         if branch is not None and idx.size:
@@ -231,14 +218,14 @@ def fuse_score(c2, r0, r1, r_all, inputs) -> np.ndarray:
 class PipelineArtifacts:
     """Trained models plus the records needed to audit a run. A pcr
     branch, r0 or r1, is its model, None, or a loader of its model (see
-    fuse_score)."""
+    fuse_score); `split` is pcr's pseudo_split map."""
 
     variant: str
     r_all: object
     c2: object = None
     r0: object = None
     r1: object = None
-    split: SplitAssignment = None
+    split: dict = None
     history: dict = dataclasses.field(default_factory=dict)
 
     def predict(self, inputs) -> np.ndarray:
@@ -292,14 +279,13 @@ def run_pipeline(variant: str, train, valid, images, model_factory,
         meta_samples=meta_samples)
     art.c2 = c2
 
-    split = pseudo_split(c2, train, valid, images)
-    art.split = split
-    for name, btrain, bvalid in (("r0", split.train0, split.valid0),
-                                 ("r1", split.train1, split.valid1)):
+    art.split = pseudo_split(c2, train, valid, images)
+    for b, name in enumerate(("r0", "r1")):
+        btrain = [s for s in train if art.split[s.id] == b]
+        bvalid = [s for s in valid if art.split[s.id] == b]
         if len(btrain) < class_settings.batch_size:
-            warnings.warn(
-                f"branch {name} has {len(btrain)} samples, falling back to "
-                "the all-data regressor", stacklevel=2)
+            warn(f"branch {name} has {len(btrain)} samples, falling back to "
+                 "the all-data regressor")
             continue
         model = model_factory(rng, 10)
         art.history[name] = train_branch(

@@ -155,26 +155,26 @@ def train_model(model, loss_fn, train_samples, valid_fn, settings: TrainSettings
 # closed-form regression head
 
 
-def solve_reg_head(model, train, valid, feats: dict,
+def solve_reg_head(model, train_rows, train_scores, valid_rows, valid_scores,
                    weight_decay: float) -> TrainResult:
     """Set `head.reg.{w,b}` to the minimizer of the objective full-batch
     Adam with coupled decay descends, (1/n) sum_i (x_i . theta - y_i)^2 +
-    (lambda/2)|theta|^2 with theta = [w; b], x_i = [feats[id_i]; 1] and
-    lambda = weight_decay: the min-norm least-squares solution of the
-    sqrt(1/n)-scaled rows over sqrt(lambda/2) I. Every sample weighs the
-    same: the reweighting network of a reweighted run is learned on its
-    own training loss, not on these residuals. Returns no iterations,
-    the valid MSE and one history record."""
-    x = np.array([np.append(feats[s.id], 1.0) for s in train])
-    y = np.array([s.score for s in train])
+    (lambda/2)|theta|^2 with theta = [w; b], x_i = [train_rows[i], 1],
+    y_i = train_scores[i] and lambda = weight_decay (rows as
+    cache_features returns them): the min-norm least-squares solution of
+    the sqrt(1/n)-scaled rows over sqrt(lambda/2) I. Every sample weighs
+    the same. Returns no iterations, the MSE of [valid_rows, 1] @ theta
+    and one history record."""
+    x = np.hstack([train_rows, np.ones((len(train_rows), 1))])
+    y = np.asarray(train_scores, dtype=np.float64)
     root = np.sqrt(1.0 / len(y))
     ridge = np.sqrt(weight_decay / 2.0) * np.eye(x.shape[1])
     theta = np.linalg.lstsq(np.vstack([x * root, ridge]), np.append(
         y * root, np.zeros(len(ridge))), rcond=None)[0]
     w, b = model.params["head.reg.w"], model.params["head.reg.b"]
     w.data, b.data = theta[:-1].reshape(w.shape), theta[-1:]
-    rows = np.array([np.append(feats[s.id], 1.0) for s in valid])
-    mse = metrics.mse(rows @ theta, [s.score for s in valid])
+    rows = np.hstack([valid_rows, np.ones((len(valid_rows), 1))])
+    mse = metrics.mse(rows @ theta, valid_scores)
     return TrainResult(best_metric=mse, history=[{"valid": mse}])
 
 
@@ -224,10 +224,10 @@ def reg_loss_fn(model, images: dict):
     return fn
 
 
-def cache_features(model, samples, images: dict) -> dict:
-    """Sample id -> pooled feature vector under the current parameters."""
-    feats = _no_grad_rows(model.features, [images[s.id] for s in samples])
-    return dict(zip([s.id for s in samples], feats))
+def cache_features(model, samples, images: dict) -> np.ndarray:
+    """The pooled feature row of each sample under the current parameters,
+    one row per sample in order: the rows solve_reg_head takes."""
+    return _no_grad_rows(model.features, [images[s.id] for s in samples])
 
 
 def predict_class(model, inputs) -> np.ndarray:

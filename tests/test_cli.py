@@ -1,12 +1,14 @@
 """End-to-end command-line workflow on a miniature dataset, plus the
 documented exit-code contract."""
 
+import argparse
 import csv
 import os
 import shutil
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -16,6 +18,7 @@ import amcr
 from amcr.checkpoint import load_checkpoint, save_checkpoint
 from amcr.cli import (_load_model, _load_run_config, _parse_args, build_parser,
                       main)
+from amcr.errors import warn
 from amcr.metrics import collapse_warnings
 from amcr.pnm import load_pnm, save_pnm
 
@@ -266,21 +269,99 @@ def test_one_channel_config_runs_end_to_end(tmp_path):
     assert main(["predict"] + run + [str(image)]) == 0
 
 
-def test_warnings_print_without_source_location(workdir):
-    # pytest records warnings in process, where no formatter runs
-    cfg, out = workdir
+def run_python(code, *args):
+    """Run `code` in a fresh interpreter that imports this amcr, with the
+    default warning filters: pytest records warnings in process, where no
+    formatter runs and nothing prints."""
     src = os.path.dirname(os.path.dirname(amcr.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys; from amcr.cli import main; sys.exit(main())"
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "pseudo-split", "--config", str(cfg),
-         "--out", str(out)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True,
+                          env=dict(env, PYTHONPATH=path))
+
+
+def test_warnings_print_without_source_location(workdir):
+    cfg, out = workdir
+    proc = run_python("import sys; from amcr.cli import main; sys.exit(main())",
+                      "pseudo-split", "--config", cfg, "--out", out)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stderr.splitlines()
     assert [line for line in lines if line.startswith("warning: router sent ")
             and line.endswith(" train samples to one branch")]
     assert not [line for line in lines if ".py:" in line]
+
+
+def test_a_repeated_run_state_warning_prints_each_time(tmp_path):
+    # at the quick start's seed 3 the router sends every train sample to
+    # branch 1; a second identical train in the same process must say so
+    # again, and again name the branch that fell back
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(readme_quick_start_config())
+    code = ("import sys; from amcr.cli import main\n"
+            "run = sys.argv[1:]\n"
+            "assert main(['gen-data'] + run) == 0\n"
+            "assert main(['train'] + run) == 0\n"
+            "assert main(['train'] + run) == 0\n")
+    proc = run_python(code, "--config", cfg, "--out", tmp_path / "out",
+                      "--seed", 3)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == 2 * [
+        "warning: router sent 320 of 320 train samples to one branch",
+        "warning: branch r0 has 0 samples, falling back to the all-data "
+        "regressor"]
+
+
+def test_run_state_warning_passes_the_filters_but_no_registry():
+    # the same text from the same line is shown again under the default
+    # filter, and a caller's ignore filter, by module too, still drops it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for _ in range(2):
+            warn("lopsided")
+        warnings.filterwarnings("ignore", module=__name__)
+        warn("lopsided")
+    assert [(w.category, str(w.message), w.filename) for w in caught] == \
+        2 * [(UserWarning, "lopsided", __file__)]
+
+
+def test_overlapping_main_calls_restore_the_warning_format(monkeypatch):
+    # two overlapping calls, the first one ending first: afterwards the
+    # format must be what it was before either began
+    first_in, second_in, first_out = (threading.Event() for _ in range(3))
+    formats, codes = [], []
+
+    def first(args):
+        formats.append(warnings.formatwarning)
+        first_in.set()
+        second_in.wait(10)
+        return 0
+
+    def second(args):
+        formats.append(warnings.formatwarning)
+        second_in.set()
+        first_out.wait(10)
+        return 0
+
+    commands = iter([first, second])
+    monkeypatch.setattr(amcr.cli, "_parse_args",
+                        lambda argv: argparse.Namespace(fn=next(commands)))
+    original = warnings.formatwarning
+
+    def run_first():
+        codes.append(main([]))
+        first_out.set()
+
+    threads = [threading.Thread(target=run_first),
+               threading.Thread(target=lambda: codes.append(main([])))]
+    threads[0].start()
+    assert first_in.wait(10)
+    threads[1].start()
+    for thread in threads:
+        thread.join(10)
+    assert codes == [0, 0]
+    assert formats == [amcr.cli._format_warning] * 2
+    assert warnings.formatwarning is original
 
 
 def write_gray(path):
@@ -628,6 +709,26 @@ def test_exit_code_impossible_aab_pool_target(tmp_path, capsys):
     capsys.readouterr()
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
     assert "pool_target" in capsys.readouterr().err
+    assert not (out / "models").exists()
+
+
+@pytest.mark.parametrize("prep, flags", [("crop", []), ("resize", []),
+                                         ("aab", ["--prep", "crop"])])
+def test_exit_code_pool_target_without_aab(tmp_path, capsys, prep, flags):
+    # pool_target pools the aab canvas only; under any other prep, from
+    # the file or from --prep, the key would do nothing
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace("prep = crop",
+                                  f"prep = {prep}\npool_target = 2"))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--out", str(out),
+                 *flags]) == 2
+    assert capsys.readouterr().err == (
+        "error: pool_target 2 needs prep = aab, not prep = "
+        f"{flags[-1] if flags else prep}\n")
     assert not (out / "models").exists()
 
 

@@ -134,15 +134,13 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         SynthSpec(corrupt_kind="swap").validate()
     with pytest.raises(ConfigError):
-        SynthSpec(sigma_pop=0.0).validate()
-    with pytest.raises(ConfigError):
         SynthSpec(channels=2).validate()
 
 
 def test_score_statistics_match_population(tmp_path):
-    # the latent quality is N(5, sigma_pop) lightly clamped, so the sample
+    # the latent quality is N(5, SIGMA_POP) lightly clamped, so the sample
     # mean and spread of 10k scores pin the generator's distribution
-    spec = SynthSpec(image_height=4, image_width=4, sigma_pop=1.8)
+    spec = SynthSpec(image_height=4, image_width=4)
     samples, _ = gen(tmp_path, n=10000, seed=7, spec=spec)
     scores = np.array([s.score for s in samples])
     assert abs(scores.mean() - 5.0) < 0.1

@@ -12,10 +12,9 @@ from amcr import pipeline
 from amcr.blocks import AestheticNet
 from amcr.data import Sample, binarize_label, ten_class_label
 from amcr.errors import ConfigError, DataError
-from amcr.pipeline import (PipelineArtifacts, SplitAssignment, fuse_score,
-                           prepare_image, prepare_images, pseudo_split,
-                           run_ablation, run_pipeline, train_binary,
-                           train_branch)
+from amcr.pipeline import (PipelineArtifacts, fuse_score, prepare_image,
+                           prepare_images, pseudo_split, route, run_ablation,
+                           run_pipeline, train_binary, train_branch)
 from amcr.pnm import load_pnm, save_pnm
 from amcr.tensor import Tensor
 from amcr.training import (TrainSettings, cache_features, predict_class,
@@ -210,11 +209,9 @@ def test_pseudo_split_partitions_by_prediction_only():
         split = pseudo_split(model, samples[:12], samples[12:], images)
 
     labels = predict_class(model, [images[s.id] for s in samples])
-    assert [split.pseudo[s.id] for s in samples] == labels.tolist()
-    assert {s.id for s in split.train0} | {s.id for s in split.train1} == \
-        {s.id for s in samples[:12]}
-    assert not ({s.id for s in split.train0} & {s.id for s in split.train1})
-    assert split.counts()["valid0"] + split.counts()["valid1"] == 4
+    assert split == {s.id: int(label) for s, label in zip(samples, labels)}
+    assert route(model, [images[s.id] for s in samples]).tolist() == \
+        labels.tolist()
 
     # ground-truth scores cannot influence routing
     flipped = [Sample(s.id, s.path, 10.0 - s.score, 1 - s.binary_label)
@@ -222,7 +219,7 @@ def test_pseudo_split_partitions_by_prediction_only():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         split2 = pseudo_split(model, flipped[:12], flipped[12:], images)
-    assert split2.pseudo == split.pseudo
+    assert split2 == split
 
 
 def test_pseudo_split_warns_on_empty_branch():
@@ -235,7 +232,7 @@ def test_pseudo_split_warns_on_empty_branch():
         split = pseudo_split(model, samples, samples, images)
     assert [str(w.message) for w in caught] == [
         "router sent 8 of 8 train samples to one branch"]
-    assert split.train0 == [] and len(split.train1) == 8
+    assert split == {s.id: 1 for s in samples}
 
 
 # of 40 train samples, 38 in one branch is exactly the 95% share that is
@@ -252,7 +249,7 @@ def test_pseudo_split_warns_once_above_the_branch_share(monkeypatch, ones,
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         split = pseudo_split(None, samples[:40], samples[40:], images)
-    assert len(split.train1) == ones and len(split.valid0) == 4
+    assert [split[s.id] for s in samples] == [int(i < ones) for i in range(44)]
     assert [str(w.message) for w in caught] == (
         [] if larger is None
         else [f"router sent {larger} of 40 train samples to one branch"])
@@ -306,8 +303,9 @@ def test_train_branch_solve_ignores_the_mrn():
     assert out["reg"].mrn is None and out["reg"].sample_weights == {}
     head = ("head.reg.w", "head.reg.b")
     solved = [model.params[n].data.copy() for n in head]
-    feats = cache_features(model, [*train, *valid], images)
-    solve_reg_head(model, train, valid, feats, settings.weight_decay)
+    rows = cache_features(model, [*train, *valid], images)
+    solve_reg_head(model, rows[:8], [s.score for s in train], rows[8:],
+                   [s.score for s in valid], settings.weight_decay)
     for name, value in zip(head, solved):
         assert np.array_equal(model.params[name].data, value), name
 
@@ -445,7 +443,7 @@ def test_run_pipeline_pcr_variant():
                            fast_settings(batch_size=2), rng)
     assert art.c2 is not None and art.c2.num_classes == 2
     assert art.split is not None
-    assert set(art.split.pseudo) == {s.id for s in samples}
+    assert set(art.split) == {s.id for s in samples}
     assert {"r_all", "c2"} <= set(art.history)
     img = images[samples[0].id]
     assert art.predict([img]).tolist() == [min(10.0, max(0.0, fuse_score(
@@ -455,8 +453,8 @@ def test_run_pipeline_pcr_variant():
 def halving_split(model, train, valid, images):
     # whatever the router predicts, each branch gets half of the train set
     half = len(train) // 2
-    pseudo = {s.id: int(i >= half) for i, s in enumerate(train)}
-    return SplitAssignment(pseudo, train[:half], train[half:], valid, [])
+    return {**{s.id: 0 for s in valid},
+            **{s.id: int(i >= half) for i, s in enumerate(train)}}
 
 
 def test_run_pipeline_pcr_branch_fallback(monkeypatch):

@@ -251,10 +251,9 @@ def test_cached_features_match_live_forward():
     rng = np.random.default_rng(9)
     net = tiny_net(rng)
     samples, images = fixture_samples(rng)
-    feats = cache_features(net, samples, images)
+    rows = cache_features(net, samples, images)
     live = net.features(np.stack([images[s.id] for s in samples])).data
-    np.testing.assert_allclose(np.stack([feats[s.id] for s in samples]), live,
-                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rows, live, rtol=0, atol=1e-12)
 
 
 def test_eval_class_accuracy_counts_argmax_hits():
@@ -293,8 +292,7 @@ def test_scoring_walks_a_long_list_in_fixed_chunks(monkeypatch):
         classes, np.argmax(features(whole).data @ net.params["head.class.w"].data
                            + net.params["head.class.b"].data, axis=1))
     np.testing.assert_allclose(scores, net.score(whole).data, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(np.stack([feats[s.id] for s in samples]),
-                               features(whole).data, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(feats, features(whole).data, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("loss", ["class", "reg"])
@@ -360,7 +358,8 @@ def test_solved_head_zeroes_the_mean_loss_gradient():
     # with L_i taken through the live network on the images
     lam = 1e-2
     net, samples, images, feats = solve_fixture()
-    result = solve_reg_head(net, samples, samples, feats, lam)
+    scores = [s.score for s in samples]
+    result = solve_reg_head(net, feats, scores, feats, scores, lam)
     assert result.iterations == 0
     assert result.history == [{"valid": result.best_metric}]
     assert result.best_metric == pytest.approx(
@@ -378,9 +377,9 @@ class HeadModel:
     """The regression head alone, on cached feature rows: its parameters
     are the net's own head.reg tensors."""
 
-    def __init__(self, net, feats):
+    def __init__(self, net, samples, feats):
         self.params = {n: net.params[n] for n in REG_HEAD}
-        self.feats = feats
+        self.feats = dict(zip([s.id for s in samples], feats))
 
     def loss_fn(self, batch, override):
         p = self.params if override is None else {**self.params, **override}
@@ -394,8 +393,7 @@ class HeadModel:
 def test_full_batch_adam_never_beats_the_solve():
     lam = 1e-2
     net, samples, images, feats = solve_fixture()
-    x = np.hstack([np.stack([feats[s.id] for s in samples]),
-                   np.ones((len(samples), 1))])
+    x = np.hstack([feats, np.ones((len(samples), 1))])
     y = np.array([s.score for s in samples])
 
     def objective():
@@ -404,7 +402,7 @@ def test_full_batch_adam_never_beats_the_solve():
         return float(np.mean(r * r) + 0.5 * lam * theta @ theta)
 
     start = {n: net.params[n].data.copy() for n in REG_HEAD}
-    solve_reg_head(net, samples, samples, feats, lam)
+    solve_reg_head(net, feats, y, feats, y, lam)
     solved = objective()
     for name, value in start.items():
         net.params[name].data = value
@@ -412,7 +410,7 @@ def test_full_batch_adam_never_beats_the_solve():
     settings = TrainSettings(epochs=400, batch_size=len(samples), lr=0.1,
                              weight_decay=lam, betas=(0.9, 0.999),
                              plateau_patience=400)
-    head = HeadModel(net, feats)
+    head = HeadModel(net, samples, feats)
     train_model(head, head.loss_fn, samples,
                 lambda: seen.append(objective()) or seen[-1], settings,
                 np.random.default_rng(0))
