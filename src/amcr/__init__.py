@@ -20,7 +20,7 @@ from .meta import MetaState, build_meta_set
 from .metrics import evaluate_scores, mae, mse, segment_report, srocc
 from .optim import Adam, PlateauScheduler
 from .pipeline import (PipelineArtifacts, fuse_score, pseudo_split,
-                       run_ablation, run_pipeline, train_binary, train_branch)
+                       run_pipeline, train_binary, train_branch)
 from .tensor import Tensor, grad_enabled, no_grad, per_sample_gradients
 from .training import TrainResult, TrainSettings, train_model
 
@@ -37,7 +37,7 @@ __all__ = [
     "evaluate_scores", "fuse_score", "generate_dataset", "grad_enabled",
     "load_checkpoint", "load_config", "load_manifest",
     "mae", "mrn_forward", "mse", "no_grad", "per_sample_gradients",
-    "pseudo_split", "run_ablation", "run_pipeline", "save_checkpoint",
+    "pseudo_split", "run_pipeline", "save_checkpoint",
     "save_manifest", "segment_report", "srocc", "ten_class_label",
     "train_binary", "train_branch", "train_model",
 ]

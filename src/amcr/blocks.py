@@ -85,15 +85,13 @@ class Mrn:
 
 
 def mrn_forward(losses, mrn: Mrn, params=None) -> Tensor:
-    """Map n detached sample losses to n weights in (0,1).
+    """Map an array of n sample losses to n weights in (0,1).
 
     The losses enter as constants; the result is differentiable with
-    respect to the reweighting parameters only.
+    respect to the reweighting parameters only: the network's own, or
+    the tensors `params` puts in their place by name.
     """
-    if isinstance(losses, Tensor):
-        values = losses.data
-    else:
-        values = np.asarray(losses, dtype=np.float64)
+    values = np.asarray(losses, dtype=np.float64)
     if values.ndim != 1:
         raise ShapeError(f"expected a loss vector, got shape {values.shape}")
     if not np.all(np.isfinite(values)):

@@ -35,8 +35,8 @@ from .image import aab_prepare, preprocess_crop, preprocess_resize
 from .meta import build_meta_set
 from .metrics import collapse_warnings, evaluate_scores, segment_report
 from .pipeline import (PipelineArtifacts, load_image, prepare_image,
-                       prepare_images, pseudo_split, router_sets, run_ablation,
-                       run_pipeline, train_binary)
+                       prepare_images, pseudo_split, router_sets, run_pipeline,
+                       train_binary)
 from .tensor import Tensor
 
 # every ParameterError a command can raise comes from a config value
@@ -200,10 +200,37 @@ def _write_split(args, split: dict) -> None:
                sorted(split.items()))
 
 
-def _meta_set(cfg, train, rng, reweighted: bool):
-    """The run's meta set, drawn from `rng` only when some stage is
-    reweighted; None otherwise."""
-    return build_meta_set(train, cfg.meta_meta_quota, rng) if reweighted else None
+def _run_rng(cfg, train):
+    """The run's RNG, seeded from `[train] seed`, and its meta set: drawn
+    from that RNG first when `[meta] mrn` is on, None otherwise."""
+    rng = np.random.default_rng(cfg.train_seed)
+    meta = build_meta_set(train, cfg.meta_meta_quota, rng) if cfg.meta_mrn else None
+    return rng, meta
+
+
+def _train_run(cfg, train, valid, images) -> PipelineArtifacts:
+    """Every model of `cfg`'s variant, trained as `train` trains it."""
+    rng, meta = _run_rng(cfg, train)
+    factory = lambda r, k: _build_model(cfg, r, k)
+    return run_pipeline(cfg.pipeline_variant, train, valid, images, factory,
+                        _settings(cfg, cfg.train_class_batch),
+                        _settings(cfg, cfg.train_reg_batch), rng,
+                        meta_samples=meta)
+
+
+def _score_test(art, test, images, label=""):
+    """The predictions and report of `art` on the test split. Prints the
+    report's line, then a `warning:` line per collapse found, each led by
+    `label`."""
+    preds = art.predict([images[s.id] for s in test])
+    truth = [s.score for s in test]
+    report = evaluate_scores(preds, truth)
+    print(f"{label}test n={report.n} mse={report.mse:.4f} mae={report.mae:.4f} "
+          f"srocc={report.srocc:.4f} acc={report.accuracy:.4f} "
+          f"acc<=1={report.accuracy_err_le_1:.4f}")
+    for message in collapse_warnings(preds, truth):
+        print(f"warning: {label}{message}", file=sys.stderr)
+    return preds, report
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +258,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train_binary(args) -> int:
     cfg = _load_run_config(args)
     images, train, valid = _load_splits(cfg, args, "train", "valid")
-    rng = np.random.default_rng(cfg.train_seed)
-    meta = _meta_set(cfg, train, rng, cfg.meta_mrn)
+    rng, meta = _run_rng(cfg, train)
     model = _build_model(cfg, rng, 2)
     result = train_binary(model, *router_sets(train, valid), images,
                           _settings(cfg, cfg.train_class_batch), rng,
@@ -267,17 +293,8 @@ def cmd_pseudo_split(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     images, train, valid = _load_splits(cfg, args, "train", "valid")
-    rng = np.random.default_rng(cfg.train_seed)
-    meta = _meta_set(cfg, train, rng, cfg.meta_mrn)
-    factory = lambda r, k: _build_model(cfg, r, k)
-    art = run_pipeline(cfg.pipeline_variant, train, valid, images, factory,
-                       _settings(cfg, cfg.train_class_batch),
-                       _settings(cfg, cfg.train_reg_batch), rng,
-                       meta_samples=meta)
-    iterations = sum(
-        res.iterations
-        for stage in art.history.values()
-        for res in (stage.values() if isinstance(stage, dict) else [stage]))
+    art = _train_run(cfg, train, valid, images)
+    iterations = sum(res.iterations for res in art.history.values())
     _save_model(args, "r_all", art.r_all, cfg, iterations)
     for name in ("c2", "r0", "r1"):
         model = getattr(art, name)
@@ -312,19 +329,12 @@ def _load_artifacts(cfg, args) -> PipelineArtifacts:
     return art
 
 
-def _warn_collapse(found, label=""):
-    for message in found:
-        print(f"warning: {label}{message}", file=sys.stderr)
-
-
 def cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
     images, test = _load_splits(cfg, args, "test")
     if not test:
         raise DataError("manifest has no test split")
-    preds = _load_artifacts(cfg, args).predict([images[s.id] for s in test])
-    truth = [s.score for s in test]
-    report = evaluate_scores(preds, truth)
+    preds, report = _score_test(_load_artifacts(cfg, args), test, images)
     _write_csv(os.path.join(args.out, "metrics.csv"),
                ["mse", "mae", "srocc", "accuracy", "accuracy_within_1", "n"],
                [[repr(report.mse), repr(report.mae), repr(report.srocc),
@@ -332,11 +342,8 @@ def cmd_evaluate(args) -> int:
                  report.n]])
     _write_csv(os.path.join(args.out, "scatter.csv"),
                ["prediction", "truth"],
-               [(repr(float(p)), repr(float(t))) for p, t in zip(preds, truth)])
-    print(f"test n={report.n} mse={report.mse:.4f} mae={report.mae:.4f} "
-          f"srocc={report.srocc:.4f} acc={report.accuracy:.4f} "
-          f"acc<=1={report.accuracy_err_le_1:.4f}")
-    _warn_collapse(collapse_warnings(preds, truth))
+               [(repr(float(p)), repr(float(s.score)))
+                for p, s in zip(preds, test)])
     return 0
 
 
@@ -376,37 +383,24 @@ def cmd_report_segments(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    """Each cell of the variant × MRN grid is the `train` + `evaluate`
+    run of its flags; a `--variant` or `--mrn` flag fixes that axis."""
     cfg = _load_run_config(args)
     images, train, valid, test = _load_splits(cfg, args, "train", "valid",
                                               "test")
     if not (train and valid and test):
         raise DataError("ablation needs train, valid, and test splits")
-
-    variants = [cfg.pipeline_variant] if args.variant else ["r", "cr", "pcr"]
-    mrns = [cfg.meta_mrn] if args.mrn else [False, True]
-    requests = [{"variant": v, "mrn": m} for v in variants for m in mrns]
-    rng = np.random.default_rng(cfg.train_seed)
-    meta = _meta_set(cfg, train, rng, any(mrns))
-    factory = lambda r, k: _build_model(cfg, r, k)
-    results = run_ablation(requests, train, valid, test, images, factory,
-                           _settings(cfg, cfg.train_class_batch),
-                           _settings(cfg, cfg.train_reg_batch),
-                           meta_samples=meta, base_seed=cfg.train_seed)
     eca = "on" if cfg.model_eca else "off"
     rows = []
-    for cell in results:
-        rep = cell["report"]
-        rows.append([cell["variant"], cfg.model_prep, eca,
-                     "on" if cell["mrn"] else "off",
-                     repr(rep.srocc), repr(rep.mse), repr(rep.mae),
-                     repr(rep.accuracy), repr(rep.accuracy_err_le_1)])
-        print(f"{cell['variant']:>3} prep={cfg.model_prep} eca={eca} "
-              f"mrn={'on' if cell['mrn'] else 'off'} "
-              f"srocc={rep.srocc:.4f} mse={rep.mse:.4f}")
-        _warn_collapse(collapse_warnings(cell["predictions"],
-                                         [s.score for s in test]),
-                       label=f"{cell['variant']} mrn="
-                             f"{'on' if cell['mrn'] else 'off'}: ")
+    for variant in [args.variant] if args.variant else ["r", "cr", "pcr"]:
+        for mrn in [args.mrn] if args.mrn else ["off", "on"]:
+            cell = cfg.replace("pipeline", "variant", variant).replace(
+                "meta", "mrn", mrn)
+            _preds, rep = _score_test(_train_run(cell, train, valid, images),
+                                      test, images, f"{variant} mrn={mrn}: ")
+            rows.append([variant, cfg.model_prep, eca, mrn, repr(rep.srocc),
+                         repr(rep.mse), repr(rep.mae), repr(rep.accuracy),
+                         repr(rep.accuracy_err_le_1)])
     _write_csv(os.path.join(args.out, "ablation.csv"),
                ["variant", "prep", "eca", "mrn", "srocc", "mse", "mae",
                 "accuracy", "accuracy_within_1"], rows)

@@ -29,12 +29,11 @@ from .data import drop_mid_scores, make_amdc, ten_class_label
 from .errors import ConfigError, DataError, warn
 from .image import aab_prepare, preprocess_crop, preprocess_resize
 from .kernels import off_heap_zeros
-from .metrics import evaluate_scores
 from .training import TrainSettings, train_model
 
 __all__ = [
     "router_sets", "train_binary", "route", "pseudo_split", "train_branch",
-    "fuse_score", "run_pipeline", "run_ablation", "PipelineArtifacts",
+    "fuse_score", "run_pipeline", "PipelineArtifacts",
     "load_image", "prepare_image", "prepare_images",
 ]
 
@@ -167,8 +166,8 @@ def train_branch(model, train, valid, images, settings: TrainSettings, rng,
     learns a loss-to-weight network on the ten-class loss. Phase 2 is
     one unweighted least-squares solve of the regression head
     (training.solve_reg_head) with the same weight decay; it uses no
-    network and draws nothing from `rng`. Returns the phase results as a
-    dict.
+    network and draws nothing from `rng`. Returns the two phases'
+    results, in order.
     """
     phase1 = _fit_classifier(
         model, train, valid, images, settings, rng,
@@ -180,7 +179,7 @@ def train_branch(model, train, valid, images, settings: TrainSettings, rng,
     phase2 = TR.solve_reg_head(model, rows[:n], [s.score for s in train],
                                rows[n:], [s.score for s in valid],
                                settings.weight_decay)
-    return {"class": phase1, "reg": phase2}
+    return phase1, phase2
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +217,9 @@ def fuse_score(c2, r0, r1, r_all, inputs) -> np.ndarray:
 class PipelineArtifacts:
     """Trained models plus the records needed to audit a run. A pcr
     branch, r0 or r1, is its model, None, or a loader of its model (see
-    fuse_score); `split` is pcr's pseudo_split map."""
+    fuse_score); `split` is pcr's pseudo_split map. `history` holds one
+    TrainResult per stage: a train_branch model's ten-class phase under
+    the model's name and its regression solve under the name + ".reg"."""
 
     variant: str
     r_all: object
@@ -265,7 +266,7 @@ def run_pipeline(variant: str, train, valid, images, model_factory,
 
     # cr and pcr both need the all-data branch model
     r_all = model_factory(rng, 10)
-    art.history["r_all"] = train_branch(
+    art.history["r_all"], art.history["r_all.reg"] = train_branch(
         r_all, train, valid, images, class_settings, rng,
         meta_samples=meta_samples)
     art.r_all = r_all
@@ -288,45 +289,8 @@ def run_pipeline(variant: str, train, valid, images, model_factory,
                  "the all-data regressor")
             continue
         model = model_factory(rng, 10)
-        art.history[name] = train_branch(
+        art.history[name], art.history[name + ".reg"] = train_branch(
             model, btrain, bvalid or valid, images, class_settings, rng,
             meta_samples=meta_samples)
         setattr(art, name, model)
     return art
-
-
-# ---------------------------------------------------------------------------
-# ablation harness
-
-
-def run_ablation(requests, train, valid, test, images, model_factory,
-                 class_settings, reg_settings, *, meta_samples=None,
-                 base_seed: int = 0):
-    """Run each requested (variant, mrn) cell and score it.
-
-    `images` and `model_factory(rng, num_classes)` are those run_pipeline
-    takes; every cell shares them, and only the MRN-on cells get
-    `meta_samples`. Cells run in order, each with its own RNG stream
-    seeded from `base_seed` and the cell index.
-    """
-    requests = list(requests)
-    for req in requests:
-        unknown = set(req) - {"variant", "mrn"}
-        if unknown:
-            raise ConfigError(f"unknown ablation keys {sorted(unknown)}")
-        if req["variant"] not in ("r", "cr", "pcr"):
-            raise ConfigError(f"unknown pipeline variant {req['variant']!r}")
-
-    def run_cell(index, req):
-        rng = np.random.default_rng((base_seed, index))
-        # an MRN-on cell without a meta set fails in train_model
-        meta = (meta_samples or []) if req["mrn"] else None
-        art = run_pipeline(req["variant"], train, valid, images, model_factory,
-                           class_settings, reg_settings, rng,
-                           meta_samples=meta)
-        preds = art.predict([images[s.id] for s in test])
-        report = evaluate_scores(preds, [s.score for s in test])
-        return {**req, "report": report, "predictions": preds,
-                "artifacts": art}
-
-    return [run_cell(index, req) for index, req in enumerate(requests)]

@@ -74,7 +74,8 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g):
-        # never in place: `add` hands the same g to both of its parents
+        # never in place: g may be an array another node holds too (sub
+        # hands its upstream gradient on as it is) or the caller's seed
         self.grad = g if self.grad is None else self.grad + g
 
     def backward(self, seed=None):
@@ -138,13 +139,6 @@ def _make(data, parents, backward):
 
 # ---------------------------------------------------------------------------
 # elementwise suite
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"add: {a.shape} vs {b.shape}")
-    return _make(a.data + b.data, (a, b), lambda g: ((a, g), (b, g)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

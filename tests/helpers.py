@@ -1,9 +1,11 @@
 """Shared test utilities: central finite differences, error measures,
-batch-of-one reference gradients and a call spy."""
+batch-of-one reference gradients, a tensor sum and a call spy."""
 
 import collections
 
 import numpy as np
+
+from amcr import tensor as T
 
 
 def numerical_grad(f, arrays, eps=1e-6):
@@ -27,6 +29,12 @@ def numerical_grad(f, arrays, eps=1e-6):
             gf[i] = (hi - lo) / (2.0 * eps)
         grads[name] = g
     return grads
+
+
+def plus(a, b):
+    """a + b as a - (0 - b): bitwise the sum, and each operand's gradient
+    the upstream one."""
+    return T.sub(a, T.sub(T.Tensor(np.zeros(b.shape)), b))
 
 
 def rel_err(a, b):

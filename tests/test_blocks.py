@@ -15,7 +15,7 @@ from amcr.image import aab_prepare
 from amcr.tensor import Tensor
 from amcr.training import _stacked
 
-from helpers import call_counts, numerical_grad, rel_err, spy_calls
+from helpers import call_counts, numerical_grad, plus, rel_err, spy_calls
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +408,8 @@ def test_net_forward_full_gradient_matches_fd():
 
     def loss_under(params):
         reg = net.score(img, params)
-        return T.tsum(T.add(T.cross_entropy_logits(net.forward(img, params), [1]),
-                            T.mul(reg, reg)))
+        return T.tsum(plus(T.cross_entropy_logits(net.forward(img, params), [1]),
+                           T.mul(reg, reg)))
 
     out = loss_under(None)
     out.backward()

@@ -608,6 +608,33 @@ def test_train_with_reweighting_reruns_byte_identical(tmp_path, variant, mrn):
     assert trees[0] == trees[1]
 
 
+def test_ablate_cells_are_train_and_evaluate_runs(tmp_path, capsys):
+    # each row of the grid, and each printed line, is what train +
+    # evaluate give under that cell's flags, and a rerun writes the same bytes
+    cfg, out = fresh_data(tmp_path)
+    capsys.readouterr()
+    ablate = ["ablate", "--config", str(cfg), "--out", str(out)]
+    cells = [(v, m) for v in ("r", "cr", "pcr") for m in ("off", "on")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small branches may fall back
+        assert main(ablate) == 0
+        printed = capsys.readouterr().out.splitlines()
+        rows = read_rows(out / "ablation.csv")
+        assert [(row[0], row[3]) for row in rows[1:]] == cells
+        for (variant, mrn), row, line in zip(cells, rows[1:], printed):
+            run = ["--config", str(cfg), "--out", str(out), "--variant",
+                   variant, "--mrn", mrn]
+            assert main(["train"] + run) == 0
+            capsys.readouterr()
+            assert main(["evaluate"] + run) == 0
+            assert line == f"{variant} mrn={mrn}: " + capsys.readouterr().out.strip()
+            metrics = dict(zip(*read_rows(out / "metrics.csv")))
+            assert (row[4], row[5]) == (metrics["srocc"], metrics["mse"])
+        first = (out / "ablation.csv").read_bytes()
+        assert main(ablate) == 0
+    assert (out / "ablation.csv").read_bytes() == first
+
+
 def readme_quick_start_config():
     """The run.ini of the README's quick start, as written there."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

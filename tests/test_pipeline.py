@@ -1,5 +1,5 @@
-"""Staged pipeline: label maps, routing, branch training, fused scoring,
-and the ablation harness, all at toy scale."""
+"""Staged pipeline: label maps, routing, branch training, fused scoring
+and the variant runner, all at toy scale."""
 
 import os
 import re
@@ -13,8 +13,8 @@ from amcr.blocks import AestheticNet
 from amcr.data import Sample, binarize_label, ten_class_label
 from amcr.errors import ConfigError, DataError
 from amcr.pipeline import (PipelineArtifacts, fuse_score, prepare_image,
-                           prepare_images, pseudo_split, route, run_ablation,
-                           run_pipeline, train_binary, train_branch)
+                           prepare_images, pseudo_split, route, run_pipeline,
+                           train_binary, train_branch)
 from amcr.pnm import load_pnm, save_pnm
 from amcr.tensor import Tensor
 from amcr.training import (TrainSettings, cache_features, predict_class,
@@ -272,11 +272,10 @@ def test_train_branch_two_phases_and_freeze(monkeypatch):
         return solve(model, *args)
 
     monkeypatch.setattr(pipeline.TR, "solve_reg_head", recording_solve)
-    out = train_branch(model, samples[:8], samples[8:], images,
-                       fast_settings(), rng)
-    assert set(out) == {"class", "reg"}
-    assert out["class"].iterations == 2   # one epoch of 8 samples, batch 4
-    assert out["reg"].iterations == 0     # phase 2 is one solve
+    phase1, phase2 = train_branch(model, samples[:8], samples[8:], images,
+                                  fast_settings(), rng)
+    assert phase1.iterations == 2   # one epoch of 8 samples, batch 4
+    assert phase2.iterations == 0   # phase 2 is one solve
     reg_names = {n for n in model.params if n.startswith("head.reg")}
 
     def moved(start, end):
@@ -297,10 +296,10 @@ def test_train_branch_solve_ignores_the_mrn():
     model = tiny_factory(rng, 10)
     train, valid = samples[:8], samples[8:]
     settings = fast_settings(meta_batch=4, mrn_hidden=4, weight_decay=1e-2)
-    out = train_branch(model, train, valid, images, settings, rng,
-                       meta_samples=samples[:4])
-    assert out["class"].mrn is not None
-    assert out["reg"].mrn is None and out["reg"].sample_weights == {}
+    phase1, phase2 = train_branch(model, train, valid, images, settings, rng,
+                                  meta_samples=samples[:4])
+    assert phase1.mrn is not None
+    assert phase2.mrn is None and phase2.sample_weights == {}
     head = ("head.reg.w", "head.reg.b")
     solved = [model.params[n].data.copy() for n in head]
     rows = cache_features(model, [*train, *valid], images)
@@ -425,8 +424,7 @@ def test_run_pipeline_cr_variant():
     samples, images = spread_samples(rng, n=12)
     art = run_pipeline("cr", samples[:8], samples[8:], images, tiny_factory,
                        fast_settings(), fast_settings(), rng)
-    assert set(art.history) == {"r_all"}
-    assert set(art.history["r_all"]) == {"class", "reg"}
+    assert set(art.history) == {"r_all", "r_all.reg"}
     assert art.c2 is None and art.split is None
     preds = art.predict([images[s.id] for s in samples[8:]])
     assert preds.shape == (4,)
@@ -472,7 +470,7 @@ def test_run_pipeline_pcr_branch_fallback(monkeypatch):
         f"branch {name} has 4 samples, falling back to the all-data regressor"
         for name in ("r0", "r1")]
     assert art.r0 is None and art.r1 is None
-    assert set(art.history) == {"r_all", "c2"}
+    assert set(art.history) == {"r_all", "r_all.reg", "c2"}
     img = images[samples[0].id]
     assert art.predict([img]) == pytest.approx(
         [min(10.0, max(0.0, predict_score(art.r_all, [img])[0]))])
@@ -491,71 +489,5 @@ def test_run_pipeline_pcr_trains_a_branch_of_one_class_batch(monkeypatch):
                            fast_settings(batch_size=8), rng)
     assert [str(w.message) for w in caught] == []
     assert art.r0 is not None and art.r1 is not None
-    assert set(art.history) == {"r_all", "c2", "r0", "r1"}
-
-
-# ---------------------------------------------------------------------------
-# ablation harness
-
-
-def ablation_fixture(rng):
-    samples, images = spread_samples(rng, n=16)
-    return samples[:10], samples[10:13], samples[13:], images
-
-
-def test_run_ablation_validates_requests():
-    rng = np.random.default_rng(13)
-    train, valid, test, images = ablation_fixture(rng)
-    with pytest.raises(ConfigError):
-        run_ablation([{"variant": "r", "mrn": False, "prep": "crop"}],
-                     train, valid, test, images, tiny_factory,
-                     fast_settings(), fast_settings())
-    with pytest.raises(ConfigError):
-        run_ablation([{"variant": "x", "mrn": False}], train, valid, test,
-                     images, tiny_factory, fast_settings(), fast_settings())
-
-
-def test_run_ablation_runs_cells_in_order():
-    rng = np.random.default_rng(14)
-    train, valid, test, images = ablation_fixture(rng)
-    requests = [{"variant": "r", "mrn": False},
-                {"variant": "cr", "mrn": False}]
-    results = run_ablation(requests, train, valid, test, images, tiny_factory,
-                           fast_settings(), fast_settings())
-    assert [(r["variant"], r["mrn"]) for r in results] == [("r", False),
-                                                           ("cr", False)]
-    for r in results:
-        assert isinstance(r["artifacts"], PipelineArtifacts)
-        assert r["artifacts"].variant == r["variant"]
-        assert np.isfinite(r["report"].mse)
-
-    # every cell runs on its own seeded stream, so a rerun reproduces
-    # each cell's scores exactly
-    again = run_ablation(requests, train, valid, test, images, tiny_factory,
-                         fast_settings(), fast_settings())
-    for first, second in zip(results, again):
-        np.testing.assert_array_equal(first["predictions"],
-                                      second["predictions"])
-
-
-
-def _stage_results(artifacts):
-    for stage in artifacts.history.values():
-        yield from (stage.values() if isinstance(stage, dict) else [stage])
-
-
-def test_run_ablation_hands_the_meta_set_to_mrn_on_cells_only():
-    rng = np.random.default_rng(16)
-    train, valid, test, images = ablation_fixture(rng)
-    requests = [{"variant": "cr", "mrn": False}, {"variant": "cr", "mrn": True}]
-    settings = fast_settings(meta_batch=4, mrn_hidden=4)
-    off, on = run_ablation(requests, train, valid, test, images, tiny_factory,
-                           settings, settings, meta_samples=train[:4])
-    assert all(res.mrn is None for res in _stage_results(off["artifacts"]))
-    # the MRN lives where it is learned: the trained phases, not the solves
-    assert all((res.mrn is not None) == (res.iterations > 0)
-               for res in _stage_results(on["artifacts"]))
-    # an MRN-on cell without a meta set is refused
-    with pytest.raises(DataError, match="needs a meta set"):
-        run_ablation(requests[1:], train, valid, test, images, tiny_factory,
-                     settings, settings)
+    assert set(art.history) == {"r_all", "r_all.reg", "c2", "r0", "r1",
+                                "r0.reg", "r1.reg"}
