@@ -608,20 +608,40 @@ def test_train_with_reweighting_reruns_byte_identical(tmp_path, variant, mrn):
     assert trees[0] == trees[1]
 
 
-def test_ablate_cells_are_train_and_evaluate_runs(tmp_path, capsys):
-    # each row of the grid, and each printed line, is what train +
-    # evaluate give under that cell's flags, and a rerun writes the same bytes
+ABLATE_CELLS = [(v, m) for v in ("r", "cr", "pcr") for m in ("off", "on")]
+
+
+def test_ablate_runs_cells_in_order(tmp_path, capsys):
+    # the grid's rows and printed lines come in cell order, and a rerun
+    # writes the same bytes
     cfg, out = fresh_data(tmp_path)
     capsys.readouterr()
     ablate = ["ablate", "--config", str(cfg), "--out", str(out)]
-    cells = [(v, m) for v in ("r", "cr", "pcr") for m in ("off", "on")]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # small branches may fall back
         assert main(ablate) == 0
         printed = capsys.readouterr().out.splitlines()
         rows = read_rows(out / "ablation.csv")
-        assert [(row[0], row[3]) for row in rows[1:]] == cells
-        for (variant, mrn), row, line in zip(cells, rows[1:], printed):
+        assert [(row[0], row[3]) for row in rows[1:]] == ABLATE_CELLS
+        assert [line.split(":")[0] for line in printed] == [
+            f"{variant} mrn={mrn}" for variant, mrn in ABLATE_CELLS]
+        first = (out / "ablation.csv").read_bytes()
+        assert main(ablate) == 0
+    assert (out / "ablation.csv").read_bytes() == first
+
+
+def test_ablate_cells_are_train_and_evaluate_runs(tmp_path, capsys):
+    # each row of the grid, and each printed line, is what train +
+    # evaluate give under that cell's --variant and --mrn flags
+    cfg, out = fresh_data(tmp_path)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small branches may fall back
+        assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        rows = read_rows(out / "ablation.csv")
+        assert len(rows) == len(ABLATE_CELLS) + 1
+        for (variant, mrn), row, line in zip(ABLATE_CELLS, rows[1:], printed):
             run = ["--config", str(cfg), "--out", str(out), "--variant",
                    variant, "--mrn", mrn]
             assert main(["train"] + run) == 0
@@ -630,9 +650,6 @@ def test_ablate_cells_are_train_and_evaluate_runs(tmp_path, capsys):
             assert line == f"{variant} mrn={mrn}: " + capsys.readouterr().out.strip()
             metrics = dict(zip(*read_rows(out / "metrics.csv")))
             assert (row[4], row[5]) == (metrics["srocc"], metrics["mse"])
-        first = (out / "ablation.csv").read_bytes()
-        assert main(ablate) == 0
-    assert (out / "ablation.csv").read_bytes() == first
 
 
 def readme_quick_start_config():
